@@ -8,6 +8,7 @@ complexes for the marking-saturation generators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -48,13 +49,22 @@ class GeneratorInstance:
         return f"{self.family}:{self.tag}({ps})" + (" [derived]" if self.derived else "")
 
 
-def _triangles(n: int) -> list[tuple[int, int, int]]:
-    import itertools
-    return list(itertools.combinations(range(n + 1), 3))
+def _deco(kind: str, marked=(), thin=(), lean=()) -> dict:
+    """Decoration keywords from two-scaling data.  The single-scaling theory
+    keeps one scaling: its thin triangles are the MB lean ones."""
+    if kind == "MB":
+        return dict(marked=marked, thin=thin, lean=lean)
+    return dict(marked=marked, thin=lean)
 
 
-def _sharp_tris(n):
-    return _triangles(n)
+def _along(f: DecMap, g) -> dict:
+    """The assignment f(b) -> g(b) over the cells b with a nondegenerate image."""
+    out = {}
+    for b in f.src.all_nondeg():
+        img = f.apply(b)
+        if not img.is_degenerate():
+            out[img.nd] = g(b)
+    return out
 
 
 def _inclusion(dom: DecoratedSSet, cod: DecoratedSSet) -> DecMap:
@@ -65,8 +75,27 @@ def _inclusion(dom: DecoratedSSet, cod: DecoratedSSet) -> DecMap:
     return DecMap(dom, cod, assign)
 
 
-def _collapse01(n: int, *, kind: str, marked, thin, lean,
-                horn_index: Optional[int] = None):
+def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
+    """Builder of the inclusion of Delta^n (or its horn) into Delta^n, with
+    two-scaling decorations ``dom`` and ``cod`` (default: ``dom``)."""
+    def build(kind: str) -> DecMap:
+        d = standard_simplex(n, kind=kind, **_deco(kind, **dom)) if horn_index is None \
+            else horn(n, horn_index, kind=kind, **_deco(kind, **dom))
+        return _inclusion(d, standard_simplex(n, kind=kind, **_deco(kind, **(cod or dom))))
+    return build
+
+
+def _quotient(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
+    """As :func:`_simplex`, with the edge {0,1} crushed to a point at both ends."""
+    def build(kind: str) -> DecMap:
+        d, leg_d = _collapse01(kind, n, dom, horn_index)
+        c, leg_c = _collapse01(kind, n, cod or dom)
+        to_simplex = _inclusion(leg_d.src, leg_c.src)
+        return DecMap(d, c, _along(leg_d, lambda b: leg_c.apply(to_simplex.apply(b))))
+    return build
+
+
+def _collapse01(kind: str, n: int, deco: dict, horn_index: Optional[int] = None):
     """The object Delta^n (or a horn) with the edge {0,1} crushed to a point.
 
     Decorations are given as vertex tuples in Delta^n and transported along
@@ -91,15 +120,10 @@ def _collapse01(n: int, *, kind: str, marked, thin, lean,
                 out.add(img.nd)
         return out
 
-    deco = DecoratedSSet(
-        kind, P.n_cells, P.faces,
-        marked=transported(marked, 1),
-        thin=transported(thin, 2),
-        lean=transported(lean, 2) if kind == "MB" else transported(thin, 2),
-        labels=P.labels,
-    )
-    leg = DecMap(base, deco, leg_b.assign)
-    return deco, leg
+    groups = {k: transported(v, 1 if k == "marked" else 2)
+              for k, v in _deco(kind, **deco).items()}
+    quotient = DecoratedSSet(kind, P.n_cells, P.faces, labels=P.labels, **groups)
+    return quotient, DecMap(base, quotient, leg_b.assign)
 
 
 def _has_cell(X: DecoratedSSet, dim, label) -> bool:
@@ -110,96 +134,71 @@ def _has_cell(X: DecoratedSSet, dim, label) -> bool:
         return False
 
 
-def _quotient_inclusion(n: int, horn_index: int, *, kind: str, marked, thin, lean,
-                        cod_thin=None, cod_lean=None, cod_marked=None) -> DecMap:
-    dom, leg_dom = _collapse01(n, kind=kind, marked=marked, thin=thin, lean=lean,
-                               horn_index=horn_index)
-    cod, leg_cod = _collapse01(n, kind=kind,
-                               marked=cod_marked if cod_marked is not None else marked,
-                               thin=cod_thin if cod_thin is not None else thin,
-                               lean=cod_lean if cod_lean is not None else lean)
-    hmap = _inclusion(horn(n, horn_index, kind="PLAIN"), standard_simplex(n, kind="PLAIN"))
-    # transport the horn inclusion through the two quotients
-    assign = {}
-    base_horn = leg_dom.src
-    for b in base_horn.all_nondeg():
-        img = leg_dom.apply(b)
-        if not img.is_degenerate():
-            assign[img.nd] = leg_cod.apply(hmap.apply(b))
-    return DecMap(dom, cod, assign)
+def _shapes(n_max: int) -> list[tuple]:
+    """The catalog as one table of shapes, in catalog order.
 
+    A row is (MB tag, MS tag, params, build); ``build(kind)`` makes the
+    inclusion from the two-scaling decorations, which :func:`_deco` reads in
+    the single-scaling theory.  S2 has no MS row: there its domain would equal
+    its codomain.  S3 is the derived MS scaling lemma UI.
+    """
+    scaled = dict(thin="sharp", lean="sharp")
+    sharp = dict(scaled, marked="sharp")
+    all_tris = list(itertools.combinations(range(4), 3))
 
-def mb_generators(n_max: int = N_MAX_DEFAULT,
-                  kan_library: Optional[list] = None) -> list[GeneratorInstance]:
-    """The generating inclusions of the two-scaling theory, sizes <= n_max."""
-    gens: list[GeneratorInstance] = []
+    def through(i):  # the triangles of Delta^3 other than its i-th face
+        return [t for t in all_tris if i in t]
+
+    rows = []
     for n in range(2, n_max + 1):
         for i in range(1, n):
             tri = [(i - 1, i, i + 1)]
-            d = horn(n, i, kind="MB", thin=tri, lean=tri)
-            c = standard_simplex(n, kind="MB", thin=tri, lean=tri)
-            gens.append(GeneratorInstance("MB", "A1", (n, i), _inclusion(d, c)))
-    T = [(0, 2, 4), (1, 2, 3), (0, 1, 3), (1, 3, 4), (0, 1, 2)]
-    T2 = T + [(0, 3, 4), (0, 1, 4)]
+            rows.append(("A1", "MS1", (n, i), _simplex(n, dict(thin=tri, lean=tri), horn_index=i)))
     if n_max >= 4:
-        d = standard_simplex(4, kind="MB", thin=T, lean=T)
-        c = standard_simplex(4, kind="MB", thin=T2, lean=T2)
-        gens.append(GeneratorInstance("MB", "A2", (), _inclusion(d, c)))
+        T = [(0, 2, 4), (1, 2, 3), (0, 1, 3), (1, 3, 4), (0, 1, 2)]
+        T2 = T + [(0, 3, 4), (0, 1, 4)]
+        rows.append(("A2", "MS2", (), _simplex(4, dict(thin=T, lean=T), dict(thin=T2, lean=T2))))
     for n in range(2, n_max + 1):
-        gens.append(GeneratorInstance(
-            "MB", "A3", (n,),
-            _quotient_inclusion(n, 0, kind="MB", marked=[], thin=[], lean=[(0, 1, n)])))
+        rows.append(("A3", "MS3", (n,), _quotient(n, dict(lean=[(0, 1, n)]), horn_index=0)))
     for n in range(2, n_max + 1):
-        deco = dict(marked=[(n - 1, n)], thin=[], lean=[(0, n - 1, n)])
-        d = horn(n, n, kind="MB", **deco)
-        c = standard_simplex(n, kind="MB", **deco)
-        gens.append(GeneratorInstance("MB", "A4", (n,), _inclusion(d, c)))
-    d = standard_simplex(0, kind="MB", marked="sharp", thin="sharp", lean="sharp")
-    c = standard_simplex(1, kind="MB", marked="sharp", thin="sharp", lean="sharp")
-    gens.append(GeneratorInstance("MB", "A5", (), delta_map(d, c, {0: 1})))
-    # scaling generators
-    d = standard_simplex(2, kind="MB", marked=[(0, 1), (1, 2)], thin="sharp", lean="sharp")
-    c = standard_simplex(2, kind="MB", marked="sharp", thin="sharp", lean="sharp")
-    gens.append(GeneratorInstance("MB", "S1", (), _inclusion(d, c)))
-    d = standard_simplex(2, kind="MB", thin="flat", lean="sharp")
-    c = standard_simplex(2, kind="MB", thin="sharp", lean="sharp")
-    gens.append(GeneratorInstance("MB", "S2", (), _inclusion(d, c)))
+        deco = dict(marked=[(n - 1, n)], lean=[(0, n - 1, n)])
+        rows.append(("A4", "MS4", (n,), _simplex(n, deco, horn_index=n)))
+    rows.append(("A5", "MS5", (), lambda kind: delta_map(
+        standard_simplex(0, kind=kind, **_deco(kind, **sharp)),
+        standard_simplex(1, kind=kind, **_deco(kind, **sharp)), {0: 1})))
+    rows.append(("S1", "MS6", (), _simplex(2, dict(sharp, marked=[(0, 1), (1, 2)]), sharp)))
+    rows.append(("S2", None, (), _simplex(2, dict(lean="sharp"), scaled)))
     for i in (1, 2):
         tri = [(i - 1, i, i + 1)]
-        ui = [t for t in _triangles(3) if t != _face_triangle(3, i)]
-        d = standard_simplex(3, kind="MB", thin=tri, lean=ui)
-        c = standard_simplex(3, kind="MB", thin=tri, lean="sharp")
-        gens.append(GeneratorInstance("MB", "S3", (i,), _inclusion(d, c)))
-    u0 = [t for t in _triangles(3) if t != _face_triangle(3, 0)]
-    gens.append(GeneratorInstance(
-        "MB", "S4", (),
-        _full_quotient_inclusion(3, kind="MB", marked=[], thin=[], lean=u0,
-                                 cod_lean=_sharp_tris(3))))
-    u3 = [t for t in _triangles(3) if t != _face_triangle(3, 3)]
-    d = standard_simplex(3, kind="MB", marked=[(2, 3)], thin=[], lean=u3)
-    c = standard_simplex(3, kind="MB", marked=[(2, 3)], thin=[], lean="sharp")
-    gens.append(GeneratorInstance("MB", "S5", (), _inclusion(d, c)))
-    gens.extend(_kan_generators("MB", "E", kan_library))
-    return gens
+        rows.append(("S3", "UI", (i,), _simplex(3, dict(thin=tri, lean=through(i)),
+                                                dict(thin=tri, lean="sharp"))))
+    rows.append(("S4", "MS7", (), _quotient(3, dict(lean=through(0)), dict(lean=all_tris))))
+    rows.append(("S5", "MS8", (), _simplex(3, dict(marked=[(2, 3)], lean=through(3)),
+                                           dict(marked=[(2, 3)], lean="sharp"))))
+    return rows
 
 
-def _face_triangle(n: int, i: int) -> tuple:
-    return tuple(v for v in range(n + 1) if v != i)
+# derived generators, with their notes; they are listed after the others
+_DERIVED = {"UI": "derived scaling lemma"}
+_KAN_TAGS = {"MB": "E", "MS": "MSE"}
 
 
-def _full_quotient_inclusion(n: int, *, kind, marked, thin, lean=None,
-                             cod_thin=None, cod_lean=None) -> DecMap:
-    """Decoration-increasing map on Delta^n with the {0,1}-edge crushed."""
-    dom, leg_d = _collapse01(n, kind=kind, marked=marked, thin=thin, lean=lean)
-    cod, leg_c = _collapse01(n, kind=kind, marked=marked,
-                             thin=cod_thin if cod_thin is not None else thin,
-                             lean=cod_lean if cod_lean is not None else lean)
-    assign = {}
-    for b in leg_d.src.all_nondeg():
-        img = leg_d.apply(b)
-        if not img.is_degenerate():
-            assign[img.nd] = leg_c.apply(b)
-    return DecMap(dom, cod, assign)
+def generators(family: str, n_max: int = N_MAX_DEFAULT,
+               kan_library: Optional[list] = None) -> list[GeneratorInstance]:
+    """The generating inclusions of the two-scaling (MB) or single-scaling (MS)
+    theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3."""
+    if n_max > N_MAX_DEFAULT:
+        raise ValueError(f"n_max={n_max} exceeds the dimension cap {N_MAX_DEFAULT}")
+    if family not in _KAN_TAGS:
+        raise ValueError("family must be 'MB' or 'MS'")
+    gens = []
+    for mb_tag, ms_tag, params, build in _shapes(n_max):
+        tag = mb_tag if family == "MB" else ms_tag
+        if tag is not None:
+            gens.append(GeneratorInstance(family, tag, params, build(family),
+                                          derived=tag in _DERIVED, note=_DERIVED.get(tag, "")))
+    gens.extend(_kan_generators(family, _KAN_TAGS[family], kan_library))
+    return sorted(gens, key=lambda g: g.derived)
 
 
 def _kan_generators(family: str, tag: str, kan_library=None) -> list[GeneratorInstance]:
@@ -226,69 +225,6 @@ def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
     return [("point", pt), ("walking-iso", J)]
 
 
-def ms_generators(n_max: int = N_MAX_DEFAULT,
-                  kan_library: Optional[list] = None) -> list[GeneratorInstance]:
-    """The generating inclusions of the single-scaling theory, sizes <= n_max,
-    plus the derived scaling lemmas on Delta^3."""
-    gens: list[GeneratorInstance] = []
-    for n in range(2, n_max + 1):
-        for i in range(1, n):
-            tri = [(i - 1, i, i + 1)]
-            d = horn(n, i, kind="MS", thin=tri)
-            c = standard_simplex(n, kind="MS", thin=tri)
-            gens.append(GeneratorInstance("MS", "MS1", (n, i), _inclusion(d, c)))
-    T = [(0, 2, 4), (1, 2, 3), (0, 1, 3), (1, 3, 4), (0, 1, 2)]
-    T2 = T + [(0, 3, 4), (0, 1, 4)]
-    if n_max >= 4:
-        d = standard_simplex(4, kind="MS", thin=T)
-        c = standard_simplex(4, kind="MS", thin=T2)
-        gens.append(GeneratorInstance("MS", "MS2", (), _inclusion(d, c)))
-    for n in range(2, n_max + 1):
-        gens.append(GeneratorInstance(
-            "MS", "MS3", (n,),
-            _quotient_inclusion(n, 0, kind="MS", marked=[], thin=[(0, 1, n)], lean=None)))
-    for n in range(2, n_max + 1):
-        deco = dict(marked=[(n - 1, n)], thin=[(0, n - 1, n)])
-        d = horn(n, n, kind="MS", **deco)
-        c = standard_simplex(n, kind="MS", **deco)
-        gens.append(GeneratorInstance("MS", "MS4", (n,), _inclusion(d, c)))
-    d = standard_simplex(0, kind="MS", marked="sharp", thin="sharp")
-    c = standard_simplex(1, kind="MS", marked="sharp", thin="sharp")
-    gens.append(GeneratorInstance("MS", "MS5", (), delta_map(d, c, {0: 1})))
-    d = standard_simplex(2, kind="MS", marked=[(0, 1), (1, 2)], thin="sharp")
-    c = standard_simplex(2, kind="MS", marked="sharp", thin="sharp")
-    gens.append(GeneratorInstance("MS", "MS6", (), _inclusion(d, c)))
-    u0 = [t for t in _triangles(3) if t != _face_triangle(3, 0)]
-    gens.append(GeneratorInstance(
-        "MS", "MS7", (),
-        _full_quotient_inclusion(3, kind="MS", marked=[], thin=u0,
-                                 cod_thin=_sharp_tris(3))))
-    u3 = [t for t in _triangles(3) if t != _face_triangle(3, 3)]
-    d = standard_simplex(3, kind="MS", marked=[(2, 3)], thin=u3)
-    c = standard_simplex(3, kind="MS", marked=[(2, 3)], thin="sharp")
-    gens.append(GeneratorInstance("MS", "MS8", (), _inclusion(d, c)))
-    gens.extend(_kan_generators("MS", "MSE", kan_library))
-    # derived: the inner scaling lemmas on Delta^3
-    for i in (1, 2):
-        ui = [t for t in _triangles(3) if t != _face_triangle(3, i)]
-        d = standard_simplex(3, kind="MS", thin=ui)
-        c = standard_simplex(3, kind="MS", thin="sharp")
-        gens.append(GeneratorInstance("MS", "UI", (i,), _inclusion(d, c), derived=True,
-                                      note="derived scaling lemma"))
-    return gens
-
-
-def generators(family: str, n_max: int = N_MAX_DEFAULT,
-               kan_library: Optional[list] = None) -> list[GeneratorInstance]:
-    if n_max > N_MAX_DEFAULT:
-        raise ValueError(f"n_max={n_max} exceeds the dimension cap {N_MAX_DEFAULT}")
-    if family == "MB":
-        return mb_generators(n_max, kan_library)
-    if family == "MS":
-        return ms_generators(n_max, kan_library)
-    raise ValueError("family must be 'MB' or 'MS'")
-
-
 # ---------------------------------------------------------------------------
 # lifting problems
 # ---------------------------------------------------------------------------
@@ -312,11 +248,7 @@ def solve(lp: LiftingProblem) -> Optional[DecMap]:
     """A decoration-preserving diagonal filler, or None (exhaustive search)."""
     if not lp.commutes():
         raise ValueError("lifting square does not commute")
-    partial = {}
-    for b in lp.gen.dom.all_nondeg():
-        img = lp.gen.incl.apply(b)
-        if not img.is_degenerate():
-            partial[img.nd] = lp.top.apply(b)
+    partial = _along(lp.gen.incl, lp.top.apply)
 
     def over_base(cell: Cell, cand: Cell) -> bool:
         return lp.p.apply(cand) == lp.bottom.assign[cell.nd]
@@ -378,11 +310,7 @@ def certify_fibration(p: DecMap, family: str = "MB", n_max: int = N_MAX_DEFAULT,
         squares = 0
         tops = enumerate_maps(gen.dom, X)
         for top in tops:
-            pinned = {}
-            for b in gen.dom.all_nondeg():
-                img = gen.incl.apply(b)
-                if not img.is_degenerate():
-                    pinned[img.nd] = p.apply(top.apply(b))
+            pinned = _along(gen.incl, lambda b: p.apply(top.apply(b)))
             bottoms = enumerate_maps(gen.cod, S, partial=pinned)
             for bottom in bottoms:
                 lp = LiftingProblem(gen, top, bottom, p)

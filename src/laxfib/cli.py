@@ -123,11 +123,14 @@ def _config(args) -> dict:
         "tietze_steps": getattr(args, "tietze_budget", 400),
         "max_degree": cap,
     }
+    n_max = getattr(args, "n_max", 4)
     if cap < 3:
         raise InputError("cap must be at least 3")
+    if cap > anodyne.N_MAX_DEFAULT or n_max > anodyne.N_MAX_DEFAULT:
+        raise InputError(f"cap and n-max must be at most {anodyne.N_MAX_DEFAULT}")
     if any(v < 0 for v in budgets.values()):
         raise InputError("budgets must be positive")
-    return {"cap": cap, "budgets": budgets, "n_max": getattr(args, "n_max", 4)}
+    return {"cap": cap, "budgets": budgets, "n_max": n_max}
 
 
 def _sset_summary(X: DecoratedSSet) -> dict:
@@ -285,7 +288,7 @@ def cmd_laxlim(args) -> int:
         if args.oracle:
             diagram = laxlim.ArrowDiagram(
                 E, frozenset({laxlim.ARROW_LEG}) if marked else frozenset())
-            oracle = laxlim.arrow_cone_oracle(diagram, cand)
+            oracle = laxlim.cone_oracle(diagram, cand)
             report["oracle"] = oracle
             if not oracle["pass"]:
                 status = EXIT_FAIL

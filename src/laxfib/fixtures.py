@@ -78,11 +78,12 @@ def random_monotone_functor(rng: random.Random, K: FinCat, S: FinCat):
     return F if not F.validate() else None
 
 
-def duality_corpus(seed: int = CORPUS_SEED, min_items: int = 10) -> list:
+def duality_corpus(seed: int = CORPUS_SEED) -> list:
     """Functors of small categories for the duality suite.
 
-    Contains designed decisive cases in both directions plus seeded random
-    poset functors; every item is a functor K -> S with <= 5 objects each.
+    Contains designed decisive cases in both directions plus the monotone
+    functors among 200 seeded random poset draws; every item is a functor
+    K -> S with <= 5 objects each.
     """
     S = walking_arrow()
     chain = chain_poset(2)
@@ -101,14 +102,12 @@ def duality_corpus(seed: int = CORPUS_SEED, min_items: int = 10) -> list:
                     {"0": "*", "1": "*"}, {"id0": "id*", "id1": "id*"})),
     ]
     rng = random.Random(seed)
-    tries = 0
-    while len(items) < max(min_items, len(items)) + 3 and tries < 200:
-        tries += 1
+    for draw in range(1, 201):
         K = random_poset(rng, 4)
         T = random_poset(rng, 4)
         F = random_monotone_functor(rng, K, T)
         if F is not None:
-            items.append((f"seeded-{tries}", F))
+            items.append((f"seeded-{draw}", F))
     return items
 
 

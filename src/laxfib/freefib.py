@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gray import delta, e_map, end_map, prism, prism_deg, prism_face, simplex_deg, simplex_face
-from .simplicial import Cell, DecMap, DecoratedSSet, add_coskeletal_top, enumerate_maps
+from .simplicial import (
+    Cell,
+    DecMap,
+    DecoratedSSet,
+    add_coskeletal_top,
+    enumerate_maps,
+    insert_degeneracy,
+    vertex_cell,
+)
 from .twocat import (
     FrBundle,
     Marking2Cat,
@@ -66,10 +74,6 @@ class PairSimplex:
             if self.face(j).degeneracy(j).key() == self.key():
                 return True
         return False
-
-    def ell(self) -> DecMap:
-        """The restriction over {1}, valued in nerve(C)."""
-        return self.rho
 
 
 def classifying_map(X: DecoratedSSet, x: Cell) -> DecMap:
@@ -180,11 +184,8 @@ class FreeFibration:
                 if self._triangle_thin(pair):
                     thin.add(nd)
 
-        X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean, labels=labels,
-                          coskeletal=TOP_DIM)
-        X4 = add_coskeletal_top(X3, 4)
-        return DecoratedSSet("MB", X4.n_cells, X4.faces, marked, thin, lean,
-                             labels=X4.labels, coskeletal=TOP_DIM)
+        X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean, labels=labels)
+        return add_coskeletal_top(X3, TOP_DIM + 1)
 
     def cell_of(self, pair: PairSimplex) -> Cell:
         """Total-space cell (possibly degenerate) realizing a pair."""
@@ -196,7 +197,7 @@ class FreeFibration:
             inner = pair.face(j)
             if inner.degeneracy(j).key() == key:
                 base = self.cell_of(inner)
-                return Cell(base.dim, base.idx, _insert(base.word, j))
+                return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
         raise KeyError("pair does not belong to the total space")
 
     # -- decorations -----------------------------------------------------------
@@ -207,7 +208,8 @@ class FreeFibration:
         a = ND.onecell_of(pair.phi.compose(end_map(1, 0)).assign[(1, 0)])
         alpha = NC.onecell_of(pair.rho.assign[(1, 0)])
         P1 = prism(1)
-        lower = P1.ref_of_pair(_ivcell(P1, (0, 0, 1)), _dcell(P1, 1, (0, 1, 1)))
+        lower = P1.ref_of_pair(vertex_cell(P1.factor_a, (0, 0, 1)),
+                               vertex_cell(P1.factor_b, (0, 1, 1)))
         theta = ND.filler_of(pair.phi.apply(lower))
         return a, alpha, theta
 
@@ -338,21 +340,6 @@ class FreeFibration:
                               ("unit", "extension", "face_of_extension", "unreachable"))
         report["reachable"] = report["total"] - len(report["unreachable"])
         return report
-
-
-def _insert(word, j):
-    from .simplicial import insert_degeneracy
-    return insert_degeneracy(word, j)
-
-
-def _ivcell(P, word):
-    from .simplicial import vertex_cell
-    return vertex_cell(P.factor_a, word)
-
-
-def _dcell(P, n, word):
-    from .simplicial import vertex_cell
-    return vertex_cell(P.factor_b, word)
 
 
 def sharp_base(ND: ScaledNerve) -> DecoratedSSet:

@@ -10,10 +10,8 @@ certificate).  Everything else is Unknown, with the budgets recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
-
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
 
 from .fincat import FinCat
 from .simplicial import Cell, DecoratedSSet
@@ -81,11 +79,49 @@ def boundary_matrices(X: DecoratedSSet, max_deg: int) -> list[list[list[int]]]:
     return mats
 
 
-def _snf_diagonal(m: list[list[int]]) -> list[int]:
-    if not m or not m[0]:
-        return []
-    M = smith_normal_form(Matrix(m))
-    return [int(M[i, i]) for i in range(min(M.rows, M.cols))]
+def smith_normal_form(m: list[list[int]]) -> list[int]:
+    """The diagonal of the Smith normal form of an integer matrix.
+
+    Returns min(rows, cols) entries: the positive invariant factors
+    d_1 | d_2 | ..., then zeros.  Integer elimination in the style of Kannan
+    & Bachem (SIAM J. Comput. 1979): row and column reduction on a pivot of
+    least magnitude until its row and column are clear, then pairwise
+    gcd/lcm to order the diagonal into the divisibility chain.
+    """
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    diag = []
+    t = 0
+    while t < min(rows, cols):
+        block = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        pivot_row, p = a[t], a[t][t]
+        clear = True
+        for row in a[t + 1:]:
+            q = row[t] // p
+            if q:
+                for k in range(t, cols):
+                    row[k] -= q * pivot_row[k]
+            clear = clear and row[t] == 0
+        for k in range(t + 1, cols):
+            q = pivot_row[k] // p
+            if q:
+                for row in a[t:]:
+                    row[k] -= q * row[t]
+            clear = clear and pivot_row[k] == 0
+        if clear:
+            diag.append(abs(p))
+            t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (min(rows, cols) - len(diag))
 
 
 @dataclass
@@ -132,7 +168,8 @@ def homology(X: DecoratedSSet, max_deg: int = 4) -> HomologyResult:
     groups = {}
     top = X.top_dim
     hi = min(max_deg, top)
-    diag = {k: _snf_diagonal(mats[k - 1]) if k - 1 < len(mats) else [] for k in range(1, hi + 2)}
+    diag = {k: smith_normal_form(mats[k - 1]) if k - 1 < len(mats) else []
+            for k in range(1, hi + 2)}
     for k in range(hi + 1):
         n_k = X.num(k)
         rank_in = sum(1 for d in diag.get(k, []) if d != 0)
@@ -141,8 +178,7 @@ def homology(X: DecoratedSSet, max_deg: int = 4) -> HomologyResult:
         torsion = tuple(abs(d) for d in diag.get(k + 1, []) if d not in (0, 1, -1))
         groups[k] = (rank, torsion)
     truncated = X.coskeletal is not None or X.truncated_at is not None
-    sound = (top - 1) if truncated else hi
-    return HomologyResult(groups, max_deg, min(hi, sound if truncated else hi))
+    return HomologyResult(groups, max_deg, min(hi, top - 1) if truncated else hi)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +270,21 @@ def collapse_search(X: DecoratedSSet, budget: Optional[int] = None) -> Verdict:
 
 
 def replay_collapse(X: DecoratedSSet, sequence: list) -> bool:
-    """Apply an emitted collapse sequence and confirm it empties the complex."""
+    """Apply an emitted collapse sequence and confirm it leaves one vertex.
+
+    Each step (tau, sigma) must be an elementary collapse: tau is a
+    nondegenerate face of sigma exactly once, and no living cell other than
+    sigma has tau in its closure.
+    """
     alive = {c.nd for c in X.all_nondeg()}
+    clos = _closure_roots(X)
     for tau, sigma in sequence:
         tau, sigma = tuple(tau), tuple(sigma)
         if tau not in alive or sigma not in alive:
+            return False
+        if sum(f.nd == tau and not f.is_degenerate() for f in X.faces.get(sigma, ())) != 1:
+            return False
+        if any(tau in clos[o] for o in alive - {tau, sigma}):
             return False
         alive -= {tau, sigma}
     return len(alive) == 1 and next(iter(alive))[0] == 0
@@ -311,7 +357,7 @@ def pi1(X: DecoratedSSet, basepoint: Optional[Cell] = None,
     for j, rel in enumerate(relations):
         for g, p in rel:
             mat[g][j] += p
-    diag = _snf_diagonal(mat) if relations else []
+    diag = smith_normal_form(mat) if relations else []
     rank = ngens - sum(1 for d in diag if d != 0)
     torsion = [abs(d) for d in diag if d not in (0, 1, -1)]
     if rank > 0 or torsion:
@@ -425,19 +471,8 @@ def initial_in_localization(M: Marking2Cat, obj, budgets: Optional[dict] = None)
     if obj not in C.objects:
         raise KeyError(f"unknown object {obj}")
     # localization graph: arrows, with marked arrows invertible
-    reach = {obj}
-    frontier = [obj]
-    while frontier:
-        v = frontier.pop()
-        for m, (a, b) in C.onecells.items():
-            nxt = None
-            if a == v:
-                nxt = b
-            elif b == v and m in M.marked1:
-                nxt = a
-            if nxt is not None and nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
+    marked = [C.onecells[m] for m in M.marked1]
+    reach = _reachable(obj, list(C.onecells.values()) + [(b, a) for a, b in marked])
     missing = [x for x in C.objects if x not in reach]
     if missing:
         return Verdict("no", {"obstruction": "unreachable", "witness": missing[0],
@@ -445,31 +480,17 @@ def initial_in_localization(M: Marking2Cat, obj, budgets: Optional[dict] = None)
 
     # objects connected to the candidate by marked zig-zags become equivalent
     # to it in the localization, so their verdicts transfer
-    component = {obj}
-    frontier = [obj]
-    while frontier:
-        v = frontier.pop()
-        for m in M.marked1:
-            a, b = C.onecells[m]
-            for (x, y) in ((a, b), (b, a)):
-                if x == v and y not in component:
-                    component.add(y)
-                    frontier.append(y)
+    component = _reachable(obj, marked + [(b, a) for a, b in marked])
 
     records = {}
     for j in sorted(component, key=str):
         v = _base_initial_verdict(M, j, budgets)
         records[j] = v
-        if v.yes:
+        if v.yes or v.no:
             ev = dict(v.evidence)
             if j != obj:
                 ev["via_marked_equivalence_to"] = j
-            return Verdict("yes", ev)
-        if v.no:
-            ev = dict(v.evidence)
-            if j != obj:
-                ev["via_marked_equivalence_to"] = j
-            return Verdict("no", ev)
+            return Verdict(v.value, ev)
     return Verdict("unknown", {"component": records, "budgets": budgets})
 
 
@@ -526,16 +547,17 @@ def _base_initial_verdict(M: Marking2Cat, obj, budgets: dict) -> Verdict:
 
 def _invertibly_connected(C: StrictTwoCat, mapping: FinCat, a, b) -> bool:
     """Connectivity of two 1-cells through invertible 2-cells."""
-    reach = {a}
-    frontier = [a]
+    steps = [(mapping.src[t], mapping.tgt[t]) for t in mapping.morphisms if C.is_invertible2(t)]
+    return b in _reachable(a, steps + [(y, x) for x, y in steps])
+
+
+def _reachable(start, steps: list) -> set:
+    """Everything reachable from start along the directed steps (x, y)."""
+    reach, frontier = {start}, [start]
     while frontier:
         v = frontier.pop()
-        for t in mapping.morphisms:
-            if not C.is_invertible2(t):
-                continue
-            s, tt = mapping.src[t], mapping.tgt[t]
-            for (x, y) in ((s, tt), (tt, s)):
-                if x == v and y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
-    return b in reach
+        for x, y in steps:
+            if x == v and y not in reach:
+                reach.add(y)
+                frontier.append(y)
+    return reach

@@ -1,4 +1,4 @@
-"""Partially lax limits of cospan-shaped diagrams of finite categories.
+"""Partially lax limits of cospan- and arrow-shaped diagrams of finite categories.
 
 The three flavours (lax, pseudo, directed) are computed strictly from their
 explicit descriptions; a cone oracle then checks representability evidence on
@@ -8,13 +8,15 @@ a small probe set.  Morphisms of cones use strictly commuting squares.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .fincat import CatFunctor, FinCat, all_functors, terminal_cat, walking_arrow
+from .fincat import CatFunctor, FinCat, all_functors, identity_functor, terminal_cat, walking_arrow
 
 F_LEG = "1->2"   # the leg carried by the functor F
 G_LEG = "0->2"   # the leg carried by the functor G
+ARROW_LEG = "0->1"
 
 
 class BudgetError(RuntimeError):
@@ -22,58 +24,64 @@ class BudgetError(RuntimeError):
 
 
 @dataclass
-class ConeDiagram:
-    """A cospan F: A -> C <- B : G with a set of marked legs."""
+class Diagram:
+    """A diagram of finite categories, listed by its legs.
 
-    F: CatFunctor
-    G: CatFunctor
+    A leg ``(name, functor, i, j)`` runs from ``vertices[i]`` to
+    ``vertices[j]``.  Cones send the legs named in ``marking`` to
+    invertible components.
+    """
+
+    vertices: tuple
+    legs: tuple
     marking: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.F.dst is not self.G.dst:
-            raise ValueError("legs must share a target")
-        bad = set(self.marking) - {F_LEG, G_LEG}
+        bad = set(self.marking) - {name for name, *_ in self.legs}
         if bad:
             raise ValueError(f"unknown marked legs {bad}")
 
-    @property
-    def A(self) -> FinCat:
-        return self.F.src
 
-    @property
-    def B(self) -> FinCat:
-        return self.G.src
+def _cospan(F: CatFunctor, G: CatFunctor) -> tuple:
+    return (F.src, G.src, F.dst), ((F_LEG, F, 0, 2), (G_LEG, G, 1, 2))
 
-    @property
-    def C(self) -> FinCat:
-        return self.F.dst
+
+class ConeDiagram(Diagram):
+    """A cospan F: A -> C <- B : G with a set of marked legs."""
+
+    def __init__(self, F: CatFunctor, G: CatFunctor, marking: frozenset = frozenset()):
+        if F.dst is not G.dst:
+            raise ValueError("legs must share a target")
+        self.F, self.G = F, G
+        super().__init__(*_cospan(F, G), marking)
+
+
+class ArrowDiagram(Diagram):
+    """A single functor E: A -> B viewed as an interval-shaped diagram."""
+
+    def __init__(self, E: CatFunctor, marking: frozenset = frozenset()):
+        super().__init__((E.src, E.dst), ((ARROW_LEG, E, 0, 1),), marking)
 
 
 @dataclass
 class Cone:
-    """A marked-lax cone over a cospan with a given tip."""
+    """A marked-lax cone with a given tip: one projection per vertex and, for
+    each leg (name, f, i, j), components ``eta[name][t] : f(p_i t) -> p_j t``."""
 
     tip: FinCat
-    pa: CatFunctor
-    pb: CatFunctor
-    pc: CatFunctor
-    eta_f: dict          # object of tip -> morphism F(pa t) -> pc t in C
-    eta_g: dict
+    projections: tuple
+    eta: dict
 
     def key(self) -> tuple:
-        return (
-            tuple(sorted(self.pa.omap.items())), tuple(sorted(self.pa.mmap.items())),
-            tuple(sorted(self.pb.omap.items())), tuple(sorted(self.pb.mmap.items())),
-            tuple(sorted(self.pc.omap.items())), tuple(sorted(self.pc.mmap.items())),
-            tuple(sorted(self.eta_f.items())), tuple(sorted(self.eta_g.items())),
-        )
+        maps = [tuple(sorted(m.items())) for p in self.projections for m in (p.omap, p.mmap)]
+        etas = [(name, tuple(sorted(eta.items()))) for name, eta in sorted(self.eta.items())]
+        return tuple(maps + etas)
 
     def restrict(self, h: CatFunctor) -> "Cone":
         """Restriction along a functor into the tip."""
-        comp = _compose_functors
-        return Cone(h.src, comp(self.pa, h), comp(self.pb, h), comp(self.pc, h),
-                    {t: self.eta_f[h.omap[t]] for t in h.src.objects},
-                    {t: self.eta_g[h.omap[t]] for t in h.src.objects})
+        return Cone(h.src, tuple([_compose_functors(p, h) for p in self.projections]),
+                    {name: {t: eta[h.omap[t]] for t in h.src.objects}
+                     for name, eta in self.eta.items()})
 
 
 def _compose_functors(g: CatFunctor, f: CatFunctor) -> CatFunctor:
@@ -89,90 +97,74 @@ class LimitCandidate:
     strictified: Optional[FinCat] = None
 
 
-def lax_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
-    """Objects (a, b, c, alpha_a: F(a) -> c, alpha_b: G(b) -> c); morphisms are
-    componentwise with both squares commuting strictly."""
-    A, B, C = F.src, G.src, F.dst
-    objs = []
-    data = {}
-    for a in A.objects:
-        for b in B.objects:
-            for c in C.objects:
-                for aa in C.hom(F.omap[a], c):
-                    for ab in C.hom(G.omap[b], c):
-                        name = f"{a}|{b}|{c}|{aa}|{ab}"
-                        objs.append(name)
-                        data[name] = (a, b, c, aa, ab)
+def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, list]:
+    """Tuples with componentwise morphisms.
+
+    An object is (x_0, .., x_k, alpha_0, ..): x_i an object of ``cats[i]``
+    and, for the link (f, i, g, j) at position l, ``alpha_l : f(x_i) -> g(x_j)``,
+    invertible when l is in ``iso``.  A morphism is a tuple of morphisms
+    ``m_i : x_i -> y_i`` making every square ``g(m_j) alpha_l = alpha'_l f(m_i)``
+    commute.  Returns the category, its projections onto ``cats`` and the
+    alpha components of each link.
+    """
+    objs, data = [], {}
+    for xs in itertools.product(*(c.objects for c in cats)):
+        pools = []
+        for pos, (f, i, g, j) in enumerate(links):
+            hom = g.dst.hom(f.omap[xs[i]], g.omap[xs[j]])
+            pools.append([m for m in hom if g.dst.is_iso(m)] if pos in iso else hom)
+        for alphas in itertools.product(*pools):
+            o = "|".join(map(str, xs + alphas))
+            objs.append(o)
+            data[o] = (xs, alphas)
+    squares = [(f.mmap, i, g.mmap, j, g.dst.comp) for f, i, g, j in links]
     mors, src, tgt, mdata = [], {}, {}, {}
     for o1 in objs:
-        a1, b1, c1, aa1, ab1 = data[o1]
+        xs1, al1 = data[o1]
         for o2 in objs:
-            a2, b2, c2, aa2, ab2 = data[o2]
-            for fa in A.hom(a1, a2):
-                for fb in B.hom(b1, b2):
-                    for fc in C.hom(c1, c2):
-                        if C.comp[(aa2, F.mmap[fa])] != C.comp[(fc, aa1)]:
-                            continue
-                        if C.comp[(ab2, G.mmap[fb])] != C.comp[(fc, ab1)]:
-                            continue
-                        name = f"{fa}|{fb}|{fc}|{o1}>{o2}"
-                        mors.append(name)
-                        src[name], tgt[name] = o1, o2
-                        mdata[name] = (fa, fb, fc)
+            xs2, al2 = data[o2]
+            for ms in itertools.product(*[c.hom(a, b) for c, a, b in zip(cats, xs1, xs2)]):
+                if all(comp[(gm[ms[j]], a1)] == comp[(a2, fm[ms[i]])]
+                       for (fm, i, gm, j, comp), a1, a2 in zip(squares, al1, al2)):
+                    m = "|".join(map(str, ms)) + f"|{o1}>{o2}"
+                    mors.append(m)
+                    src[m], tgt[m] = o1, o2
+                    mdata[m] = ms
     comp = {}
     for m1 in mors:
         for m2 in mors:
-            if tgt[m1] != src[m2]:
-                continue
-            fa = A.comp[(mdata[m2][0], mdata[m1][0])]
-            fb = B.comp[(mdata[m2][1], mdata[m1][1])]
-            fc = C.comp[(mdata[m2][2], mdata[m1][2])]
-            comp[(m2, m1)] = f"{fa}|{fb}|{fc}|{src[m1]}>{tgt[m2]}"
-    ident = {}
-    for o in objs:
-        a, b, c, _, _ = data[o]
-        ident[o] = f"{A.ident[a]}|{B.ident[b]}|{C.ident[c]}|{o}>{o}"
-    P = FinCat(objs, mors, src, tgt, comp, ident, name="laxpb")
-    cone = Cone(
-        P,
-        CatFunctor(P, A, {o: data[o][0] for o in objs}, {m: mdata[m][0] for m in mors}),
-        CatFunctor(P, B, {o: data[o][1] for o in objs}, {m: mdata[m][1] for m in mors}),
-        CatFunctor(P, C, {o: data[o][2] for o in objs}, {m: mdata[m][2] for m in mors}),
-        {o: data[o][3] for o in objs},
-        {o: data[o][4] for o in objs},
-    )
-    return LimitCandidate(P, cone)
+            if tgt[m1] == src[m2]:
+                parts = (c.comp[(b, a)] for c, a, b in zip(cats, mdata[m1], mdata[m2]))
+                comp[(m2, m1)] = "|".join(map(str, parts)) + f"|{src[m1]}>{tgt[m2]}"
+    ident = {o: "|".join(str(c.ident[x]) for c, x in zip(cats, data[o][0])) + f"|{o}>{o}"
+             for o in objs}
+    P = FinCat(objs, mors, src, tgt, comp, ident, name=name)
+    projections = [CatFunctor(P, c, {o: data[o][0][k] for o in objs},
+                              {m: mdata[m][k] for m in mors}) for k, c in enumerate(cats)]
+    alphas = [{o: data[o][1][pos] for o in objs} for pos in range(len(links))]
+    return P, projections, alphas
 
 
-def _full_subcategory(L: LimitCandidate, keep: list) -> LimitCandidate:
-    P, cone = L.category, L.cone
-    keep_set = set(keep)
-    mors = [m for m in P.morphisms if P.src[m] in keep_set and P.tgt[m] in keep_set]
-    sub = FinCat(keep, mors, {m: P.src[m] for m in mors}, {m: P.tgt[m] for m in mors},
-                 {(g, f): h for (g, f), h in P.comp.items() if g in set(mors) and f in set(mors)},
-                 {o: P.ident[o] for o in keep}, name=P.name + "-sub")
-    newcone = Cone(
-        sub,
-        CatFunctor(sub, cone.pa.dst, {o: cone.pa.omap[o] for o in keep},
-                   {m: cone.pa.mmap[m] for m in mors}),
-        CatFunctor(sub, cone.pb.dst, {o: cone.pb.omap[o] for o in keep},
-                   {m: cone.pb.mmap[m] for m in mors}),
-        CatFunctor(sub, cone.pc.dst, {o: cone.pc.omap[o] for o in keep},
-                   {m: cone.pc.mmap[m] for m in mors}),
-        {o: cone.eta_f[o] for o in keep},
-        {o: cone.eta_g[o] for o in keep},
-    )
-    return LimitCandidate(sub, newcone)
+def _lax_limit(diagram: Diagram, name: str) -> LimitCandidate:
+    """Tuples of vertex objects and leg components, with invertible components
+    on the marked legs; the cone is the tuple of projections."""
+    links = [(f, i, identity_functor(diagram.vertices[j]), j) for _, f, i, j in diagram.legs]
+    iso = [pos for pos, leg in enumerate(diagram.legs) if leg[0] in diagram.marking]
+    P, projections, alphas = _tuples(diagram.vertices, links, name, iso)
+    eta = {leg[0]: alpha for leg, alpha in zip(diagram.legs, alphas)}
+    return LimitCandidate(P, Cone(P, tuple(projections), eta))
+
+
+def lax_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
+    """Objects (a, b, c, alpha_a: F(a) -> c, alpha_b: G(b) -> c); morphisms are
+    componentwise with both squares commuting strictly."""
+    return _lax_limit(Diagram(*_cospan(F, G)), "laxpb")
 
 
 def pseudo_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """The full subcategory of the lax pullback on tuples with both legs
     invertible."""
-    L = lax_pullback(F, G)
-    C = F.dst
-    keep = [o for o in L.category.objects
-            if C.is_iso(L.cone.eta_f[o]) and C.is_iso(L.cone.eta_g[o])]
-    return _full_subcategory(L, keep)
+    return _lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})), "laxpb")
 
 
 def directed_pullback(F: CatFunctor, G: CatFunctor,
@@ -186,50 +178,18 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
     """
     if marked_leg not in (F_LEG, G_LEG):
         raise ValueError("marked_leg must name one of the two legs")
-    L = lax_pullback(F, G)
-    C = F.dst
-    leg = L.cone.eta_g if marked_leg == G_LEG else L.cone.eta_f
-    keep = [o for o in L.category.objects if C.is_iso(leg[o])]
-    out = _full_subcategory(L, keep)
-    out.strictified = _strictified_directed(F, G, marked_leg)
+    out = _lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})), "laxpb")
+    # the one-arrow model: objects (a, b, alpha) across the unmarked leg
+    here, there = (F, G) if marked_leg == G_LEG else (G, F)
+    out.strictified = _tuples((here.src, there.src), [(here, 0, there, 1)], "dirpb")[0]
     return out
 
 
-def _strictified_directed(F: CatFunctor, G: CatFunctor, marked_leg: str) -> FinCat:
-    """The one-arrow model: objects (a, b, alpha) across the unmarked leg."""
-    here, there = (F, G) if marked_leg == G_LEG else (G, F)
-    C = F.dst
-    objs, data = [], {}
-    for a in here.src.objects:
-        for b in there.src.objects:
-            for al in C.hom(here.omap[a], there.omap[b]):
-                name = f"{a}|{b}|{al}"
-                objs.append(name)
-                data[name] = (a, b, al)
-    mors, src, tgt, mdata = [], {}, {}, {}
-    for o1 in objs:
-        a1, b1, al1 = data[o1]
-        for o2 in objs:
-            a2, b2, al2 = data[o2]
-            for fa in here.src.hom(a1, a2):
-                for fb in there.src.hom(b1, b2):
-                    if C.comp[(there.mmap[fb], al1)] != C.comp[(al2, here.mmap[fa])]:
-                        continue
-                    name = f"{fa}|{fb}|{o1}>{o2}"
-                    mors.append(name)
-                    src[name], tgt[name] = o1, o2
-                    mdata[name] = (fa, fb)
-    comp = {}
-    for m1 in mors:
-        for m2 in mors:
-            if tgt[m1] != src[m2]:
-                continue
-            fa = here.src.comp[(mdata[m2][0], mdata[m1][0])]
-            fb = there.src.comp[(mdata[m2][1], mdata[m1][1])]
-            comp[(m2, m1)] = f"{fa}|{fb}|{src[m1]}>{tgt[m2]}"
-    ident = {o: f"{here.src.ident[data[o][0]]}|{there.src.ident[data[o][1]]}|{o}>{o}"
-             for o in objs}
-    return FinCat(objs, mors, src, tgt, comp, ident, name="dirpb")
+def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
+    """The lax limit of a single functor: tuples (a, b, beta: E(a) -> b),
+    restricted to invertible beta when the leg is marked."""
+    return _lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()),
+                      "arrowlim")
 
 
 # ---------------------------------------------------------------------------
@@ -237,52 +197,39 @@ def _strictified_directed(F: CatFunctor, G: CatFunctor, marked_leg: str) -> FinC
 # ---------------------------------------------------------------------------
 
 
-def enumerate_cones(diagram: ConeDiagram, tip: FinCat,
+def enumerate_cones(diagram: Diagram, tip: FinCat,
                     budget: int = 200000) -> list[Cone]:
-    """All marked-lax cones over the cospan with the given tip, brute force."""
-    A, B, C = diagram.A, diagram.B, diagram.C
-    F, G = diagram.F, diagram.G
-    cones = []
-    pas = all_functors(tip, A)
-    pbs = all_functors(tip, B)
-    pcs = all_functors(tip, C)
-    if len(pas) * len(pbs) * len(pcs) > budget:
+    """All marked-lax cones over the diagram with the given tip, brute force."""
+    candidates = [all_functors(tip, V) for V in diagram.vertices]
+    if math.prod(len(c) for c in candidates) > budget:
         raise BudgetError("cone enumeration exceeds the budget")
-    for pa in pas:
-        for pb in pbs:
-            for pc in pcs:
-                pools_f = []
-                pools_g = []
-                for t in tip.objects:
-                    hf = C.hom(F.omap[pa.omap[t]], pc.omap[t])
-                    hg = C.hom(G.omap[pb.omap[t]], pc.omap[t])
-                    if F_LEG in diagram.marking:
-                        hf = [m for m in hf if C.is_iso(m)]
-                    if G_LEG in diagram.marking:
-                        hg = [m for m in hg if C.is_iso(m)]
-                    pools_f.append(hf)
-                    pools_g.append(hg)
-                for etas_f in itertools.product(*pools_f):
-                    ef = dict(zip(tip.objects, etas_f))
-                    if not _natural(tip, C, F, pa, pc, ef):
-                        continue
-                    for etas_g in itertools.product(*pools_g):
-                        eg = dict(zip(tip.objects, etas_g))
-                        if not _natural(tip, C, G, pb, pc, eg):
-                            continue
-                        cones.append(Cone(tip, pa, pb, pc, ef, eg))
+    names = [leg[0] for leg in diagram.legs]
+    cones = []
+    for ps in itertools.product(*candidates):
+        families = [_natural_families(tip, ps, leg, leg[0] in diagram.marking)
+                    for leg in diagram.legs]
+        for etas in itertools.product(*families):
+            cones.append(Cone(tip, ps, dict(zip(names, etas))))
     return cones
 
 
-def _natural(tip: FinCat, C: FinCat, F: CatFunctor, p: CatFunctor, pc: CatFunctor,
-             eta: dict) -> bool:
-    for m in tip.morphisms:
-        t0, t1 = tip.src[m], tip.tgt[m]
-        lhs = C.comp[(pc.mmap[m], eta[t0])]
-        rhs = C.comp[(eta[t1], F.mmap[p.mmap[m]])]
-        if lhs != rhs:
-            return False
-    return True
+def _natural_families(tip: FinCat, ps: tuple, leg: tuple, marked: bool) -> list[dict]:
+    """The natural transformations f p_i => p_j for the leg (name, f, i, j),
+    invertible when the leg is marked."""
+    _, f, i, j = leg
+    p, q = ps[i], ps[j]
+    D = q.dst
+    pools = []
+    for t in tip.objects:
+        hom = D.hom(f.omap[p.omap[t]], q.omap[t])
+        pools.append([m for m in hom if D.is_iso(m)] if marked else hom)
+    out = []
+    for etas in itertools.product(*pools):
+        eta = dict(zip(tip.objects, etas))
+        if all(D.comp[(q.mmap[m], eta[tip.src[m]])] == D.comp[(eta[tip.tgt[m]], f.mmap[p.mmap[m]])]
+               for m in tip.morphisms):
+            out.append(eta)
+    return out
 
 
 def default_probes() -> tuple[list, list]:
@@ -296,175 +243,33 @@ def default_probes() -> tuple[list, list]:
     return probes, morphs
 
 
-def cone_oracle(diagram: ConeDiagram, candidate: LimitCandidate,
+def cone_oracle(diagram: Diagram, candidate: LimitCandidate,
                 probes=None, budget: int = 200000) -> dict:
     """Representability evidence: for each probe T, functors T -> P biject
     with marked-lax cones with tip T, naturally in the stored probe maps."""
     probe_list, probe_morphs = default_probes() if probes is None else probes
     P, cone = candidate.category, candidate.cone
     report = {"pass": True, "probes": {}, "budget": budget}
-    images: dict = {}
+    homs_of: dict = {}
     for name, T in probe_list:
         homs = all_functors(T, P)
         if len(homs) > budget:
             raise BudgetError("functor enumeration exceeds the budget")
         cones = enumerate_cones(diagram, T, budget)
-        image = {}
-        for h in homs:
-            c = cone.restrict(h)
-            image[c.key()] = h
+        image = {cone.restrict(h).key(): h for h in homs}
         ok = len(image) == len(homs) and set(image) == {c.key() for c in cones}
         report["probes"][name] = {
             "functors": len(homs), "cones": len(cones), "bijective": ok,
         }
-        images[name] = (homs, image)
+        homs_of[name] = homs
         if not ok:
             report["pass"] = False
     for mname, m, src_name, dst_name in probe_morphs:
-        if src_name not in images or dst_name not in images:
+        if src_name not in homs_of or dst_name not in homs_of:
             continue
-        homs_dst, _ = images[dst_name]
-        natural = True
-        for h in homs_dst:
-            lhs = cone.restrict(_compose_functors(h, m)).key()
-            rhs = cone.restrict(h).restrict(m).key()
-            if lhs != rhs:
-                natural = False
-        report["probes"].setdefault("naturality", {})[mname] = natural
-        if not natural:
-            report["pass"] = False
-    return report
-
-
-# ---------------------------------------------------------------------------
-# arrow-shaped diagrams
-# ---------------------------------------------------------------------------
-
-ARROW_LEG = "0->1"
-
-
-@dataclass
-class ArrowDiagram:
-    """A single functor E: A -> B viewed as an interval-shaped diagram."""
-
-    E: CatFunctor
-    marking: frozenset = frozenset()
-
-    def __post_init__(self):
-        bad = set(self.marking) - {ARROW_LEG}
-        if bad:
-            raise ValueError(f"unknown marked legs {bad}")
-
-
-@dataclass
-class ArrowCone:
-    """A cone over an arrow diagram: eta_t : E(pa t) -> pb t."""
-
-    tip: FinCat
-    pa: CatFunctor
-    pb: CatFunctor
-    eta: dict
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.pa.omap.items())), tuple(sorted(self.pa.mmap.items())),
-            tuple(sorted(self.pb.omap.items())), tuple(sorted(self.pb.mmap.items())),
-            tuple(sorted(self.eta.items())),
-        )
-
-    def restrict(self, h: CatFunctor) -> "ArrowCone":
-        comp = _compose_functors
-        return ArrowCone(h.src, comp(self.pa, h), comp(self.pb, h),
-                         {t: self.eta[h.omap[t]] for t in h.src.objects})
-
-
-def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
-    """The lax limit of a single functor: tuples (a, b, beta: E(a) -> b),
-    restricted to invertible beta when the leg is marked."""
-    A, B = E.src, E.dst
-    objs, data = [], {}
-    for a in A.objects:
-        for b in B.objects:
-            for beta in B.hom(E.omap[a], b):
-                if marked and not B.is_iso(beta):
-                    continue
-                name = f"{a}|{b}|{beta}"
-                objs.append(name)
-                data[name] = (a, b, beta)
-    mors, src, tgt, mdata = [], {}, {}, {}
-    for o1 in objs:
-        a1, b1, be1 = data[o1]
-        for o2 in objs:
-            a2, b2, be2 = data[o2]
-            for fa in A.hom(a1, a2):
-                for fb in B.hom(b1, b2):
-                    if B.comp[(fb, be1)] != B.comp[(be2, E.mmap[fa])]:
-                        continue
-                    name = f"{fa}|{fb}|{o1}>{o2}"
-                    mors.append(name)
-                    src[name], tgt[name] = o1, o2
-                    mdata[name] = (fa, fb)
-    comp = {}
-    for m1 in mors:
-        for m2 in mors:
-            if tgt[m1] != src[m2]:
-                continue
-            fa = A.comp[(mdata[m2][0], mdata[m1][0])]
-            fb = B.comp[(mdata[m2][1], mdata[m1][1])]
-            comp[(m2, m1)] = f"{fa}|{fb}|{src[m1]}>{tgt[m2]}"
-    ident = {o: f"{A.ident[data[o][0]]}|{B.ident[data[o][1]]}|{o}>{o}" for o in objs}
-    P = FinCat(objs, mors, src, tgt, comp, ident, name="arrowlim")
-    pa = CatFunctor(P, A, {o: data[o][0] for o in objs}, {m: mdata[m][0] for m in mors})
-    pb = CatFunctor(P, B, {o: data[o][1] for o in objs}, {m: mdata[m][1] for m in mors})
-    cone = ArrowCone(P, pa, pb, {o: data[o][2] for o in objs})
-    return LimitCandidate(P, cone)
-
-
-def enumerate_arrow_cones(diagram: ArrowDiagram, tip: FinCat,
-                          budget: int = 200000) -> list[ArrowCone]:
-    A, B, E = diagram.E.src, diagram.E.dst, diagram.E
-    pas = all_functors(tip, A)
-    pbs = all_functors(tip, B)
-    if len(pas) * len(pbs) > budget:
-        raise BudgetError("cone enumeration exceeds the budget")
-    cones = []
-    for pa in pas:
-        for pb in pbs:
-            pools = []
-            for t in tip.objects:
-                h = B.hom(E.omap[pa.omap[t]], pb.omap[t])
-                if ARROW_LEG in diagram.marking:
-                    h = [m for m in h if B.is_iso(m)]
-                pools.append(h)
-            for etas in itertools.product(*pools):
-                eta = dict(zip(tip.objects, etas))
-                if _natural(tip, B, E, pa, pb, eta):
-                    cones.append(ArrowCone(tip, pa, pb, eta))
-    return cones
-
-
-def arrow_cone_oracle(diagram: ArrowDiagram, candidate: LimitCandidate,
-                      probes=None, budget: int = 200000) -> dict:
-    probe_list, probe_morphs = default_probes() if probes is None else probes
-    P, cone = candidate.category, candidate.cone
-    report = {"pass": True, "probes": {}, "budget": budget}
-    images = {}
-    for name, T in probe_list:
-        homs = all_functors(T, P)
-        cones = enumerate_arrow_cones(diagram, T, budget)
-        image = {cone.restrict(h).key(): h for h in homs}
-        ok = len(image) == len(homs) and set(image) == {c.key() for c in cones}
-        report["probes"][name] = {"functors": len(homs), "cones": len(cones),
-                                  "bijective": ok}
-        images[name] = homs
-        if not ok:
-            report["pass"] = False
-    for mname, m, src_name, dst_name in probe_morphs:
-        natural = all(
-            cone.restrict(_compose_functors(h, m)).key()
-            == cone.restrict(h).restrict(m).key()
-            for h in images.get(dst_name, [])
-        )
+        natural = all(cone.restrict(_compose_functors(h, m)).key()
+                      == cone.restrict(h).restrict(m).key()
+                      for h in homs_of[dst_name])
         report["probes"].setdefault("naturality", {})[mname] = natural
         if not natural:
             report["pass"] = False

@@ -471,13 +471,11 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
 def boundary_simplex(n: int, *, kind="PLAIN", cap: int = 4) -> DecoratedSSet:
     if n > cap:
         raise DimensionCapError(f"n={n} exceeds cap {cap}")
-    full = tuple(range(n + 1))
     subsets = [
         tuple(s)
         for k in range(n)
         for s in itertools.combinations(range(n + 1), k + 1)
     ]
-    del full
     return _subset_complex(subsets, kind, (), (), ())
 
 

@@ -65,15 +65,6 @@ class StrictTwoCat:
             name=f"hom({a},{b})",
         )
 
-    def compose1(self, g: str, f: str) -> str:
-        return self.hcomp1[(g, f)]
-
-    def vcompose(self, beta: str, alpha: str) -> str:
-        return self.vcomp[(beta, alpha)]
-
-    def hcompose(self, beta: str, alpha: str) -> str:
-        return self.hcomp2[(beta, alpha)]
-
     def whisker_r(self, sigma: str, f: str) -> str:
         """sigma * f for a 1-cell f into the source of sigma's boundary."""
         return self.hcomp2[(sigma, self.id2[f])]

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from laxfib import cli
+from laxfib import cli, homotopy
 from laxfib.anodyne import certify_fibration
 from laxfib.cofinality import eta_terminal_check, is_terminal_in, two_bracket_duality
 from laxfib.fincat import walking_arrow
@@ -28,7 +28,7 @@ from laxfib.freefib import (
     degeneracy_lemma_violations,
     face_identity_violations,
 )
-from laxfib.homotopy import homology
+from laxfib.homotopy import homology, replay_collapse
 from laxfib.laxlim import (
     ConeDiagram,
     F_LEG,
@@ -45,6 +45,20 @@ from laxfib.twocat import fr, identity_two_functor, slice_fiber, two_bracket
 def report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {criterion}" + (f" -- {detail}" if detail else ""))
+
+
+@pytest.fixture(autouse=True)
+def replay_every_collapse(monkeypatch):
+    """Every yes collapse witness found under these tests must replay as a
+    sequence of elementary collapses."""
+    search = homotopy.collapse_search
+
+    def replayed(X, budget=None):
+        v = search(X, budget)
+        assert not v.yes or replay_collapse(X, v.evidence["collapse"]), v.evidence
+        return v
+
+    monkeypatch.setattr(homotopy, "collapse_search", replayed)
 
 
 @pytest.fixture(scope="session")

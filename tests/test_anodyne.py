@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from laxfib.anodyne import (
@@ -40,6 +43,28 @@ def test_catalog_sizes(mb, ms):
     assert len(mb) == 22
     assert len(ms) == 21
     assert [g for g in ms if g.derived and g.tag == "UI"]
+
+
+# sha256 over every generator's describe(), note, domain, codomain and
+# inclusion, in catalog order: the catalogs are pinned byte for byte.
+CATALOG_DIGESTS = {
+    ("MB", 2): "d924029006640bd4e9e04f4315838f92b3ae1c88b3a4407a0f4428a71332f5b8",
+    ("MB", 3): "e98f504fb5e52f0bdcb4e6ead1328e9dc445520137840b91e7f8ee699e9220ec",
+    ("MB", 4): "f5891ca0fec052c02c8ce3e521d432a77e36edc9fe469549a977f4a3205e5237",
+    ("MS", 2): "201620da7e7c48f98aaef6d8f6c16acb7a4be4045cb9b76ddc58ec972a344cbf",
+    ("MS", 3): "b1919ad313ee7c2e96b0dcf5ded9dbffeca90011757aa3871ff4d48232893d6d",
+    ("MS", 4): "473a73e16a3e2d13a5b6361f6758397cf5feb3a82939a47db9f9dd436a883cde",
+}
+
+
+@pytest.mark.parametrize("family,n_max", sorted(CATALOG_DIGESTS))
+def test_catalog_is_pinned(family, n_max):
+    h = hashlib.sha256()
+    for g in generators(family, n_max):
+        record = [g.describe(), g.note, g.dom.to_json_dict(), g.cod.to_json_dict(),
+                  sorted([list(k), v.encode()] for k, v in g.incl.assign.items())]
+        h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
+    assert h.hexdigest() == CATALOG_DIGESTS[family, n_max]
 
 
 def test_catalog_is_deterministic(mb):

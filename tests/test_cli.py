@@ -54,6 +54,14 @@ def test_bad_cap_is_input_error(tmp_path, capsys):
     X = tmp_path / "x.json"
     X.write_text(standard_simplex(2, kind="PLAIN").to_json())
     assert cli.main(["homology", str(X), "--cap", "2"]) == 1
+    assert cli.main(["homology", str(X), "--cap", "5"]) == 1
+    assert "input error: " in capsys.readouterr().err
+    two = [data_path("twocat-2bracket-point.json"), data_path("twocat-2bracket-walking-arrow.json"),
+           data_path("two-functor-2bracket-at-0.json")]
+    assert cli.main(["check-fibration", *two, "--n-max", "5"]) == 1
+    assert "input error: " in capsys.readouterr().err
+    assert cli.main(["corpus", "--n-max", "5"]) == 1
+    assert "input error: " in capsys.readouterr().err
 
 
 def test_homology_subcommand(tmp_path):

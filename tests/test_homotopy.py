@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from laxfib.fincat import chain_poset, poset_cat, terminal_cat, walking_arrow
 from laxfib.homotopy import (
@@ -17,6 +22,7 @@ from laxfib.homotopy import (
     initial_in_localization,
     pi1,
     replay_collapse,
+    smith_normal_form,
     weakly_contractible,
 )
 from laxfib.simplicial import boundary_simplex, empty_sset, standard_simplex
@@ -83,9 +89,31 @@ def test_sphere_homology():
         assert H.group(k)[0] == betti_by_rank(X, k)
     # cross-check the elementary divisors of the 2-boundary by minors
     mats = boundary_matrices(X, 3)
-    from laxfib.homotopy import _snf_diagonal
-    diag = [d for d in _snf_diagonal(mats[1]) if d != 0]
+    diag = [d for d in smith_normal_form(mats[1]) if d != 0]
     assert [abs(d) for d in diag] == smith_invariants_by_minors(mats[1])
+
+
+@st.composite
+def small_integer_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_matrices())
+def test_smith_normal_form_matches_sympy(m):
+    S = sympy_smith_normal_form(Matrix(m))
+    expected = [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))]
+    assert [abs(d) for d in smith_normal_form(m)] == expected
+
+
+def test_cli_import_does_not_load_sympy():
+    code = "import sys, laxfib.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_homology_of_empty():
@@ -105,6 +133,18 @@ def test_collapse_simplex():
     v = collapse_search(standard_simplex(2, kind="PLAIN"))
     assert v.yes
     assert replay_collapse(standard_simplex(2, kind="PLAIN"), v.evidence["collapse"])
+
+
+def test_replay_rejects_non_elementary_steps():
+    X = standard_simplex(2, kind="PLAIN")
+    # vertices (0, k), edges (1, k), the triangle (2, 0); each sequence below
+    # leaves one vertex, but pairs cells that are no elementary collapse
+    triangle_with_vertex = [[[0, 0], [2, 0]], [[0, 1], [1, 0]], [[1, 1], [1, 2]]]
+    assert not replay_collapse(X, triangle_with_vertex)
+    edge_still_covered = [[[0, 0], [1, 1]], [[1, 0], [2, 0]], [[0, 1], [1, 2]]]
+    assert not replay_collapse(X, edge_still_covered)
+    good = collapse_search(X).evidence["collapse"]
+    assert replay_collapse(X, good)
 
 
 def test_collapse_circle_unknown():

@@ -37,9 +37,9 @@ def test_lax_pullback_over_walking_arrow():
     # the only tuple: c = 1, alpha_a the arrow, alpha_b the identity
     assert len(L.category.objects) == 1
     o = L.category.objects[0]
-    assert L.cone.pc.omap[o] == "1"
-    assert not S.is_iso(L.cone.eta_f[o])
-    assert S.is_iso(L.cone.eta_g[o])
+    assert L.cone.projections[2].omap[o] == "1"
+    assert not S.is_iso(L.cone.eta[F_LEG][o])
+    assert S.is_iso(L.cone.eta[G_LEG][o])
 
 
 def test_pseudo_pullback_over_walking_arrow_is_empty():
@@ -163,16 +163,11 @@ def test_cone_oracle_detects_dropped_morphism():
     from laxfib.laxlim import LimitCandidate, Cone
     cone = L.cone
     broken_cone = Cone(broken,
-                       CatFunctor(broken, cone.pa.dst,
-                                  {o: cone.pa.omap[o] for o in broken.objects},
-                                  {m: cone.pa.mmap[m] for m in keep}),
-                       CatFunctor(broken, cone.pb.dst,
-                                  {o: cone.pb.omap[o] for o in broken.objects},
-                                  {m: cone.pb.mmap[m] for m in keep}),
-                       CatFunctor(broken, cone.pc.dst,
-                                  {o: cone.pc.omap[o] for o in broken.objects},
-                                  {m: cone.pc.mmap[m] for m in keep}),
-                       cone.eta_f, cone.eta_g)
+                       tuple(CatFunctor(broken, p.dst,
+                                        {o: p.omap[o] for o in broken.objects},
+                                        {m: p.mmap[m] for m in keep})
+                             for p in cone.projections),
+                       cone.eta)
     report = cone_oracle(diagram, LimitCandidate(broken, broken_cone))
     assert not report["pass"]
 
@@ -198,23 +193,42 @@ def test_budget_error():
 
 
 def test_arrow_limit_shapes():
-    from laxfib.laxlim import ArrowDiagram, arrow_cone_oracle, arrow_limit
+    from laxfib.laxlim import ArrowDiagram, arrow_limit
     S = walking_arrow()
     E = pt_at(S, "0")
     lax = arrow_limit(E)
     # tuples (*, b, beta: 0 -> b): one per arrow out of 0
     assert len(lax.category.objects) == 2
     assert lax.category.validate() == []
-    assert arrow_cone_oracle(ArrowDiagram(E), lax)["pass"]
+    assert cone_oracle(ArrowDiagram(E), lax)["pass"]
     ps = arrow_limit(E, marked=True)
     assert len(ps.category.objects) == 1
-    assert arrow_cone_oracle(ArrowDiagram(E, frozenset({"0->1"})), ps)["pass"]
+    assert cone_oracle(ArrowDiagram(E, frozenset({"0->1"})), ps)["pass"]
 
 
 def test_arrow_limit_of_identity_is_the_arrow_category():
-    from laxfib.laxlim import ArrowDiagram, arrow_cone_oracle, arrow_limit
+    from laxfib.laxlim import ArrowDiagram, arrow_limit
     C = walking_arrow()
     lax = arrow_limit(identity_functor(C))
     # objects are arrows of C: the comma of the identity
     assert len(lax.category.objects) == len(C.morphisms)
-    assert arrow_cone_oracle(ArrowDiagram(identity_functor(C)), lax)["pass"]
+    assert cone_oracle(ArrowDiagram(identity_functor(C)), lax)["pass"]
+
+
+def test_oracle_budget_bounds_candidate_functors():
+    # one object with an idempotent e: each limit has more objects than there
+    # are cone projections from the point, so only the functor count T -> P
+    # exceeds the budget
+    from laxfib.laxlim import ArrowDiagram, arrow_limit
+    M = FinCat(["*"], ["id", "e"], {"id": "*", "e": "*"}, {"id": "*", "e": "*"},
+               {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "e"},
+               {"*": "id"})
+    assert M.validate() == []
+    E = identity_functor(M)
+    pt = terminal_cat()
+    for diagram, cand in ((ArrowDiagram(E), arrow_limit(E)),
+                          (ConeDiagram(E, E), lax_pullback(E, E))):
+        assert len(cand.category.objects) > 1
+        enumerate_cones(diagram, pt, budget=1)          # the projections fit
+        with pytest.raises(BudgetError):
+            cone_oracle(diagram, cand, probes=([("pt", pt)], []), budget=1)
