@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import anodyne, cofinality, fixtures, freefib, gray, homotopy, laxlim
 from .fincat import CatFunctor, FinCat
-from .simplicial import DecoratedSSet
+from .simplicial import DecoratedSSet, DimensionCapError
 from .twocat import Marking2Cat, StrictTwoCat, TwoFunctor, scaled_nerve
 
 EXIT_OK = 0
@@ -23,68 +23,61 @@ EXIT_FAIL = 2
 EXIT_UNKNOWN = 3
 
 
+VERDICT_EXIT = {"yes": EXIT_OK, "AGREE": EXIT_OK, "no": EXIT_FAIL, "DISAGREE": EXIT_FAIL,
+                "unknown": EXIT_UNKNOWN, "UNDECIDED": EXIT_UNKNOWN}
+
+
 class InputError(Exception):
     pass
 
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _parse(path: str, schema: str, build, what: str):
+    """Load a document, check its schema, build it and validate its laws."""
+    doc = _load_json(path)
+    if doc.get("schema") != schema:
+        raise InputError(f"{path}: expected schema {schema}")
+    try:
+        obj = build(doc)
+        bad = obj.validate()
+    except KeyError as e:
+        raise InputError(f"{path}: missing field {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        # wrong JSON shapes: a list where a name belongs, a short triple, ...
+        raise InputError(f"{path}: malformed {what}: {e}")
+    if bad:
+        raise InputError(f"{path}: {what} laws fail, first witness: {bad[0]}")
+    return obj
 
 
 def parse_two_cat(path: str) -> StrictTwoCat:
-    doc = _load_json(path)
-    if doc.get("schema") != "laxfib/twocat-v1":
-        raise InputError(f"{path}: expected schema laxfib/twocat-v1")
-    try:
-        C = StrictTwoCat.from_json_dict(doc)
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}")
-    bad = C.validate()
-    if bad:
-        raise InputError(f"{path}: 2-category laws fail, first witness: {bad[0]}")
-    return C
+    return _parse(path, "laxfib/twocat-v1", StrictTwoCat.from_json_dict, "2-category")
 
 
 def parse_category(path: str) -> FinCat:
-    doc = _load_json(path)
-    if doc.get("schema") != "laxfib/category-v1":
-        raise InputError(f"{path}: expected schema laxfib/category-v1")
-    try:
-        C = FinCat.from_json_dict(doc)
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}")
-    bad = C.validate()
-    if bad:
-        raise InputError(f"{path}: category laws fail, first witness: {bad[0]}")
-    return C
+    return _parse(path, "laxfib/category-v1", FinCat.from_json_dict, "category")
 
 
 def parse_two_functor(path: str, src: StrictTwoCat, dst: StrictTwoCat) -> TwoFunctor:
-    doc = _load_json(path)
-    if doc.get("schema") != "laxfib/two-functor-v1":
-        raise InputError(f"{path}: expected schema laxfib/two-functor-v1")
-    F = TwoFunctor(src, dst, doc.get("objects", {}), doc.get("onecells", {}),
-                   doc.get("twocells", {}))
-    bad = F.validate()
-    if bad:
-        raise InputError(f"{path}: functor laws fail, first witness: {bad[0]}")
-    return F
+    return _parse(path, "laxfib/two-functor-v1", lambda doc: TwoFunctor(
+        src, dst, doc.get("objects", {}), doc.get("onecells", {}), doc.get("twocells", {})),
+        "functor")
 
 
 def parse_cat_functor(path: str, src: FinCat, dst: FinCat) -> CatFunctor:
-    doc = _load_json(path)
-    if doc.get("schema") != "laxfib/cat-functor-v1":
-        raise InputError(f"{path}: expected schema laxfib/cat-functor-v1")
-    F = CatFunctor(src, dst, doc.get("objects", {}), doc.get("morphisms", {}))
-    bad = F.validate()
-    if bad:
-        raise InputError(f"{path}: functor laws fail, first witness: {bad[0]}")
-    return F
+    return _parse(path, "laxfib/cat-functor-v1", lambda doc: CatFunctor(
+        src, dst, doc.get("objects", {}), doc.get("morphisms", {})), "functor")
 
 
 def parse_sset(path: str) -> DecoratedSSet:
@@ -92,7 +85,7 @@ def parse_sset(path: str) -> DecoratedSSet:
     try:
         X = DecoratedSSet.from_json_dict(doc)
         X.validate()
-    except (KeyError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: bad simplicial set: {e}")
     return X
 
@@ -100,8 +93,9 @@ def parse_sset(path: str) -> DecoratedSSet:
 def parse_marking(path, C: StrictTwoCat) -> Marking2Cat:
     if path is None:
         return Marking2Cat(C)
-    doc = _load_json(path)
-    marked = doc.get("marked1", [])
+    marked = _load_json(path).get("marked1", [])
+    if not isinstance(marked, list) or not all(isinstance(m, str) for m in marked):
+        raise InputError(f"{path}: marked1 must be a list of 1-cell names")
     unknown = [m for m in marked if m not in C.onecells]
     if unknown:
         raise InputError(f"{path}: marked 1-cells not in the 2-category: {unknown}")
@@ -158,7 +152,10 @@ def cmd_nerve(args) -> int:
 def cmd_gray(args) -> int:
     cfg = _config(args)
     X, Y = parse_sset(args.x), parse_sset(args.y)
-    G = gray.gray(X, Y, cap=cfg["cap"], truncate=args.truncate)
+    try:
+        G = gray.gray(X, Y, cap=cfg["cap"], truncate=args.truncate)
+    except DimensionCapError as e:
+        raise InputError(str(e))
     _emit({"command": "gray", "config": cfg, "product": G.to_json_dict(),
            "provenance": {f"{k[0]},{k[1]}": v for k, v in sorted(G.gray_provenance.items())}},
           args)
@@ -181,15 +178,17 @@ def cmd_ext(args) -> int:
     return EXIT_OK
 
 
-def _load_freefib(args) -> freefib.FreeFibration:
+def _marked_functor(args) -> tuple[TwoFunctor, Marking2Cat, Marking2Cat]:
     C = parse_two_cat(args.source)
     D = parse_two_cat(args.target)
     F = parse_two_functor(args.functor, C, D)
-    mc = parse_marking(getattr(args, "marking_src", None), C)
-    md = parse_marking(getattr(args, "marking_dst", None), D)
-    mode = "natural" if args.mode == "natural" else "dagger"
+    return F, parse_marking(args.marking_src, C), parse_marking(args.marking_dst, D)
+
+
+def _load_freefib(args) -> freefib.FreeFibration:
+    F, mc, md = _marked_functor(args)
     try:
-        return freefib.build_free_fibration(F, mc, md, mode=mode)
+        return freefib.build_free_fibration(F, mc, md, mode=args.mode)
     except ValueError as e:
         raise InputError(str(e))
 
@@ -207,6 +206,8 @@ def cmd_freefib(args) -> int:
     }
     status = EXIT_OK
     if args.fiber is not None:
+        if args.fiber not in ff.f.dst.objects:
+            raise InputError(f"--fiber {args.fiber}: not an object of the target")
         fib, _ = ff.fiber(args.fiber)
         report["fiber"] = {"object": args.fiber, **_sset_summary(fib)}
         report["tables"]["fiber"] = fib.to_json_dict()
@@ -231,17 +232,13 @@ def cmd_check_fibration(args) -> int:
 
 def cmd_check_cofinal(args) -> int:
     cfg = _config(args)
-    C = parse_two_cat(args.source)
-    D = parse_two_cat(args.target)
-    F = parse_two_functor(args.functor, C, D)
-    mc = parse_marking(args.marking_src, C)
-    md = parse_marking(args.marking_dst, D)
+    F, mc, md = _marked_functor(args)
     try:
         rep = cofinality.check_cofinal(F, mc, md, cfg["budgets"])
     except ValueError as e:
         raise InputError(str(e))
     _emit({"command": "check-cofinal", "config": cfg, **rep.to_json_dict()}, args)
-    return {"yes": EXIT_OK, "no": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[rep.verdict]
+    return VERDICT_EXIT[rep.verdict]
 
 
 def cmd_joyal(args) -> int:
@@ -251,7 +248,7 @@ def cmd_joyal(args) -> int:
     p = parse_cat_functor(args.functor, K, S)
     v = cofinality.joyal_cofinal(p, cfg["budgets"])
     _emit({"command": "joyal", "config": cfg, **v.to_json_dict()}, args)
-    return {"yes": EXIT_OK, "no": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[v.value]
+    return VERDICT_EXIT[v.value]
 
 
 def cmd_duality(args) -> int:
@@ -268,56 +265,42 @@ def cmd_duality(args) -> int:
         "oracle": r["oracle"].to_json_dict(),
     }
     _emit(report, args)
-    if r["status"] == "AGREE":
-        return EXIT_OK
-    return EXIT_FAIL if r["status"] == "DISAGREE" else EXIT_UNKNOWN
+    return VERDICT_EXIT[r["status"]]
 
 
 def cmd_laxlim(args) -> int:
     cfg = _config(args)
+    A = parse_category(args.a)
+    B = parse_category(args.b)
     if args.shape == "delta1":
-        A = parse_category(args.a)
-        B = parse_category(args.b)
         E = parse_cat_functor(args.f, A, B)
         marked = args.marking in ("0->1", "both")
         cand = laxlim.arrow_limit(E, marked=marked)
-        report = {"command": "laxlim", "config": cfg, "shape": "delta1",
-                  "marking": args.marking,
-                  "category": cand.category.to_json_dict()}
-        status = EXIT_OK
-        if args.oracle:
-            diagram = laxlim.ArrowDiagram(
-                E, frozenset({laxlim.ARROW_LEG}) if marked else frozenset())
-            oracle = laxlim.cone_oracle(diagram, cand)
-            report["oracle"] = oracle
-            if not oracle["pass"]:
-                status = EXIT_FAIL
-        _emit(report, args)
-        return status
-    A = parse_category(args.a)
-    B = parse_category(args.b)
-    if args.c is None or args.g is None:
-        raise InputError("the cospan shape needs categories a b c and functors f g")
-    C = parse_category(args.c)
-    F = parse_cat_functor(args.f, A, C)
-    G = parse_cat_functor(args.g, B, C)
-    marking = {"none": frozenset(), "0->2": frozenset({laxlim.G_LEG}),
-               "1->2": frozenset({laxlim.F_LEG}),
-               "both": frozenset({laxlim.F_LEG, laxlim.G_LEG})}.get(args.marking)
-    if marking is None:
-        raise InputError(f"marking {args.marking} does not name cospan legs")
-    if marking == frozenset():
-        cand = laxlim.lax_pullback(F, G)
-    elif marking == frozenset({laxlim.F_LEG, laxlim.G_LEG}):
-        cand = laxlim.pseudo_pullback(F, G)
+        diagram = laxlim.ArrowDiagram(
+            E, frozenset({laxlim.ARROW_LEG}) if marked else frozenset())
     else:
-        cand = laxlim.directed_pullback(F, G, next(iter(marking)))
-    report = {"command": "laxlim", "config": cfg, "shape": "lambda22",
+        if args.c is None or args.g is None:
+            raise InputError("the cospan shape needs categories a b c and functors f g")
+        C = parse_category(args.c)
+        F = parse_cat_functor(args.f, A, C)
+        G = parse_cat_functor(args.g, B, C)
+        marking = {"none": frozenset(), "0->2": frozenset({laxlim.G_LEG}),
+                   "1->2": frozenset({laxlim.F_LEG}),
+                   "both": frozenset({laxlim.F_LEG, laxlim.G_LEG})}.get(args.marking)
+        if marking is None:
+            raise InputError(f"marking {args.marking} does not name cospan legs")
+        if marking == frozenset():
+            cand = laxlim.lax_pullback(F, G)
+        elif marking == frozenset({laxlim.F_LEG, laxlim.G_LEG}):
+            cand = laxlim.pseudo_pullback(F, G)
+        else:
+            cand = laxlim.directed_pullback(F, G, next(iter(marking)))
+        diagram = laxlim.ConeDiagram(F, G, marking)
+    report = {"command": "laxlim", "config": cfg, "shape": args.shape,
               "marking": args.marking,
               "category": cand.category.to_json_dict()}
     status = EXIT_OK
     if args.oracle:
-        diagram = laxlim.ConeDiagram(F, G, marking)
         oracle = laxlim.cone_oracle(diagram, cand)
         report["oracle"] = oracle
         if not oracle["pass"]:
@@ -339,7 +322,7 @@ def cmd_contractible(args) -> int:
     X = parse_sset(args.sset)
     v = homotopy.weakly_contractible(X, cfg["budgets"])
     _emit({"command": "contractible", "config": cfg, **v.to_json_dict()}, args)
-    return {"yes": EXIT_OK, "no": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[v.value]
+    return VERDICT_EXIT[v.value]
 
 
 def cmd_corpus(args) -> int:
@@ -380,11 +363,27 @@ def cmd_corpus(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _common(sub):
+def _common(sub, func):
+    """The options every subcommand takes, and its handler."""
     sub.add_argument("--output", "-o", help="write the JSON report here")
     sub.add_argument("--cap", type=int, default=4, help="dimension cap")
     sub.add_argument("--collapse-budget", type=int, default=20000)
     sub.add_argument("--tietze-budget", type=int, default=400)
+    sub.set_defaults(func=func)
+
+
+def _functor_parser(sp, name: str, help: str, markings: bool = True, mode: bool = True):
+    """A subcommand over a source, a target and a functor between them."""
+    p = sp.add_parser(name, help=help)
+    p.add_argument("source")
+    p.add_argument("target")
+    p.add_argument("functor")
+    if markings:
+        p.add_argument("--marking-src")
+        p.add_argument("--marking-dst")
+    if mode:
+        p.add_argument("--mode", choices=["natural", "dagger"], default="dagger")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,68 +396,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("nerve", help="scaled nerve of a 2-category")
     p.add_argument("twocat")
     p.add_argument("--marking")
-    _common(p)
-    p.set_defaults(func=cmd_nerve)
+    _common(p, cmd_nerve)
 
     p = sp.add_parser("gray", help="Gray product of two scaled simplicial sets")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--truncate", action="store_true")
-    _common(p)
-    p.set_defaults(func=cmd_gray)
+    _common(p, cmd_gray)
 
     p = sp.add_parser("ext", help="extension map tables")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _common(p)
-    p.set_defaults(func=cmd_ext)
+    _common(p, cmd_ext)
 
-    p = sp.add_parser("freefib", help="the tame free fibration on a 2-functor")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("functor")
-    p.add_argument("--marking-src")
-    p.add_argument("--marking-dst")
-    p.add_argument("--mode", choices=["natural", "dagger"], default="dagger")
+    p = _functor_parser(sp, "freefib", "the tame free fibration on a 2-functor")
     p.add_argument("--fiber")
     p.add_argument("--audit", action="store_true")
-    _common(p)
-    p.set_defaults(func=cmd_freefib)
+    _common(p, cmd_freefib)
 
-    p = sp.add_parser("check-fibration", help="certify the lifting property")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("functor")
-    p.add_argument("--marking-src")
-    p.add_argument("--marking-dst")
-    p.add_argument("--mode", choices=["natural", "dagger"], default="dagger")
+    p = _functor_parser(sp, "check-fibration", "certify the lifting property")
     p.add_argument("--family", choices=["MB", "MS"], default="MB")
     p.add_argument("--n-max", type=int, default=4)
-    _common(p)
-    p.set_defaults(func=cmd_check_fibration)
+    _common(p, cmd_check_fibration)
 
-    p = sp.add_parser("check-cofinal", help="the cofinality criterion")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("functor")
-    p.add_argument("--marking-src")
-    p.add_argument("--marking-dst")
-    _common(p)
-    p.set_defaults(func=cmd_check_cofinal)
+    p = _functor_parser(sp, "check-cofinal", "the cofinality criterion", mode=False)
+    _common(p, cmd_check_cofinal)
 
-    p = sp.add_parser("joyal", help="classical cofinality of a functor")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("functor")
-    _common(p)
-    p.set_defaults(func=cmd_joyal)
+    p = _functor_parser(sp, "joyal", "classical cofinality of a functor", markings=False,
+                        mode=False)
+    _common(p, cmd_joyal)
 
-    p = sp.add_parser("duality", help="two-object construction duality test")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("functor")
-    _common(p)
-    p.set_defaults(func=cmd_duality)
+    p = _functor_parser(sp, "duality", "two-object construction duality test",
+                        markings=False, mode=False)
+    _common(p, cmd_duality)
 
     p = sp.add_parser("laxlim", help="partially lax limits of a cospan or arrow")
     p.add_argument("a")
@@ -470,24 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marking", choices=["none", "0->2", "1->2", "0->1", "both"],
                    default="none")
     p.add_argument("--oracle", action="store_true")
-    _common(p)
-    p.set_defaults(func=cmd_laxlim)
+    _common(p, cmd_laxlim)
 
     p = sp.add_parser("homology", help="integral homology of a simplicial set")
     p.add_argument("sset")
-    _common(p)
-    p.set_defaults(func=cmd_homology)
+    _common(p, cmd_homology)
 
     p = sp.add_parser("contractible", help="weak contractibility verdict")
     p.add_argument("sset")
-    _common(p)
-    p.set_defaults(func=cmd_contractible)
+    _common(p, cmd_contractible)
 
     p = sp.add_parser("corpus", help="run the bundled verification corpus")
     p.add_argument("--seed", type=int, default=fixtures.CORPUS_SEED)
     p.add_argument("--n-max", type=int, default=4)
-    _common(p)
-    p.set_defaults(func=cmd_corpus)
+    _common(p, cmd_corpus)
 
     return ap
 

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .simplicial import Cell, DecoratedSSet, SSetBuilder
+from .simplicial import Cell, DecoratedSSet, SSetBuilder, insert_degeneracy
 
 
 class FinCat:
@@ -111,7 +111,7 @@ class FinCat:
                 if self.is_identity(m):
                     # inserting an identity at position t is the degeneracy s_t
                     inner = chain_cell(chain[:t] + chain[t + 1:], start)
-                    return _deg(b, inner, t)
+                    return Cell(inner.dim, inner.idx, insert_degeneracy(inner.word, t))
             if not chain:
                 return b.by_label(0, ("obj", start))
             return b.by_label(len(chain), ("chain", chain))
@@ -181,11 +181,6 @@ class FinCat:
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
-def _deg(builder: SSetBuilder, cell: Cell, t: int) -> Cell:
-    from .simplicial import insert_degeneracy
-    return Cell(cell.dim, cell.idx, insert_degeneracy(cell.word, t))
-
-
 @dataclass
 class CatFunctor:
     src: FinCat
@@ -200,11 +195,11 @@ class CatFunctor:
                 bad.append(("object", a))
         for m in self.src.morphisms:
             n = self.mmap.get(m)
-            if n is None or self.dst.src[n] != self.omap[self.src.src[m]] \
-                    or self.dst.tgt[n] != self.omap[self.src.tgt[m]]:
+            if n not in self.dst.src or self.dst.src[n] != self.omap.get(self.src.src[m]) \
+                    or self.dst.tgt[n] != self.omap.get(self.src.tgt[m]):
                 bad.append(("morphism", m))
         for a in self.src.objects:
-            if self.mmap.get(self.src.ident[a]) != self.dst.ident[self.omap[a]]:
+            if self.mmap.get(self.src.ident[a]) != self.dst.ident.get(self.omap.get(a)):
                 bad.append(("identity", a))
         for (g, f), h in self.src.comp.items():
             if self.mmap.get(h) != self.dst.comp.get((self.mmap.get(g), self.mmap.get(f))):

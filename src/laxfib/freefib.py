@@ -21,7 +21,10 @@ from .simplicial import (
     DecMap,
     DecoratedSSet,
     add_coskeletal_top,
+    coskeletal_spheres,
+    degenerate_spheres,
     enumerate_maps,
+    fill,
     insert_degeneracy,
     vertex_cell,
 )
@@ -93,9 +96,8 @@ def classifying_map(X: DecoratedSSet, x: Cell) -> DecMap:
 
 def gamma_pair(fN: DecMap, rho_cell: Cell) -> PairSimplex:
     """The unit: collapse the interval and project to the base."""
-    NC, ND = fN.src, fN.dst
     n = rho_cell.total_dim
-    rho = classifying_map(NC, rho_cell)
+    rho = classifying_map(fN.src, rho_cell)
     phi = fN.compose(rho).compose(prism(n).proj_b())
     return PairSimplex(n, phi, rho)
 
@@ -170,16 +172,11 @@ class FreeFibration:
                 continue
             faces[nd] = tuple(self.cell_of(pair.face(i)) for i in range(nd[0] + 1))
 
-        marked = set()
-        for nd in list(self.pairs):
-            if nd[0] == 1 and self._edge_marked(self.pairs[nd], self.mode):
+        marked, thin, lean = set(), set(), set()
+        for nd, pair in self.pairs.items():
+            if nd[0] == 1 and self._edge_marked(pair, self.mode):
                 marked.add(nd)
-        thin, lean = set(), set()
-        for nd in list(self.pairs):
-            if nd[0] != 2:
-                continue
-            pair = self.pairs[nd]
-            if self._triangle_lean(pair):
+            elif nd[0] == 2 and self._triangle_lean(pair):
                 lean.add(nd)
                 if self._triangle_thin(pair):
                     thin.add(nd)
@@ -227,8 +224,7 @@ class FreeFibration:
         return self.nc.is_thin(rho_top)
 
     def _triangle_thin(self, pair: PairSimplex) -> bool:
-        if not self._triangle_lean(pair):
-            return False
+        """Thinness of a lean triangle."""
         base_top = pair.phi.compose(end_map(2, 0)).assign[(2, 0)]
         return self.nd.is_thin(base_top)
 
@@ -236,35 +232,21 @@ class FreeFibration:
 
     def _projection(self) -> DecMap:
         assign = {}
-        for nd, pair in self.pairs.items():
-            n = nd[0]
-            assign[nd] = pair.phi.compose(end_map(n, 0)).assign[(n, 0)]
-        for cell in self.total.nondeg(4):
-            sphere = tuple(
-                DecoratedSSet._apply_word(assign[f.nd], f.word)
-                for f in self.total.faces[cell.nd]
-            )
-            hits = self.base.by_faces(4).get(sphere, [])
-            if len(hits) != 1:
-                raise ValueError("projection of a coskeletal cell is not unique")
-            assign[cell.nd] = hits[0]
+        for cell in self.total.all_nondeg():
+            if cell.dim <= TOP_DIM:
+                phi = self.pairs[cell.nd].phi
+                assign[cell.nd] = phi.compose(end_map(cell.dim, 0)).assign[(cell.dim, 0)]
+            else:
+                assign[cell.nd] = _filler(self.base, assign, self.total, cell, "projection")
         return DecMap(self.total, self.base, assign)
 
     def _unit(self) -> DecMap:
         assign = {}
         for cell in self.nc.all_nondeg():
             if cell.dim <= TOP_DIM:
-                pair = gamma_pair(self.fN, cell)
-                assign[cell.nd] = self.cell_of(pair)
+                assign[cell.nd] = self.cell_of(gamma_pair(self.fN, cell))
             else:
-                sphere = tuple(
-                    DecoratedSSet._apply_word(assign[f.nd], f.word)
-                    for f in self.nc.faces[cell.nd]
-                )
-                hits = self.total.by_faces(cell.dim).get(sphere, [])
-                if len(hits) != 1:
-                    raise ValueError("unit image of a coskeletal cell is not unique")
-                assign[cell.nd] = hits[0]
+                assign[cell.nd] = _filler(self.total, assign, self.nc, cell, "unit image")
         return DecMap(self.nc, self.total, assign)
 
     # -- fibers -------------------------------------------------------------------
@@ -342,6 +324,13 @@ class FreeFibration:
         return report
 
 
+def _filler(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell, what: str) -> Cell:
+    hit = fill(Y, assign, X, cell)
+    if hit is None:
+        raise ValueError(f"{what} of a coskeletal cell is not unique")
+    return hit
+
+
 def sharp_base(ND: ScaledNerve) -> DecoratedSSet:
     """The base decorated as (S, sharp, T subset sharp)."""
     marked = {c.nd for c in ND.nondeg(1)}
@@ -390,7 +379,6 @@ def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
     that it is decoration-preserving and mutually inverse in dims 0..4."""
     bundle = fr(ff.f, ff.src_marking, ff.dst_marking)
     N = fr_nerve(bundle, ff.mode)
-    Fr = bundle.twocat
     diffs: list = []
 
     xi = _build_xi(ff, bundle, N, diffs)
@@ -420,15 +408,14 @@ def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
 def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) -> DecMap:
     Fr = bundle.twocat
     NC, ND = ff.nc, ff.nd
-    C, D = ff.f.src, ff.f.dst
     assign: dict = {}
     objects: dict = {}
     edges: dict = {}
 
-    for nd in sorted(ff.pairs):
-        n = nd[0]
-        pair = ff.pairs[nd]
+    for cell in ff.total.all_nondeg():
+        n, nd = cell.dim, cell.nd
         if n == 0:
+            pair = ff.pairs[nd]
             d = ND.labels[ff.proj.assign[nd].nd][1]
             c = NC.labels[pair.rho.assign[(0, 0)].nd][1]
             u = ND.onecell_of(pair.phi.assign[(1, 0)])
@@ -436,6 +423,7 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
             objects[nd] = o
             assign[nd] = N.vertex_of(o)
         elif n == 1:
+            pair = ff.pairs[nd]
             a, alpha, theta = ff.edge_data(pair)
             o0 = _object_of(ff, objects, pair.face(1))
             o1 = _object_of(ff, objects, pair.face(0))
@@ -446,6 +434,7 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
             edges[nd] = m
             assign[nd] = N.edge_of(m)
         elif n == 2:
+            pair = ff.pairs[nd]
             psi2 = ND.filler_of(pair.phi.compose(end_map(2, 0)).assign[(2, 0)])
             zeta = NC.filler_of(pair.rho.assign[(2, 0)])
             fm = _edge_of(ff, Fr, objects, edges, pair.face(2))
@@ -457,25 +446,11 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
                 continue
             assign[nd] = N.triangle_cell(fm, gm, hm, sigma)
         else:
-            sphere = tuple(
-                DecoratedSSet._apply_word(assign[f.nd], f.word)
-                for f in ff.total.faces[nd]
-            )
-            hits = N.by_faces(n).get(sphere, [])
-            if len(hits) != 1:
+            hit = fill(N, assign, ff.total, cell)
+            if hit is None:
                 diffs.append(("xi-no-unique-filler", nd))
                 continue
-            assign[nd] = hits[0]
-    for cell in ff.total.nondeg(4):
-        sphere = tuple(
-            DecoratedSSet._apply_word(assign[f.nd], f.word)
-            for f in ff.total.faces[cell.nd]
-        )
-        hits = N.by_faces(4).get(sphere, [])
-        if len(hits) != 1:
-            diffs.append(("xi-no-unique-filler", cell.nd))
-            continue
-        assign[cell.nd] = hits[0]
+            assign[nd] = hit
     return DecMap(ff.total, N, assign)
 
 
@@ -493,7 +468,6 @@ def _edge_of(ff: FreeFibration, Fr: StrictTwoCat, objects: dict, edges: dict,
 
 
 def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) -> DecMap:
-    Fr = bundle.twocat
     NC, ND = ff.nc, ff.nd
     C, D = ff.f.src, ff.f.dst
     f = ff.f
@@ -608,14 +582,9 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
                         phi_assign[nd2] = ND.triangle_cell(
                             aa[(0, 1)], gg[(1, 2)], gg[(0, 2)], mixed)
             else:
-                sphere = tuple(
-                    DecoratedSSet._apply_word(phi_assign[ff2.nd], ff2.word)
-                    for ff2 in P2.faces[nd2]
-                )
-                hits = ND.by_faces(dim).get(sphere, [])
-                if len(hits) != 1:
+                phi_assign[nd2] = fill(ND, phi_assign, P2, Cell(*nd2))
+                if phi_assign[nd2] is None:
                     return None
-                phi_assign[nd2] = hits[0]
         rho = classifying_map(NC, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta))
         return PairSimplex(2, DecMap(P2, ND, phi_assign), rho)
 
@@ -631,15 +600,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
             pair = triangle_pair(N.cell_data[cell.nd])
             assign[cell.nd] = ff.index.get(pair.key()) if pair else None
         else:
-            if any(assign.get(f2.nd) is None for f2 in N.faces[cell.nd]):
-                assign[cell.nd] = None
-            else:
-                sphere = tuple(
-                    DecoratedSSet._apply_word(assign[f2.nd], f2.word)
-                    for f2 in N.faces[cell.nd]
-                )
-                hits = ff.total.by_faces(cell.dim).get(sphere, [])
-                assign[cell.nd] = hits[0] if len(hits) == 1 else None
+            assign[cell.nd] = fill(ff.total, assign, N, cell)
         if assign[cell.nd] is None:
             diffs.append(("psi-missing", cell.nd, N.labels[cell.nd]))
     return DecMap(N, ff.total, assign)
@@ -718,13 +679,8 @@ def _stored_pairs(ff: FreeFibration, include_degenerate: bool):
 
 def three_coskeletal_violations(ff: FreeFibration) -> list:
     """Every boundary 4-sphere of the total space has exactly one filler."""
-    from .simplicial import coskeletal_spheres
     X = ff.total
-    degenerate = set()
-    for z in X.all_cells(3):
-        for j in range(4):
-            s = X.deg(z, j)
-            degenerate.add(tuple(X.face(s, i) for i in range(5)))
+    degenerate = degenerate_spheres(X, 4)
     spheres = [s for s in coskeletal_spheres(X, 4) if s not in degenerate]
     bad = []
     fillers = {tuple(X.faces[(4, k)]): k for k in range(X.num(4))}

@@ -33,7 +33,7 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
     provenance = {}
     for cell in P.nondeg(2):
         x, y = P.pair_of[cell.nd]
-        if not (_thin(X, x) and _thin(Y, y)):
+        if not (X.is_thin(x) and Y.is_thin(y)):
             continue
         if X.face(x, 0).is_degenerate():
             thin.add(cell.nd)
@@ -45,18 +45,6 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
                     P.n_cells, P.faces, P.labels, truncated_at=P.truncated_at)
     G.gray_provenance = provenance
     return G
-
-
-def _thin(X: DecoratedSSet, cell: Cell) -> bool:
-    return cell.is_degenerate() or cell.nd in X.thin
-
-
-def _marked(X: DecoratedSSet, cell: Cell) -> bool:
-    return cell.is_degenerate() or cell.nd in X.marked
-
-
-def _lean(X: DecoratedSSet, cell: Cell) -> bool:
-    return cell.is_degenerate() or cell.nd in X.lean
 
 
 def interval(kind="SC") -> DecoratedSSet:
@@ -92,40 +80,32 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     thin = set()
     for cell in P.nondeg(1):
         e1, ex = P.pair_of[cell.nd]
-        if _interval_constant(I, e1) == 1 and _marked(X, ex):
+        if _interval_constant(I, e1) == 1 and X.is_marked(ex):
             marked.add(cell.nd)
     for cell in P.nondeg(2):
         s1, sx = P.pair_of[cell.nd]
         # (a) thin in the underlying Gray product
-        if _thin(X, sx) and (I.face(s1, 0).is_degenerate() or X.face(sx, 2).is_degenerate()):
+        if X.is_thin(sx) and (I.face(s1, 0).is_degenerate() or X.face(sx, 2).is_degenerate()):
             thin.add(cell.nd)
             continue
-        if not _lean(X, sx):
+        if not X.is_lean(sx):
             continue
         # (b) the {1,2}-edge of the interval component is constant at 1
-        if _interval_edge_at(I, I.face(s1, 0)) == 1:
+        if _interval_constant(I, I.face(s1, 0)) == 1:
             thin.add(cell.nd)
             continue
         # (c) the interval component is 0 -> 0 -> 1 and the {0,1}-edge is marked
-        if _interval_word(I, s1) == (0, 0, 1) and _marked(X, X.face(sx, 2)):
+        if simplex_vertex_word(I, s1) == (0, 0, 1) and X.is_marked(X.face(sx, 2)):
             thin.add(cell.nd)
     G = ProductSSet(I, X, "MS", marked, thin, thin, P.pair_of, P._cell_of,
                     P.n_cells, P.faces, P.labels, truncated_at=P.truncated_at)
     return G
 
 
-def _interval_word(I: DecoratedSSet, cell: Cell) -> tuple[int, ...]:
-    return simplex_vertex_word(I, cell)
-
-
 def _interval_constant(I: DecoratedSSet, cell: Cell) -> Optional[int]:
     """The constant value of a degenerate interval cell, else None."""
-    word = _interval_word(I, cell)
+    word = simplex_vertex_word(I, cell)
     return word[0] if len(set(word)) == 1 else None
-
-
-def _interval_edge_at(I: DecoratedSSet, edge: Cell) -> Optional[int]:
-    return _interval_constant(I, edge)
 
 
 def end_inclusion(X: DecoratedSSet, P: ProductSSet, eps: int) -> DecMap:
@@ -222,21 +202,13 @@ def e_map(j: int, n: int) -> DecMap:
 
     assign = {}
     for nd, (x, y) in src.pair_of.items():
-        xw = _interval_word(src.factor_a, x)
-        yw = _simplex_word(src.factor_b, y)
+        xw = simplex_vertex_word(src.factor_a, x)
+        yw = simplex_vertex_word(src.factor_b, y)
         pairs = [image_vertex(m, r) for m, r in zip(xw, yw)]
-        new_x = _cell_from_word(I, tuple(p[0] for p in pairs))
-        new_y = _cell_from_word(Dn, tuple(p[1] for p in pairs))
+        new_x = vertex_cell(I, tuple(p[0] for p in pairs))
+        new_y = vertex_cell(Dn, tuple(p[1] for p in pairs))
         assign[nd] = dst.ref_of_pair(new_x, new_y)
     return DecMap(src, dst, assign)
-
-
-def _simplex_word(X: DecoratedSSet, cell: Cell) -> tuple[int, ...]:
-    return simplex_vertex_word(X, cell)
-
-
-def _cell_from_word(X: DecoratedSSet, word: tuple[int, ...]) -> Cell:
-    return vertex_cell(X, word)
 
 
 def e_map_respects_scaling(j: int, n: int) -> bool:

@@ -398,34 +398,39 @@ class SSetBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _subset_complex(subsets: list[tuple[int, ...]], kind, marked, thin, lean,
-                    strict: bool = True) -> DecoratedSSet:
-    """Simplicial set whose nondegenerate cells are vertex subsets of [n]."""
+def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
+                     strict: bool = True) -> DecoratedSSet:
+    """The vertex subsets of [n] not in ``omit``, as a decorated simplicial set.
+
+    Decorations are "flat", "sharp" or explicit vertex tuples; ``lean=None``
+    means lean coincides with thin.  Without ``strict``, decorations naming
+    absent simplices are dropped.
+    """
+    if n > cap:
+        raise DimensionCapError(f"n={n} exceeds cap {cap}")
     b = SSetBuilder()
-    for s in sorted(subsets, key=lambda s: (len(s), s)):
-        dim = len(s) - 1
-        faces = tuple(b.by_label(dim - 1, s[:i] + s[i + 1:]) for i in range(dim + 1)) if dim else ()
-        b.add(dim, faces, label=s)
-    def deco(group, expect_dim):
+    for k in range(n + 1):
+        for s in itertools.combinations(range(n + 1), k + 1):
+            if s not in omit:
+                faces = (tuple(b.by_label(k - 1, s[:i] + s[i + 1:]) for i in range(k + 1))
+                         if k else ())
+                b.add(k, faces, label=s)
+
+    def deco(spec, dim):
+        if spec in (None, "flat"):
+            return []
+        named = (itertools.combinations(range(n + 1), dim + 1) if spec == "sharp"
+                 else map(tuple, spec))
         out = []
-        for verts in group:
-            verts = tuple(verts)
-            if not b.has_label(expect_dim, verts):
-                if strict:
-                    raise BadDecorationError(f"decoration names absent simplex {verts}")
-                continue
-            out.append(b.by_label(expect_dim, verts).nd)
+        for verts in named:
+            if b.has_label(dim, verts):
+                out.append(b.by_label(dim, verts).nd)
+            elif strict:
+                raise BadDecorationError(f"decoration names absent simplex {verts}")
         return out
-    return b.build(kind, marked=deco(marked, 1), thin=deco(thin, 2), lean=deco(lean, 2))
 
-
-def _expand_deco(spec, n, dim) -> list[tuple[int, ...]]:
-    """Interpret a flat/sharp/explicit decoration spec as vertex tuples."""
-    if spec in (None, "flat"):
-        return []
-    if spec == "sharp":
-        return list(itertools.combinations(range(n + 1), dim + 1))
-    return [tuple(v) for v in spec]
+    t = deco(thin, 2)
+    return b.build(kind, marked=deco(marked, 1), thin=t, lean=t if lean is None else deco(lean, 2))
 
 
 def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None,
@@ -434,13 +439,7 @@ def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None
 
     ``lean=None`` means lean coincides with thin (the single-scaling notation).
     """
-    if n > cap:
-        raise DimensionCapError(f"n={n} exceeds cap {cap}")
-    subsets = [tuple(s) for k in range(n + 1) for s in itertools.combinations(range(n + 1), k + 1)]
-    m = _expand_deco(marked, n, 1)
-    t = _expand_deco(thin, n, 2)
-    l = t if lean is None else _expand_deco(lean, n, 2)
-    return _subset_complex(subsets, kind, m, t, l)
+    return _simplex_complex(n, kind, marked, thin, lean, cap)
 
 
 def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
@@ -450,33 +449,15 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
     Decorations naming cells that fall outside the horn are dropped silently
     (the generator catalog relies on this for its low-dimensional instances).
     """
-    if n > cap:
-        raise DimensionCapError(f"n={n} exceeds cap {cap}")
     if not 0 <= i <= n:
         raise ValueError("horn index out of range")
     full = tuple(range(n + 1))
-    missing = full[:i] + full[i + 1:]
-    subsets = [
-        tuple(s)
-        for k in range(n + 1)
-        for s in itertools.combinations(range(n + 1), k + 1)
-        if tuple(s) not in (full, missing)
-    ]
-    m = _expand_deco(marked, n, 1)
-    t = _expand_deco(thin, n, 2)
-    l = t if lean is None else _expand_deco(lean, n, 2)
-    return _subset_complex(subsets, kind, m, t, l, strict=False)
+    return _simplex_complex(n, kind, marked, thin, lean, cap,
+                            omit=(full, full[:i] + full[i + 1:]), strict=False)
 
 
 def boundary_simplex(n: int, *, kind="PLAIN", cap: int = 4) -> DecoratedSSet:
-    if n > cap:
-        raise DimensionCapError(f"n={n} exceeds cap {cap}")
-    subsets = [
-        tuple(s)
-        for k in range(n)
-        for s in itertools.combinations(range(n + 1), k + 1)
-    ]
-    return _subset_complex(subsets, kind, (), (), ())
+    return _simplex_complex(n, kind, "flat", "flat", None, cap, omit=(tuple(range(n + 1)),))
 
 
 def empty_sset(kind="PLAIN") -> DecoratedSSet:
@@ -549,20 +530,13 @@ class DecMap:
         return True
 
     def decoration_violations(self) -> list[tuple]:
+        names = ("marked", "thin", "lean") if self.src.kind == "MB" else ("marked", "thin")
         bad = []
-        for nd in sorted(self.src.marked):
-            img = self.assign[nd]
-            if not img.is_degenerate() and img.nd not in self.dst.marked:
-                bad.append(("marked", nd))
-        for nd in sorted(self.src.thin):
-            img = self.assign[nd]
-            if not img.is_degenerate() and img.nd not in self.dst.thin:
-                bad.append(("thin", nd))
-        if self.src.kind == "MB":
-            for nd in sorted(self.src.lean):
+        for name in names:
+            for nd in sorted(getattr(self.src, name)):
                 img = self.assign[nd]
-                if not img.is_degenerate() and img.nd not in self.dst.lean:
-                    bad.append(("lean", nd))
+                if not img.is_degenerate() and img.nd not in getattr(self.dst, name):
+                    bad.append((name, nd))
         return bad
 
     def validate(self) -> "DecMap":
@@ -790,12 +764,12 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
     marked, thin, lean = set(), set(), set()
     for nd, (x, y) in pair_of.items():
         if nd[0] == 1:
-            if _deco(A, x, "marked") and _deco(B, y, "marked"):
+            if A.is_marked(x) and B.is_marked(y):
                 marked.add(nd)
         elif nd[0] == 2:
-            if _deco(A, x, "thin") and _deco(B, y, "thin"):
+            if A.is_thin(x) and B.is_thin(y):
                 thin.add(nd)
-            if _deco(A, x, "lean") and _deco(B, y, "lean"):
+            if A.is_lean(x) and B.is_lean(y):
                 lean.add(nd)
     if kind is None:
         kind = A.kind if A.kind == B.kind else "PLAIN"
@@ -810,13 +784,6 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
                     b.n_cells, b.faces, b.labels,
                     truncated_at=top if full_dim > top else None)
     return P
-
-
-def _deco(X: DecoratedSSet, cell: Cell, which: str) -> bool:
-    if cell.is_degenerate():
-        return True
-    group = getattr(X, which)
-    return cell.nd in group
 
 
 def _pair_lookup(cell_of, A, B, x, y):
@@ -880,14 +847,17 @@ def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
     return spheres
 
 
-def add_coskeletal_top(X: DecoratedSSet, dim: int) -> DecoratedSSet:
-    """Extend a (dim-1)-truncated object by its unique coskeletal dim-cells."""
+def degenerate_spheres(X: DecoratedSSet, dim: int) -> set[tuple[Cell, ...]]:
+    """Face tuples of the degenerate ``dim``-cells of X."""
+    return {X.faces_tuple(X.deg(z, j)) for z in X.all_cells(dim - 1) for j in range(dim)}
+
+
+def add_coskeletal_top(X: DecoratedSSet, dim: int,
+                       keep: Optional[Callable[[tuple[Cell, ...]], bool]] = None) -> DecoratedSSet:
+    """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
+    boundary sphere, in sorted sphere order; ``keep`` filters the spheres."""
     assert X.top_dim <= dim - 1
-    degenerate_spheres = set()
-    for z in X.all_cells(dim - 1):
-        for j in range(dim):
-            s = X.deg(z, j)
-            degenerate_spheres.add(tuple(X.face(s, i) for i in range(dim + 1)))
+    degenerate = degenerate_spheres(X, dim)
     n_cells = list(X.n_cells)
     while len(n_cells) < dim:
         n_cells.append(0)
@@ -895,7 +865,7 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int) -> DecoratedSSet:
     labels = dict(X.labels)
     count = 0
     for sphere in sorted(coskeletal_spheres(X, dim)):
-        if sphere in degenerate_spheres:
+        if sphere in degenerate or (keep is not None and not keep(sphere)):
             continue
         nd = (dim, count)
         faces[nd] = sphere
@@ -904,3 +874,17 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int) -> DecoratedSSet:
     n_cells.append(count)
     return DecoratedSSet(X.kind, n_cells, faces, X.marked, X.thin, X.lean,
                          labels=labels, coskeletal=dim - 1)
+
+
+def fill(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell) -> Optional[Cell]:
+    """The unique cell of Y whose faces are the images under ``assign`` of the
+    faces of the nondegenerate ``cell`` of X; None when a face has no image,
+    or when the boundary has no filler or more than one."""
+    images = []
+    for f in X.faces[cell.nd]:
+        img = assign.get(f.nd)
+        if img is None:
+            return None
+        images.append(DecoratedSSet._apply_word(img, f.word))
+    hits = Y.by_faces(cell.dim).get(tuple(images), ())
+    return hits[0] if len(hits) == 1 else None

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat
-from .simplicial import Cell, DecMap, DecoratedSSet, SSetBuilder, add_coskeletal_top
+from .simplicial import Cell, DecMap, DecoratedSSet, SSetBuilder, add_coskeletal_top, fill
 
 
 class StrictTwoCat:
@@ -260,26 +260,26 @@ class TwoFunctor:
         C, D = self.src, self.dst
         for f, (a, b) in C.onecells.items():
             g = self.map1.get(f)
-            if g is None or D.onecells.get(g) != (self.omap[a], self.omap[b]):
+            if g is None or D.onecells.get(g) != (self.omap.get(a), self.omap.get(b)):
                 bad.append(("1-cell", f))
         for a in C.objects:
-            if self.map1.get(C.id1[a]) != D.id1[self.omap[a]]:
+            if self.map1.get(C.id1[a]) != D.id1.get(self.omap.get(a)):
                 bad.append(("id1", a))
         for (g, f), h in C.hcomp1.items():
-            if self.map1.get(h) != D.hcomp1.get((self.map1[g], self.map1[f])):
+            if self.map1.get(h) != D.hcomp1.get((self.map1.get(g), self.map1.get(f))):
                 bad.append(("hcomp1", g, f))
         for t, (f, g) in C.twocells.items():
             u = self.map2.get(t)
-            if u is None or D.twocells.get(u) != (self.map1[f], self.map1[g]):
+            if u is None or D.twocells.get(u) != (self.map1.get(f), self.map1.get(g)):
                 bad.append(("2-cell", t))
         for f in C.onecells:
-            if self.map2.get(C.id2[f]) != D.id2[self.map1[f]]:
+            if self.map2.get(C.id2[f]) != D.id2.get(self.map1.get(f)):
                 bad.append(("id2", f))
         for (b, a), c in C.vcomp.items():
-            if self.map2.get(c) != D.vcomp.get((self.map2[b], self.map2[a])):
+            if self.map2.get(c) != D.vcomp.get((self.map2.get(b), self.map2.get(a))):
                 bad.append(("vcomp", b, a))
         for (b, a), c in C.hcomp2.items():
-            if self.map2.get(c) != D.hcomp2.get((self.map2[b], self.map2[a])):
+            if self.map2.get(c) != D.hcomp2.get((self.map2.get(b), self.map2.get(a))):
                 bad.append(("hcomp2", b, a))
         return bad
 
@@ -519,27 +519,11 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
                                  label=("tri", quad))
                     cell_data[cell.nd] = quad
 
-    # assemble the 2-truncation to compute spheres and degeneracies
+    # 3-simplices: the boundary spheres of the 2-truncation whose pasting
+    # equation holds
     partial = ScaledNerve(C, "PLAIN", b.n_cells, b.faces, (), (), (), b.labels, cell_data)
-    degenerate_spheres = set()
-    for z in partial.all_cells(2):
-        for j in range(3):
-            s = partial.deg(z, j)
-            degenerate_spheres.add(tuple(partial.face(s, i) for i in range(4)))
-    from .simplicial import coskeletal_spheres
-    tetra_count = 0
-    for sphere in sorted(coskeletal_spheres(partial, 3)):
-        if sphere in degenerate_spheres:
-            continue
-        d0, d1, d2, d3 = sphere
-        if not cocycle_holds(C, partial.tri_data(d3), partial.tri_data(d2),
-                             partial.tri_data(d1), partial.tri_data(d0)):
-            continue
-        nd = (3, tetra_count)
-        b.faces[nd] = sphere
-        b.labels[nd] = ("tet", sphere)
-        tetra_count += 1
-    n_cells = list(b.n_cells) + [tetra_count]
+    X = add_coskeletal_top(partial, 3, keep=lambda sphere: cocycle_holds(
+        C, *(partial.tri_data(tri) for tri in reversed(sphere))))
 
     marked = []
     for f in sorted(C.onecells):
@@ -552,18 +536,16 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
         kind = "MB"
         lean = [nd for nd, quad in cell_data.items() if lean_flag(quad[3])]
 
-    X3 = ScaledNerve(C, kind, n_cells, b.faces, marked, thin, lean, b.labels, cell_data)
+    X3 = ScaledNerve(C, kind, X.n_cells, X.faces, marked, thin, lean, X.labels, cell_data)
     if max_dim >= 4:
         ext = add_coskeletal_top(X3, 4)
-        X4 = ScaledNerve(C, kind, ext.n_cells, ext.faces, marked, thin, lean,
-                         ext.labels, cell_data)
-        return X4
+        return ScaledNerve(C, kind, ext.n_cells, ext.faces, marked, thin, lean,
+                           ext.labels, cell_data)
     return X3
 
 
 def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
     """Induced map of scaled nerves."""
-    C, D = F.src, F.dst
     assign: dict = {}
     for cell in NC.all_nondeg():
         kindlab = NC.labels[cell.nd][0]
@@ -575,21 +557,11 @@ def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
             f, g, h, s = NC.cell_data[cell.nd]
             assign[cell.nd] = ND.triangle_cell(F.map1[f], F.map1[g], F.map1[h], F.map2[s])
         else:  # tetrahedra and coskeletal cells: determined by faces
-            sphere = tuple(assign_cell(ND, assign, NC.face(cell, i))
-                           for i in range(cell.dim + 1))
-            assign[cell.nd] = _cell_with_faces(ND, cell.dim, sphere)
+            assign[cell.nd] = fill(ND, assign, NC, cell)
+            if assign[cell.nd] is None:
+                raise ValueError(f"no unique {cell.dim}-cell of the target fills the image "
+                                 f"of the boundary of {cell}")
     return DecMap(NC, ND, assign)
-
-
-def assign_cell(ND: DecoratedSSet, assign: dict, cell: Cell) -> Cell:
-    return DecoratedSSet._apply_word(assign[cell.nd], cell.word)
-
-
-def _cell_with_faces(X: DecoratedSSet, dim: int, sphere: tuple) -> Cell:
-    hits = X.by_faces(dim).get(sphere)
-    if not hits or len(hits) > 1:
-        raise ValueError(f"expected a unique {dim}-cell with given boundary, got {hits}")
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ pass/fail lines.  All combinatorial checks are exact; the two runtime bounds
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -212,6 +213,11 @@ def test_criterion_8_filtration_audit(battery):
            f"{total} simplices across {len(battery)} fixtures, 100% reachable")
 
 
+# The reference report of `laxfib corpus` at the default seed.
+CORPUS_BYTES = 21006
+CORPUS_SHA256 = "2863989f86c5630bc1c49cb486b1dd6b29c57242ee79bf1bb38487e6d4aa9f47"
+
+
 def test_criterion_9_determinism(tmp_path):
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
     assert cli.main(["corpus", "-o", str(out1)]) == 0
@@ -222,3 +228,5 @@ def test_criterion_9_determinism(tmp_path):
            f"two corpus runs byte-identical ({out1.stat().st_size} bytes, "
            f"seed {rep['seed']})")
     assert identical
+    assert len(out1.read_bytes()) == CORPUS_BYTES
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == CORPUS_SHA256

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -201,3 +204,66 @@ def test_report_determinism(tmp_path):
     cli.main([*args, "-o", str(out1)])
     cli.main([*args, "-o", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _bad_inputs(tmp_path) -> dict:
+    def put(name, doc):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    twocat = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
+    cat = json.loads(Path(data_path("category-walking-arrow.json")).read_text())
+    return {
+        "arrow": data_path("category-walking-arrow.json"),
+        "f0": data_path("functor-point-into-arrow-at-0.json"),
+        "pt2": data_path("twocat-2bracket-point.json"),
+        "arrow2": data_path("twocat-2bracket-walking-arrow.json"),
+        "f2": data_path("two-functor-2bracket-at-0.json"),
+        "unmapped": put("unmapped.json", {
+            "schema": "laxfib/cat-functor-v1", "objects": {"0": "0"},
+            "morphisms": {"0<0": "0<0"}}),
+        "unmapped2": put("unmapped2.json", {
+            "schema": "laxfib/two-functor-v1", "objects": {"0": "0"},
+            "onecells": {"id0": "id0"}, "twocells": {}}),
+        "list-name": put("list-name.json", dict(cat, morphisms=[
+            dict(cat["morphisms"][0], name=["0<0"]), *cat["morphisms"][1:]])),
+        "short-vcomp": put("short-vcomp.json", dict(twocat, vcomp=[
+            twocat["vcomp"][0][:2], *twocat["vcomp"][1:]])),
+        "list-doc": put("list-doc.json", "[1, 2]"),
+        "list-marking": put("list-marking.json", {"marked1": [["o:*"]]}),
+        "list-faces": put("list-faces.json", {"kind": "PLAIN", "dims": [1], "faces": []}),
+        "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
+        "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
+    }
+
+
+# Calls that end in a traceback unless bad input is reported as such; "@name"
+# stands for an input file of _bad_inputs.
+BAD_CALLS = {
+    "laxlim-delta1-unmapped-object": "laxlim @arrow @arrow @unmapped --shape delta1",
+    "joyal-unmapped-object": "joyal @arrow @arrow @unmapped",
+    "duality-unmapped-object": "duality @arrow @arrow @unmapped",
+    "check-cofinal-unmapped-cells": "check-cofinal @pt2 @arrow2 @unmapped2",
+    "freefib-unmapped-cells": "freefib @pt2 @arrow2 @unmapped2",
+    "check-fibration-unmapped-cells": "check-fibration @pt2 @arrow2 @unmapped2",
+    "freefib-unknown-fiber": "freefib @pt2 @arrow2 @f2 --fiber nope",
+    "gray-past-cap-without-truncate": "gray @s2 @s3",
+    "morphism-name-is-a-list": "joyal @list-name @arrow @f0",
+    "vcomp-triple-too-short": "nerve @short-vcomp",
+    "document-is-a-list": "nerve @list-doc",
+    "marked-entry-is-a-list": "nerve @pt2 --marking @list-marking",
+    "sset-faces-is-a-list": "homology @list-faces",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CALLS))
+def test_bad_input_is_input_error(tmp_path, case):
+    files = _bad_inputs(tmp_path)
+    argv = [files[a[1:]] if a.startswith("@") else a for a in BAD_CALLS[case].split()]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "laxfib.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from importlib import resources
+
 import pytest
 
 from laxfib.anodyne import certify_fibration
@@ -12,10 +16,18 @@ from laxfib.freefib import (
     compare_tame_fr,
     degeneracy_lemma_violations,
     face_identity_violations,
+    fr_nerve,
     gamma_pair,
     three_coskeletal_violations,
 )
-from laxfib.twocat import identity_two_functor, terminal_twocat, two_bracket_functor
+from laxfib.twocat import (
+    StrictTwoCat,
+    fr,
+    identity_two_functor,
+    scaled_nerve,
+    terminal_twocat,
+    two_bracket_functor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +280,64 @@ def test_fiber_is_ms_fibrant(small_ff):
     p = DecMap(fib, base, {c.nd: const(c) for c in fib.all_nondeg()})
     res = certify_fibration(p, "MS", n_max=4)
     assert res.ok, res.to_json_dict()
+
+
+# sha256 of the canonical JSON (``to_json``) of the scaled nerve of each bundled
+# 2-category, and of the tame total space and of nerve(Fr) in dagger and
+# natural mode for each battery fixture.  These tables hold the coskeletal
+# cells, so any change to how fillers are found must leave them unchanged.
+PINNED_TABLES = {
+    "twocat-2bracket-point":
+        "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
+    "twocat-2bracket-walking-arrow":
+        "87beaad130a33bc6e5fc50386c3921343331cfaded8562a1b147b4c9b348af75",
+    "twocat-corrupted-interchange":
+        "4732470a5e22711e8f12439c36189d0cd7de44f2d64cd37b9a4790b979cd8498",
+    "terminal-id": [
+        "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
+        "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
+        "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
+    ],
+    "2bracket-pt-id": [
+        "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
+        "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
+        "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
+    ],
+    "2bracket-empty-into-pt": [
+        "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
+        "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
+        "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
+    ],
+    "2bracket-pt-into-arrow-at-0": [
+        "3d6b89811b06a7820c3e360d910afe827a1b996a3b36dfb7320ddf9b338d94a7",
+        "2a68dabb5bbeff776f4204162279f0910e17a15079a232dff4f11f044094e362",
+        "2a68dabb5bbeff776f4204162279f0910e17a15079a232dff4f11f044094e362",
+    ],
+    "2bracket-pt-into-arrow-at-1": [
+        "bc9ef2de8aace944958fdc82585f0fcc4940e47bf6d1dc316a53aa55e715e18d",
+        "ee3f6dbfbe567c3a7346b08bd6bc582191bd1d80e1713f10f63ca3a5c6407fd3",
+        "ee3f6dbfbe567c3a7346b08bd6bc582191bd1d80e1713f10f63ca3a5c6407fd3",
+    ],
+    "2bracket-arrow-id": [
+        "bf9ac6543079884635ef36e85d99c66d650242f0f23c1a5b57e22ddaf4c287f6",
+        "24ec3c39d8cdd8e74a99e4735162a0873775cb86d340c07559c02f7f95313cec",
+        "24ec3c39d8cdd8e74a99e4735162a0873775cb86d340c07559c02f7f95313cec",
+    ],
+}
+
+
+def _table_digest(X) -> str:
+    return hashlib.sha256(X.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_TABLES))
+def test_tables_are_pinned(name):
+    if name.startswith("twocat-"):
+        doc = resources.files("laxfib").joinpath("data", f"{name}.json").read_text()
+        got = _table_digest(scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc))))
+    else:
+        F = dict(fixture_functors())[name]
+        bundle = fr(F)
+        got = [_table_digest(build_free_fibration(F).total)] + \
+            [_table_digest(fr_nerve(bundle, mode)) for mode in ("dagger", "natural")]
+    assert got == PINNED_TABLES[name]

@@ -20,6 +20,7 @@ from laxfib.simplicial import (
     empty_sset,
     enumerate_maps,
     face_through_word,
+    fill,
     horn,
     insert_degeneracy,
     product,
@@ -28,6 +29,8 @@ from laxfib.simplicial import (
     standard_simplex,
     vertex_cell,
 )
+from laxfib.fincat import walking_arrow, walking_iso
+from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
 def brute_monotone_maps(m: int, n: int) -> list[tuple[int, ...]]:
@@ -363,6 +366,77 @@ def test_five_simplicial_identities_on_words(n, data):
                 assert got == X.deg(X.face(cell, i), j - 1)
             else:
                 assert got == X.deg(X.face(cell, i - 1), j)
+
+
+# objects whose face tables do not come from vertex subsets as well as ones
+# that do: a product, a boundary sphere and a 3-coskeletal scaled nerve
+KERNEL_OBJECTS = [
+    standard_simplex(3, kind="PLAIN"),
+    boundary_simplex(3),
+    product(standard_simplex(1, kind="PLAIN"), standard_simplex(2, kind="PLAIN")),
+    scaled_nerve(two_bracket(walking_iso())),
+]
+
+
+@st.composite
+def kernel_cells(draw):
+    """A cell of a kernel object: a nondegenerate root under a random word."""
+    X = draw(st.sampled_from(KERNEL_OBJECTS))
+    cell = draw(st.sampled_from(X.all_nondeg()))
+    for _ in range(draw(st.integers(0, 3))):
+        cell = X.deg(cell, draw(st.integers(0, cell.total_dim)))
+    return X, cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cells(), st.data())
+def test_simplicial_identities_on_random_cells(xc, data):
+    X, x = xc
+    n = x.total_dim
+    # normal form: strictly decreasing word, s_{i1} valid on its argument
+    assert all(a > b for a, b in zip(x.word, x.word[1:]))
+    assert not x.word or x.word[0] <= n - 1
+    for j in range(1, n + 1):
+        for i in range(j if n >= 2 else 0):     # faces of faces need n >= 2
+            assert X.face(X.face(x, j), i) == X.face(X.face(x, i), j - 1)
+    j = data.draw(st.integers(0, n))
+    s = X.deg(x, j)
+    for i in range(n + 2):
+        if i in (j, j + 1):
+            assert X.face(s, i) == x
+        elif i < j:
+            assert X.face(s, i) == X.deg(X.face(x, i), j - 1)
+        else:
+            assert X.face(s, i) == X.deg(X.face(x, i - 1), j)
+    for i in range(j + 1):
+        assert X.deg(s, i) == X.deg(X.deg(x, i), j + 1)
+
+
+@given(kernel_cells(), st.lists(st.integers(0, 6), max_size=3))
+def test_apply_word_is_repeated_degeneracy(xc, raw):
+    X, x = xc
+    cell, word = x, ()
+    for r in raw:
+        j = r % (cell.total_dim + 1)
+        cell = X.deg(cell, j)
+        word = (j,) + word      # s_j composed on the outside
+    assert DecoratedSSet._apply_word(x, word) == cell
+
+
+def test_fill_without_filler_is_none():
+    # the boundary of the 2-simplex has no 2-cell on the image of its boundary
+    X, Y = standard_simplex(2, kind="PLAIN"), boundary_simplex(2)
+    assign = {c.nd: Y.cell_by_label(c.dim, X.labels[c.nd]) for c in X.all_nondeg() if c.dim < 2}
+    assert fill(Y, assign, X, Cell(2, 0)) is None
+    assert fill(X, {c.nd: c for c in X.all_nondeg()}, X, Cell(2, 0)) == Cell(2, 0)
+
+
+def test_nerve_map_without_filler_raises():
+    C = two_bracket(walking_arrow())
+    NC, ND = scaled_nerve(C), scaled_nerve(C, max_dim=3)
+    assert NC.num(4) > 0 and ND.num(4) == 0
+    with pytest.raises(ValueError):
+        nerve_map(identity_two_functor(C), NC, ND)
 
 
 @given(st.integers(1, 2), st.integers(1, 2))
