@@ -23,6 +23,10 @@ EXIT_FAIL = 2
 EXIT_UNKNOWN = 3
 
 
+# the legs of each lax-limit shape; a leg is named by its --marking value
+SHAPE_LEGS = {"lambda22": ("cospan", (laxlim.F_LEG, laxlim.G_LEG)),
+              "delta1": ("arrow", (laxlim.ARROW_LEG,))}
+
 VERDICT_EXIT = {"yes": EXIT_OK, "AGREE": EXIT_OK, "no": EXIT_FAIL, "DISAGREE": EXIT_FAIL,
                 "unknown": EXIT_UNKNOWN, "UNDECIDED": EXIT_UNKNOWN}
 
@@ -270,32 +274,21 @@ def cmd_duality(args) -> int:
 
 def cmd_laxlim(args) -> int:
     cfg = _config(args)
+    shape, legs = SHAPE_LEGS[args.shape]
+    marking = frozenset({"none": (), "both": legs}.get(args.marking, (args.marking,)))
+    if not marking <= set(legs):
+        raise InputError(f"marking {args.marking} does not name {shape} legs")
     A = parse_category(args.a)
     B = parse_category(args.b)
     if args.shape == "delta1":
-        E = parse_cat_functor(args.f, A, B)
-        marked = args.marking in ("0->1", "both")
-        cand = laxlim.arrow_limit(E, marked=marked)
-        diagram = laxlim.ArrowDiagram(
-            E, frozenset({laxlim.ARROW_LEG}) if marked else frozenset())
+        diagram = laxlim.ArrowDiagram(parse_cat_functor(args.f, A, B), marking)
     else:
         if args.c is None or args.g is None:
             raise InputError("the cospan shape needs categories a b c and functors f g")
         C = parse_category(args.c)
-        F = parse_cat_functor(args.f, A, C)
-        G = parse_cat_functor(args.g, B, C)
-        marking = {"none": frozenset(), "0->2": frozenset({laxlim.G_LEG}),
-                   "1->2": frozenset({laxlim.F_LEG}),
-                   "both": frozenset({laxlim.F_LEG, laxlim.G_LEG})}.get(args.marking)
-        if marking is None:
-            raise InputError(f"marking {args.marking} does not name cospan legs")
-        if marking == frozenset():
-            cand = laxlim.lax_pullback(F, G)
-        elif marking == frozenset({laxlim.F_LEG, laxlim.G_LEG}):
-            cand = laxlim.pseudo_pullback(F, G)
-        else:
-            cand = laxlim.directed_pullback(F, G, next(iter(marking)))
-        diagram = laxlim.ConeDiagram(F, G, marking)
+        diagram = laxlim.ConeDiagram(parse_cat_functor(args.f, A, C),
+                                     parse_cat_functor(args.g, B, C), marking)
+    cand = laxlim.lax_limit(diagram)
     report = {"command": "laxlim", "config": cfg, "shape": args.shape,
               "marking": args.marking,
               "category": cand.category.to_json_dict()}

@@ -25,7 +25,8 @@ from .simplicial import (
     degenerate_spheres,
     enumerate_maps,
     fill,
-    insert_degeneracy,
+    keyed_cells,
+    normal_form,
     vertex_cell,
 )
 from .twocat import (
@@ -73,10 +74,7 @@ class PairSimplex:
                            self.rho.compose(simplex_deg(self.n, j)))
 
     def is_degenerate(self) -> bool:
-        for j in range(self.n):
-            if self.face(j).degeneracy(j).key() == self.key():
-                return True
-        return False
+        return any(self.face(j).degeneracy(j) == self for j in range(self.n))
 
 
 def classifying_map(X: DecoratedSSet, x: Cell) -> DecMap:
@@ -117,7 +115,7 @@ class FreeFibration:
         self.nd: ScaledNerve = scaled_nerve(f.dst, dst_marking)
         self.fN = nerve_map(f, self.nc, self.nd)
         self.pairs: dict[tuple, PairSimplex] = {}       # total cell nd -> pair
-        self.index: dict[tuple, Cell] = {}              # pair key -> total cell
+        self.index: dict[PairSimplex, Cell] = {}        # nondegenerate pair -> total cell
         self.total: DecoratedSSet = self._build_total()
         self.base: DecoratedSSet = sharp_base(self.nd)
         self.proj: DecMap = self._projection()
@@ -145,57 +143,22 @@ class FreeFibration:
         return enumerate_maps(delta(n), NC, constraint=hook, respect_decorations=False)
 
     def _build_total(self) -> DecoratedSSet:
-        all_pairs: dict[int, list[PairSimplex]] = {}
-        for n in range(TOP_DIM + 1):
-            level = []
-            for phi in self._tame_phis(n):
-                for rho in self._rhos_for(phi, n):
-                    level.append(PairSimplex(n, phi, rho))
-            all_pairs[n] = sorted(level, key=lambda p: p.key())
-
-        n_cells = []
-        faces: dict = {}
-        labels: dict = {}
-        for n in range(TOP_DIM + 1):
-            count = 0
-            for pair in all_pairs[n]:
-                if pair.is_degenerate():
-                    continue
-                nd = (n, count)
-                self.pairs[nd] = pair
-                self.index[pair.key()] = Cell(n, count)
-                labels[nd] = ("pair", pair.key())
-                count += 1
-            n_cells.append(count)
-        for nd, pair in self.pairs.items():
-            if nd[0] == 0:
-                continue
-            faces[nd] = tuple(self.cell_of(pair.face(i)) for i in range(nd[0] + 1))
-
-        marked, thin, lean = set(), set(), set()
-        for nd, pair in self.pairs.items():
-            if nd[0] == 1 and self._edge_marked(pair, self.mode):
-                marked.add(nd)
-            elif nd[0] == 2 and self._triangle_lean(pair):
-                lean.add(nd)
-                if self._triangle_thin(pair):
-                    thin.add(nd)
-
+        levels = [sorted((PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
+                          for rho in self._rhos_for(phi, n)), key=PairSimplex.key)
+                  for n in range(TOP_DIM + 1)]
+        n_cells, faces, self.index = keyed_cells(levels, PairSimplex.face, PairSimplex.degeneracy)
+        self.pairs = {cell.nd: pair for pair, cell in self.index.items()}
+        labels = {nd: ("pair", pair.key()) for nd, pair in self.pairs.items()}
+        pairs = self.pairs.items()
+        marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
+        lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
+        thin = {nd for nd in lean if self._triangle_thin(self.pairs[nd])}
         X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean, labels=labels)
         return add_coskeletal_top(X3, TOP_DIM + 1)
 
     def cell_of(self, pair: PairSimplex) -> Cell:
         """Total-space cell (possibly degenerate) realizing a pair."""
-        key = pair.key()
-        hit = self.index.get(key)
-        if hit is not None:
-            return hit
-        for j in range(pair.n - 1, -1, -1):
-            inner = pair.face(j)
-            if inner.degeneracy(j).key() == key:
-                base = self.cell_of(inner)
-                return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
-        raise KeyError("pair does not belong to the total space")
+        return normal_form(pair, pair.n, self.index, PairSimplex.face, PairSimplex.degeneracy)
 
     # -- decorations -----------------------------------------------------------
 
@@ -588,17 +551,12 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         rho = classifying_map(NC, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta))
         return PairSimplex(2, DecMap(P2, ND, phi_assign), rho)
 
+    pair_of = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     for cell in N.all_nondeg():
-        kindlab = N.labels[cell.nd][0]
-        if kindlab == "obj":
-            pair = object_pair(N.labels[cell.nd][1])
-            assign[cell.nd] = ff.index.get(pair.key())
-        elif kindlab == "1cell":
-            pair = edge_pair(N.labels[cell.nd][1])
-            assign[cell.nd] = ff.index.get(pair.key())
-        elif kindlab == "tri":
-            pair = triangle_pair(N.cell_data[cell.nd])
-            assign[cell.nd] = ff.index.get(pair.key()) if pair else None
+        kind, data = N.labels[cell.nd]
+        if kind in pair_of:
+            # a triangle without a pair (None) is not in the index either
+            assign[cell.nd] = ff.index.get(pair_of[kind](data))
         else:
             assign[cell.nd] = fill(ff.total, assign, N, cell)
         if assign[cell.nd] is None:

@@ -145,9 +145,10 @@ def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, 
     return P, projections, alphas
 
 
-def _lax_limit(diagram: Diagram, name: str) -> LimitCandidate:
-    """Tuples of vertex objects and leg components, with invertible components
-    on the marked legs; the cone is the tuple of projections."""
+def lax_limit(diagram: Diagram, name: str = "laxlim") -> LimitCandidate:
+    """The partially lax limit of a diagram: tuples of vertex objects and leg
+    components, with invertible components on the marked legs; the cone is the
+    tuple of projections."""
     links = [(f, i, identity_functor(diagram.vertices[j]), j) for _, f, i, j in diagram.legs]
     iso = [pos for pos, leg in enumerate(diagram.legs) if leg[0] in diagram.marking]
     P, projections, alphas = _tuples(diagram.vertices, links, name, iso)
@@ -158,13 +159,13 @@ def _lax_limit(diagram: Diagram, name: str) -> LimitCandidate:
 def lax_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """Objects (a, b, c, alpha_a: F(a) -> c, alpha_b: G(b) -> c); morphisms are
     componentwise with both squares commuting strictly."""
-    return _lax_limit(Diagram(*_cospan(F, G)), "laxpb")
+    return lax_limit(Diagram(*_cospan(F, G)), "laxpb")
 
 
 def pseudo_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """The full subcategory of the lax pullback on tuples with both legs
     invertible."""
-    return _lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})), "laxpb")
+    return lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})), "laxpb")
 
 
 def directed_pullback(F: CatFunctor, G: CatFunctor,
@@ -178,7 +179,7 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
     """
     if marked_leg not in (F_LEG, G_LEG):
         raise ValueError("marked_leg must name one of the two legs")
-    out = _lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})), "laxpb")
+    out = lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})), "laxpb")
     # the one-arrow model: objects (a, b, alpha) across the unmarked leg
     here, there = (F, G) if marked_leg == G_LEG else (G, F)
     out.strictified = _tuples((here.src, there.src), [(here, 0, there, 1)], "dirpb")[0]
@@ -188,8 +189,8 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
 def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
     """The lax limit of a single functor: tuples (a, b, beta: E(a) -> b),
     restricted to invertible beta when the leg is marked."""
-    return _lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()),
-                      "arrowlim")
+    return lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()),
+                     "arrowlim")
 
 
 # ---------------------------------------------------------------------------

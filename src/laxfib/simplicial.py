@@ -89,6 +89,48 @@ def face_through_word(word: tuple[int, ...], i: int):
     return insert_degeneracy(w2, j), r
 
 
+def normal_form(key, n: int, index: dict, face: Callable, deg: Callable) -> Cell:
+    """The Cell of an n-simplex given by a hashable key, degenerate or not.
+
+    ``index`` maps each nondegenerate key to its Cell; ``face(key, i)`` and
+    ``deg(key, j)`` act on keys.  A key missing from ``index`` is
+    ``deg(face(key, j), j)`` for some j: the largest such j is peeled off.
+    """
+    hit = index.get(key)
+    if hit is not None:
+        return hit
+    for j in range(n - 1, -1, -1):
+        inner = face(key, j)
+        if deg(inner, j) == key:
+            base = normal_form(inner, n - 1, index, face, deg)
+            return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
+    raise KeyError(f"{key!r} is not a simplex of this object")
+
+
+def keyed_cells(levels: list, face: Callable, deg: Callable) -> tuple[list[int], dict, dict]:
+    """Nondegenerate cells of a simplicial object given on hashable keys.
+
+    ``levels[n]`` lists the n-simplices in order; a key is degenerate when it
+    is ``deg(face(key, j), j)`` for some j.  Returns the cell counts, the face
+    tables and the Cell of each nondegenerate key, numbered in list order.
+    """
+    n_cells: list[int] = []
+    faces: dict = {}
+    index: dict = {}
+    for n, keys in enumerate(levels):
+        count = 0
+        for key in keys:
+            if any(deg(face(key, j), j) == key for j in range(n)):
+                continue
+            cell = index[key] = Cell(n, count)
+            if n:
+                faces[cell.nd] = tuple(normal_form(face(key, i), n - 1, index, face, deg)
+                                       for i in range(n + 1))
+            count += 1
+        n_cells.append(count)
+    return n_cells, faces, index
+
+
 class DecoratedSSet:
     """A finite (decorated) simplicial set given by face tables.
 
@@ -384,13 +426,8 @@ class SSetBuilder:
 
     def build(self, kind="PLAIN", marked=(), thin=(), lean=(), coskeletal=None,
               truncated_at=None) -> DecoratedSSet:
-        return DecoratedSSet(
-            kind, self.n_cells, self.faces,
-            marked=[c.nd for c in marked] if marked and isinstance(next(iter(marked)), Cell) else marked,
-            thin=[c.nd for c in thin] if thin and isinstance(next(iter(thin)), Cell) else thin,
-            lean=[c.nd for c in lean] if lean and isinstance(next(iter(lean)), Cell) else lean,
-            labels=self.labels, coskeletal=coskeletal, truncated_at=truncated_at,
-        )
+        return DecoratedSSet(kind, self.n_cells, self.faces, marked, thin, lean,
+                             labels=self.labels, coskeletal=coskeletal, truncated_at=truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -704,19 +741,26 @@ class ProductSSet(DecoratedSSet):
         self.factor_b = B
         self.pair_of = pair_of        # nondeg product cell nd -> (Cell in A, Cell in B)
         self._cell_of = cell_of       # (Cell in A, Cell in B) -> nondeg product Cell
+        self._pair_ops = _pair_ops(A, B)
         self.truncated = truncated_at is not None
 
     def ref_of_pair(self, x: Cell, y: Cell) -> Cell:
         """Product cell (possibly degenerate) for a pair of same-dim cells."""
         if x.total_dim != y.total_dim:
             raise ValueError("pair components must have equal dimension")
-        return _pair_lookup(self._cell_of, self.factor_a, self.factor_b, x, y)
+        return normal_form((x, y), x.total_dim, self._cell_of, *self._pair_ops)
 
     def proj_a(self) -> DecMap:
         return DecMap(self, self.factor_a, {nd: self.pair_of[nd][0] for nd in self.pair_of})
 
     def proj_b(self) -> DecMap:
         return DecMap(self, self.factor_b, {nd: self.pair_of[nd][1] for nd in self.pair_of})
+
+
+def _pair_ops(A: DecoratedSSet, B: DecoratedSSet) -> tuple[Callable, Callable]:
+    """Face and degeneracy on pairs of same-dimension cells of A and B."""
+    return (lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
+            lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)))
 
 
 def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
@@ -730,47 +774,19 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
         raise DimensionCapError(
             f"product dimension {full_dim} exceeds cap {cap}; pass truncate=True")
     top = min(full_dim, cap)
-    b = SSetBuilder()
-    cell_of: dict = {}
-    pair_of: dict = {}
+    levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
+    n_cells, faces, cell_of = keyed_cells(levels, *_pair_ops(A, B))
+    pair_of = {cell.nd: pair for pair, cell in cell_of.items()}
+    labels = {nd: (A.labels.get(x.nd, x.nd) if not x.word else x,
+                   B.labels.get(y.nd, y.nd) if not y.word else y)
+              for nd, (x, y) in pair_of.items()}
 
-    def jointly_nondeg(x: Cell, y: Cell) -> bool:
-        n = x.total_dim
-        for j in range(n):
-            if j in x.word and j in y.word:
-                xa = A.face(x, j)
-                ya = B.face(y, j)
-                if A.deg(xa, j) == x and B.deg(ya, j) == y:
-                    return False
-        return True
+    def pairwise(dim: int, test: Callable) -> set:
+        return {nd for nd, (x, y) in pair_of.items() if nd[0] == dim and test(A, x) and test(B, y)}
 
-    for dim in range(top + 1):
-        for x in A.all_cells(dim):
-            for y in B.all_cells(dim):
-                if not jointly_nondeg(x, y):
-                    continue
-                if dim == 0:
-                    faces = ()
-                else:
-                    faces = tuple(
-                        _pair_lookup(cell_of, A, B, A.face(x, i), B.face(y, i))
-                        for i in range(dim + 1)
-                    )
-                cell = b.add(dim, faces, label=(A.labels.get(x.nd, x.nd) if not x.word else x,
-                                                B.labels.get(y.nd, y.nd) if not y.word else y))
-                cell_of[(x, y)] = cell
-                pair_of[cell.nd] = (x, y)
-
-    marked, thin, lean = set(), set(), set()
-    for nd, (x, y) in pair_of.items():
-        if nd[0] == 1:
-            if A.is_marked(x) and B.is_marked(y):
-                marked.add(nd)
-        elif nd[0] == 2:
-            if A.is_thin(x) and B.is_thin(y):
-                thin.add(nd)
-            if A.is_lean(x) and B.is_lean(y):
-                lean.add(nd)
+    marked = pairwise(1, DecoratedSSet.is_marked)
+    thin = pairwise(2, DecoratedSSet.is_thin)
+    lean = pairwise(2, DecoratedSSet.is_lean)
     if kind is None:
         kind = A.kind if A.kind == B.kind else "PLAIN"
     if kind == "PLAIN":
@@ -780,24 +796,8 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
         lean = thin
     if kind == "MS":
         lean = thin
-    P = ProductSSet(A, B, kind, marked, thin, lean, pair_of, cell_of,
-                    b.n_cells, b.faces, b.labels,
-                    truncated_at=top if full_dim > top else None)
-    return P
-
-
-def _pair_lookup(cell_of, A, B, x, y):
-    """Cell (possibly degenerate) of the product for an arbitrary pair."""
-    key = (x, y)
-    if key in cell_of:
-        return cell_of[key]
-    n = x.total_dim
-    for j in range(n - 1, -1, -1):
-        ax, ay = A.face(x, j), B.face(y, j)
-        if A.deg(ax, j) == x and B.deg(ay, j) == y:
-            inner = _pair_lookup(cell_of, A, B, ax, ay)
-            return Cell(inner.dim, inner.idx, insert_degeneracy(inner.word, j))
-    raise KeyError(f"pair {key} not representable (beyond truncation?)")
+    return ProductSSet(A, B, kind, marked, thin, lean, pair_of, cell_of, n_cells, faces, labels,
+                       truncated_at=top if full_dim > top else None)
 
 
 def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:

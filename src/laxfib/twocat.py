@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat
-from .simplicial import Cell, DecMap, DecoratedSSet, SSetBuilder, add_coskeletal_top, fill
+from .simplicial import (Cell, DecMap, DecoratedSSet, add_coskeletal_top, fill, keyed_cells,
+                         normal_form)
 
 
 class StrictTwoCat:
@@ -103,8 +104,12 @@ class StrictTwoCat:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> list[tuple]:
-        """Every violated law with a witness; empty iff all laws hold."""
-        bad = []
+        """Every violated law with a witness; empty iff all laws hold.  Cells and
+        table entries naming unknown objects or cells are reported alone: the
+        laws look those names up."""
+        bad = self._name_violations()
+        if bad:
+            return bad
         for a in self.objects:
             for b in self.objects:
                 bad.extend(("hom", a, b) + v for v in self.hom_cat(a, b).validate())
@@ -163,6 +168,17 @@ class StrictTwoCat:
                     rhs = self.hcomp2.get((inner_r, alpha)) if inner_r else None
                     if lhs is None or rhs is None or lhs != rhs:
                         bad.append(("assoc-2", gamma, beta, alpha))
+        return bad
+
+    def _name_violations(self) -> list[tuple]:
+        objs, ones, twos = set(self.objects), set(self.onecells), set(self.twocells)
+        bad = [("1-cell-endpoints", f) for f, st in self.onecells.items() if not set(st) <= objs]
+        bad += [("2-cell-endpoints", t) for t, st in self.twocells.items() if not set(st) <= ones]
+        bad += [("id1", a) for a in self.objects if self.id1.get(a) not in ones]
+        bad += [("id2", f) for f in self.onecells if self.id2.get(f) not in twos]
+        for law, table, known in (("vcomp", self.vcomp, twos), ("hcomp1", self.hcomp1, ones),
+                                  ("hcomp2", self.hcomp2, twos)):
+            bad += [(law, *pair) for pair, res in table.items() if not {*pair, res} <= known]
         return bad
 
     def _hcomposable(self, beta: str, alpha: str) -> bool:
@@ -397,61 +413,44 @@ class ScaledNerve(DecoratedSSet):
 
     A 2-simplex is a quadruple (f, g, h, sigma) with sigma: h => g o f; it is
     thin when sigma is invertible.  3-simplices are the tetrahedra satisfying
-    the pasting (cocycle) equation; the object is 3-coskeletal above.
+    the pasting (cocycle) equation; the object is 3-coskeletal above.  Cells of
+    dimension <= 2 are keyed by their labels ("obj", a), ("1cell", f) and
+    ("tri", quad), degenerate ones included.
     """
 
-    def __init__(self, C: StrictTwoCat, kind, n_cells, faces, marked, thin, lean,
-                 labels, cell_data):
+    def __init__(self, C: StrictTwoCat, kind, n_cells, faces, marked, thin, lean, labels):
         super().__init__(kind, n_cells, faces, marked, thin, lean, labels=labels,
                          coskeletal=3)
         self.twocat = C
-        self.cell_data = cell_data
+        self.key_face, self.key_deg = _nerve_ops(C)
+        self.index = {key: Cell(*nd) for nd, key in labels.items() if nd[0] <= 2}
+
+    def cell_of(self, key: tuple) -> Cell:
+        """Cell (possibly degenerate) of a key of dimension <= 2."""
+        return normal_form(key, KEY_DIMS[key[0]], self.index, self.key_face, self.key_deg)
+
+    def key_of(self, cell: Cell) -> tuple:
+        """Key of a cell of dimension <= 2, degenerate ones included."""
+        key = self.labels[cell.nd]
+        for j in reversed(cell.word):
+            key = self.key_deg(key, j)
+        return key
 
     def vertex_of(self, obj: str) -> Cell:
-        return self.cell_by_label(0, ("obj", obj))
+        return self.cell_of(("obj", obj))
 
     def edge_of(self, onecell: str) -> Cell:
-        """Edge (possibly degenerate) realizing a 1-cell."""
-        C = self.twocat
-        a, b = C.onecells[onecell]
-        if onecell == C.id1[a]:
-            return self.deg(self.vertex_of(a), 0)
-        return self.cell_by_label(1, ("1cell", onecell))
+        return self.cell_of(("1cell", onecell))
 
     def onecell_of(self, edge: Cell) -> str:
-        if edge.is_degenerate():
-            obj = self.labels[edge.nd][1]
-            return self.twocat.id1[obj]
-        return self.labels[edge.nd][1]
+        return self.key_of(edge)[1]
 
     def tri_data(self, tri: Cell) -> tuple[str, str, str, str]:
         """(f, g, h, sigma) of any triangle, degenerate ones included."""
-        C = self.twocat
-        if not tri.is_degenerate():
-            return self.cell_data[tri.nd]
-        root = Cell(tri.dim, tri.idx)
-        if tri.dim == 0:
-            obj = self.labels[root.nd][1]
-            f = C.id1[obj]
-            return (f, f, f, C.id2[f])
-        # degenerate over an edge: word is (0,) or (1,)
-        e = self.onecell_of(root)
-        a, b = C.onecells[e]
-        j = tri.word[0]
-        if j == 0:
-            return (C.id1[a], e, e, C.id2[e])
-        return (e, C.id1[b], e, C.id2[e])
+        return self.key_of(tri)[1]
 
     def triangle_cell(self, f: str, g: str, h: str, sigma: str) -> Cell:
-        """Cell realizing a quadruple; normalizes the degenerate ones."""
-        C = self.twocat
-        a = C.one_src(f)
-        b = C.one_tgt(f)
-        if f == C.id1[a] and g == h and sigma == C.id2[g]:
-            return self.deg(self.edge_of(g), 0)
-        if g == C.id1[b] and f == h and sigma == C.id2[f]:
-            return self.deg(self.edge_of(f), 1)
-        return self.cell_by_label(2, ("tri", (f, g, h, sigma)))
+        return self.cell_of(("tri", (f, g, h, sigma)))
 
     def is_identity_triangle(self, tri: Cell) -> bool:
         """Filler is an identity 2-cell: h = g o f and sigma = id."""
@@ -461,6 +460,27 @@ class ScaledNerve(DecoratedSSet):
 
     def filler_of(self, tri: Cell) -> str:
         return self.tri_data(tri)[3]
+
+
+KEY_DIMS = {"obj": 0, "1cell": 1, "tri": 2}
+
+
+def _nerve_ops(C: StrictTwoCat):
+    """Face and degeneracy on the keys of the nerve's cells of dimension <= 2."""
+    def face(key, i):
+        kind, x = key
+        if kind == "1cell":
+            return ("obj", C.onecells[x][1 - i])
+        return ("1cell", (x[1], x[2], x[0])[i])
+
+    def deg(key, j):
+        kind, x = key
+        if kind == "obj":
+            return ("1cell", C.id1[x])
+        a, b = C.onecells[x]
+        return ("tri", (C.id1[a], x, x, C.id2[x]) if j == 0 else (x, C.id1[b], x, C.id2[x]))
+
+    return face, deg
 
 
 def cocycle_holds(C: StrictTwoCat, data012, data013, data023, data123) -> bool:
@@ -486,76 +506,50 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
         C = marking.base
     if marking is None:
         marking = Marking2Cat(C)
-    b = SSetBuilder()
-    cell_data: dict = {}
-    for a in C.objects:
-        b.add(0, label=("obj", a))
-    for f, (a, bb) in sorted(C.onecells.items()):
-        if f == C.id1[a]:
-            continue
-        b.add(1, (b.by_label(0, ("obj", bb)), b.by_label(0, ("obj", a))), label=("1cell", f))
-
-    def edge_cell(f: str) -> Cell:
-        a = C.one_src(f)
-        if f == C.id1[a]:
-            v = b.by_label(0, ("obj", a))
-            return Cell(v.dim, v.idx, (0,))
-        return b.by_label(1, ("1cell", f))
-
-    # 2-simplices: quadruples minus the two degenerate families
-    for f, (a, a2) in sorted(C.onecells.items()):
-        for g, (b2, c) in sorted(C.onecells.items()):
-            if b2 != a2:
-                continue
-            gf = C.hcomp1[(g, f)]
-            for h in sorted(C.hom1(a, c)):
-                for sigma in sorted(C.two_between(h, gf)):
-                    if f == C.id1[a] and g == h and sigma == C.id2[g]:
-                        continue
-                    if g == C.id1[a2] and f == h and sigma == C.id2[f]:
-                        continue
-                    quad = (f, g, h, sigma)
-                    cell = b.add(2, (edge_cell(g), edge_cell(h), edge_cell(f)),
-                                 label=("tri", quad))
-                    cell_data[cell.nd] = quad
+    levels = [
+        [("obj", a) for a in C.objects],
+        [("1cell", f) for f in sorted(C.onecells)],
+        [("tri", (f, g, h, sigma))
+         for f, (a, a2) in sorted(C.onecells.items())
+         for g, (b2, c) in sorted(C.onecells.items()) if b2 == a2
+         for h in sorted(C.hom1(a, c))
+         for sigma in sorted(C.two_between(h, C.hcomp1[(g, f)]))],
+    ]
+    n_cells, faces, index = keyed_cells(levels, *_nerve_ops(C))
+    labels = {cell.nd: key for key, cell in index.items()}
 
     # 3-simplices: the boundary spheres of the 2-truncation whose pasting
     # equation holds
-    partial = ScaledNerve(C, "PLAIN", b.n_cells, b.faces, (), (), (), b.labels, cell_data)
+    partial = ScaledNerve(C, "PLAIN", n_cells, faces, (), (), (), labels)
     X = add_coskeletal_top(partial, 3, keep=lambda sphere: cocycle_holds(
         C, *(partial.tri_data(tri) for tri in reversed(sphere))))
 
-    marked = []
-    for f in sorted(C.onecells):
-        if f != C.id1[C.one_src(f)] and f in marking.marked1:
-            marked.append(b.by_label(1, ("1cell", f)).nd)
-    thin = [nd for nd, quad in cell_data.items() if C.is_invertible2(quad[3])]
+    marked = [cell.nd for (kind, f), cell in index.items()
+              if kind == "1cell" and f in marking.marked1]
+    quads = {cell.nd: key[1] for key, cell in index.items() if key[0] == "tri"}
+    thin = [nd for nd, quad in quads.items() if C.is_invertible2(quad[3])]
     if lean_flag is None:
         kind, lean = "MS", thin
     else:
         kind = "MB"
-        lean = [nd for nd, quad in cell_data.items() if lean_flag(quad[3])]
+        lean = [nd for nd, quad in quads.items() if lean_flag(quad[3])]
 
-    X3 = ScaledNerve(C, kind, X.n_cells, X.faces, marked, thin, lean, X.labels, cell_data)
+    X3 = ScaledNerve(C, kind, X.n_cells, X.faces, marked, thin, lean, X.labels)
     if max_dim >= 4:
         ext = add_coskeletal_top(X3, 4)
-        return ScaledNerve(C, kind, ext.n_cells, ext.faces, marked, thin, lean,
-                           ext.labels, cell_data)
+        return ScaledNerve(C, kind, ext.n_cells, ext.faces, marked, thin, lean, ext.labels)
     return X3
 
 
 def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
     """Induced map of scaled nerves."""
+    image = {"obj": lambda a: F.omap[a], "1cell": lambda f: F.map1[f],
+             "tri": lambda q: (F.map1[q[0]], F.map1[q[1]], F.map1[q[2]], F.map2[q[3]])}
     assign: dict = {}
     for cell in NC.all_nondeg():
-        kindlab = NC.labels[cell.nd][0]
-        if kindlab == "obj":
-            assign[cell.nd] = ND.vertex_of(F.omap[NC.labels[cell.nd][1]])
-        elif kindlab == "1cell":
-            assign[cell.nd] = ND.edge_of(F.map1[NC.labels[cell.nd][1]])
-        elif kindlab == "tri":
-            f, g, h, s = NC.cell_data[cell.nd]
-            assign[cell.nd] = ND.triangle_cell(F.map1[f], F.map1[g], F.map1[h], F.map2[s])
+        kind, x = NC.labels[cell.nd]
+        if kind in image:
+            assign[cell.nd] = ND.cell_of((kind, image[kind](x)))
         else:  # tetrahedra and coskeletal cells: determined by faces
             assign[cell.nd] = fill(ND, assign, NC, cell)
             if assign[cell.nd] is None:

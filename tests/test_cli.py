@@ -49,6 +49,17 @@ def test_empty_two_category_is_legal(tmp_path):
     assert report["nerve"]["dims"] == []
 
 
+def test_unknown_cell_names_the_failed_law(tmp_path, capsys):
+    doc = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
+    doc["twocells"]["zz"] = ["nope", "nope"]
+    f = tmp_path / "unknown-cell.json"
+    f.write_text(json.dumps(doc))
+    assert cli.main(["nerve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "2-category laws fail" in err and "'2-cell-endpoints', 'zz'" in err
+    assert "missing field" not in err
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert cli.main(["homology", str(tmp_path / "nope.json")]) == 1
 
@@ -215,6 +226,7 @@ def _bad_inputs(tmp_path) -> dict:
     twocat = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
     cat = json.loads(Path(data_path("category-walking-arrow.json")).read_text())
     return {
+        "pt": data_path("category-point.json"),
         "arrow": data_path("category-walking-arrow.json"),
         "f0": data_path("functor-point-into-arrow-at-0.json"),
         "pt2": data_path("twocat-2bracket-point.json"),
@@ -242,6 +254,9 @@ def _bad_inputs(tmp_path) -> dict:
 # stands for an input file of _bad_inputs.
 BAD_CALLS = {
     "laxlim-delta1-unmapped-object": "laxlim @arrow @arrow @unmapped --shape delta1",
+    "laxlim-delta1-cospan-marking-0->2": "laxlim @pt @arrow @f0 --shape delta1 --marking 0->2",
+    "laxlim-delta1-cospan-marking-1->2": "laxlim @pt @arrow @f0 --shape delta1 --marking 1->2",
+    "laxlim-lambda22-arrow-marking": "laxlim @pt @pt @arrow @f0 @f0 --marking 0->1",
     "joyal-unmapped-object": "joyal @arrow @arrow @unmapped",
     "duality-unmapped-object": "duality @arrow @arrow @unmapped",
     "check-cofinal-unmapped-cells": "check-cofinal @pt2 @arrow2 @unmapped2",

@@ -20,6 +20,7 @@ from laxfib.freefib import (
     gamma_pair,
     three_coskeletal_violations,
 )
+from laxfib.simplicial import Cell
 from laxfib.twocat import (
     StrictTwoCat,
     fr,
@@ -324,6 +325,16 @@ PINNED_TABLES = {
         "24ec3c39d8cdd8e74a99e4735162a0873775cb86d340c07559c02f7f95313cec",
     ],
 }
+
+
+def test_cell_of_commutes_with_degeneracies(arrow_ff):
+    """The normal form of a degenerate pair is the degeneracy of its cell."""
+    ff = arrow_ff
+    for nd, pair in sorted(ff.pairs.items()):
+        cell = ff.cell_of(pair)
+        assert cell == Cell(*nd)
+        for j in range(pair.n + 1):
+            assert ff.cell_of(pair.degeneracy(j)) == ff.total.deg(cell, j)
 
 
 def _table_digest(X) -> str:

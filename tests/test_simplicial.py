@@ -23,6 +23,8 @@ from laxfib.simplicial import (
     fill,
     horn,
     insert_degeneracy,
+    keyed_cells,
+    normal_form,
     product,
     product_map,
     pushout,
@@ -313,6 +315,32 @@ def test_ref_of_pair_roundtrip():
             x = P.proj_a().apply(cell)
             y = P.proj_b().apply(cell)
             assert P.ref_of_pair(x, y) == cell
+
+
+def test_keyed_cells_of_monotone_words_is_the_simplex():
+    """Delta^3 given on its monotone vertex words: the strictly increasing
+    words are its cells, and normal_form agrees with vertex_cell on every
+    word, degenerate ones one dimension past the top included."""
+    n = 3
+
+    def face(w, i):
+        return w[:i] + w[i + 1:]
+
+    def deg(w, j):
+        return w[:j + 1] + w[j:]
+
+    def words(k):
+        return list(itertools.combinations_with_replacement(range(n + 1), k + 1))
+
+    n_cells, faces, index = keyed_cells([words(k) for k in range(n + 1)], face, deg)
+    X = standard_simplex(n, kind="PLAIN")
+    assert n_cells == X.n_cells and faces == X.faces
+    assert index == {X.labels[c.nd]: c for c in X.all_nondeg()}
+    for k in range(n + 2):
+        for w in words(k):
+            assert normal_form(w, k, index, face, deg) == vertex_cell(X, w)
+    with pytest.raises(KeyError):
+        normal_form((0, 2, 1), 2, index, face, deg)
 
 
 # -- coskeletal extension ----------------------------------------------------

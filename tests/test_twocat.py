@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import pytest
 
 from laxfib.fincat import (
@@ -70,6 +73,17 @@ def test_corrupted_tables_are_reported():
     assert any(v[0] == "left-unit-2" for v in report)
 
 
+def test_unknown_names_are_reported_before_the_laws():
+    T = two_bracket(parallel_pair_cat())
+    T.twocells["zz"] = ("nope", "nope")
+    assert T.validate() == [("2-cell-endpoints", "zz")]
+    T = two_bracket(parallel_pair_cat())
+    T.onecells["f"] = ("0", "nowhere")
+    T.hcomp1[("id1", "ghost")] = "ghost"
+    assert T.validate() == [("1-cell-endpoints", "f"), ("id2", "f"),
+                            ("hcomp1", "id1", "ghost")]
+
+
 def test_is_equivalence():
     T = two_bracket(terminal_cat())
     assert T.is_equivalence("id0")
@@ -116,6 +130,22 @@ def test_nerve_marked_edges():
     N = scaled_nerve(Marking2Cat(T, frozenset({"o:0"})))
     marked_labels = {N.labels[nd][1] for nd in N.marked}
     assert marked_labels == {"o:0"}
+
+
+@pytest.mark.parametrize("name", ["twocat-2bracket-point", "twocat-2bracket-walking-arrow",
+                                  "twocat-corrupted-interchange"])
+def test_nerve_keys_round_trip(name):
+    """Every cell of dimension <= 2, degenerate ones included, is the cell of
+    its own key."""
+    doc = resources.files("laxfib").joinpath("data", f"{name}.json").read_text()
+    N = scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc)))
+    for v in N.all_cells(0):
+        assert N.vertex_of(N.key_of(v)[1]) == v
+    for e in N.all_cells(1):
+        assert N.edge_of(N.onecell_of(e)) == e
+    for t in N.all_cells(2):
+        assert N.triangle_cell(*N.tri_data(t)) == t
+    assert any(t.is_degenerate() for t in N.all_cells(2))
 
 
 def test_nerve_is_three_coskeletal():
