@@ -276,7 +276,7 @@ def cmd_laxlim(args) -> int:
     cfg = _config(args)
     shape, legs = SHAPE_LEGS[args.shape]
     marking = frozenset({"none": (), "both": legs}.get(args.marking, (args.marking,)))
-    if not marking <= set(legs):
+    if not marking <= set(legs) or (args.marking == "both" and len(legs) < 2):
         raise InputError(f"marking {args.marking} does not name {shape} legs")
     A = parse_category(args.a)
     B = parse_category(args.b)

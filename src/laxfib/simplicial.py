@@ -167,6 +167,7 @@ class DecoratedSSet:
         self.truncated_at = truncated_at
         self._by_faces: dict[int, dict] = {}
         self._all_cells: dict[int, list[Cell]] = {}
+        self._faces_first: Optional[list[Cell]] = None
         self._label_lookup: Optional[dict] = None
         self._check_decorations()
 
@@ -190,6 +191,24 @@ class DecoratedSSet:
             out.extend(self.nondeg(d))
         return out
 
+    def faces_first(self) -> list[Cell]:
+        """Nondegenerate cells, each right after its faces: a depth-first walk
+        over the face tables from the top cells down."""
+        if self._faces_first is None:
+            order: dict[tuple[int, int], Cell] = {}
+
+            def visit(nd: tuple[int, int]) -> None:
+                if nd not in order:
+                    for f in self.faces.get(nd, ()):
+                        visit(f.nd)
+                    order[nd] = Cell(*nd)
+
+            for d in range(self.top_dim, -1, -1):
+                for k in range(self.num(d)):
+                    visit((d, k))
+            self._faces_first = list(order.values())
+        return self._faces_first
+
     def is_empty(self) -> bool:
         return not self.n_cells
 
@@ -211,6 +230,8 @@ class DecoratedSSet:
 
     @staticmethod
     def _apply_word(cell: Cell, word: tuple[int, ...]) -> Cell:
+        if not word:
+            return cell
         w = cell.word
         for j in reversed(word):
             w = insert_degeneracy(w, j)
@@ -609,13 +630,16 @@ def enumerate_maps(
     respect_decorations: bool = True,
     first_only: bool = False,
 ) -> list[DecMap]:
-    """All decoration-preserving simplicial maps A -> B, lexicographic order.
+    """All decoration-preserving simplicial maps A -> B.
 
+    The full list is in lexicographic order of the images of
+    ``A.all_nondeg()``.  The search assigns the cells of A in
+    ``A.faces_first()`` order; with ``first_only`` it stops at the first
+    complete map in that order, which need not be the lexicographic first.
     ``partial`` pins images of some nondegenerate cells; ``constraint`` is an
-    extra per-cell predicate.  With ``first_only`` the search stops at the
-    first complete map.
+    extra per-cell predicate.
     """
-    cells = A.all_nondeg()
+    cells = A.faces_first()
     if B.is_empty():
         return [] if cells else [DecMap(A, B, {})]
     assign: dict[tuple[int, int], Cell] = {}
@@ -648,7 +672,7 @@ def enumerate_maps(
 
     def search(pos: int) -> bool:
         if pos == len(cells):
-            out.append(DecMap(A, B, dict(assign)))
+            out.append(DecMap(A, B, assign))
             return first_only
         cell = cells[pos]
         for cand in candidates(cell):
@@ -659,6 +683,9 @@ def enumerate_maps(
         return False
 
     search(0)
+    if len(out) > 1:
+        lex = A.all_nondeg()
+        out.sort(key=lambda m: [m.assign[c.nd] for c in lex])
     return out
 
 

@@ -257,6 +257,7 @@ BAD_CALLS = {
     "laxlim-delta1-cospan-marking-0->2": "laxlim @pt @arrow @f0 --shape delta1 --marking 0->2",
     "laxlim-delta1-cospan-marking-1->2": "laxlim @pt @arrow @f0 --shape delta1 --marking 1->2",
     "laxlim-lambda22-arrow-marking": "laxlim @pt @pt @arrow @f0 @f0 --marking 0->1",
+    "laxlim-delta1-both-marking": "laxlim @pt @arrow @f0 --shape delta1 --marking both",
     "joyal-unmapped-object": "joyal @arrow @arrow @unmapped",
     "duality-unmapped-object": "duality @arrow @arrow @unmapped",
     "check-cofinal-unmapped-cells": "check-cofinal @pt2 @arrow2 @unmapped2",

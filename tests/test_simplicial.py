@@ -31,7 +31,7 @@ from laxfib.simplicial import (
     standard_simplex,
     vertex_cell,
 )
-from laxfib.fincat import walking_arrow, walking_iso
+from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
@@ -477,3 +477,78 @@ def test_product_projections_are_jointly_monic(m, n):
             key = (pa.apply(cell), pb.apply(cell))
             assert key not in seen
             seen[key] = cell
+
+
+# -- map search against a brute force ------------------------------------------
+
+DECOS = ("flat", "sharp")
+SEARCH_TARGETS = [
+    standard_simplex(0, kind="PLAIN"),
+    standard_simplex(1, kind="PLAIN"),
+    standard_simplex(2, kind="PLAIN"),
+    standard_simplex(1, kind="MB", marked="sharp"),
+    standard_simplex(2, kind="MB", marked="sharp", thin="sharp"),
+    standard_simplex(2, kind="MB", thin="flat", lean="sharp"),
+    terminal_cat().nerve(),
+    walking_arrow().nerve(),
+    walking_iso().nerve(),
+    chain_poset(2).nerve(),
+]
+
+
+@st.composite
+def search_sources(draw):
+    """A simplex, horn or boundary of dimension <= 3, perhaps decorated."""
+    shape = draw(st.sampled_from(["simplex", "horn", "boundary"]))
+    n = draw(st.integers(0 if shape == "simplex" else 1, 3))
+    if shape == "boundary":
+        return boundary_simplex(n)
+    deco = dict(kind=draw(st.sampled_from(["MB", "MS"])), marked=draw(st.sampled_from(DECOS)),
+                thin=draw(st.sampled_from(DECOS)), lean=draw(st.sampled_from([None, "sharp"])))
+    if shape == "simplex":
+        return standard_simplex(n, **deco)
+    return horn(n, draw(st.integers(0, n)), **deco)
+
+
+def brute_force_maps(A: DecoratedSSet, B: DecoratedSSet) -> list[dict]:
+    """Independent oracle: every face-compatible, decoration-preserving
+    assignment, dimension by dimension, in lexicographic order of
+    ``A.all_nondeg()``."""
+    deco_names = ("marked", "thin", "lean") if A.kind == "MB" else ("marked", "thin")
+
+    def image(assign, cell):
+        img = assign[cell.nd]
+        for j in reversed(cell.word):
+            img = B.deg(img, j)
+        return img
+
+    def ok(assign, cell, cand):
+        faces = range(cell.dim + 1) if cell.dim else ()
+        if any(B.face(cand, i) != image(assign, A.face(cell, i)) for i in faces):
+            return False
+        return all(cand.is_degenerate() or cand.nd in getattr(B, name)
+                   for name in deco_names if cell.nd in getattr(A, name))
+
+    maps = [{}]
+    for d in range(A.top_dim + 1):
+        cells = A.nondeg(d)
+        grown = []
+        for assign in maps:
+            options = [[c for c in B.all_cells(d) if ok(assign, cell, c)] for cell in cells]
+            for choice in itertools.product(*options):
+                grown.append({**assign, **{c.nd: img for c, img in zip(cells, choice)}})
+        maps = grown
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_sources(), st.sampled_from(SEARCH_TARGETS))
+def test_enumerate_maps_matches_brute_force(A, B):
+    order = {c.nd: k for k, c in enumerate(A.faces_first())}
+    assert sorted(order) == [c.nd for c in A.all_nondeg()]
+    assert all(order[f.nd] < k for nd, k in order.items() for f in A.faces.get(nd, ()))
+    full = enumerate_maps(A, B)
+    assert [m.assign for m in full] == brute_force_maps(A, B)
+    first = enumerate_maps(A, B, first_only=True)
+    assert len(first) == min(len(full), 1)
+    assert all(m in full for m in first)
