@@ -189,6 +189,8 @@ def generators(family: str, n_max: int = N_MAX_DEFAULT,
     theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3."""
     if n_max > N_MAX_DEFAULT:
         raise ValueError(f"n_max={n_max} exceeds the dimension cap {N_MAX_DEFAULT}")
+    if n_max < 2:
+        raise ValueError(f"n_max={n_max} is below 2, the size of the smallest horn")
     if family not in _KAN_TAGS:
         raise ValueError("family must be 'MB' or 'MS'")
     gens = []

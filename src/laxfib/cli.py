@@ -124,6 +124,8 @@ def _config(args) -> dict:
     n_max = getattr(args, "n_max", 4)
     if cap < 3:
         raise InputError("cap must be at least 3")
+    if n_max < 2:
+        raise InputError("n-max must be at least 2")
     if cap > anodyne.N_MAX_DEFAULT or n_max > anodyne.N_MAX_DEFAULT:
         raise InputError(f"cap and n-max must be at most {anodyne.N_MAX_DEFAULT}")
     if any(v < 0 for v in budgets.values()):

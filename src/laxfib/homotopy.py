@@ -44,12 +44,12 @@ class Verdict:
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(x, Cell):
+        return x.encode()
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted(_jsonable(v) for v in x)
-    if isinstance(x, Cell):
-        return x.encode()
     if isinstance(x, Verdict):
         return x.to_json_dict()
     return x

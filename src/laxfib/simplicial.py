@@ -2,9 +2,10 @@
 
 Cells are kept in Eilenberg-Zilber normal form: every simplex is a
 degeneracy word applied to a nondegenerate cell, with strictly decreasing
-word indices.  Face and degeneracy operators are computed symbolically via
-the simplicial identities, so an object only stores face tables for its
-nondegenerate cells.
+word indices.  A ``Cell`` is the tuple ``(dim, idx, word)``: it hashes,
+compares and sorts as that tuple.  Face and degeneracy operators are computed
+symbolically via the simplicial identities, so an object only stores face
+tables for its nondegenerate cells.
 
 Decoration conventions:
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional
 
 KINDS = ("MB", "MS", "SC", "PLAIN")
 
@@ -33,8 +34,7 @@ class BadDecorationError(ValueError):
     """A decoration names a simplex that is not present."""
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
+class Cell(NamedTuple):
     """A simplex: degeneracy word ``word`` applied to nondegenerate (dim, idx).
 
     ``word = (i1, ..., ik)`` with i1 > ... > ik encodes s_{i1} ... s_{ik}.
@@ -44,13 +44,11 @@ class Cell:
     idx: int
     word: tuple[int, ...] = ()
 
+    nd = property(itemgetter(0, 1), doc="The nondegenerate root as ``(dim, idx)``.")
+
     @property
     def total_dim(self) -> int:
         return self.dim + len(self.word)
-
-    @property
-    def nd(self) -> tuple[int, int]:
-        return (self.dim, self.idx)
 
     def is_degenerate(self) -> bool:
         return bool(self.word)
@@ -61,6 +59,11 @@ class Cell:
     @staticmethod
     def decode(data: list) -> "Cell":
         return Cell(data[0], data[1], tuple(data[2]))
+
+
+# (inner word, outer word) -> normal form of s_outer s_inner; words are no
+# longer than the dimension cap, so the table stays small.
+_COMPOSED_WORDS: dict[tuple, tuple[int, ...]] = {}
 
 
 def insert_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -232,9 +235,13 @@ class DecoratedSSet:
     def _apply_word(cell: Cell, word: tuple[int, ...]) -> Cell:
         if not word:
             return cell
-        w = cell.word
-        for j in reversed(word):
-            w = insert_degeneracy(w, j)
+        key = (cell.word, word)
+        w = _COMPOSED_WORDS.get(key)
+        if w is None:
+            w = cell.word
+            for j in reversed(word):
+                w = insert_degeneracy(w, j)
+            _COMPOSED_WORDS[key] = w
         return Cell(cell.dim, cell.idx, w)
 
     def faces_tuple(self, cell: Cell) -> tuple[Cell, ...]:
@@ -549,8 +556,9 @@ class DecMap:
         self.assign = dict(assign)
 
     def apply(self, cell: Cell) -> Cell:
-        img = self.assign[cell.nd]
-        return DecoratedSSet._apply_word(img, cell.word)
+        if not cell.word:
+            return self.assign[cell.nd]
+        return DecoratedSSet._apply_word(self.assign[cell.nd], cell.word)
 
     def __eq__(self, other):
         return (
@@ -571,7 +579,9 @@ class DecMap:
         """self after other (other first)."""
         if other.dst is not self.src:
             raise ValueError("composition mismatch")
-        assign = {nd: self.apply(img) for nd, img in other.assign.items()}
+        mine, apply_word = self.assign, DecoratedSSet._apply_word
+        assign = {nd: apply_word(mine[img.nd], img.word) if img.word else mine[img.nd]
+                  for nd, img in other.assign.items()}
         return DecMap(other.src, self.dst, assign)
 
     @staticmethod
@@ -651,8 +661,8 @@ def enumerate_maps(
             cands = B.all_cells(0)
         else:
             ftuple = tuple(
-                DecoratedSSet._apply_word(assign[f.nd], f.word)
-                for f in (A.faces[cell.nd])
+                DecoratedSSet._apply_word(assign[f.nd], f.word) if f.word else assign[f.nd]
+                for f in A.faces[cell.nd]
             )
             cands = B.by_faces(cell.dim).get(ftuple, [])
         pin = partial.get(cell.nd)

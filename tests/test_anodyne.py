@@ -72,6 +72,13 @@ def test_catalog_is_deterministic(mb):
     assert [g.describe() for g in mb] == [g2.describe() for g2 in again]
 
 
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 5])
+def test_catalog_size_out_of_range(n_max):
+    # below 2 not even the smallest horn, Lambda^2_1, would be checked
+    with pytest.raises(ValueError):
+        generators("MB", n_max)
+
+
 def test_inner_horn_decorations(mb):
     g = by_tag(mb, "A1", (2, 1))
     assert g.dom.thin == frozenset()          # the named triangle is absent

@@ -263,6 +263,8 @@ BAD_CALLS = {
     "check-cofinal-unmapped-cells": "check-cofinal @pt2 @arrow2 @unmapped2",
     "freefib-unmapped-cells": "freefib @pt2 @arrow2 @unmapped2",
     "check-fibration-unmapped-cells": "check-fibration @pt2 @arrow2 @unmapped2",
+    "check-fibration-n-max-negative": "check-fibration @pt2 @arrow2 @f2 --n-max -1",
+    "corpus-n-max-zero": "corpus --n-max 0",
     "freefib-unknown-fiber": "freefib @pt2 @arrow2 @f2 --fiber nope",
     "gray-past-cap-without-truncate": "gray @s2 @s3",
     "morphism-name-is-a-list": "joyal @list-name @arrow @f0",

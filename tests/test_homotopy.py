@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from laxfib.homotopy import (
     smith_normal_form,
     weakly_contractible,
 )
-from laxfib.simplicial import boundary_simplex, empty_sset, standard_simplex
+from laxfib.simplicial import Cell, boundary_simplex, empty_sset, standard_simplex
 from laxfib.twocat import Marking2Cat, from_fincat
 
 
@@ -245,3 +246,12 @@ def test_truncated_loop_nerve_is_not_a_false_obstruction():
     assert H.sound_up_to < 4
     v = weakly_contractible(N)
     assert not v.no
+
+
+def test_verdict_writes_cells_by_encode():
+    v = Verdict("yes", {"cell": Cell(2, 7, (3, 1)), "cells": [Cell(0, 1), Cell(1, 0, (0,))],
+                        "by_cell": {Cell(1, 2): "a", Cell(0, 0, (1, 0)): [Cell(0, 3)]}})
+    assert json.dumps(v.to_json_dict(), sort_keys=True) == (
+        '{"evidence": {"by_cell": {"Cell(dim=0, idx=0, word=(1, 0))": [[0, 3, []]], '
+        '"Cell(dim=1, idx=2, word=())": "a"}, "cell": [2, 7, [3, 1]], '
+        '"cells": [[0, 1, []], [1, 0, [0]]]}, "value": "yes"}')

@@ -451,6 +451,26 @@ def test_apply_word_is_repeated_degeneracy(xc, raw):
     assert DecoratedSSet._apply_word(x, word) == cell
 
 
+words = st.lists(st.integers(0, 6), unique=True, max_size=4).map(
+    lambda w: tuple(sorted(w, reverse=True)))
+fields = st.tuples(st.integers(0, 4), st.integers(0, 30), words)
+
+
+@given(st.lists(fields, min_size=1, max_size=12))
+def test_cell_is_its_field_tuple(triples):
+    """Cells hash, compare, sort and print as their (dim, idx, word) tuples,
+    which keeps set orders, labels and report bytes fixed."""
+    cells = [Cell(*t) for t in triples]
+    assert sorted(cells) == [Cell(*t) for t in sorted(triples)]
+    for (dim, idx, word), c in zip(triples, cells):
+        assert hash(c) == hash((dim, idx, word))
+        assert repr(c) == f"Cell(dim={dim}, idx={idx}, word={word!r})"
+        assert c.nd == (dim, idx)
+        assert Cell.decode(c.encode()) == c
+        with pytest.raises(AttributeError):
+            c.dim = dim + 1
+
+
 def test_fill_without_filler_is_none():
     # the boundary of the 2-simplex has no 2-cell on the image of its boundary
     X, Y = standard_simplex(2, kind="PLAIN"), boundary_simplex(2)
