@@ -61,11 +61,6 @@ class Cell(NamedTuple):
         return Cell(data[0], data[1], tuple(data[2]))
 
 
-# (inner word, outer word) -> normal form of s_outer s_inner; words are no
-# longer than the dimension cap, so the table stays small.
-_COMPOSED_WORDS: dict[tuple, tuple[int, ...]] = {}
-
-
 def insert_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
     """Normal form of s_j composed on the outside of s_word."""
     if not word or j > word[0]:
@@ -235,13 +230,9 @@ class DecoratedSSet:
     def _apply_word(cell: Cell, word: tuple[int, ...]) -> Cell:
         if not word:
             return cell
-        key = (cell.word, word)
-        w = _COMPOSED_WORDS.get(key)
-        if w is None:
-            w = cell.word
-            for j in reversed(word):
-                w = insert_degeneracy(w, j)
-            _COMPOSED_WORDS[key] = w
+        w = cell.word
+        for j in reversed(word):
+            w = insert_degeneracy(w, j)
         return Cell(cell.dim, cell.idx, w)
 
     def faces_tuple(self, cell: Cell) -> tuple[Cell, ...]:
@@ -579,9 +570,7 @@ class DecMap:
         """self after other (other first)."""
         if other.dst is not self.src:
             raise ValueError("composition mismatch")
-        mine, apply_word = self.assign, DecoratedSSet._apply_word
-        assign = {nd: apply_word(mine[img.nd], img.word) if img.word else mine[img.nd]
-                  for nd, img in other.assign.items()}
+        assign = {nd: self.apply(img) for nd, img in other.assign.items()}
         return DecMap(other.src, self.dst, assign)
 
     @staticmethod
@@ -661,8 +650,8 @@ def enumerate_maps(
             cands = B.all_cells(0)
         else:
             ftuple = tuple(
-                DecoratedSSet._apply_word(assign[f.nd], f.word) if f.word else assign[f.nd]
-                for f in A.faces[cell.nd]
+                DecoratedSSet._apply_word(assign[f.nd], f.word)
+                for f in (A.faces[cell.nd])
             )
             cands = B.by_faces(cell.dim).get(ftuple, [])
         pin = partial.get(cell.nd)
