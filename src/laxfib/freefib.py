@@ -51,9 +51,6 @@ class PairSimplex:
     phi: DecMap
     rho: DecMap
 
-    def key(self) -> tuple:
-        return (self.n, self.phi.key(), self.rho.key())
-
     def face(self, i: int) -> "PairSimplex":
         return PairSimplex(self.n - 1,
                            self.phi.compose(prism_face(self.n, i)),
@@ -143,17 +140,16 @@ class FreeFibration:
         return enumerate_maps(delta(n), NC, constraint=hook, respect_decorations=False)
 
     def _build_total(self) -> DecoratedSSet:
-        levels = [sorted((PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
-                          for rho in self._rhos_for(phi, n)), key=PairSimplex.key)
-                  for n in range(TOP_DIM + 1)]
+        # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho
+        levels = [[PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
+                   for rho in self._rhos_for(phi, n)] for n in range(TOP_DIM + 1)]
         n_cells, faces, self.index = keyed_cells(levels, PairSimplex.face, PairSimplex.degeneracy)
         self.pairs = {cell.nd: pair for pair, cell in self.index.items()}
-        labels = {nd: ("pair", pair.key()) for nd, pair in self.pairs.items()}
         pairs = self.pairs.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
         lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
         thin = {nd for nd in lean if self._triangle_thin(self.pairs[nd])}
-        X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean, labels=labels)
+        X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean)
         return add_coskeletal_top(X3, TOP_DIM + 1)
 
     def cell_of(self, pair: PairSimplex) -> Cell:
@@ -215,41 +211,19 @@ class FreeFibration:
     # -- fibers -------------------------------------------------------------------
 
     def fiber(self, d: str) -> tuple[DecoratedSSet, DecMap]:
-        """The marked-scaled fiber over an object of the target, with its inclusion."""
+        """The marked-scaled fiber over an object of the target, with its inclusion:
+        the cells of dimension <= 3 lying fully degenerately over it, in sorted order."""
         if d not in self.f.dst.objects:
             raise KeyError(f"unknown object {d}")
-        dvert = self.nd.vertex_of(d)
-        keep = []
-        for nd, pair in sorted(self.pairs.items()):
-            img = self.proj.assign[nd]
-            if img.nd == dvert.nd and len(img.word) == nd[0]:
-                keep.append(nd)
-        keep_set = set(keep)
-        remap: dict = {}
-        n_cells: list[int] = []
-        faces: dict = {}
-        labels: dict = {}
-        for nd in keep:
-            dim = nd[0]
-            while len(n_cells) <= dim:
-                n_cells.append(0)
-            remap[nd] = Cell(dim, n_cells[dim])
-            labels[remap[nd].nd] = ("pair", self.pairs[nd].key())
-            n_cells[dim] += 1
-        for nd in keep:
-            if nd[0] == 0:
-                continue
-            fs = []
-            for f in self.total.faces[nd]:
-                assert f.nd in keep_set, "fiber is not closed under faces"
-                mapped = remap[f.nd]
-                fs.append(Cell(mapped.dim, mapped.idx, f.word))
-            faces[remap[nd].nd] = tuple(fs)
-        marked = {remap[nd].nd for nd in keep if nd in self.total.marked and nd[0] == 1}
-        thin = {remap[nd].nd for nd in keep if nd in self.total.lean and nd[0] == 2}
-        fib = DecoratedSSet("MS", n_cells, faces, marked, thin, thin, labels=labels,
-                            coskeletal=TOP_DIM)
-        incl = DecMap(fib, self.total, {remap[nd].nd: Cell(*nd) for nd in keep})
+        T, dvert, over = self.total, self.nd.vertex_of(d), self.proj.assign
+        keep = [Cell(*nd) for nd in self.pairs
+                if over[nd].nd == dvert.nd and len(over[nd].word) == nd[0]]
+        levels = [[x for x in keep if x.dim == n] for n in range(TOP_DIM + 1)]
+        n_cells, faces, index = keyed_cells(levels, T.face, T.deg)
+        marked = {c.nd for x, c in index.items() if x.nd in T.marked}
+        thin = {c.nd for x, c in index.items() if x.nd in T.lean}
+        fib = DecoratedSSet("MS", n_cells, faces, marked, thin, thin, coskeletal=TOP_DIM)
+        incl = DecMap(fib, T, {c.nd: x for x, c in index.items()})
         return fib, incl
 
     # -- the filtration audit ------------------------------------------------------
@@ -260,24 +234,16 @@ class FreeFibration:
         Every cell must be a unit image, an extension of a lower simplex, or a
         face of an extension; anything else is unreachable.
         """
-        gamma_keys = {gamma_pair(self.fN, c).key() for c in self.nc.all_nondeg()
-                      if c.dim <= TOP_DIM}
-        extension_keys: set = set()
-        extension_face_keys: set = set()
-        for nd, tau in self.pairs.items():
-            for j in range(nd[0] + 1):
-                ext = tau.extend(j)
-                extension_keys.add(ext.key())
-                for s in range(ext.n + 1):
-                    extension_face_keys.add(ext.face(s).key())
+        units = {gamma_pair(self.fN, c) for c in self.nc.all_nondeg() if c.dim <= TOP_DIM}
+        extensions = {tau.extend(j) for nd, tau in self.pairs.items() for j in range(nd[0] + 1)}
+        extension_faces = {ext.face(s) for ext in extensions for s in range(ext.n + 1)}
         report = {"unit": [], "extension": [], "face_of_extension": [], "unreachable": []}
-        for nd in sorted(self.pairs):
-            key = self.pairs[nd].key()
-            if key in gamma_keys:
+        for nd, pair in self.pairs.items():
+            if pair in units:
                 report["unit"].append(nd)
-            elif key in extension_keys:
+            elif pair in extensions:
                 report["extension"].append(nd)
-            elif key in extension_face_keys:
+            elif pair in extension_faces:
                 report["face_of_extension"].append(nd)
             else:
                 report["unreachable"].append(nd)
@@ -598,7 +564,7 @@ def face_identity_violations(ff: FreeFibration, include_degenerate: bool = True)
                 want = expected_extension_face(ff, sigma, j, s)
                 # the s = j + 1 = n + 1 corner is covered by the first clause
                 got = ext.face(s)
-                if got.key() != want.key():
+                if got != want:
                     bad.append((label, j, s))
     return bad
 
@@ -622,16 +588,13 @@ def degeneracy_lemma_violations(ff: FreeFibration) -> list:
 
 
 def _stored_pairs(ff: FreeFibration, include_degenerate: bool):
-    out = []
-    for nd in sorted(ff.pairs):
-        out.append((ff.pairs[nd], nd))
+    out = [(pair, nd) for nd, pair in ff.pairs.items()]
     if include_degenerate:
-        for nd in sorted(ff.pairs):
-            n = nd[0]
-            if n + 1 > TOP_DIM:
+        for nd, pair in ff.pairs.items():
+            if nd[0] + 1 > TOP_DIM:
                 continue
-            for j in range(n + 1):
-                out.append((ff.pairs[nd].degeneracy(j), (nd, "s", j)))
+            for j in range(nd[0] + 1):
+                out.append((pair.degeneracy(j), (nd, "s", j)))
     return out
 
 

@@ -63,10 +63,11 @@ def test_object_count_is_arrows_into_images(small_ff):
 def test_fiber_of_point_functor(small_ff):
     fib, incl = small_ff.fiber("0")
     assert fib.num(0) == 2  # the identity at 0 and the arrow 0 -> 1
-    incl.validate
+    incl.validate()
     assert incl.commutes_with_faces()
-    fib1, _ = small_ff.fiber("1")
+    fib1, incl1 = small_ff.fiber("1")
     assert fib1.num(0) == 1
+    incl1.validate()
 
 
 def test_fiber_unknown_object(small_ff):
@@ -101,6 +102,20 @@ def test_face_identities_small(small_ff):
     assert face_identity_violations(small_ff) == []
 
 
+def test_face_identity_check_catches_a_wrong_face(small_ff, monkeypatch):
+    # with sigma itself as every right-hand side, d_s E_j = sigma holds only
+    # at the s = j + 1 = n + 1 corner, so the other checks must be reported
+    import laxfib.freefib as freefib
+    monkeypatch.setattr(freefib, "expected_extension_face", lambda ff, sigma, j, s: sigma)
+    bad = face_identity_violations(small_ff)
+    assert bad
+
+    def dim(label):
+        return label[0] if len(label) == 2 else label[0][0] + 1
+
+    assert not any(s == j + 1 == dim(label) + 1 for label, j, s in bad)
+
+
 def test_degeneracy_lemmas_small(small_ff):
     assert degeneracy_lemma_violations(small_ff) == []
 
@@ -115,10 +130,10 @@ def test_cartesian_edge_to_unit_image(small_ff):
         if nd[0] != 0:
             continue
         e = pair.extend(0)
-        assert e.face(1).key() == pair.key()
+        assert e.face(1) == pair
         target = e.face(0)
         rho_cell = pair.rho.assign[(0, 0)]
-        assert target.key() == gamma_pair(small_ff.fN, rho_cell).key()
+        assert target == gamma_pair(small_ff.fN, rho_cell)
 
 
 def test_three_coskeletal(small_ff):
@@ -196,10 +211,10 @@ def test_marked_edge_generation_replay(arrow_ff):
         replayed += 1
         assert cell0.nd in ff.total.lean and cell0.nd in ff.total.thin
         lift = ext0.face(2)
-        assert lift.key() == e.face(1).extend(0).key()
+        assert lift == e.face(1).extend(0)
         assert ff.cell_of(lift).nd in nat.total.marked  # the Cartesian lift
-        assert ext0.face(0).key() == gamma_pair(ff.fN, e.rho.assign[(1, 0)]).key()
-        assert e.extend(1).face(2).key() == e.key()
+        assert ext0.face(0) == gamma_pair(ff.fN, e.rho.assign[(1, 0)])
+        assert e.extend(1).face(2) == e
     assert replayed + len(ff.total.marked) > 0
 
 
@@ -284,9 +299,11 @@ def test_fiber_is_ms_fibrant(small_ff):
 
 
 # sha256 of the canonical JSON (``to_json``) of the scaled nerve of each bundled
-# 2-category, and of the tame total space and of nerve(Fr) in dagger and
-# natural mode for each battery fixture.  These tables hold the coskeletal
-# cells, so any change to how fillers are found must leave them unchanged.
+# 2-category, and for each battery fixture of the tame total space and of
+# nerve(Fr) in dagger and natural mode, then, per mode, of the fiber over each
+# object of the target (sorted) and of the filtration audit (``json.dumps``
+# with sorted keys).  These tables hold the coskeletal cells, so any change to
+# how fillers are found must leave them unchanged.
 PINNED_TABLES = {
     "twocat-2bracket-point":
         "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
@@ -298,31 +315,65 @@ PINNED_TABLES = {
         "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
         "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
         "97676a4169967ab3d46bc774b2364bb08a93913aad1d0bd0bdf536335c78a0ce",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "64b7711f9bc9af192fb78cac62db2c19e2c9232037eb310e8b28864bf2e1d7a5",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "64b7711f9bc9af192fb78cac62db2c19e2c9232037eb310e8b28864bf2e1d7a5",
     ],
     "2bracket-pt-id": [
         "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
         "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
         "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
+        "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "479895e0c4c1bd6bae8ab0167868e3ab91856e729fe2693c4b46ae2efea8770d",
+        "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "479895e0c4c1bd6bae8ab0167868e3ab91856e729fe2693c4b46ae2efea8770d",
     ],
     "2bracket-empty-into-pt": [
         "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
         "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
         "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
+        "1b6f7179774fd799c4af44800f2481e4d8cf97382eb1e5137a525a7e8fa01645",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "92def335395296bf5da9a1a092890499bcfcca79d12c374c7d8ae34330d5439e",
+        "1b6f7179774fd799c4af44800f2481e4d8cf97382eb1e5137a525a7e8fa01645",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "92def335395296bf5da9a1a092890499bcfcca79d12c374c7d8ae34330d5439e",
     ],
     "2bracket-pt-into-arrow-at-0": [
         "3d6b89811b06a7820c3e360d910afe827a1b996a3b36dfb7320ddf9b338d94a7",
         "2a68dabb5bbeff776f4204162279f0910e17a15079a232dff4f11f044094e362",
         "2a68dabb5bbeff776f4204162279f0910e17a15079a232dff4f11f044094e362",
+        "dd635503a24395e5ec4c3d0242e09cff9026e55cec8a10ef05464707162347d3",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "0ab9fd7158b9d778dcea5ba72d2b28a587fbbddcc24fe7d28f3f75d189aeff8d",
+        "dd635503a24395e5ec4c3d0242e09cff9026e55cec8a10ef05464707162347d3",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "0ab9fd7158b9d778dcea5ba72d2b28a587fbbddcc24fe7d28f3f75d189aeff8d",
     ],
     "2bracket-pt-into-arrow-at-1": [
         "bc9ef2de8aace944958fdc82585f0fcc4940e47bf6d1dc316a53aa55e715e18d",
         "ee3f6dbfbe567c3a7346b08bd6bc582191bd1d80e1713f10f63ca3a5c6407fd3",
         "ee3f6dbfbe567c3a7346b08bd6bc582191bd1d80e1713f10f63ca3a5c6407fd3",
+        "fa2a190f05843a0eee6dfede54228fefba39c737f1061a386f56a91bbbed93cc",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "515869e27416322c1c8d918d46dd94ece13c13ec1171022a11cf8938224275a7",
+        "fa2a190f05843a0eee6dfede54228fefba39c737f1061a386f56a91bbbed93cc",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "515869e27416322c1c8d918d46dd94ece13c13ec1171022a11cf8938224275a7",
     ],
     "2bracket-arrow-id": [
         "bf9ac6543079884635ef36e85d99c66d650242f0f23c1a5b57e22ddaf4c287f6",
         "24ec3c39d8cdd8e74a99e4735162a0873775cb86d340c07559c02f7f95313cec",
         "24ec3c39d8cdd8e74a99e4735162a0873775cb86d340c07559c02f7f95313cec",
+        "3c7f990475bbd3f6c8f277ffa2323f08e09ab1ecb735a2885e1affa0674bc520",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "7fc752e810b9056d4fccb4120ee332b50a56d34554e56bf7dac60e5e67807c3e",
+        "3c7f990475bbd3f6c8f277ffa2323f08e09ab1ecb735a2885e1affa0674bc520",
+        "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
+        "7fc752e810b9056d4fccb4120ee332b50a56d34554e56bf7dac60e5e67807c3e",
     ],
 }
 
@@ -337,18 +388,22 @@ def test_cell_of_commutes_with_degeneracies(arrow_ff):
             assert ff.cell_of(pair.degeneracy(j)) == ff.total.deg(cell, j)
 
 
-def _table_digest(X) -> str:
-    return hashlib.sha256(X.to_json().encode()).hexdigest()
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", list(PINNED_TABLES))
 def test_tables_are_pinned(name):
     if name.startswith("twocat-"):
         doc = resources.files("laxfib").joinpath("data", f"{name}.json").read_text()
-        got = _table_digest(scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc))))
+        got = _digest(scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc))).to_json())
     else:
         F = dict(fixture_functors())[name]
         bundle = fr(F)
-        got = [_table_digest(build_free_fibration(F).total)] + \
-            [_table_digest(fr_nerve(bundle, mode)) for mode in ("dagger", "natural")]
+        ffs = [build_free_fibration(F, mode=mode) for mode in ("dagger", "natural")]
+        got = [_digest(ffs[0].total.to_json())] + \
+            [_digest(fr_nerve(bundle, mode).to_json()) for mode in ("dagger", "natural")]
+        for ff in ffs:
+            got += [_digest(ff.fiber(d)[0].to_json()) for d in sorted(F.dst.objects)]
+            got.append(_digest(json.dumps(ff.filtration_audit(), sort_keys=True)))
     assert got == PINNED_TABLES[name]
