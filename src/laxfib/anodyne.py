@@ -57,13 +57,14 @@ def _deco(kind: str, marked=(), thin=(), lean=()) -> dict:
     return dict(marked=marked, thin=lean)
 
 
-def _along(f: DecMap, g) -> dict:
-    """The assignment f(b) -> g(b) over the cells b with a nondegenerate image."""
-    out = {}
+def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
+    """(root of f(b), b) for the cells b with a nondegenerate image; built into
+    a dict, the later b wins where two cells share an image."""
+    out = []
     for b in f.src.all_nondeg():
         img = f.apply(b)
         if not img.is_degenerate():
-            out[img.nd] = g(b)
+            out.append((img.nd, b))
     return out
 
 
@@ -91,7 +92,8 @@ def _quotient(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optiona
         d, leg_d = _collapse01(kind, n, dom, horn_index)
         c, leg_c = _collapse01(kind, n, cod or dom)
         to_simplex = _inclusion(leg_d.src, leg_c.src)
-        return DecMap(d, c, _along(leg_d, lambda b: leg_c.apply(to_simplex.apply(b))))
+        return DecMap(d, c, {nd: leg_c.apply(to_simplex.apply(b))
+                             for nd, b in _image_roots(leg_d)})
     return build
 
 
@@ -183,8 +185,7 @@ _DERIVED = {"UI": "derived scaling lemma"}
 _KAN_TAGS = {"MB": "E", "MS": "MSE"}
 
 
-def generators(family: str, n_max: int = N_MAX_DEFAULT,
-               kan_library: Optional[list] = None) -> list[GeneratorInstance]:
+def generators(family: str, n_max: int = N_MAX_DEFAULT) -> list[GeneratorInstance]:
     """The generating inclusions of the two-scaling (MB) or single-scaling (MS)
     theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3."""
     if n_max > N_MAX_DEFAULT:
@@ -199,20 +200,13 @@ def generators(family: str, n_max: int = N_MAX_DEFAULT,
         if tag is not None:
             gens.append(GeneratorInstance(family, tag, params, build(family),
                                           derived=tag in _DERIVED, note=_DERIVED.get(tag, "")))
-    gens.extend(_kan_generators(family, _KAN_TAGS[family], kan_library))
-    return sorted(gens, key=lambda g: g.derived)
-
-
-def _kan_generators(family: str, tag: str, kan_library=None) -> list[GeneratorInstance]:
-    gens = []
-    for name, K in kan_library if kan_library is not None else default_kan_library():
-        flat = K
+    for name, K in default_kan_library():
         sharp = K.with_decorations(marked={c.nd for c in K.nondeg(1)})
-        assign = {c.nd: c for c in K.all_nondeg()}
         gens.append(GeneratorInstance(
-            family, tag, (name,), DecMap(flat, sharp, assign),
+            family, _KAN_TAGS[family], (name,),
+            DecMap(K, sharp, {c.nd: c for c in K.all_nondeg()}),
             note="finite Kan library; quantification over all Kan complexes is truncated"))
-    return gens
+    return sorted(gens, key=lambda g: g.derived)
 
 
 def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
@@ -250,8 +244,11 @@ def solve(lp: LiftingProblem) -> Optional[DecMap]:
     """A decoration-preserving diagonal filler, or None (exhaustive search)."""
     if not lp.commutes():
         raise ValueError("lifting square does not commute")
-    partial = _along(lp.gen.incl, lp.top.apply)
+    return _lift(lp, {nd: lp.top.apply(b) for nd, b in _image_roots(lp.gen.incl)})
 
+
+def _lift(lp: LiftingProblem, partial: dict) -> Optional[DecMap]:
+    """solve's filler search on a commuting square, the top pinned as ``partial``."""
     def over_base(cell: Cell, cand: Cell) -> bool:
         return lp.p.apply(cand) == lp.bottom.assign[cell.nd]
 
@@ -295,34 +292,33 @@ class Counterexample:
 
 
 def certify_fibration(p: DecMap, family: str = "MB", n_max: int = N_MAX_DEFAULT,
-                      kan_library: Optional[list] = None,
                       tags: Optional[Iterable[str]] = None):
     """Enumerate every lifting problem against the catalog and solve each.
 
+    Each square is checked to commute once, then searched for a lift.
     Returns a Certificate with per-generator counts, or the first failing
     square as a Counterexample (catalog order, deterministic).
     """
-    gens = generators(family, n_max, kan_library)
+    gens = generators(family, n_max)
+    library = [g.params[0] for g in gens if g.tag == _KAN_TAGS[family]]
     if tags is not None:
         tags = set(tags)
         gens = [g for g in gens if g.tag in tags]
-    X, S = p.src, p.dst
     counts = []
     for gen in gens:
         squares = 0
-        tops = enumerate_maps(gen.dom, X)
-        for top in tops:
-            pinned = _along(gen.incl, lambda b: p.apply(top.apply(b)))
-            bottoms = enumerate_maps(gen.cod, S, partial=pinned)
-            for bottom in bottoms:
+        roots = _image_roots(gen.incl)
+        for top in enumerate_maps(gen.dom, p.src):
+            partial = {nd: top.apply(b) for nd, b in roots}
+            pinned = {nd: p.apply(c) for nd, c in partial.items()}
+            for bottom in enumerate_maps(gen.cod, p.dst, partial=pinned):
                 lp = LiftingProblem(gen, top, bottom, p)
                 if not lp.commutes():
                     continue
                 squares += 1
-                if solve(lp) is None:
+                if _lift(lp, partial) is None:
                     return Counterexample(gen, top, bottom)
         counts.append((gen.tag, gen.params, squares))
-    library = [name for name, _ in (kan_library or default_kan_library())]
     return Certificate(family, n_max, counts, library)
 
 

@@ -73,6 +73,10 @@ class PairSimplex:
     def is_degenerate(self) -> bool:
         return any(self.face(j).degeneracy(j) == self for j in range(self.n))
 
+    def base_simplex(self) -> Cell:
+        """phi on the top simplex over {0}: the pair's n-simplex of the base."""
+        return self.phi.apply(end_map(self.n, 0).assign[(self.n, 0)])
+
 
 def classifying_map(X: DecoratedSSet, x: Cell) -> DecMap:
     """The map Delta^n -> X classifying an n-cell."""
@@ -161,7 +165,7 @@ class FreeFibration:
     def edge_data(self, pair: PairSimplex) -> tuple[str, str, str]:
         """(a, alpha, theta) of an edge pair: base 1-cell, fiber 1-cell, filler."""
         ND, NC = self.nd, self.nc
-        a = ND.onecell_of(pair.phi.compose(end_map(1, 0)).assign[(1, 0)])
+        a = ND.onecell_of(pair.base_simplex())
         alpha = NC.onecell_of(pair.rho.assign[(1, 0)])
         P1 = prism(1)
         lower = P1.ref_of_pair(vertex_cell(P1.factor_a, (0, 0, 1)),
@@ -184,8 +188,7 @@ class FreeFibration:
 
     def _triangle_thin(self, pair: PairSimplex) -> bool:
         """Thinness of a lean triangle."""
-        base_top = pair.phi.compose(end_map(2, 0)).assign[(2, 0)]
-        return self.nd.is_thin(base_top)
+        return self.nd.is_thin(pair.base_simplex())
 
     # -- structure maps ----------------------------------------------------------
 
@@ -193,8 +196,7 @@ class FreeFibration:
         assign = {}
         for cell in self.total.all_nondeg():
             if cell.dim <= TOP_DIM:
-                phi = self.pairs[cell.nd].phi
-                assign[cell.nd] = phi.compose(end_map(cell.dim, 0)).assign[(cell.dim, 0)]
+                assign[cell.nd] = self.pairs[cell.nd].base_simplex()
             else:
                 assign[cell.nd] = _filler(self.base, assign, self.total, cell, "projection")
         return DecMap(self.total, self.base, assign)
@@ -364,7 +366,7 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
             assign[nd] = N.edge_of(m)
         elif n == 2:
             pair = ff.pairs[nd]
-            psi2 = ND.filler_of(pair.phi.compose(end_map(2, 0)).assign[(2, 0)])
+            psi2 = ND.filler_of(pair.base_simplex())
             zeta = NC.filler_of(pair.rho.assign[(2, 0)])
             fm = _edge_of(ff, Fr, objects, edges, pair.face(2))
             gm = _edge_of(ff, Fr, objects, edges, pair.face(0))

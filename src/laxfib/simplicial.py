@@ -538,13 +538,13 @@ def vertex_cell(X: DecoratedSSet, verts: tuple[int, ...]) -> Cell:
 
 
 class DecMap:
-    """A simplicial map given on nondegenerate cells of the source."""
+    """A simplicial map given on nondegenerate cells of the source; it owns ``assign``."""
 
     def __init__(self, src: DecoratedSSet, dst: DecoratedSSet,
                  assign: dict[tuple[int, int], Cell]):
         self.src = src
         self.dst = dst
-        self.assign = dict(assign)
+        self.assign = assign
 
     def apply(self, cell: Cell) -> Cell:
         if not cell.word:
@@ -560,7 +560,7 @@ class DecMap:
         )
 
     def __hash__(self):
-        return hash((id(self.src), id(self.dst), tuple(sorted(self.assign.items()))))
+        return hash((id(self.src), id(self.dst), frozenset(self.assign.items())))
 
     def key(self) -> tuple:
         """Structural key, independent of object identity."""
@@ -671,7 +671,7 @@ def enumerate_maps(
 
     def search(pos: int) -> bool:
         if pos == len(cells):
-            out.append(DecMap(A, B, assign))
+            out.append(DecMap(A, B, dict(assign)))
             return first_only
         cell = cells[pos]
         for cand in candidates(cell):
@@ -682,6 +682,7 @@ def enumerate_maps(
         return False
 
     search(0)
+    del search  # it refers to itself: drop that cycle so out is freed by refcount
     if len(out) > 1:
         lex = A.all_nondeg()
         out.sort(key=lambda m: [m.assign[c.nd] for c in lex])

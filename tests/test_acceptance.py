@@ -8,6 +8,7 @@ pass/fail lines.  All combinatorial checks are exact; the two runtime bounds
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 
@@ -101,18 +102,73 @@ def test_criterion_2_tame_fr_comparison(battery):
            "zero diffs")
 
 
+def assert_no_lift(incl: DecMap, top: DecMap, bottom: DecMap, p: DecMap) -> None:
+    """Independent of ``enumerate_maps`` and ``anodyne``: the square
+    ``p o top = bottom o incl`` commutes on every cell of the domain, and no
+    assignment of cells of X to the nondegenerate cells of the codomain, tried
+    one by one, is a decoration-preserving map that fills the square."""
+    A, B, X = incl.src, incl.dst, top.dst
+    for d in range(A.top_dim + 1):
+        for a in A.all_cells(d):
+            assert p.apply(top.apply(a)) == bottom.apply(incl.apply(a)), a
+    cells = B.all_nondeg()
+    names = ("marked", "thin", "lean") if B.kind == "MB" else ("marked", "thin")
+
+    def image(lift, cell):
+        img = lift[cell.nd]
+        for j in reversed(cell.word):
+            img = X.deg(img, j)
+        return img
+
+    def fills(lift):
+        return (all(X.face(lift[c.nd], i) == image(lift, B.face(c, i))
+                    for c in cells if c.dim for i in range(c.dim + 1))
+                and all(lift[c.nd].is_degenerate() or lift[c.nd].nd in getattr(X, name)
+                        for name in names for c in cells if c.nd in getattr(B, name))
+                and all(image(lift, incl.apply(a)) == top.apply(a) for a in A.all_nondeg())
+                and all(p.apply(lift[c.nd]) == bottom.assign[c.nd] for c in cells))
+
+    for choice in itertools.product(*(X.all_cells(c.dim) for c in cells)):
+        assert not fills({c.nd: x for c, x in zip(cells, choice)}), "the square has a lift"
+
+
+def _sharp(n: int):
+    return standard_simplex(n, kind="MB", marked="sharp", thin="sharp", lean="sharp")
+
+
+def test_no_lift_checker_rejects_a_square_with_a_lift():
+    # the (A5) square over the identity of the interval is filled by the identity
+    interval, pt = _sharp(1), _sharp(0)
+    at_1 = delta_map(pt, interval, {0: 1})
+    p = DecMap.identity(interval)
+    with pytest.raises(AssertionError, match="has a lift"):
+        assert_no_lift(at_1, at_1, p, p)
+
+
+# sha256 of the six battery certificates, in battery order, and of the
+# negative control's counterexample, each as sorted-key to_json_dict() text
+CERTIFICATES_DIGEST = "e7f61d319faabd8139fe49d371e7c3cc5d29c21c0fae2efb47144f48ca914b21"
+COUNTEREXAMPLE_DIGEST = "05550b693dfdf8fe429e6b1180793d148801b2bf0eafbc7663d0c267e36d01f8"
+
+
 def test_criterion_3_fibration_certification(battery):
     t0 = time.time()
     squares = 0
+    h = hashlib.sha256()
     for name, ff in battery:
         res = certify_fibration(ff.proj, "MB", n_max=4)
         assert res.ok, (name, res.to_json_dict())
         squares += sum(c for _, _, c in res.counts)
+        h.update(json.dumps(res.to_json_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == CERTIFICATES_DIGEST
     # negative control: the terminal-vertex inclusion is not a fibration
-    interval = standard_simplex(1, kind="MB", marked="sharp", thin="sharp", lean="sharp")
-    pt = standard_simplex(0, kind="MB", marked="sharp", thin="sharp", lean="sharp")
-    neg = certify_fibration(delta_map(pt, interval, {0: 1}), "MB", n_max=4)
+    interval, pt = _sharp(1), _sharp(0)
+    p_neg = delta_map(pt, interval, {0: 1})
+    neg = certify_fibration(p_neg, "MB", n_max=4)
     assert not neg.ok and neg.gen.tag == "A5"
+    neg_doc = json.dumps(neg.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(neg_doc).hexdigest() == COUNTEREXAMPLE_DIGEST
+    assert_no_lift(neg.gen.incl, neg.top, neg.bottom, p_neg)
     elapsed = time.time() - t0
     ok = elapsed < 120.0
     report("criterion 3 (fibration certification)", ok,

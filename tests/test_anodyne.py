@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from laxfib import anodyne
 from laxfib.anodyne import (
     AnodyneStep,
     GeneratorInstance,
@@ -17,7 +18,14 @@ from laxfib.anodyne import (
     solve,
 )
 from laxfib.fincat import terminal_cat
-from laxfib.simplicial import Cell, DecMap, delta_map, standard_simplex, vertex_cell
+from laxfib.simplicial import (
+    Cell,
+    DecMap,
+    boundary_simplex,
+    delta_map,
+    standard_simplex,
+    vertex_cell,
+)
 from laxfib.twocat import scaled_nerve, two_bracket
 
 
@@ -137,6 +145,25 @@ def test_solve_identity_always_lifts(mb):
     lift = solve(lp)
     assert lift is not None
     assert lift.key() == bottoms[0].key()
+
+
+def test_square_failing_off_the_pinning_is_not_counted(monkeypatch):
+    # The inclusion sends both vertices of the boundary of Delta^1 to the one
+    # point, so a bottom is pinned by the later vertex only.  Over the identity,
+    # of the four tops the two constant ones give commuting squares; the other
+    # two give a bottom whose square fails on the earlier vertex.
+    two = boundary_simplex(1, kind="MB")
+    pt = standard_simplex(0, kind="MB")
+    gen = GeneratorInstance("MB", "T", (), DecMap(two, pt, {(0, 0): Cell(0, 0),
+                                                            (0, 1): Cell(0, 0)}))
+    monkeypatch.setattr(anodyne, "generators", lambda family, n_max: [gen])
+    p = DecMap.identity(two)
+    res = certify_fibration(p, "MB", n_max=2)
+    assert res.ok and res.counts == [("T", (), 2)]
+    lp = LiftingProblem(gen, p, DecMap(pt, two, {(0, 0): Cell(0, 1)}), p)
+    assert not lp.commutes()
+    with pytest.raises(ValueError):
+        solve(lp)
 
 
 def test_negative_control_a5(mb):
