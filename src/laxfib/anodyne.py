@@ -124,7 +124,7 @@ def _collapse01(kind: str, n: int, deco: dict, horn_index: Optional[int] = None)
 
     groups = {k: transported(v, 1 if k == "marked" else 2)
               for k, v in _deco(kind, **deco).items()}
-    quotient = DecoratedSSet(kind, P.n_cells, P.faces, labels=P.labels, **groups)
+    quotient = P.with_decorations(kind, **groups)
     return quotient, DecMap(base, quotient, leg_b.assign)
 
 
@@ -214,11 +214,8 @@ def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
     isomorphism, truncated at the cap."""
     pt = standard_simplex(0, kind="MB", thin="sharp", lean="sharp")
     J = walking_iso().nerve(max_dim=N_MAX_DEFAULT, kind="PLAIN")
-    J = DecoratedSSet("MB", J.n_cells, J.faces, marked=(),
-                      thin=[c.nd for c in J.nondeg(2)],
-                      lean=[c.nd for c in J.nondeg(2)], labels=J.labels,
-                      truncated_at=J.truncated_at)
-    return [("point", pt), ("walking-iso", J)]
+    tris = [c.nd for c in J.nondeg(2)]
+    return [("point", pt), ("walking-iso", J.with_decorations("MB", thin=tris, lean=tris))]
 
 
 # ---------------------------------------------------------------------------

@@ -203,15 +203,12 @@ def two_bracket_duality(p: CatFunctor, budgets: Optional[dict] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def theorem_a_localizations(f: TwoFunctor, only_sharp: bool = True,
-                            budgets: Optional[dict] = None) -> dict:
+def theorem_a_localizations(f: TwoFunctor, budgets: Optional[dict] = None) -> dict:
     """With every 1-cell marked, a cofinal functor induces an equivalence of
     localizations; the homology of the nerves is a sound necessary check."""
     C, D = f.src, f.dst
     sharpC = Marking2Cat(C, frozenset(C.onecells))
     sharpD = Marking2Cat(D, frozenset(D.onecells))
-    if only_sharp is not True:
-        raise ValueError("the localization comparison requires the full marking")
     report = check_cofinal(f, sharpC, sharpD, budgets)
     out: dict = {"cofinality": report.verdict}
     if report.verdict != "yes":

@@ -137,6 +137,7 @@ class FinCat:
                         st = start
                     faces.append(chain_cell(sub, st))
                 b.add(n, tuple(faces), label=("chain", chain))
+        del chain_cell  # it refers to itself: drop that cycle so the builder is freed by refcount
 
         marked: list = []
         thin: list = []

@@ -13,6 +13,7 @@ and is 3-coskeletal above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .gray import delta, e_map, end_map, prism, prism_deg, prism_face, simplex_deg, simplex_face
@@ -20,13 +21,12 @@ from .simplicial import (
     Cell,
     DecMap,
     DecoratedSSet,
+    KeyedSSet,
     add_coskeletal_top,
     coskeletal_spheres,
     degenerate_spheres,
     enumerate_maps,
     fill,
-    keyed_cells,
-    normal_form,
     vertex_cell,
 )
 from .twocat import (
@@ -115,10 +115,9 @@ class FreeFibration:
         self.nc: ScaledNerve = scaled_nerve(f.src, src_marking)
         self.nd: ScaledNerve = scaled_nerve(f.dst, dst_marking)
         self.fN = nerve_map(f, self.nc, self.nd)
-        self.pairs: dict[tuple, PairSimplex] = {}       # total cell nd -> pair
-        self.index: dict[PairSimplex, Cell] = {}        # nondegenerate pair -> total cell
-        self.total: DecoratedSSet = self._build_total()
-        self.base: DecoratedSSet = sharp_base(self.nd)
+        self.total: KeyedSSet = self._build_total()
+        self.pairs: dict[tuple, PairSimplex] = self.total.keys  # total cell nd -> pair
+        self.base: ScaledNerve = sharp_base(self.nd)
         self.proj: DecMap = self._projection()
         self.gamma: DecMap = self._unit()
 
@@ -143,22 +142,17 @@ class FreeFibration:
 
         return enumerate_maps(delta(n), NC, constraint=hook, respect_decorations=False)
 
-    def _build_total(self) -> DecoratedSSet:
+    def _build_total(self) -> KeyedSSet:
         # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho
         levels = [[PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
                    for rho in self._rhos_for(phi, n)] for n in range(TOP_DIM + 1)]
-        n_cells, faces, self.index = keyed_cells(levels, PairSimplex.face, PairSimplex.degeneracy)
-        self.pairs = {cell.nd: pair for pair, cell in self.index.items()}
-        pairs = self.pairs.items()
+        X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"))
+        pairs = X.keys.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
         lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
-        thin = {nd for nd in lean if self._triangle_thin(self.pairs[nd])}
-        X3 = DecoratedSSet("MB", n_cells, faces, marked, thin, lean)
-        return add_coskeletal_top(X3, TOP_DIM + 1)
-
-    def cell_of(self, pair: PairSimplex) -> Cell:
-        """Total-space cell (possibly degenerate) realizing a pair."""
-        return normal_form(pair, pair.n, self.index, PairSimplex.face, PairSimplex.degeneracy)
+        thin = {nd for nd in lean if self._triangle_thin(X.keys[nd])}
+        return add_coskeletal_top(X.with_decorations(marked=marked, thin=thin, lean=lean),
+                                  TOP_DIM + 1)
 
     # -- decorations -----------------------------------------------------------
 
@@ -168,8 +162,8 @@ class FreeFibration:
         a = ND.onecell_of(pair.base_simplex())
         alpha = NC.onecell_of(pair.rho.assign[(1, 0)])
         P1 = prism(1)
-        lower = P1.ref_of_pair(vertex_cell(P1.factor_a, (0, 0, 1)),
-                               vertex_cell(P1.factor_b, (0, 1, 1)))
+        lower = P1.cell_of((vertex_cell(P1.factor_a, (0, 0, 1)),
+                            vertex_cell(P1.factor_b, (0, 1, 1))))
         theta = ND.filler_of(pair.phi.apply(lower))
         return a, alpha, theta
 
@@ -205,14 +199,14 @@ class FreeFibration:
         assign = {}
         for cell in self.nc.all_nondeg():
             if cell.dim <= TOP_DIM:
-                assign[cell.nd] = self.cell_of(gamma_pair(self.fN, cell))
+                assign[cell.nd] = self.total.cell_of(gamma_pair(self.fN, cell))
             else:
                 assign[cell.nd] = _filler(self.total, assign, self.nc, cell, "unit image")
         return DecMap(self.nc, self.total, assign)
 
     # -- fibers -------------------------------------------------------------------
 
-    def fiber(self, d: str) -> tuple[DecoratedSSet, DecMap]:
+    def fiber(self, d: str) -> tuple[KeyedSSet, DecMap]:
         """The marked-scaled fiber over an object of the target, with its inclusion:
         the cells of dimension <= 3 lying fully degenerately over it, in sorted order."""
         if d not in self.f.dst.objects:
@@ -221,12 +215,10 @@ class FreeFibration:
         keep = [Cell(*nd) for nd in self.pairs
                 if over[nd].nd == dvert.nd and len(over[nd].word) == nd[0]]
         levels = [[x for x in keep if x.dim == n] for n in range(TOP_DIM + 1)]
-        n_cells, faces, index = keyed_cells(levels, T.face, T.deg)
-        marked = {c.nd for x, c in index.items() if x.nd in T.marked}
-        thin = {c.nd for x, c in index.items() if x.nd in T.lean}
-        fib = DecoratedSSet("MS", n_cells, faces, marked, thin, thin, coskeletal=TOP_DIM)
-        incl = DecMap(fib, T, {c.nd: x for x, c in index.items()})
-        return fib, incl
+        fib = KeyedSSet("MS", levels, T.face, T.deg, attrgetter("total_dim"), coskeletal=TOP_DIM)
+        fib = fib.with_decorations(marked={nd for nd, x in fib.keys.items() if x.nd in T.marked},
+                                   thin={nd for nd, x in fib.keys.items() if x.nd in T.lean})
+        return fib, DecMap(fib, T, dict(fib.keys))
 
     # -- the filtration audit ------------------------------------------------------
 
@@ -262,12 +254,10 @@ def _filler(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell, what: 
     return hit
 
 
-def sharp_base(ND: ScaledNerve) -> DecoratedSSet:
+def sharp_base(ND: ScaledNerve) -> ScaledNerve:
     """The base decorated as (S, sharp, T subset sharp)."""
-    marked = {c.nd for c in ND.nondeg(1)}
-    lean = {c.nd for c in ND.nondeg(2)}
-    return DecoratedSSet("MB", ND.n_cells, ND.faces, marked, ND.thin, lean,
-                         labels=ND.labels, coskeletal=ND.coskeletal)
+    return ND.with_decorations("MB", marked={c.nd for c in ND.nondeg(1)},
+                               lean={c.nd for c in ND.nondeg(2)})
 
 
 def build_free_fibration(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
@@ -386,12 +376,12 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
 
 
 def _object_of(ff: FreeFibration, objects: dict, pair: PairSimplex):
-    return objects[ff.cell_of(pair).nd]
+    return objects[ff.total.cell_of(pair).nd]
 
 
 def _edge_of(ff: FreeFibration, Fr: StrictTwoCat, objects: dict, edges: dict,
              pair: PairSimplex):
-    cell = ff.cell_of(pair)
+    cell = ff.total.cell_of(pair)
     if cell.is_degenerate():
         # degenerate edge: the identity 1-cell on its vertex
         return Fr.id1[objects[cell.nd]]
@@ -424,7 +414,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         P1 = prism(1)
         I, D1 = P1.factor_a, P1.factor_b
         phi_assign = {}
-        for nd2, (x, y) in P1.pair_of.items():
+        for nd2, (x, y) in P1.keys.items():
             iw = simplex_vertex_word(I, x)
             dw = simplex_vertex_word(D1, y)
             if nd2[0] == 0:
@@ -470,7 +460,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         I, D2 = P2.factor_a, P2.factor_b
         phi_assign: dict = {}
         diag_filler = D.hcomp2[(f.map2[zeta], D.id2[us[0]])]
-        for nd2, (x, y) in sorted(P2.pair_of.items()):
+        for nd2, (x, y) in sorted(P2.keys.items()):
             iw = simplex_vertex_word(I, x)
             dw = simplex_vertex_word(D2, y)
             dim = nd2[0]
@@ -519,12 +509,12 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         rho = classifying_map(NC, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta))
         return PairSimplex(2, DecMap(P2, ND, phi_assign), rho)
 
-    pair_of = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
+    pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     for cell in N.all_nondeg():
         kind, data = N.labels[cell.nd]
-        if kind in pair_of:
+        if kind in pair_for:
             # a triangle without a pair (None) is not in the index either
-            assign[cell.nd] = ff.index.get(pair_of[kind](data))
+            assign[cell.nd] = ff.total.index.get(pair_for[kind](data))
         else:
             assign[cell.nd] = fill(ff.total, assign, N, cell)
         if assign[cell.nd] is None:

@@ -28,11 +28,11 @@ CAP = 4
 def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
          truncate: bool = False) -> ProductSSet:
     """Gray product of two scaled simplicial sets."""
-    P = product(X, Y, cap=cap, truncate=truncate, kind="SC")
+    P = product(X, Y, cap=cap, truncate=truncate, kind="PLAIN")
     thin = set()
     provenance = {}
     for cell in P.nondeg(2):
-        x, y = P.pair_of[cell.nd]
+        x, y = P.keys[cell.nd]
         if not (X.is_thin(x) and Y.is_thin(y)):
             continue
         if X.face(x, 0).is_degenerate():
@@ -41,8 +41,7 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
         elif Y.face(y, 2).is_degenerate():
             thin.add(cell.nd)
             provenance[cell.nd] = "second-factor-collapses-01"
-    G = ProductSSet(X, Y, "SC", (), thin, thin, P.pair_of, P._cell_of,
-                    P.n_cells, P.faces, P.labels, truncated_at=P.truncated_at)
+    G = P.with_decorations("SC", thin=thin, lean=thin)
     G.gray_provenance = provenance
     return G
 
@@ -79,11 +78,11 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     marked = set()
     thin = set()
     for cell in P.nondeg(1):
-        e1, ex = P.pair_of[cell.nd]
+        e1, ex = P.keys[cell.nd]
         if _interval_constant(I, e1) == 1 and X.is_marked(ex):
             marked.add(cell.nd)
     for cell in P.nondeg(2):
-        s1, sx = P.pair_of[cell.nd]
+        s1, sx = P.keys[cell.nd]
         # (a) thin in the underlying Gray product
         if X.is_thin(sx) and (I.face(s1, 0).is_degenerate() or X.face(sx, 2).is_degenerate()):
             thin.add(cell.nd)
@@ -97,9 +96,7 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
         # (c) the interval component is 0 -> 0 -> 1 and the {0,1}-edge is marked
         if simplex_vertex_word(I, s1) == (0, 0, 1) and X.is_marked(X.face(sx, 2)):
             thin.add(cell.nd)
-    G = ProductSSet(I, X, "MS", marked, thin, thin, P.pair_of, P._cell_of,
-                    P.n_cells, P.faces, P.labels, truncated_at=P.truncated_at)
-    return G
+    return P.with_decorations("MS", marked=marked, thin=thin)
 
 
 def _interval_constant(I: DecoratedSSet, cell: Cell) -> Optional[int]:
@@ -111,32 +108,16 @@ def _interval_constant(I: DecoratedSSet, cell: Cell) -> Optional[int]:
 def end_inclusion(X: DecoratedSSet, P: ProductSSet, eps: int) -> DecMap:
     """The inclusion {eps} x X -> interval x X."""
     I = P.factor_a
-    v = vertex_cell(I, (eps,))
-    assign = {}
-    for cell in X.all_nondeg():
-        const = v
-        for _ in range(cell.dim):
-            const = I.deg(const, 0)
-        assign[cell.nd] = P.ref_of_pair(const, cell)
-    return DecMap(X, P, assign)
+    return DecMap(X, P, {cell.nd: P.cell_of((vertex_cell(I, (eps,) * (cell.dim + 1)), cell))
+                         for cell in X.all_nondeg()})
 
 
 def restrict_to_end(G: ProductSSet, eps: int) -> DecoratedSSet:
     """The marked-scaled object {eps} (x) X inside the decorated product."""
     X = G.factor_b
-    inc = end_inclusion(X, G, eps)
-    marked = set()
-    thin = set()
-    for cell in X.nondeg(1):
-        img = inc.apply(cell)
-        if not img.is_degenerate() and img.nd in G.marked:
-            marked.add(cell.nd)
-    for cell in X.nondeg(2):
-        img = inc.apply(cell)
-        if not img.is_degenerate() and img.nd in G.thin:
-            thin.add(cell.nd)
-    return DecoratedSSet("MS", X.n_cells, X.faces, marked, thin, thin,
-                         labels=X.labels, coskeletal=X.coskeletal)
+    roots = [(nd, img.nd) for nd, img in end_inclusion(X, G, eps).assign.items() if not img.word]
+    return X.with_decorations("MS", marked={nd for nd, r in roots if r in G.marked},
+                              thin={nd for nd, r in roots if r in G.thin})
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +182,13 @@ def e_map(j: int, n: int) -> DecMap:
         return (m, r) if r <= j else (1, r - 1)
 
     assign = {}
-    for nd, (x, y) in src.pair_of.items():
+    for nd, (x, y) in src.keys.items():
         xw = simplex_vertex_word(src.factor_a, x)
         yw = simplex_vertex_word(src.factor_b, y)
         pairs = [image_vertex(m, r) for m, r in zip(xw, yw)]
         new_x = vertex_cell(I, tuple(p[0] for p in pairs))
         new_y = vertex_cell(Dn, tuple(p[1] for p in pairs))
-        assign[nd] = dst.ref_of_pair(new_x, new_y)
+        assign[nd] = dst.cell_of((new_x, new_y))
     return DecMap(src, dst, assign)
 
 

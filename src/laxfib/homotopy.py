@@ -261,6 +261,7 @@ def collapse_search(X: DecoratedSSet, budget: Optional[int] = None) -> Verdict:
         return None
 
     seq = dfs(frozenset(cells), [])
+    del dfs  # it refers to itself: drop that cycle so failed is freed by refcount
     if seq is not None:
         return Verdict("yes", {"collapse": [[list(t), list(s)] for t, s in seq],
                                "budget": budget})

@@ -18,6 +18,7 @@ Decoration conventions:
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from operator import itemgetter
@@ -87,46 +88,8 @@ def face_through_word(word: tuple[int, ...], i: int):
     return insert_degeneracy(w2, j), r
 
 
-def normal_form(key, n: int, index: dict, face: Callable, deg: Callable) -> Cell:
-    """The Cell of an n-simplex given by a hashable key, degenerate or not.
-
-    ``index`` maps each nondegenerate key to its Cell; ``face(key, i)`` and
-    ``deg(key, j)`` act on keys.  A key missing from ``index`` is
-    ``deg(face(key, j), j)`` for some j: the largest such j is peeled off.
-    """
-    hit = index.get(key)
-    if hit is not None:
-        return hit
-    for j in range(n - 1, -1, -1):
-        inner = face(key, j)
-        if deg(inner, j) == key:
-            base = normal_form(inner, n - 1, index, face, deg)
-            return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
-    raise KeyError(f"{key!r} is not a simplex of this object")
-
-
-def keyed_cells(levels: list, face: Callable, deg: Callable) -> tuple[list[int], dict, dict]:
-    """Nondegenerate cells of a simplicial object given on hashable keys.
-
-    ``levels[n]`` lists the n-simplices in order; a key is degenerate when it
-    is ``deg(face(key, j), j)`` for some j.  Returns the cell counts, the face
-    tables and the Cell of each nondegenerate key, numbered in list order.
-    """
-    n_cells: list[int] = []
-    faces: dict = {}
-    index: dict = {}
-    for n, keys in enumerate(levels):
-        count = 0
-        for key in keys:
-            if any(deg(face(key, j), j) == key for j in range(n)):
-                continue
-            cell = index[key] = Cell(n, count)
-            if n:
-                faces[cell.nd] = tuple(normal_form(face(key, i), n - 1, index, face, deg)
-                                       for i in range(n + 1))
-            count += 1
-        n_cells.append(count)
-    return n_cells, faces, index
+_SSET_FIELDS = ("kind", "n_cells", "faces", "marked", "thin", "lean", "labels", "coskeletal",
+                "truncated_at")
 
 
 class DecoratedSSet:
@@ -204,6 +167,7 @@ class DecoratedSSet:
             for d in range(self.top_dim, -1, -1):
                 for k in range(self.num(d)):
                     visit((d, k))
+            del visit  # it refers to itself: drop that cycle so order is freed by refcount
             self._faces_first = list(order.values())
         return self._faces_first
 
@@ -301,17 +265,16 @@ class DecoratedSSet:
             raise BadDecorationError("PLAIN objects carry no decorations")
 
     def with_decorations(self, kind=None, marked=None, thin=None, lean=None) -> "DecoratedSSet":
-        """Copy of the object with decorations replaced."""
-        kind = kind or self.kind
-        marked = self.marked if marked is None else marked
-        thin = self.thin if thin is None else thin
-        lean = self.lean if lean is None else lean
-        if kind == "MS":
-            lean = thin
-        return DecoratedSSet(
-            kind, self.n_cells, self.faces, marked, thin, lean,
-            labels=self.labels, coskeletal=self.coskeletal, truncated_at=self.truncated_at,
-        )
+        """Copy of the object, of its own class, with decorations replaced."""
+        given = {"kind": kind, "marked": marked, "thin": thin, "lean": lean}
+        return self._replaced(**{k: v for k, v in given.items() if v is not None})
+
+    def _replaced(self, **fields) -> "DecoratedSSet":
+        """Copy of the object, of its own class and with its other attributes,
+        with some constructor fields replaced."""
+        new = copy.copy(self)
+        DecoratedSSet.__init__(new, **{**{f: getattr(self, f) for f in _SSET_FIELDS}, **fields})
+        return new
 
     # -- structural checks -------------------------------------------------
 
@@ -411,6 +374,58 @@ def _degeneracy_words(base_dim: int, length: int) -> list[tuple[int, ...]]:
     # decreasing words with i1 <= n + k - 1.
     top = base_dim + length - 1
     return [tuple(sorted(c, reverse=True)) for c in itertools.combinations(range(top + 1), length)]
+
+
+class KeyedSSet(DecoratedSSet):
+    """A simplicial object given on hashable keys.
+
+    ``levels[n]`` lists the n-simplices in order; ``face(key, i)`` and
+    ``deg(key, j)`` act on keys, and ``key_dim(key)`` is a key's dimension.  A
+    key is degenerate when it is ``deg(face(key, j), j)`` for some j; the
+    others are the nondegenerate cells, numbered in list order.  ``keys`` maps
+    each nondegenerate cell's ``nd`` to its key (the keys are also the labels)
+    and ``index`` maps each nondegenerate key to its Cell.  ``fields`` are
+    further constructor fields of :class:`DecoratedSSet`.
+    """
+
+    def __init__(self, kind: str, levels: list, face: Callable, deg: Callable,
+                 key_dim: Callable, **fields):
+        self.key_face, self.key_deg, self.key_dim = face, deg, key_dim
+        self.index: dict = {}
+        n_cells: list[int] = []
+        faces: dict = {}
+        for n, level in enumerate(levels):
+            count = 0
+            for key in level:
+                if any(deg(face(key, j), j) == key for j in range(n)):
+                    continue
+                cell = self.index[key] = Cell(n, count)
+                if n:
+                    faces[cell.nd] = tuple(self.cell_of(face(key, i)) for i in range(n + 1))
+                count += 1
+            n_cells.append(count)
+        self.keys = {cell.nd: key for key, cell in self.index.items()}
+        super().__init__(kind, n_cells, faces, labels=self.keys, **fields)
+
+    def cell_of(self, key) -> Cell:
+        """The Cell of a key, degenerate or not.  A key missing from ``index`` is
+        ``deg(face(key, j), j)`` for some j: the largest such j is peeled off."""
+        hit = self.index.get(key)
+        if hit is not None:
+            return hit
+        for j in range(self.key_dim(key) - 1, -1, -1):
+            inner = self.key_face(key, j)
+            if self.key_deg(inner, j) == key:
+                base = self.cell_of(inner)
+                return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
+        raise KeyError(f"{key!r} is not a simplex of this object")
+
+    def key_of(self, cell: Cell):
+        """The key of a cell whose root is keyed, degenerate ones included."""
+        key = self.keys[cell.nd]
+        for j in reversed(cell.word):
+            key = self.key_deg(key, j)
+        return key
 
 
 class SSetBuilder:
@@ -756,83 +771,59 @@ def pushout(f: DecMap, g: DecMap) -> tuple[DecoratedSSet, DecMap, DecMap]:
     return P, leg_b, leg_c
 
 
-class ProductSSet(DecoratedSSet):
-    """Cartesian product with a pair index for its cells."""
+class ProductSSet(KeyedSSet):
+    """Cartesian product of A and B up to dimension ``top``, undecorated and
+    keyed on pairs of same-dimension cells: the nondegenerate n-cells are the
+    jointly nondegenerate pairs (x, y) of n-cells."""
 
-    def __init__(self, A: DecoratedSSet, B: DecoratedSSet, kind, marked, thin, lean,
-                 pair_of: dict, cell_of: dict, n_cells, faces, labels,
-                 truncated_at=None):
-        super().__init__(kind, n_cells, faces, marked, thin, lean, labels=labels,
-                         truncated_at=truncated_at)
+    def __init__(self, A: DecoratedSSet, B: DecoratedSSet, top: int):
+        levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
+        super().__init__("PLAIN", levels,
+                         lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
+                         lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)),
+                         _pair_dim, truncated_at=top if A.top_dim + B.top_dim > top else None)
         self.factor_a = A
         self.factor_b = B
-        self.pair_of = pair_of        # nondeg product cell nd -> (Cell in A, Cell in B)
-        self._cell_of = cell_of       # (Cell in A, Cell in B) -> nondeg product Cell
-        self._pair_ops = _pair_ops(A, B)
-        self.truncated = truncated_at is not None
-
-    def ref_of_pair(self, x: Cell, y: Cell) -> Cell:
-        """Product cell (possibly degenerate) for a pair of same-dim cells."""
-        if x.total_dim != y.total_dim:
-            raise ValueError("pair components must have equal dimension")
-        return normal_form((x, y), x.total_dim, self._cell_of, *self._pair_ops)
 
     def proj_a(self) -> DecMap:
-        return DecMap(self, self.factor_a, {nd: self.pair_of[nd][0] for nd in self.pair_of})
+        return DecMap(self, self.factor_a, {nd: x for nd, (x, _) in self.keys.items()})
 
     def proj_b(self) -> DecMap:
-        return DecMap(self, self.factor_b, {nd: self.pair_of[nd][1] for nd in self.pair_of})
+        return DecMap(self, self.factor_b, {nd: y for nd, (_, y) in self.keys.items()})
 
 
-def _pair_ops(A: DecoratedSSet, B: DecoratedSSet) -> tuple[Callable, Callable]:
-    """Face and degeneracy on pairs of same-dimension cells of A and B."""
-    return (lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
-            lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)))
+def _pair_dim(pair: tuple[Cell, Cell]) -> int:
+    x, y = pair
+    if x.total_dim != y.total_dim:
+        raise ValueError("pair components must have equal dimension")
+    return x.total_dim
 
 
 def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
             truncate: bool = False, kind: Optional[str] = None) -> ProductSSet:
-    """Cartesian product; decorations are taken pairwise.
-
-    Nondegenerate n-cells are jointly nondegenerate pairs (x, y) of n-cells.
-    """
+    """Cartesian product; decorations are taken pairwise."""
     full_dim = A.top_dim + B.top_dim
     if full_dim > cap and not truncate:
         raise DimensionCapError(
             f"product dimension {full_dim} exceeds cap {cap}; pass truncate=True")
-    top = min(full_dim, cap)
-    levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
-    n_cells, faces, cell_of = keyed_cells(levels, *_pair_ops(A, B))
-    pair_of = {cell.nd: pair for pair, cell in cell_of.items()}
-    labels = {nd: (A.labels.get(x.nd, x.nd) if not x.word else x,
-                   B.labels.get(y.nd, y.nd) if not y.word else y)
-              for nd, (x, y) in pair_of.items()}
-
-    def pairwise(dim: int, test: Callable) -> set:
-        return {nd for nd, (x, y) in pair_of.items() if nd[0] == dim and test(A, x) and test(B, y)}
-
-    marked = pairwise(1, DecoratedSSet.is_marked)
-    thin = pairwise(2, DecoratedSSet.is_thin)
-    lean = pairwise(2, DecoratedSSet.is_lean)
+    P = ProductSSet(A, B, min(full_dim, cap))
     if kind is None:
         kind = A.kind if A.kind == B.kind else "PLAIN"
     if kind == "PLAIN":
-        marked, thin, lean = set(), set(), set()
-    if kind == "SC":
-        marked = set()
-        lean = thin
-    if kind == "MS":
-        lean = thin
-    return ProductSSet(A, B, kind, marked, thin, lean, pair_of, cell_of, n_cells, faces, labels,
-                       truncated_at=top if full_dim > top else None)
+        return P
+
+    def pairwise(dim: int, test: Callable) -> set:
+        return {nd for nd, (x, y) in P.keys.items() if nd[0] == dim and test(A, x) and test(B, y)}
+
+    marked = set() if kind == "SC" else pairwise(1, DecoratedSSet.is_marked)
+    thin = pairwise(2, DecoratedSSet.is_thin)
+    lean = pairwise(2, DecoratedSSet.is_lean) if kind == "MB" else thin
+    return P.with_decorations(kind, marked, thin, lean)
 
 
 def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:
     """The induced map f x g : P -> Q between product objects."""
-    assign = {}
-    for nd, (x, y) in P.pair_of.items():
-        assign[nd] = Q.ref_of_pair(f.apply(x), g.apply(y))
-    return DecMap(P, Q, assign)
+    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.keys.items()})
 
 
 def delta_map(X: DecoratedSSet, Y: DecoratedSSet, vertex_images: dict[int, int]) -> DecMap:
@@ -871,6 +862,7 @@ def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
             tup.pop()
 
     extend([])
+    del extend  # it refers to itself: drop that cycle so its tables are freed by refcount
     return spheres
 
 
@@ -882,7 +874,9 @@ def degenerate_spheres(X: DecoratedSSet, dim: int) -> set[tuple[Cell, ...]]:
 def add_coskeletal_top(X: DecoratedSSet, dim: int,
                        keep: Optional[Callable[[tuple[Cell, ...]], bool]] = None) -> DecoratedSSet:
     """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
-    boundary sphere, in sorted sphere order; ``keep`` filters the spheres."""
+    boundary sphere, in sorted sphere order.  ``keep`` filters the spheres; the
+    result is then not (dim-1)-coskeletal and keeps X's ``coskeletal``.  The
+    result has X's class and its other attributes."""
     assert X.top_dim <= dim - 1
     degenerate = degenerate_spheres(X, dim)
     n_cells = list(X.n_cells)
@@ -899,8 +893,8 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
         labels[nd] = ("cosk", sphere)
         count += 1
     n_cells.append(count)
-    return DecoratedSSet(X.kind, n_cells, faces, X.marked, X.thin, X.lean,
-                         labels=labels, coskeletal=dim - 1)
+    return X._replaced(n_cells=n_cells, faces=faces, labels=labels, truncated_at=None,
+                       coskeletal=dim - 1 if keep is None else X.coskeletal)
 
 
 def fill(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell) -> Optional[Cell]:

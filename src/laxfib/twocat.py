@@ -6,8 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat
-from .simplicial import (Cell, DecMap, DecoratedSSet, add_coskeletal_top, fill, keyed_cells,
-                         normal_form)
+from .simplicial import Cell, DecMap, KeyedSSet, add_coskeletal_top, fill
 
 
 class StrictTwoCat:
@@ -408,33 +407,42 @@ def two_bracket_functor(p: CatFunctor) -> TwoFunctor:
 # ---------------------------------------------------------------------------
 
 
-class ScaledNerve(DecoratedSSet):
+class ScaledNerve(KeyedSSet):
     """Scaled nerve of a strict 2-category.
 
     A 2-simplex is a quadruple (f, g, h, sigma) with sigma: h => g o f; it is
     thin when sigma is invertible.  3-simplices are the tetrahedra satisfying
     the pasting (cocycle) equation; the object is 3-coskeletal above.  Cells of
-    dimension <= 2 are keyed by their labels ("obj", a), ("1cell", f) and
-    ("tri", quad), degenerate ones included.
+    dimension <= 2 are keyed by ("obj", a), ("1cell", f) and ("tri", quad).
+    The constructor builds the undecorated 2-truncation; :func:`scaled_nerve`
+    adds the tetrahedra and the decorations.
     """
 
-    def __init__(self, C: StrictTwoCat, kind, n_cells, faces, marked, thin, lean, labels):
-        super().__init__(kind, n_cells, faces, marked, thin, lean, labels=labels,
-                         coskeletal=3)
+    def __init__(self, C: StrictTwoCat):
+        def face(key, i):
+            kind, x = key
+            if kind == "1cell":
+                return ("obj", C.onecells[x][1 - i])
+            return ("1cell", (x[1], x[2], x[0])[i])
+
+        def deg(key, j):
+            kind, x = key
+            if kind == "obj":
+                return ("1cell", C.id1[x])
+            a, b = C.onecells[x]
+            return ("tri", (C.id1[a], x, x, C.id2[x]) if j == 0 else (x, C.id1[b], x, C.id2[x]))
+
+        levels = [
+            [("obj", a) for a in C.objects],
+            [("1cell", f) for f in sorted(C.onecells)],
+            [("tri", (f, g, h, sigma))
+             for f, (a, a2) in sorted(C.onecells.items())
+             for g, (b2, c) in sorted(C.onecells.items()) if b2 == a2
+             for h in sorted(C.hom1(a, c))
+             for sigma in sorted(C.two_between(h, C.hcomp1[(g, f)]))],
+        ]
+        super().__init__("PLAIN", levels, face, deg, lambda key: KEY_DIMS[key[0]], coskeletal=3)
         self.twocat = C
-        self.key_face, self.key_deg = _nerve_ops(C)
-        self.index = {key: Cell(*nd) for nd, key in labels.items() if nd[0] <= 2}
-
-    def cell_of(self, key: tuple) -> Cell:
-        """Cell (possibly degenerate) of a key of dimension <= 2."""
-        return normal_form(key, KEY_DIMS[key[0]], self.index, self.key_face, self.key_deg)
-
-    def key_of(self, cell: Cell) -> tuple:
-        """Key of a cell of dimension <= 2, degenerate ones included."""
-        key = self.labels[cell.nd]
-        for j in reversed(cell.word):
-            key = self.key_deg(key, j)
-        return key
 
     def vertex_of(self, obj: str) -> Cell:
         return self.cell_of(("obj", obj))
@@ -465,24 +473,6 @@ class ScaledNerve(DecoratedSSet):
 KEY_DIMS = {"obj": 0, "1cell": 1, "tri": 2}
 
 
-def _nerve_ops(C: StrictTwoCat):
-    """Face and degeneracy on the keys of the nerve's cells of dimension <= 2."""
-    def face(key, i):
-        kind, x = key
-        if kind == "1cell":
-            return ("obj", C.onecells[x][1 - i])
-        return ("1cell", (x[1], x[2], x[0])[i])
-
-    def deg(key, j):
-        kind, x = key
-        if kind == "obj":
-            return ("1cell", C.id1[x])
-        a, b = C.onecells[x]
-        return ("tri", (C.id1[a], x, x, C.id2[x]) if j == 0 else (x, C.id1[b], x, C.id2[x]))
-
-    return face, deg
-
-
 def cocycle_holds(C: StrictTwoCat, data012, data013, data023, data123) -> bool:
     """Pasting equation for a tetrahedron of nerve triangles."""
     f01 = data012[0]
@@ -506,27 +496,15 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
         C = marking.base
     if marking is None:
         marking = Marking2Cat(C)
-    levels = [
-        [("obj", a) for a in C.objects],
-        [("1cell", f) for f in sorted(C.onecells)],
-        [("tri", (f, g, h, sigma))
-         for f, (a, a2) in sorted(C.onecells.items())
-         for g, (b2, c) in sorted(C.onecells.items()) if b2 == a2
-         for h in sorted(C.hom1(a, c))
-         for sigma in sorted(C.two_between(h, C.hcomp1[(g, f)]))],
-    ]
-    n_cells, faces, index = keyed_cells(levels, *_nerve_ops(C))
-    labels = {cell.nd: key for key, cell in index.items()}
-
     # 3-simplices: the boundary spheres of the 2-truncation whose pasting
     # equation holds
-    partial = ScaledNerve(C, "PLAIN", n_cells, faces, (), (), (), labels)
-    X = add_coskeletal_top(partial, 3, keep=lambda sphere: cocycle_holds(
-        C, *(partial.tri_data(tri) for tri in reversed(sphere))))
+    N2 = ScaledNerve(C)
+    N = add_coskeletal_top(N2, 3, keep=lambda sphere: cocycle_holds(
+        C, *(N2.tri_data(tri) for tri in reversed(sphere))))
 
-    marked = [cell.nd for (kind, f), cell in index.items()
+    marked = [cell.nd for (kind, f), cell in N.index.items()
               if kind == "1cell" and f in marking.marked1]
-    quads = {cell.nd: key[1] for key, cell in index.items() if key[0] == "tri"}
+    quads = {nd: key[1] for nd, key in N.keys.items() if key[0] == "tri"}
     thin = [nd for nd, quad in quads.items() if C.is_invertible2(quad[3])]
     if lean_flag is None:
         kind, lean = "MS", thin
@@ -534,11 +512,8 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
         kind = "MB"
         lean = [nd for nd, quad in quads.items() if lean_flag(quad[3])]
 
-    X3 = ScaledNerve(C, kind, X.n_cells, X.faces, marked, thin, lean, X.labels)
-    if max_dim >= 4:
-        ext = add_coskeletal_top(X3, 4)
-        return ScaledNerve(C, kind, ext.n_cells, ext.faces, marked, thin, lean, ext.labels)
-    return X3
+    N = N.with_decorations(kind, marked, thin, lean)
+    return add_coskeletal_top(N, 4) if max_dim >= 4 else N
 
 
 def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:

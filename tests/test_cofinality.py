@@ -168,12 +168,6 @@ def test_check_cofinal_unknown_never_decisive():
     assert rep.verdict in ("yes", "unknown")  # never flips to a false "no"
 
 
-def test_theorem_a_flag_is_enforced():
-    f = identity_two_functor(from_fincat(chain_poset(1)))
-    with pytest.raises(ValueError):
-        theorem_a_localizations(f, only_sharp=False)
-
-
 def test_duality_with_parallel_arrows():
     # a non-poset source: both parallel arrows collapse onto the walking arrow
     from laxfib.fincat import FinCat

@@ -18,10 +18,13 @@ from laxfib.freefib import (
     face_identity_violations,
     fr_nerve,
     gamma_pair,
+    sharp_base,
     three_coskeletal_violations,
 )
-from laxfib.simplicial import Cell
+from laxfib.gray import delta, gray
+from laxfib.simplicial import Cell, ProductSSet
 from laxfib.twocat import (
+    ScaledNerve,
     StrictTwoCat,
     fr,
     identity_two_functor,
@@ -48,6 +51,23 @@ def test_terminal_total_is_point():
     ff = build_free_fibration(identity_two_functor(terminal_twocat()))
     assert ff.total.n_cells == [1]
     assert ff.filtration_audit()["unreachable"] == []
+
+
+def test_redecorated_objects_keep_their_keyed_class(arrow_ff):
+    """The sharp base and the Gray product are redecorated copies that keep
+    the class, and so the key lookups, of the object they start from."""
+    ND = arrow_ff.nd
+    B = sharp_base(ND)
+    assert isinstance(B, ScaledNerve) and B.coskeletal == 3
+    for obj in ND.twocat.objects:
+        assert B.vertex_of(obj) == ND.vertex_of(obj)
+    for tri in ND.all_cells(2):
+        assert B.tri_data(tri) == ND.tri_data(tri)
+    for max_dim in (3, 4):
+        assert scaled_nerve(ND.twocat, max_dim=max_dim).coskeletal == 3
+    G = gray(delta(1), delta(2))
+    assert isinstance(G, ProductSSet)
+    G.proj_a().validate()
 
 
 def test_object_count_is_arrows_into_images(small_ff):
@@ -202,7 +222,7 @@ def test_marked_edge_generation_replay(arrow_ff):
     for nd in sorted(ff.total.marked):
         e = ff.pairs[nd]
         ext0 = e.extend(0)
-        cell0 = ff.cell_of(ext0)
+        cell0 = ff.total.cell_of(ext0)
         if cell0.is_degenerate():
             # edges that are themselves extensions carry their marking already
             audit = ff.filtration_audit()
@@ -212,7 +232,7 @@ def test_marked_edge_generation_replay(arrow_ff):
         assert cell0.nd in ff.total.lean and cell0.nd in ff.total.thin
         lift = ext0.face(2)
         assert lift == e.face(1).extend(0)
-        assert ff.cell_of(lift).nd in nat.total.marked  # the Cartesian lift
+        assert ff.total.cell_of(lift).nd in nat.total.marked  # the Cartesian lift
         assert ext0.face(0) == gamma_pair(ff.fN, e.rho.assign[(1, 0)])
         assert e.extend(1).face(2) == e
     assert replayed + len(ff.total.marked) > 0
@@ -382,10 +402,10 @@ def test_cell_of_commutes_with_degeneracies(arrow_ff):
     """The normal form of a degenerate pair is the degeneracy of its cell."""
     ff = arrow_ff
     for nd, pair in sorted(ff.pairs.items()):
-        cell = ff.cell_of(pair)
+        cell = ff.total.cell_of(pair)
         assert cell == Cell(*nd)
         for j in range(pair.n + 1):
-            assert ff.cell_of(pair.degeneracy(j)) == ff.total.deg(cell, j)
+            assert ff.total.cell_of(pair.degeneracy(j)) == ff.total.deg(cell, j)
 
 
 def _digest(text: str) -> str:

@@ -34,7 +34,7 @@ def test_gray_square_has_one_thin_triangle():
     assert G.num(2) == 2
     assert len(G.thin) == 1
     nd = next(iter(G.thin))
-    x, _ = G.pair_of[nd]
+    x, _ = G.keys[nd]
     # the thin shuffle is the one whose first projection collapses {1,2}
     assert G.factor_a.face(x, 0).is_degenerate()
     assert G.gray_provenance[nd] == "first-factor-collapses-12"
@@ -46,7 +46,7 @@ def test_gray_unit():
     for Y in (delta(2), standard_simplex(2, kind="SC", thin="sharp")):
         G = gray(delta(0), Y)
         assert G.n_cells == Y.n_cells
-        assert {G.pair_of[nd][1].nd for nd in G.thin} == set(Y.thin)
+        assert {G.keys[nd][1].nd for nd in G.thin} == set(Y.thin)
 
 
 def test_gray_asymmetry():
@@ -55,8 +55,8 @@ def test_gray_asymmetry():
     G2 = gray(B, A)
     assert G1.n_cells == G2.n_cells
     # same underlying square, different scalings: the thin shuffles differ
-    t1 = {G1.pair_of[nd] for nd in G1.thin}
-    t2 = {G2.pair_of[nd] for nd in G2.thin}
+    t1 = {G1.keys[nd] for nd in G1.thin}
+    t2 = {G2.keys[nd] for nd in G2.thin}
     swapped = {(y, x) for (x, y) in t2}
     assert t1 != swapped
 
@@ -65,7 +65,7 @@ def test_gray_thinness_rule_matches_provenance():
     X = standard_simplex(2, kind="SC", thin="sharp")
     G = gray(X, delta(1))
     for cell in G.nondeg(2):
-        x, y = G.pair_of[cell.nd]
+        x, y = G.keys[cell.nd]
         both_thin = (x.is_degenerate() or x.nd in X.thin) and y.is_degenerate()
         rule = X.face(x, 0).is_degenerate() or delta(1).face(y, 2).is_degenerate()
         assert (cell.nd in G.thin) == (both_thin and rule)
@@ -89,7 +89,7 @@ def test_decorated_gray_marked_edges():
     X = standard_simplex(1, kind="MB", marked="sharp", thin="flat", lean="flat")
     G = decorated_gray(X)
     I = G.factor_a
-    marked_pairs = {G.pair_of[nd] for nd in G.marked}
+    marked_pairs = {G.keys[nd] for nd in G.marked}
     for e1, ex in marked_pairs:
         word = simplex_vertex_word(I, e1)
         assert set(word) == {1}
@@ -108,7 +108,7 @@ def test_decorated_gray_contrary_triangles():
     G = decorated_gray(X)
     I = G.factor_a
     for nd in G.thin:
-        s1, sx = G.pair_of[nd]
+        s1, sx = G.keys[nd]
         assert simplex_vertex_word(I, s1) == (0, 1, 1)
         xw = simplex_vertex_word(G.factor_b, sx)
         assert xw[0] == xw[1]
@@ -119,10 +119,10 @@ def test_e_map_vertex_formula():
     src, dst = prism(2), prism(1)
     for (m, r), target in [((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 2), (1, 1)),
                            ((1, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 2), (1, 1))]:
-        v = src.ref_of_pair(vertex_cell(src.factor_a, (m,)), vertex_cell(src.factor_b, (r,)))
+        v = src.cell_of((vertex_cell(src.factor_a, (m,)), vertex_cell(src.factor_b, (r,))))
         got = f.apply(v)
-        want = dst.ref_of_pair(vertex_cell(dst.factor_a, (target[0],)),
-                               vertex_cell(dst.factor_b, (target[1],)))
+        want = dst.cell_of((vertex_cell(dst.factor_a, (target[0],)),
+                            vertex_cell(dst.factor_b, (target[1],))))
         assert got == want
 
 
@@ -131,8 +131,8 @@ def test_e_map_fixes_low_vertices():
     f = e_map(n, n)
     src, dst = prism(n + 1), prism(n)
     for r in range(n + 1):
-        v = src.ref_of_pair(vertex_cell(src.factor_a, (0,)), vertex_cell(src.factor_b, (r,)))
-        w = dst.ref_of_pair(vertex_cell(dst.factor_a, (0,)), vertex_cell(dst.factor_b, (r,)))
+        v = src.cell_of((vertex_cell(src.factor_a, (0,)), vertex_cell(src.factor_b, (r,))))
+        w = dst.cell_of((vertex_cell(dst.factor_a, (0,)), vertex_cell(dst.factor_b, (r,))))
         assert f.apply(v) == w
 
 

@@ -14,6 +14,7 @@ from laxfib.simplicial import (
     DecMap,
     DecoratedSSet,
     DimensionCapError,
+    KeyedSSet,
     add_coskeletal_top,
     boundary_simplex,
     delta_map,
@@ -23,8 +24,6 @@ from laxfib.simplicial import (
     fill,
     horn,
     insert_degeneracy,
-    keyed_cells,
-    normal_form,
     product,
     product_map,
     pushout,
@@ -288,7 +287,7 @@ def test_product_decorations_pairwise():
     # vertical edges (degenerate in B direction) are never marked unless both are
     marked_edges = [nd for nd in (c.nd for c in P.nondeg(1)) if nd in P.marked]
     for nd in marked_edges:
-        x, y = P.pair_of[nd]
+        x, y = P.keys[nd]
         assert A.is_marked(x) and B.is_marked(y)
 
 
@@ -314,13 +313,15 @@ def test_ref_of_pair_roundtrip():
         for cell in P.all_cells(dim):
             x = P.proj_a().apply(cell)
             y = P.proj_b().apply(cell)
-            assert P.ref_of_pair(x, y) == cell
+            assert P.cell_of((x, y)) == cell
+    with pytest.raises(ValueError):
+        P.cell_of((Cell(0, 0), Cell(1, 0)))
 
 
 def test_keyed_cells_of_monotone_words_is_the_simplex():
     """Delta^3 given on its monotone vertex words: the strictly increasing
-    words are its cells, and normal_form agrees with vertex_cell on every
-    word, degenerate ones one dimension past the top included."""
+    words are its cells, and cell_of agrees with vertex_cell on every word,
+    degenerate ones one dimension past the top included."""
     n = 3
 
     def face(w, i):
@@ -332,15 +333,15 @@ def test_keyed_cells_of_monotone_words_is_the_simplex():
     def words(k):
         return list(itertools.combinations_with_replacement(range(n + 1), k + 1))
 
-    n_cells, faces, index = keyed_cells([words(k) for k in range(n + 1)], face, deg)
+    K = KeyedSSet("PLAIN", [words(k) for k in range(n + 1)], face, deg, lambda w: len(w) - 1)
     X = standard_simplex(n, kind="PLAIN")
-    assert n_cells == X.n_cells and faces == X.faces
-    assert index == {X.labels[c.nd]: c for c in X.all_nondeg()}
+    assert K.n_cells == X.n_cells and K.faces == X.faces
+    assert K.index == {X.labels[c.nd]: c for c in X.all_nondeg()}
     for k in range(n + 2):
         for w in words(k):
-            assert normal_form(w, k, index, face, deg) == vertex_cell(X, w)
+            assert K.cell_of(w) == vertex_cell(X, w)
     with pytest.raises(KeyError):
-        normal_form((0, 2, 1), 2, index, face, deg)
+        K.cell_of((0, 2, 1))
 
 
 # -- coskeletal extension ----------------------------------------------------
