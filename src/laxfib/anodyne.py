@@ -17,6 +17,7 @@ from .simplicial import (
     Cell,
     DecMap,
     DecoratedSSet,
+    KeyedSSet,
     delta_map,
     enumerate_maps,
     horn,
@@ -68,12 +69,9 @@ def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
     return out
 
 
-def _inclusion(dom: DecoratedSSet, cod: DecoratedSSet) -> DecMap:
-    """Vertex-identity inclusion between two subset-labelled objects."""
-    assign = {}
-    for cell in dom.all_nondeg():
-        assign[cell.nd] = cod.cell_by_label(cell.dim, dom.labels[cell.nd])
-    return DecMap(dom, cod, assign)
+def _inclusion(dom: KeyedSSet, cod: KeyedSSet) -> DecMap:
+    """Vertex-identity inclusion between two objects keyed on vertex words."""
+    return DecMap(dom, cod, {nd: cod.index[verts] for nd, verts in dom.keys.items()})
 
 
 def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
@@ -112,28 +110,13 @@ def _collapse01(kind: str, n: int, deco: dict, horn_index: Optional[int] = None)
                                  (1, 0): Cell(0, 0, (0,))})
     P, leg_b, _ = pushout(e01, collapse)
 
-    def transported(group, dim):
-        out = set()
-        for verts in group:
-            if not _has_cell(base, dim, tuple(verts)):
-                continue
-            img = leg_b.apply(base.cell_by_label(dim, tuple(verts)))
-            if not img.is_degenerate():
-                out.add(img.nd)
-        return out
+    def transported(group):
+        images = (leg_b.apply(base.index[v]) for v in map(tuple, group) if v in base.index)
+        return {img.nd for img in images if not img.is_degenerate()}
 
-    groups = {k: transported(v, 1 if k == "marked" else 2)
-              for k, v in _deco(kind, **deco).items()}
+    groups = {k: transported(v) for k, v in _deco(kind, **deco).items()}
     quotient = P.with_decorations(kind, **groups)
     return quotient, DecMap(base, quotient, leg_b.assign)
-
-
-def _has_cell(X: DecoratedSSet, dim, label) -> bool:
-    try:
-        X.cell_by_label(dim, label)
-        return True
-    except KeyError:
-        return False
 
 
 def _shapes(n_max: int) -> list[tuple]:

@@ -223,35 +223,20 @@ def identity_functor(C: FinCat) -> CatFunctor:
 
 
 def comma_under(F: CatFunctor, d: str) -> FinCat:
-    """The comma category d/F: objects (k, u: d -> F(k))."""
+    """The comma category d/F: objects (k, u: d -> F(k)), morphisms (g, u, u2)
+    with F(g) o u = u2."""
     K, S = F.src, F.dst
-    objs = []
-    for k in K.objects:
-        for u in S.hom(d, F.omap[k]):
-            objs.append(f"{k}:{u}")
-    mors, src, tgt, comp, ident = [], {}, {}, {}, {}
-    arrows = {}
-    for k in K.objects:
-        for u in S.hom(d, F.omap[k]):
-            for k2 in K.objects:
-                for u2 in S.hom(d, F.omap[k2]):
-                    for g in K.hom(k, k2):
-                        if S.comp[(F.mmap[g], u)] == u2:
-                            name = f"{g}:{u}>{u2}"
-                            mors.append(name)
-                            src[name] = f"{k}:{u}"
-                            tgt[name] = f"{k2}:{u2}"
-                            arrows[name] = g
-    for a in objs:
-        k, u = a.split(":", 1)
-        ident[a] = f"{K.ident[k]}:{u}>{u}"
-    for m1 in mors:
-        for m2 in mors:
-            if tgt[m1] == src[m2]:
-                g = K.comp[(arrows[m2], arrows[m1])]
-                u0 = src[m1].split(":", 1)[1]
-                u2 = tgt[m2].split(":", 1)[1]
-                comp[(m2, m1)] = f"{g}:{u0}>{u2}"
+    objs = [(k, u) for k in K.objects for u in S.hom(d, F.omap[k])]
+    mors, src, tgt = [], {}, {}
+    for k, u in objs:
+        for k2, u2 in objs:
+            for g in K.hom(k, k2):
+                if S.comp[(F.mmap[g], u)] == u2:
+                    mors.append((g, u, u2))
+                    src[(g, u, u2)], tgt[(g, u, u2)] = (k, u), (k2, u2)
+    ident = {(k, u): (K.ident[k], u, u) for k, u in objs}
+    comp = {(m2, m1): (K.comp[(m2[0], m1[0])], m1[1], m2[2])
+            for m1 in mors for m2 in mors if tgt[m1] == src[m2]}
     return FinCat(objs, mors, src, tgt, comp, ident, name=f"{d}/F")
 
 

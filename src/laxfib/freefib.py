@@ -228,12 +228,12 @@ class FreeFibration:
         Every cell must be a unit image, an extension of a lower simplex, or a
         face of an extension; anything else is unreachable.
         """
-        units = {gamma_pair(self.fN, c) for c in self.nc.all_nondeg() if c.dim <= TOP_DIM}
+        units = set(self.gamma.assign.values())
         extensions = {tau.extend(j) for nd, tau in self.pairs.items() for j in range(nd[0] + 1)}
         extension_faces = {ext.face(s) for ext in extensions for s in range(ext.n + 1)}
         report = {"unit": [], "extension": [], "face_of_extension": [], "unreachable": []}
         for nd, pair in self.pairs.items():
-            if pair in units:
+            if Cell(*nd) in units:
                 report["unit"].append(nd)
             elif pair in extensions:
                 report["extension"].append(nd)
@@ -392,7 +392,6 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
     NC, ND = ff.nc, ff.nd
     C, D = ff.f.src, ff.f.dst
     f = ff.f
-    from .gray import simplex_vertex_word
     assign: dict = {}
 
     def object_pair(o) -> PairSimplex:
@@ -415,8 +414,8 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         I, D1 = P1.factor_a, P1.factor_b
         phi_assign = {}
         for nd2, (x, y) in P1.keys.items():
-            iw = simplex_vertex_word(I, x)
-            dw = simplex_vertex_word(D1, y)
+            iw = I.key_of(x)
+            dw = D1.key_of(y)
             if nd2[0] == 0:
                 dd = (d0, d1)[dw[0]] if iw[0] == 0 else (f.omap[c0], f.omap[c1])[dw[0]]
                 phi_assign[nd2] = ND.vertex_of(dd)
@@ -461,8 +460,8 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         phi_assign: dict = {}
         diag_filler = D.hcomp2[(f.map2[zeta], D.id2[us[0]])]
         for nd2, (x, y) in sorted(P2.keys.items()):
-            iw = simplex_vertex_word(I, x)
-            dw = simplex_vertex_word(D2, y)
+            iw = I.key_of(x)
+            dw = D2.key_of(y)
             dim = nd2[0]
             if dim == 0:
                 dd = ds[dw[0]] if iw[0] == 0 else f.omap[cs[dw[0]]]
@@ -545,10 +544,11 @@ def expected_extension_face(ff: FreeFibration, sigma: PairSimplex, j: int, s: in
     return gamma_pair(ff.fN, sigma.rho.assign[(n, 0)])
 
 
-def face_identity_violations(ff: FreeFibration, include_degenerate: bool = True) -> list:
-    """Check all six face identities for every stored simplex and every j."""
+def face_identity_violations(ff: FreeFibration) -> list:
+    """Check all six face identities for every stored simplex, its degeneracies
+    included, and every j."""
     bad = []
-    for sigma, label in _stored_pairs(ff, include_degenerate):
+    for sigma, label in _stored_pairs(ff):
         n = sigma.n
         for j in range(n + 1):
             ext = sigma.extend(j)
@@ -564,7 +564,7 @@ def face_identity_violations(ff: FreeFibration, include_degenerate: bool = True)
 def degeneracy_lemma_violations(ff: FreeFibration) -> list:
     """Extensions of degenerate simplices, and double extensions, degenerate."""
     bad = []
-    for sigma, label in _stored_pairs(ff, include_degenerate=True):
+    for sigma, label in _stored_pairs(ff):
         n = sigma.n
         if sigma.is_degenerate():
             for j in range(n + 1):
@@ -579,14 +579,12 @@ def degeneracy_lemma_violations(ff: FreeFibration) -> list:
     return bad
 
 
-def _stored_pairs(ff: FreeFibration, include_degenerate: bool):
+def _stored_pairs(ff: FreeFibration):
+    """The stored pairs and their degeneracies up to dimension 3, labelled."""
     out = [(pair, nd) for nd, pair in ff.pairs.items()]
-    if include_degenerate:
-        for nd, pair in ff.pairs.items():
-            if nd[0] + 1 > TOP_DIM:
-                continue
-            for j in range(nd[0] + 1):
-                out.append((pair.degeneracy(j), (nd, "s", j)))
+    for nd, pair in ff.pairs.items():
+        if nd[0] < TOP_DIM:
+            out.extend((pair.degeneracy(j), (nd, "s", j)) for j in range(nd[0] + 1))
     return out
 
 

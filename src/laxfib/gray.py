@@ -8,12 +8,12 @@ thin and either s_X collapses its {1,2}-edge or s_Y collapses its {0,1}-edge.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .simplicial import (
     Cell,
     DecMap,
     DecoratedSSet,
+    KeyedSSet,
     ProductSSet,
     delta_map,
     product,
@@ -46,21 +46,8 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
     return G
 
 
-def interval(kind="SC") -> DecoratedSSet:
+def interval(kind="SC") -> KeyedSSet:
     return standard_simplex(1, kind=kind)
-
-
-def simplex_vertex_word(X: DecoratedSSet, cell: Cell) -> tuple[int, ...]:
-    """Vertex word of a cell of a vertex-labelled object (standard simplices)."""
-    verts = []
-    for i in range(cell.total_dim + 1):
-        v = cell
-        for k in range(cell.total_dim, i, -1):
-            v = X.face(v, k)
-        for _ in range(i):
-            v = X.face(v, 0)
-        verts.append(X.labels[v.nd][0])
-    return tuple(verts)
 
 
 def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
@@ -79,7 +66,7 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     thin = set()
     for cell in P.nondeg(1):
         e1, ex = P.keys[cell.nd]
-        if _interval_constant(I, e1) == 1 and X.is_marked(ex):
+        if I.key_of(e1) == (1, 1) and X.is_marked(ex):
             marked.add(cell.nd)
     for cell in P.nondeg(2):
         s1, sx = P.keys[cell.nd]
@@ -90,19 +77,13 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
         if not X.is_lean(sx):
             continue
         # (b) the {1,2}-edge of the interval component is constant at 1
-        if _interval_constant(I, I.face(s1, 0)) == 1:
+        if I.key_of(s1)[1:] == (1, 1):
             thin.add(cell.nd)
             continue
         # (c) the interval component is 0 -> 0 -> 1 and the {0,1}-edge is marked
-        if simplex_vertex_word(I, s1) == (0, 0, 1) and X.is_marked(X.face(sx, 2)):
+        if I.key_of(s1) == (0, 0, 1) and X.is_marked(X.face(sx, 2)):
             thin.add(cell.nd)
     return P.with_decorations("MS", marked=marked, thin=thin)
-
-
-def _interval_constant(I: DecoratedSSet, cell: Cell) -> Optional[int]:
-    """The constant value of a degenerate interval cell, else None."""
-    word = simplex_vertex_word(I, cell)
-    return word[0] if len(set(word)) == 1 else None
 
 
 def end_inclusion(X: DecoratedSSet, P: ProductSSet, eps: int) -> DecMap:
@@ -126,7 +107,7 @@ def restrict_to_end(G: ProductSSet, eps: int) -> DecoratedSSet:
 
 
 @lru_cache(maxsize=None)
-def delta(n: int, kind: str = "SC") -> DecoratedSSet:
+def delta(n: int, kind: str = "SC") -> KeyedSSet:
     return standard_simplex(n, kind=kind, cap=max(CAP, n))
 
 
@@ -183,9 +164,8 @@ def e_map(j: int, n: int) -> DecMap:
 
     assign = {}
     for nd, (x, y) in src.keys.items():
-        xw = simplex_vertex_word(src.factor_a, x)
-        yw = simplex_vertex_word(src.factor_b, y)
-        pairs = [image_vertex(m, r) for m, r in zip(xw, yw)]
+        pairs = [image_vertex(m, r)
+                 for m, r in zip(src.factor_a.key_of(x), src.factor_b.key_of(y))]
         new_x = vertex_cell(I, tuple(p[0] for p in pairs))
         new_y = vertex_cell(Dn, tuple(p[1] for p in pairs))
         assign[nd] = dst.cell_of((new_x, new_y))

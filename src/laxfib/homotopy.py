@@ -296,9 +296,8 @@ def replay_collapse(X: DecoratedSSet, sequence: list) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pi1(X: DecoratedSSet, basepoint: Optional[Cell] = None,
-        budget: Optional[int] = None) -> tuple[dict, Verdict]:
-    """Edge-path presentation at a basepoint and a triviality verdict."""
+def pi1(X: DecoratedSSet, budget: Optional[int] = None) -> tuple[dict, Verdict]:
+    """Edge-path presentation at the first vertex and a triviality verdict."""
     budget = budget if budget is not None else DEFAULT_BUDGETS["tietze_steps"]
     if X.is_empty():
         raise ValueError("empty simplicial set has no fundamental group")
@@ -309,7 +308,7 @@ def pi1(X: DecoratedSSet, basepoint: Optional[Cell] = None,
         d0, d1 = X.faces[e][0], X.faces[e][1]
         adj[d1.nd].append((e, d0.nd))
         adj[d0.nd].append((e, d1.nd))
-    base = basepoint.nd if basepoint is not None else verts[0]
+    base = verts[0]
     tree: set = set()
     seen = {base}
     queue = [base]

@@ -129,7 +129,6 @@ class DecoratedSSet:
         self._by_faces: dict[int, dict] = {}
         self._all_cells: dict[int, list[Cell]] = {}
         self._faces_first: Optional[list[Cell]] = None
-        self._label_lookup: Optional[dict] = None
         self._check_decorations()
 
     # -- basic structure ---------------------------------------------------
@@ -215,13 +214,6 @@ class DecoratedSSet:
                         out.append(Cell(base_dim, idx, word))
             self._all_cells[dim] = sorted(out)
         return self._all_cells[dim]
-
-    def cell_by_label(self, dim: int, label) -> Cell:
-        if self._label_lookup is None:
-            self._label_lookup = {}
-            for nd, lab in self.labels.items():
-                self._label_lookup[(nd[0], lab)] = Cell(*nd)
-        return self._label_lookup[(dim, label)]
 
     def by_faces(self, dim: int) -> dict[tuple[Cell, ...], list[Cell]]:
         """Index of ``dim``-cells keyed by their face tuples."""
@@ -455,9 +447,6 @@ class SSetBuilder:
     def by_label(self, dim: int, label) -> Cell:
         return self._label_index[(dim, label)]
 
-    def has_label(self, dim: int, label) -> bool:
-        return (dim, label) in self._label_index
-
     def build(self, kind="PLAIN", marked=(), thin=(), lean=(), coskeletal=None,
               truncated_at=None) -> DecoratedSSet:
         return DecoratedSSet(kind, self.n_cells, self.faces, marked, thin, lean,
@@ -470,8 +459,9 @@ class SSetBuilder:
 
 
 def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
-                     strict: bool = True) -> DecoratedSSet:
-    """The vertex subsets of [n] not in ``omit``, as a decorated simplicial set.
+                     strict: bool = True) -> KeyedSSet:
+    """The vertex subsets of [n] not in ``omit``, keyed on their vertex words:
+    ``key_of`` gives a cell's vertex word and ``index`` the cell of a word.
 
     Decorations are "flat", "sharp" or explicit vertex tuples; ``lean=None``
     means lean coincides with thin.  Without ``strict``, decorations naming
@@ -479,13 +469,9 @@ def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
     """
     if n > cap:
         raise DimensionCapError(f"n={n} exceeds cap {cap}")
-    b = SSetBuilder()
-    for k in range(n + 1):
-        for s in itertools.combinations(range(n + 1), k + 1):
-            if s not in omit:
-                faces = (tuple(b.by_label(k - 1, s[:i] + s[i + 1:]) for i in range(k + 1))
-                         if k else ())
-                b.add(k, faces, label=s)
+    levels = [[w for w in itertools.combinations(range(n + 1), k + 1) if w not in omit]
+              for k in range(n + 1)]
+    where = {w: (k, pos) for k, level in enumerate(levels) for pos, w in enumerate(level)}
 
     def deco(spec, dim):
         if spec in (None, "flat"):
@@ -494,18 +480,20 @@ def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
                  else map(tuple, spec))
         out = []
         for verts in named:
-            if b.has_label(dim, verts):
-                out.append(b.by_label(dim, verts).nd)
+            if len(verts) == dim + 1 and verts in where:
+                out.append(where[verts])
             elif strict:
                 raise BadDecorationError(f"decoration names absent simplex {verts}")
         return out
 
     t = deco(thin, 2)
-    return b.build(kind, marked=deco(marked, 1), thin=t, lean=t if lean is None else deco(lean, 2))
+    return KeyedSSet(kind, levels, lambda w, i: w[:i] + w[i + 1:], lambda w, j: w[:j + 1] + w[j:],
+                     lambda w: len(w) - 1, marked=deco(marked, 1), thin=t,
+                     lean=t if lean is None else deco(lean, 2))
 
 
 def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-                     cap: int = 4) -> DecoratedSSet:
+                     cap: int = 4) -> KeyedSSet:
     """The n-simplex with flat/sharp/explicit decorations.
 
     ``lean=None`` means lean coincides with thin (the single-scaling notation).
@@ -514,7 +502,7 @@ def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None
 
 
 def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-         cap: int = 4) -> DecoratedSSet:
+         cap: int = 4) -> KeyedSSet:
     """The horn missing the i-th facet and the interior.
 
     Decorations naming cells that fall outside the horn are dropped silently
@@ -527,7 +515,7 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
                             omit=(full, full[:i] + full[i + 1:]), strict=False)
 
 
-def boundary_simplex(n: int, *, kind="PLAIN", cap: int = 4) -> DecoratedSSet:
+def boundary_simplex(n: int, *, kind="PLAIN", cap: int = 4) -> KeyedSSet:
     return _simplex_complex(n, kind, "flat", "flat", None, cap, omit=(tuple(range(n + 1)),))
 
 
@@ -535,8 +523,8 @@ def empty_sset(kind="PLAIN") -> DecoratedSSet:
     return DecoratedSSet(kind, [], {})
 
 
-def vertex_cell(X: DecoratedSSet, verts: tuple[int, ...]) -> Cell:
-    """Cell of a vertex-labelled object from a monotone vertex word."""
+def vertex_cell(X: KeyedSSet, verts: tuple[int, ...]) -> Cell:
+    """Cell of an object keyed on vertex words from a monotone vertex word."""
     verts = tuple(verts)
     for t in range(len(verts) - 1):
         if verts[t] == verts[t + 1]:
@@ -544,7 +532,7 @@ def vertex_cell(X: DecoratedSSet, verts: tuple[int, ...]) -> Cell:
             return X.deg(inner, t)
         if verts[t] > verts[t + 1]:
             raise ValueError("vertex word must be monotone")
-    return X.cell_by_label(len(verts) - 1, verts)
+    return X.index[verts]
 
 
 # ---------------------------------------------------------------------------

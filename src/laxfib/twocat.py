@@ -551,9 +551,6 @@ class FrBundle:
     src_marking: Marking2Cat
     dst_marking: Marking2Cat
 
-    def marking(self) -> Marking2Cat:
-        return Marking2Cat(self.twocat, self.marked1)
-
 
 def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
        dst_marking: Optional[Marking2Cat] = None) -> FrBundle:

@@ -285,3 +285,26 @@ def test_bad_input_is_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error:")
+
+
+def test_colon_in_object_name_reaches_a_verdict(tmp_path):
+    """Comma categories key their cells on tuples, so an object name holding a
+    ':' is not split apart."""
+    a, b = "x:y", "1"
+    arrows = {f"{s}<{t}": (s, t) for s, t in ((a, a), (a, b), (b, b))}
+    cat = {"schema": "laxfib/category-v1", "objects": [a, b],
+           "morphisms": [{"name": m, "src": s, "tgt": t} for m, (s, t) in arrows.items()],
+           "identity": {a: f"{a}<{a}", b: f"{b}<{b}"},
+           "composition": [[g, f, f"{arrows[f][0]}<{arrows[g][1]}"]
+                           for f in arrows for g in arrows if arrows[f][1] == arrows[g][0]]}
+    functor = {"schema": "laxfib/cat-functor-v1", "objects": {a: a, b: b},
+               "morphisms": {m: m for m in arrows}}
+    (tmp_path / "K.json").write_text(json.dumps(cat))
+    (tmp_path / "P.json").write_text(json.dumps(functor))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for command in ("joyal", "duality"):
+        argv = [command, *(str(tmp_path / n) for n in ("K.json", "K.json", "P.json"))]
+        proc = subprocess.run([sys.executable, "-m", "laxfib.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode in (0, 2, 3), (command, proc.returncode)

@@ -16,6 +16,7 @@ from laxfib.fincat import (
     walking_arrow,
     walking_iso,
 )
+from laxfib.simplicial import Cell
 
 
 def test_standard_categories_valid():
@@ -50,8 +51,7 @@ def test_nerve_of_walking_iso_has_cells_in_every_dim():
     assert N.n_cells == [2, 2, 2, 2, 2]
     N.validate()
     # faces of the alternating 2-chain (u, v): d_1 is the identity = degenerate
-    from laxfib.simplicial import Cell
-    tri = N.cell_by_label(2, ("chain", ("u", "v")))
+    tri = next(Cell(*nd) for nd, lab in N.labels.items() if lab == ("chain", ("u", "v")))
     assert N.face(tri, 1).is_degenerate()
 
 

@@ -141,7 +141,7 @@ def test_degeneracy_lemmas_small(small_ff):
 
 
 def test_face_identities_arrow(arrow_ff):
-    assert face_identity_violations(arrow_ff, include_degenerate=False) == []
+    assert face_identity_violations(arrow_ff) == []
 
 
 def test_cartesian_edge_to_unit_image(small_ff):

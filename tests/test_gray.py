@@ -15,7 +15,6 @@ from laxfib.gray import (
     prism,
     restrict_to_end,
     restriction_to_one_is_degeneracy,
-    simplex_vertex_word,
 )
 from laxfib.simplicial import Cell, standard_simplex, vertex_cell
 
@@ -23,10 +22,10 @@ from laxfib.simplicial import Cell, standard_simplex, vertex_cell
 def test_vertex_words():
     D2 = delta(2)
     tri = vertex_cell(D2, (0, 1, 2))
-    assert simplex_vertex_word(D2, tri) == (0, 1, 2)
-    assert simplex_vertex_word(D2, D2.deg(tri, 1)) == (0, 1, 1, 2)
+    assert D2.key_of(tri) == (0, 1, 2)
+    assert D2.key_of(D2.deg(tri, 1)) == (0, 1, 1, 2)
     edge = vertex_cell(D2, (0, 2))
-    assert simplex_vertex_word(D2, edge) == (0, 2)
+    assert D2.key_of(edge) == (0, 2)
 
 
 def test_gray_square_has_one_thin_triangle():
@@ -91,7 +90,7 @@ def test_decorated_gray_marked_edges():
     I = G.factor_a
     marked_pairs = {G.keys[nd] for nd in G.marked}
     for e1, ex in marked_pairs:
-        word = simplex_vertex_word(I, e1)
+        word = I.key_of(e1)
         assert set(word) == {1}
     # the edge {1} x Delta^1 is marked, the edge {0} x Delta^1 is not
     inc1 = end_inclusion(X, G, 1)
@@ -109,8 +108,8 @@ def test_decorated_gray_contrary_triangles():
     I = G.factor_a
     for nd in G.thin:
         s1, sx = G.keys[nd]
-        assert simplex_vertex_word(I, s1) == (0, 1, 1)
-        xw = simplex_vertex_word(G.factor_b, sx)
+        assert I.key_of(s1) == (0, 1, 1)
+        xw = G.factor_b.key_of(sx)
         assert xw[0] == xw[1]
 
 

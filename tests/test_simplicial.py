@@ -139,6 +139,34 @@ def test_bad_decoration():
         DecoratedSSet("MB", [1], {}, marked=[(1, 0)])
 
 
+@pytest.mark.parametrize("spec", [dict(marked=[(0, 3)]), dict(marked=[(0, 1, 2)]),
+                                  dict(thin=[(0, 1)]), dict(lean=[(0, 1, 3)])])
+def test_explicit_decoration_off_the_simplex(spec):
+    # absent or wrong-length vertex tuples: an error on the simplex, dropped on a horn
+    with pytest.raises(BadDecorationError):
+        standard_simplex(2, **spec)
+    X = horn(2, 1, **spec)
+    assert (X.marked, X.thin, X.lean) == (frozenset(), frozenset(), frozenset())
+
+
+def _vertex_keyed_objects():
+    for n in range(5):
+        yield standard_simplex(n, kind="PLAIN")
+        yield boundary_simplex(n)
+        if n:
+            yield from (horn(n, i, kind="PLAIN") for i in range(n + 1))
+
+
+def test_key_of_vertex_cell_is_the_word():
+    """Every monotone vertex word of length <= 5 on a present simplex,
+    repeats included, is the key of its vertex_cell."""
+    for X in _vertex_keyed_objects():
+        for length in range(1, 6):
+            for w in itertools.combinations_with_replacement(range(X.num(0)), length):
+                if tuple(sorted(set(w))) in X.index:
+                    assert X.key_of(vertex_cell(X, w)) == w
+
+
 # -- maps --------------------------------------------------------------------
 
 
@@ -475,7 +503,7 @@ def test_cell_is_its_field_tuple(triples):
 def test_fill_without_filler_is_none():
     # the boundary of the 2-simplex has no 2-cell on the image of its boundary
     X, Y = standard_simplex(2, kind="PLAIN"), boundary_simplex(2)
-    assign = {c.nd: Y.cell_by_label(c.dim, X.labels[c.nd]) for c in X.all_nondeg() if c.dim < 2}
+    assign = {c.nd: Y.index[X.labels[c.nd]] for c in X.all_nondeg() if c.dim < 2}
     assert fill(Y, assign, X, Cell(2, 0)) is None
     assert fill(X, {c.nd: c for c in X.all_nondeg()}, X, Cell(2, 0)) == Cell(2, 0)
 
