@@ -75,7 +75,10 @@ class FinCat:
                 for h in self.morphisms:
                     if self.src[h] != self.tgt[g]:
                         continue
-                    if self.comp[(h, self.comp[(g, f)])] != self.comp[(self.comp[(h, g)], f)]:
+                    # a missing composite is already reported as ("composition", ...)
+                    gf, hg = self.comp.get((g, f)), self.comp.get((h, g))
+                    lhs, rhs = self.comp.get((h, gf)), self.comp.get((hg, f))
+                    if None not in (lhs, rhs) and lhs != rhs:
                         bad.append(("associativity", h, g, f))
         return bad
 

@@ -32,6 +32,7 @@ class StrictTwoCat:
         self.name = name
         self._equiv_cache: dict[str, bool] = {}
         self._inv2_cache: dict[str, bool] = {}
+        self._index: Optional[tuple[dict, dict, dict]] = None
 
     # -- basic access --------------------------------------------------------
 
@@ -41,26 +42,40 @@ class StrictTwoCat:
     def one_tgt(self, f: str) -> str:
         return self.onecells[f][1]
 
+    def _hom_index(self) -> tuple[dict, dict, dict]:
+        """1-cells by (source, target), 2-cells by (source, target) and 2-cells
+        by the hom of their source 1-cell, each group in table order."""
+        if self._index is None:
+            ones: dict = {}
+            twos: dict = {}
+            twos_hom: dict = {}
+            for f, st in self.onecells.items():
+                ones.setdefault(st, []).append(f)
+            for t, st in self.twocells.items():
+                twos.setdefault(st, []).append(t)
+                twos_hom.setdefault(self.onecells.get(st[0]), []).append(t)
+            self._index = (ones, twos, twos_hom)
+        return self._index
+
     def hom1(self, a: str, b: str) -> list[str]:
-        return [f for f, (s, t) in self.onecells.items() if s == a and t == b]
+        return list(self._hom_index()[0].get((a, b), ()))
 
     def two_between(self, f: str, g: str) -> list[str]:
-        return [t for t, (s, tg) in self.twocells.items() if s == f and tg == g]
+        return list(self._hom_index()[1].get((f, g), ()))
 
     def twos_in_hom(self, a: str, b: str) -> list[str]:
-        return [t for t, (s, _) in self.twocells.items()
-                if self.one_src(s) == a and self.one_tgt(s) == b]
+        return list(self._hom_index()[2].get((a, b), ()))
 
     def hom_cat(self, a: str, b: str) -> FinCat:
         """The hom-category: objects are 1-cells a -> b, morphisms are 2-cells."""
         objs = self.hom1(a, b)
         mors = self.twos_in_hom(a, b)
+        known = set(mors)
         return FinCat(
             objs, mors,
             src={t: self.twocells[t][0] for t in mors},
             tgt={t: self.twocells[t][1] for t in mors},
-            comp={(u, v): self.vcomp[(u, v)] for (u, v) in self.vcomp
-                  if u in set(mors) and v in set(mors)},
+            comp={(u, v): w for (u, v), w in self.vcomp.items() if u in known and v in known},
             ident={f: self.id2[f] for f in objs},
             name=f"hom({a},{b})",
         )
@@ -106,6 +121,7 @@ class StrictTwoCat:
         """Every violated law with a witness; empty iff all laws hold.  Cells and
         table entries naming unknown objects or cells are reported alone: the
         laws look those names up."""
+        self._index = None  # the tables may have been edited since it was built
         bad = self._name_violations()
         if bad:
             return bad
@@ -254,7 +270,7 @@ class Marking2Cat:
         for a in self.base.objects:
             marked.add(self.base.id1[a])
         for f in self.base.onecells:
-            if self.base.is_equivalence(f):
+            if f not in self.marked1 and self.base.is_equivalence(f):
                 marked.add(f)
         self.marked1 = frozenset(marked)
 
@@ -565,98 +581,66 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
     if not f.preserves_marking(src_marking, dst_marking):
         raise ValueError("functor does not preserve the markings")
 
-    objects = []
-    for d in D.objects:
-        for c in C.objects:
-            for u in sorted(D.hom1(d, f.omap[c])):
-                objects.append(("o", d, c, u))
+    homD, twoD = _sorted_homs(D)
+    homC, twoC = _sorted_homs(C)
+    objects = [("o", d, c, u) for d in D.objects for c in C.objects
+               for u in homD.get((d, f.omap[c]), ())]
     onecells: dict = {}
-    id1: dict = {}
     for o0 in objects:
+        _, d0, c0, u0 = o0
         for o1 in objects:
-            _, d0, c0, u0 = o0
             _, d1, c1, u1 = o1
-            for a in sorted(D.hom1(d0, d1)):
-                for alpha in sorted(C.hom1(c0, c1)):
+            for a in homD.get((d0, d1), ()):
+                rhs = D.hcomp1[(u1, a)]
+                for alpha in homC.get((c0, c1), ()):
                     lhs = D.hcomp1[(f.map1[alpha], u0)]
-                    rhs = D.hcomp1[(u1, a)]
-                    for theta in sorted(D.two_between(lhs, rhs)):
+                    for theta in twoD.get((lhs, rhs), ()):
                         onecells[("m", o0, o1, a, alpha, theta)] = (o0, o1)
-    for o in objects:
-        _, d, c, u = o
-        id1[o] = ("m", o, o, D.id1[d], C.id1[c], D.id2[u])
-        assert id1[o] in onecells
+    id1 = {o: ("m", o, o, D.id1[o[1]], C.id1[o[2]], D.id2[o[3]]) for o in objects}
+    assert all(m in onecells for m in id1.values())
 
     twocells: dict = {}
-    id2: dict = {}
     by_pair: dict = {}
     for m in onecells:
         by_pair.setdefault(onecells[m], []).append(m)
     for (o0, o1), ms in by_pair.items():
-        _, d0, c0, u0 = o0
-        _, d1, c1, u1 = o1
+        id_u0, id_u1 = D.id2[o0[3]], D.id2[o1[3]]
         for m0 in ms:
             _, _, _, a0, alpha0, theta0 = m0
             for m1 in ms:
                 _, _, _, a1, alpha1, theta1 = m1
-                for psi in sorted(D.two_between(a0, a1)):
-                    for zeta in sorted(C.two_between(alpha0, alpha1)):
-                        left = D.vcomp[(theta1, D.hcomp2[(f.map2[zeta], D.id2[u0])])]
-                        right = D.vcomp[(D.hcomp2[(D.id2[u1], psi)], theta0)]
-                        if left == right:
+                for psi in twoD.get((a0, a1), ()):
+                    right = D.vcomp[(D.hcomp2[(id_u1, psi)], theta0)]
+                    for zeta in twoC.get((alpha0, alpha1), ()):
+                        if D.vcomp[(theta1, D.hcomp2[(f.map2[zeta], id_u0)])] == right:
                             twocells[("t", m0, m1, psi, zeta)] = (m0, m1)
-    for m in onecells:
-        _, _, _, a, alpha, theta = m
-        id2[m] = ("t", m, m, D.id2[a], C.id2[alpha])
-        assert id2[m] in twocells
+    id2 = {m: ("t", m, m, D.id2[m[3]], C.id2[m[4]]) for m in onecells}
+    assert all(t in twocells for t in id2.values())
 
-    vcomp: dict = {}
-    for t1 in twocells:
-        _, m0, m1, psi1, zeta1 = t1
-        for t2 in twocells:
-            _, m1b, m2, psi2, zeta2 = t2
-            if m1b != m1:
-                continue
-            vcomp[(t2, t1)] = ("t", m0, m2, D.vcomp[(psi2, psi1)], C.vcomp[(zeta2, zeta1)])
-
+    after1, after2, over2 = _groups(onecells, twocells)
+    vcomp = {(t2, t1): ("t", t1[1], t2[2], D.vcomp[(t2[3], t1[3])], C.vcomp[(t2[4], t1[4])])
+             for t1 in twocells for t2 in after2.get(t1[2], ())}
     hcomp1: dict = {}
     for m in onecells:
         _, o0, o1, a, alpha, theta = m
-        for m2 in onecells:
-            _, o1b, o2, a2, alpha2, theta2 = m2
-            if o1b != o1:
-                continue
-            _, _, _, u0 = o0
-            theta12 = D.vcomp[(
-                D.hcomp2[(theta2, D.id2[a])],
-                D.hcomp2[(D.id2[f.map1[alpha2]], theta)],
-            )]
-            hcomp1[(m2, m)] = ("m", o0, o2, D.hcomp1[(a2, a)],
-                               C.hcomp1[(alpha2, alpha)], theta12)
-
-    hcomp2: dict = {}
-    for t in twocells:
-        _, m0, m1, psi, zeta = t
-        o0, o1 = onecells[m0]
-        for t2 in twocells:
-            _, n0, n1, psi2, zeta2 = t2
-            if onecells[n0][0] != o1:
-                continue
-            hcomp2[(t2, t)] = ("t", hcomp1[(n0, m0)], hcomp1[(n1, m1)],
-                               D.hcomp2[(psi2, psi)], C.hcomp2[(zeta2, zeta)])
+        id_a = D.id2[a]
+        for m2 in after1.get(o1, ()):
+            _, _, o2, a2, alpha2, theta2 = m2
+            theta12 = D.vcomp[(D.hcomp2[(theta2, id_a)], D.hcomp2[(D.id2[f.map1[alpha2]], theta)])]
+            hcomp1[(m2, m)] = ("m", o0, o2, D.hcomp1[(a2, a)], C.hcomp1[(alpha2, alpha)], theta12)
+    hcomp2 = {(t2, t): ("t", hcomp1[(t2[1], t[1])], hcomp1[(t2[2], t[2])],
+                        D.hcomp2[(t2[3], t[3])], C.hcomp2[(t2[4], t[4])])
+              for t in twocells for t2 in over2.get(t[1][2], ())}
 
     frcat = StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2,
                          name=f"Fr({C.name})")
 
-    cartesian = frozenset(
-        m for m in onecells
-        if C.is_equivalence(m[4]) and D.is_invertible2(m[5])
-    )
-    marked = frozenset(
-        m for m in onecells
-        if m[4] in src_marking.marked1 and D.is_invertible2(m[5])
-    )
-    cocart = frozenset(t for t in twocells if C.is_invertible2(t[4]))
+    equiv = {alpha for alpha in C.onecells if C.is_equivalence(alpha)}
+    inv_c = {zeta for zeta in C.twocells if C.is_invertible2(zeta)}
+    inv_d = {theta for theta in D.twocells if D.is_invertible2(theta)}
+    cartesian = frozenset(m for m in onecells if m[5] in inv_d and m[4] in equiv)
+    marked = frozenset(m for m in onecells if m[5] in inv_d and m[4] in src_marking.marked1)
+    cocart = frozenset(t for t in twocells if t[4] in inv_c)
     proj = TwoFunctor(
         frcat, D,
         omap={o: o[1] for o in objects},
@@ -664,6 +648,28 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
         map2={t: t[3] for t in twocells},
     )
     return FrBundle(frcat, marked, cartesian, cocart, proj, f, src_marking, dst_marking)
+
+
+def _sorted_homs(T: StrictTwoCat) -> tuple[dict, dict]:
+    """The 1-cells by (source, target) and the 2-cells by (source, target),
+    each group sorted by name."""
+    ones, twos, _ = T._hom_index()
+    return ({st: sorted(g) for st, g in ones.items()},
+            {st: sorted(g) for st, g in twos.items()})
+
+
+def _groups(onecells, twocells) -> tuple[dict, dict, dict]:
+    """Fr-shaped cells grouped in table order: 1-cells by source object, 2-cells
+    by source 1-cell and 2-cells by the source object of their source 1-cell."""
+    after1: dict = {}
+    after2: dict = {}
+    over2: dict = {}
+    for m in onecells:
+        after1.setdefault(m[1], []).append(m)
+    for t in twocells:
+        after2.setdefault(t[1], []).append(t)
+        over2.setdefault(t[1][1], []).append(t)
+    return after1, after2, over2
 
 
 def slice_fiber(bundle: FrBundle, d: str) -> tuple[Marking2Cat, FrBundle]:
@@ -676,19 +682,17 @@ def slice_fiber(bundle: FrBundle, d: str) -> tuple[Marking2Cat, FrBundle]:
     if d not in D.objects:
         raise KeyError(f"unknown object {d}")
     objs = [o for o in Fr.objects if o[1] == d]
-    keep1 = {m for m in Fr.onecells if m[3] == D.id1[d] and Fr.onecells[m][0][1] == d}
-    keep2 = {t for t in Fr.twocells
-             if t[3] == D.id2[D.id1[d]] and t[1] in keep1 and t[2] in keep1}
+    id_d, id2_d = D.id1[d], D.id2[D.id1[d]]
+    ones = {m: st for m, st in Fr.onecells.items() if m[3] == id_d and st[0][1] == d}
+    twos = {t: st for t, st in Fr.twocells.items()
+            if t[3] == id2_d and t[1] in ones and t[2] in ones}
+    after1, after2, over2 = _groups(ones, twos)
     sub = StrictTwoCat(
-        objs,
-        {m: Fr.onecells[m] for m in Fr.onecells if m in keep1},
-        {o: Fr.id1[o] for o in objs},
-        {t: Fr.twocells[t] for t in Fr.twocells if t in keep2},
-        {m: Fr.id2[m] for m in keep1},
-        {pair: r for pair, r in Fr.vcomp.items() if pair[0] in keep2 and pair[1] in keep2},
-        {pair: r for pair, r in Fr.hcomp1.items() if pair[0] in keep1 and pair[1] in keep1},
-        {pair: r for pair, r in Fr.hcomp2.items() if pair[0] in keep2 and pair[1] in keep2},
+        objs, ones, {o: Fr.id1[o] for o in objs}, twos, {m: Fr.id2[m] for m in ones},
+        {(t2, t1): Fr.vcomp[(t2, t1)] for t1 in twos for t2 in after2.get(t1[2], ())},
+        {(m2, m): Fr.hcomp1[(m2, m)] for m in ones for m2 in after1.get(m[2], ())},
+        {(t2, t): Fr.hcomp2[(t2, t)] for t in twos for t2 in over2.get(t[1][2], ())},
         name=f"{Fr.name}|{d}",
     )
-    marking = Marking2Cat(sub, frozenset(m for m in bundle.marked1 if m in keep1))
+    marking = Marking2Cat(sub, bundle.marked1.intersection(ones))
     return marking, bundle

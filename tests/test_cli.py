@@ -60,6 +60,22 @@ def test_unknown_cell_names_the_failed_law(tmp_path, capsys):
     assert "missing field" not in err
 
 
+def test_missing_composite_names_the_failed_law(tmp_path):
+    """A 2-cell whose vertical composites are absent is reported as a failed
+    composition law of its hom-category, not as a missing table field."""
+    doc = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
+    doc["twocells"]["zz"] = ["o:*", "o:*"]
+    f = tmp_path / "missing-composite.json"
+    f.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "laxfib.cli", "nerve", str(f)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert "laws fail" in proc.stderr and "composition" in proc.stderr
+    assert "missing field" not in proc.stderr
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert cli.main(["homology", str(tmp_path / "nope.json")]) == 1
 

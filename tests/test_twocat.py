@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -16,6 +17,7 @@ from laxfib.fincat import (
     walking_arrow,
     walking_iso,
 )
+from laxfib.fixtures import fixture_functors, random_monotone_functor, random_poset
 from laxfib.simplicial import coskeletal_spheres
 from laxfib.twocat import (
     Marking2Cat,
@@ -274,3 +276,150 @@ def test_nerve_functoriality_for_composites():
     lhs = nerve_map(compose_two_functors(G, F), NA, NC)
     rhs = nerve_map(G, NB, NC).compose(nerve_map(F, NA, NB))
     assert lhs.key() == rhs.key()
+
+
+def test_hom_index_is_rebuilt_by_validate():
+    T = two_bracket(parallel_pair_cat())
+    assert T.hom1("0", "1") == ["o:x", "o:y"]
+    assert T.two_between("o:x", "o:y") == ["m:a", "m:b"]
+    assert T.twos_in_hom("0", "1") == ["m:ix", "m:iy", "m:a", "m:b"]
+    T.twocells["zz"] = ("o:x", "o:x")
+    bad = T.validate()
+    assert ("hom", "0", "1", "composition", "zz", "m:ix") in bad
+    assert T.two_between("o:x", "o:x") == ["m:ix", "zz"]
+
+
+# An independent reference for Fr and its slices: every hom-set is a scan of
+# the whole table and every composition table an all-pairs loop.
+
+
+def _scan_hom1(T, a, b):
+    return [f for f, (s, t) in T.onecells.items() if s == a and t == b]
+
+
+def _scan_two_between(T, f, g):
+    return [t for t, (s, tg) in T.twocells.items() if s == f and tg == g]
+
+
+def _reference_fr(f):
+    C, D = f.src, f.dst
+    src_marking, dst_marking = Marking2Cat(C), Marking2Cat(D)
+    objects = []
+    for d in D.objects:
+        for c in C.objects:
+            for u in sorted(_scan_hom1(D, d, f.omap[c])):
+                objects.append(("o", d, c, u))
+    onecells = {}
+    for o0 in objects:
+        for o1 in objects:
+            _, d0, c0, u0 = o0
+            _, d1, c1, u1 = o1
+            for a in sorted(_scan_hom1(D, d0, d1)):
+                for alpha in sorted(_scan_hom1(C, c0, c1)):
+                    lhs = D.hcomp1[(f.map1[alpha], u0)]
+                    rhs = D.hcomp1[(u1, a)]
+                    for theta in sorted(_scan_two_between(D, lhs, rhs)):
+                        onecells[("m", o0, o1, a, alpha, theta)] = (o0, o1)
+    id1 = {o: ("m", o, o, D.id1[o[1]], C.id1[o[2]], D.id2[o[3]]) for o in objects}
+    twocells = {}
+    by_pair = {}
+    for m in onecells:
+        by_pair.setdefault(onecells[m], []).append(m)
+    for (o0, o1), ms in by_pair.items():
+        u0, u1 = o0[3], o1[3]
+        for m0 in ms:
+            _, _, _, a0, alpha0, theta0 = m0
+            for m1 in ms:
+                _, _, _, a1, alpha1, theta1 = m1
+                for psi in sorted(_scan_two_between(D, a0, a1)):
+                    for zeta in sorted(_scan_two_between(C, alpha0, alpha1)):
+                        left = D.vcomp[(theta1, D.hcomp2[(f.map2[zeta], D.id2[u0])])]
+                        right = D.vcomp[(D.hcomp2[(D.id2[u1], psi)], theta0)]
+                        if left == right:
+                            twocells[("t", m0, m1, psi, zeta)] = (m0, m1)
+    id2 = {m: ("t", m, m, D.id2[m[3]], C.id2[m[4]]) for m in onecells}
+    vcomp = {}
+    for t1 in twocells:
+        _, m0, m1, psi1, zeta1 = t1
+        for t2 in twocells:
+            _, m1b, m2, psi2, zeta2 = t2
+            if m1b == m1:
+                vcomp[(t2, t1)] = ("t", m0, m2, D.vcomp[(psi2, psi1)], C.vcomp[(zeta2, zeta1)])
+    hcomp1 = {}
+    for m in onecells:
+        _, o0, o1, a, alpha, theta = m
+        for m2 in onecells:
+            _, o1b, o2, a2, alpha2, theta2 = m2
+            if o1b != o1:
+                continue
+            theta12 = D.vcomp[(D.hcomp2[(theta2, D.id2[a])],
+                               D.hcomp2[(D.id2[f.map1[alpha2]], theta)])]
+            hcomp1[(m2, m)] = ("m", o0, o2, D.hcomp1[(a2, a)], C.hcomp1[(alpha2, alpha)], theta12)
+    hcomp2 = {}
+    for t in twocells:
+        _, m0, m1, psi, zeta = t
+        for t2 in twocells:
+            _, n0, n1, psi2, zeta2 = t2
+            if onecells[n0][0] == onecells[m0][1]:
+                hcomp2[(t2, t)] = ("t", hcomp1[(n0, m0)], hcomp1[(n1, m1)],
+                                   D.hcomp2[(psi2, psi)], C.hcomp2[(zeta2, zeta)])
+    tables = {"objects": {o: o for o in objects}, "onecells": onecells, "id1": id1,
+              "twocells": twocells, "id2": id2, "vcomp": vcomp, "hcomp1": hcomp1,
+              "hcomp2": hcomp2}
+    marked = {m for m in onecells
+              if m[4] in src_marking.marked1 and D.is_invertible2(m[5])}
+    cartesian = {m for m in onecells if C.is_equivalence(m[4]) and D.is_invertible2(m[5])}
+    cocart = {t for t in twocells if C.is_invertible2(t[4])}
+    return tables, marked, cartesian, cocart
+
+
+def _reference_slice(tables, marked, D, d):
+    Fr = tables
+    objs = [o for o in Fr["objects"] if o[1] == d]
+    keep1 = {m for m in Fr["onecells"] if m[3] == D.id1[d] and Fr["onecells"][m][0][1] == d}
+    keep2 = {t for t in Fr["twocells"]
+             if t[3] == D.id2[D.id1[d]] and t[1] in keep1 and t[2] in keep1}
+    return {
+        "objects": {o: o for o in objs},
+        "onecells": {m: st for m, st in Fr["onecells"].items() if m in keep1},
+        "id1": {o: Fr["id1"][o] for o in objs},
+        "twocells": {t: st for t, st in Fr["twocells"].items() if t in keep2},
+        # table order: iterating the set keep1 would follow the string hash seed
+        "id2": {m: r for m, r in Fr["id2"].items() if m in keep1},
+        "vcomp": {p: r for p, r in Fr["vcomp"].items() if p[0] in keep2 and p[1] in keep2},
+        "hcomp1": {p: r for p, r in Fr["hcomp1"].items() if p[0] in keep1 and p[1] in keep1},
+        "hcomp2": {p: r for p, r in Fr["hcomp2"].items() if p[0] in keep2 and p[1] in keep2},
+    }, {m for m in marked if m in keep1}
+
+
+def _assert_tables_match(T, want):
+    got = {"objects": {o: o for o in T.objects}, "onecells": T.onecells, "id1": T.id1,
+           "twocells": T.twocells, "id2": T.id2, "vcomp": T.vcomp, "hcomp1": T.hcomp1,
+           "hcomp2": T.hcomp2}
+    for name, table in want.items():
+        assert list(got[name].items()) == list(table.items()), name
+
+
+def _reference_functors():
+    yield from fixture_functors()
+    yield "2bracket-iso-id", identity_two_functor(two_bracket(walking_iso()))
+    rng = random.Random(20240813)
+    drawn = 0
+    while drawn < 20:
+        F = random_monotone_functor(rng, random_poset(rng, 4), random_poset(rng, 4))
+        if F is not None:
+            drawn += 1
+            yield f"seeded-{drawn}", two_bracket_functor(F)
+
+
+@pytest.mark.parametrize("F", [pytest.param(F, id=name) for name, F in _reference_functors()])
+def test_fr_and_slices_match_the_all_pairs_reference(F):
+    bundle = fr(F)
+    tables, marked, cartesian, cocart = _reference_fr(F)
+    _assert_tables_match(bundle.twocat, tables)
+    assert (bundle.marked1, bundle.cartesian1, bundle.cocartesian2) == (marked, cartesian, cocart)
+    for d in F.dst.objects:
+        marking, _ = slice_fiber(bundle, d)
+        want, want_marked = _reference_slice(tables, marked, F.dst, d)
+        _assert_tables_match(marking.base, want)
+        assert marking.marked1 == Marking2Cat(marking.base, frozenset(want_marked)).marked1
