@@ -76,6 +76,12 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
 
     c_slices = {d: slice_fiber(frC, d)[0] for d in D.objects}
     d_slices = {d: slice_fiber(frD, d)[0] for d in D.objects}
+    asked: dict = {}    # (slice, object) -> verdict: conditions (ii) and (iii) ask again
+
+    def initial(M: Marking2Cat, o) -> Verdict:  # the slices live as long as this call
+        if (id(M), o) not in asked:
+            asked[id(M), o] = initial_in_localization(M, o, budgets)
+        return asked[id(M), o]
 
     for d in D.objects:
         c_slice = c_slices[d]
@@ -92,9 +98,9 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
         cond_i = "no" if not candidates else None
         cand_records = []
         for o in candidates:
-            v_src = initial_in_localization(c_slice, o, budgets)
+            v_src = initial(c_slice, o)
             o_dst = ("o", d, f.omap[o[2]], o[3])
-            v_dst = initial_in_localization(d_slices[d], o_dst, budgets)
+            v_dst = initial(d_slices[d], o_dst)
             cand_records.append({"candidate": o, "in_source_slice": v_src,
                                  "in_target_slice": v_dst})
             if v_src.yes and v_dst.yes:
@@ -118,7 +124,7 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
                 if f.omap[c] != b:
                     continue
                 o = _slice_object_for(u, c, d)
-                v = initial_in_localization(c_slice, o, budgets)
+                v = initial(c_slice, o)
                 checks_ii.append({"object": o, "verdict": v})
         cond_ii = _aggregate([r["verdict"].value for r in checks_ii]) if checks_ii else "yes"
         record["condition_ii"] = {"verdict": cond_ii, "checks": checks_ii}
@@ -138,7 +144,7 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
                 continue
             g_b = chosen[b]
             restricted = ("o", d, g_b[2], D.hcomp1[(g_b[3], e)])
-            v = initial_in_localization(c_slices[d], restricted, budgets)
+            v = initial(c_slices[d], restricted)
             checks_iii.append({"edge": e, "restricted": restricted, "verdict": v})
         cond_iii = _aggregate([r["verdict"].value for r in checks_iii]) if checks_iii else "yes"
         per_object[d]["condition_iii"] = {"verdict": cond_iii, "checks": checks_iii}

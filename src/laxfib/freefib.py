@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-from .gray import delta, e_map, end_map, prism, prism_deg, prism_face, simplex_deg, simplex_face
+from .gray import (composite, delta, e_map, end_map, prism, prism_deg, prism_face, simplex_deg,
+                   simplex_face)
 from .simplicial import (
     Cell,
     DecMap,
@@ -51,27 +52,41 @@ class PairSimplex:
     phi: DecMap
     rho: DecMap
 
+    def _pulled(self, n: int, phi_map: DecMap, rho_map: DecMap) -> "PairSimplex":
+        """The n-pair (phi o phi_map, rho o rho_map)."""
+        return PairSimplex(n, self.phi.compose(phi_map), self.rho.compose(rho_map))
+
     def face(self, i: int) -> "PairSimplex":
-        return PairSimplex(self.n - 1,
-                           self.phi.compose(prism_face(self.n, i)),
-                           self.rho.compose(simplex_face(self.n, i)))
+        return self._pulled(self.n - 1, prism_face(self.n, i), simplex_face(self.n, i))
 
     def degeneracy(self, j: int) -> "PairSimplex":
-        return PairSimplex(self.n + 1,
-                           self.phi.compose(prism_deg(self.n, j)),
-                           self.rho.compose(simplex_deg(self.n, j)))
+        return self._pulled(self.n + 1, prism_deg(self.n, j), simplex_deg(self.n, j))
 
     def extend(self, j: int) -> "PairSimplex":
         """The j-th extension: an (n+1)-simplex with phi-part phi o E_j and
         rho-part rho o s_j."""
         if not 0 <= j <= self.n:
             raise ValueError(f"extension index {j} out of range")
-        return PairSimplex(self.n + 1,
-                           self.phi.compose(e_map(j, self.n)),
-                           self.rho.compose(simplex_deg(self.n, j)))
+        return self._pulled(self.n + 1, e_map(j, self.n), simplex_deg(self.n, j))
+
+    def extension_face(self, j: int, s: int) -> "PairSimplex":
+        """``self.extend(j).face(s)``, through the composite E_j o delta_s."""
+        n = self.n
+        return self._pulled(n, composite(e_map, (j, n), prism_face, (n + 1, s)),
+                            composite(simplex_deg, (n, j), simplex_face, (n + 1, s)))
+
+    def face_extension(self, k: int, j: int) -> "PairSimplex":
+        """``self.face(k).extend(j)``, through the composite delta_k o E_j."""
+        n = self.n
+        return self._pulled(n, composite(prism_face, (n, k), e_map, (j, n - 1)),
+                            composite(simplex_face, (n, k), simplex_deg, (n - 1, j)))
 
     def is_degenerate(self) -> bool:
-        return any(self.face(j).degeneracy(j) == self for j in range(self.n))
+        """Whether the pair is ``face(j).degeneracy(j)`` for some j."""
+        n = self.n
+        return any(self.rho.fixed_by(composite(simplex_face, (n, j), simplex_deg, (n - 1, j)))
+                   and self.phi.fixed_by(composite(prism_face, (n, j), prism_deg, (n - 1, j)))
+                   for j in range(n))
 
     def base_simplex(self) -> Cell:
         """phi on the top simplex over {0}: the pair's n-simplex of the base."""
@@ -532,13 +547,13 @@ def expected_extension_face(ff: FreeFibration, sigma: PairSimplex, j: int, s: in
     if j == n and s == n + 1:
         return sigma
     if j + 1 < s <= n + 1:
-        return sigma.face(s - 1).extend(j)
+        return sigma.face_extension(s - 1, j)
     if 0 <= s < j:
-        return sigma.face(s).extend(j - 1)
+        return sigma.face_extension(s, j - 1)
     if s == j + 1:
-        return sigma.extend(j + 1).face(j + 1)
+        return sigma.extension_face(j + 1, j + 1)
     if s == j and s != 0:
-        return sigma.extend(j - 1).face(j)
+        return sigma.extension_face(j - 1, j)
     # s == j == 0: the face collapses onto the unit image of the fibre part
     # (computing the vertex maps gives gamma of ell itself, of dimension n)
     return gamma_pair(ff.fN, sigma.rho.assign[(n, 0)])
@@ -551,12 +566,10 @@ def face_identity_violations(ff: FreeFibration) -> list:
     for sigma, label in _stored_pairs(ff):
         n = sigma.n
         for j in range(n + 1):
-            ext = sigma.extend(j)
             for s in range(n + 2):
                 want = expected_extension_face(ff, sigma, j, s)
                 # the s = j + 1 = n + 1 corner is covered by the first clause
-                got = ext.face(s)
-                if got != want:
+                if sigma.extension_face(j, s) != want:
                     bad.append((label, j, s))
     return bad
 

@@ -172,6 +172,13 @@ def e_map(j: int, n: int) -> DecMap:
     return DecMap(src, dst, assign)
 
 
+@lru_cache(maxsize=None)
+def composite(outer, outer_args: tuple, inner, inner_args: tuple) -> DecMap:
+    """The structure map ``outer(*outer_args)`` after ``inner(*inner_args)``,
+    e.g. ``composite(prism_face, (n, j), prism_deg, (n - 1, j))``."""
+    return outer(*outer_args).compose(inner(*inner_args))
+
+
 def e_map_respects_scaling(j: int, n: int) -> bool:
     """Thin triangles of the source prism land on thin triangles."""
     f = e_map(j, n)

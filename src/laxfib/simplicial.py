@@ -19,6 +19,7 @@ Decoration conventions:
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 from operator import itemgetter
@@ -60,6 +61,10 @@ class Cell(NamedTuple):
     @staticmethod
     def decode(data: list) -> "Cell":
         return Cell(data[0], data[1], tuple(data[2]))
+
+
+# Cell from a (dim, idx, word) tuple, without the Python-level NamedTuple constructor
+_cell = functools.partial(tuple.__new__, Cell)
 
 
 def insert_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -128,7 +133,7 @@ class DecoratedSSet:
         self.truncated_at = truncated_at
         self._by_faces: dict[int, dict] = {}
         self._all_cells: dict[int, list[Cell]] = {}
-        self._faces_first: Optional[list[Cell]] = None
+        self._plan: Optional[list] = None
         self._check_decorations()
 
     # -- basic structure ---------------------------------------------------
@@ -146,29 +151,46 @@ class DecoratedSSet:
         return [Cell(dim, k) for k in range(self.num(dim))]
 
     def all_nondeg(self) -> list[Cell]:
-        out = []
-        for d in range(self.top_dim + 1):
-            out.extend(self.nondeg(d))
-        return out
+        return [Cell(d, k) for d in range(self.top_dim + 1) for k in range(self.num(d))]
 
     def faces_first(self) -> list[Cell]:
         """Nondegenerate cells, each right after its faces: a depth-first walk
         over the face tables from the top cells down."""
-        if self._faces_first is None:
-            order: dict[tuple[int, int], Cell] = {}
+        order: dict[tuple[int, int], Cell] = {}
 
-            def visit(nd: tuple[int, int]) -> None:
-                if nd not in order:
-                    for f in self.faces.get(nd, ()):
-                        visit(f.nd)
-                    order[nd] = Cell(*nd)
+        def visit(nd: tuple[int, int]) -> None:
+            if nd not in order:
+                for f in self.faces.get(nd, ()):
+                    visit(f.nd)
+                order[nd] = Cell(*nd)
 
-            for d in range(self.top_dim, -1, -1):
-                for k in range(self.num(d)):
-                    visit((d, k))
-            del visit  # it refers to itself: drop that cycle so order is freed by refcount
-            self._faces_first = list(order.values())
-        return self._faces_first
+        for d in range(self.top_dim, -1, -1):
+            for k in range(self.num(d)):
+                visit((d, k))
+        del visit  # it refers to itself: drop that cycle so order is freed by refcount
+        return list(order.values())
+
+    def search_plan(self) -> list[tuple]:
+        """The map search's rows ``(nd, cell, gather, decorations)``, one per cell of
+        :meth:`faces_first`.  ``gather(assign)`` is the tuple of the images of the cell's
+        faces under an assignment of nondegenerate cells (None for a vertex), and
+        ``decorations`` names the cell's flags among marked, thin and lean (lean only in
+        a two-scaling object)."""
+        if self._plan is None:
+            self._plan = []
+            for cell in self.faces_first():
+                nd, fs = cell.nd, self.faces[cell.nd] if cell.dim else ()
+                if not fs:
+                    gather = None
+                elif any(f.word for f in fs):
+                    gather = lambda assign, fs=fs: tuple(
+                        DecoratedSSet._apply_word(assign[f.nd], f.word) for f in fs)
+                else:
+                    gather = itemgetter(*(f.nd for f in fs))
+                self._plan.append((nd, cell, gather, tuple(
+                    name for name in ("marked", "thin", "lean")
+                    if nd in getattr(self, name) and (name != "lean" or self.kind == "MB"))))
+        return self._plan
 
     def is_empty(self) -> bool:
         return not self.n_cells
@@ -193,10 +215,10 @@ class DecoratedSSet:
     def _apply_word(cell: Cell, word: tuple[int, ...]) -> Cell:
         if not word:
             return cell
-        w = cell.word
+        w = cell[2]
         for j in reversed(word):
             w = insert_degeneracy(w, j)
-        return Cell(cell.dim, cell.idx, w)
+        return _cell((cell[0], cell[1], w))
 
     def faces_tuple(self, cell: Cell) -> tuple[Cell, ...]:
         return tuple(self.face(cell, i) for i in range(cell.total_dim + 1))
@@ -408,8 +430,7 @@ class KeyedSSet(DecoratedSSet):
         for j in range(self.key_dim(key) - 1, -1, -1):
             inner = self.key_face(key, j)
             if self.key_deg(inner, j) == key:
-                base = self.cell_of(inner)
-                return Cell(base.dim, base.idx, insert_degeneracy(base.word, j))
+                return self.deg(self.cell_of(inner), j)
         raise KeyError(f"{key!r} is not a simplex of this object")
 
     def key_of(self, cell: Cell):
@@ -548,11 +569,11 @@ class DecMap:
         self.src = src
         self.dst = dst
         self.assign = assign
+        self._split = None
 
     def apply(self, cell: Cell) -> Cell:
-        if not cell.word:
-            return self.assign[cell.nd]
-        return DecoratedSSet._apply_word(self.assign[cell.nd], cell.word)
+        img = self.assign[cell[:2]]
+        return _degenerated(img, cell[2]) if cell[2] else img
 
     def __eq__(self, other):
         return (
@@ -573,8 +594,25 @@ class DecMap:
         """self after other (other first)."""
         if other.dst is not self.src:
             raise ValueError("composition mismatch")
-        assign = {nd: self.apply(img) for nd, img in other.assign.items()}
-        return DecMap(other.src, self.dst, assign)
+        return DecMap(other.src, self.dst, dict(zip(other.assign, self._after(other))))
+
+    def fixed_by(self, r: "DecMap") -> bool:
+        """Whether self o r == self, compared cell by cell up to the first mismatch."""
+        return self._after(r) == list(map(self.assign.__getitem__, r.assign))
+
+    def _after(self, other: "DecMap") -> list[Cell]:
+        """The images of other's images, in other's order: one gather of their roots,
+        then the word step for the degenerate ones."""
+        if other._split is None:
+            roots = dict(zip(self.assign, self.assign))   # share the key tuples, not copies
+            imgs = other.assign.values()
+            other._split = ([roots[c[:2]] for c in imgs],
+                            [(p, c[2]) for p, c in enumerate(imgs) if c[2]])
+        roots, words = other._split
+        out = list(map(self.assign.__getitem__, roots))
+        for p, w in words:
+            out[p] = _degenerated(out[p], w)
+        return out
 
     @staticmethod
     def identity(X: DecoratedSSet) -> "DecMap":
@@ -623,6 +661,14 @@ class DecMap:
         return f"DecMap({self.src!r} -> {self.dst!r})"
 
 
+def _degenerated(cell: Cell, w: tuple[int, ...]) -> Cell:
+    """s_w applied to a cell, for a word w in normal form.  When w ends above the
+    cell's word v, or v is empty, w + v is the normal form; else the word step."""
+    v = cell[2]
+    return (_cell((cell[0], cell[1], w + v)) if not v or w[-1] > v[0]
+            else DecoratedSSet._apply_word(cell, w))
+
+
 def enumerate_maps(
     A: DecoratedSSet,
     B: DecoratedSSet,
@@ -641,54 +687,39 @@ def enumerate_maps(
     ``partial`` pins images of some nondegenerate cells; ``constraint`` is an
     extra per-cell predicate.
     """
-    cells = A.faces_first()
+    plan = A.search_plan()
     if B.is_empty():
-        return [] if cells else [DecMap(A, B, {})]
+        return [] if plan else [DecMap(A, B, {})]
     assign: dict[tuple[int, int], Cell] = {}
     out: list[DecMap] = []
     partial = partial or {}
 
-    def candidates(cell: Cell) -> list[Cell]:
-        if cell.dim == 0:
-            cands = B.all_cells(0)
-        else:
-            ftuple = tuple(
-                DecoratedSSet._apply_word(assign[f.nd], f.word)
-                for f in (A.faces[cell.nd])
-            )
-            cands = B.by_faces(cell.dim).get(ftuple, [])
-        pin = partial.get(cell.nd)
-        if pin is not None:
-            cands = [c for c in cands if c == pin]
-        if respect_decorations:
-            if cell.dim == 1 and cell.nd in A.marked:
-                cands = [c for c in cands if c.is_degenerate() or c.nd in B.marked]
-            elif cell.dim == 2:
-                if cell.nd in A.thin:
-                    cands = [c for c in cands if c.is_degenerate() or c.nd in B.thin]
-                if A.kind == "MB" and cell.nd in A.lean:
-                    cands = [c for c in cands if c.is_degenerate() or c.nd in B.lean]
-        if constraint is not None:
-            cands = [c for c in cands if constraint(cell, c)]
-        return cands
-
     def search(pos: int) -> bool:
-        if pos == len(cells):
+        if pos == len(plan):
             out.append(DecMap(A, B, dict(assign)))
             return first_only
-        cell = cells[pos]
-        for cand in candidates(cell):
-            assign[cell.nd] = cand
+        nd, cell, gather, decorations = plan[pos]
+        cands = B.all_cells(0) if gather is None else B.by_faces(cell[0]).get(gather(assign), ())
+        if nd in partial:
+            cands = [c for c in cands if c == partial[nd]]
+        if respect_decorations:
+            for name in decorations:
+                group = getattr(B, name)
+                cands = [c for c in cands if c[2] or c[:2] in group]
+        if constraint is not None:
+            cands = [c for c in cands if constraint(cell, c)]
+        for cand in cands:
+            # a later position reads only the images of its faces, which come before it
+            assign[nd] = cand
             if search(pos + 1):
                 return True
-            del assign[cell.nd]
         return False
 
     search(0)
     del search  # it refers to itself: drop that cycle so out is freed by refcount
     if len(out) > 1:
-        lex = A.all_nondeg()
-        out.sort(key=lambda m: [m.assign[c.nd] for c in lex])
+        lex = itemgetter(*(c.nd for c in A.all_nondeg()))
+        out.sort(key=lambda m: lex(m.assign))
     return out
 
 
@@ -717,8 +748,7 @@ def pushout(f: DecMap, g: DecMap) -> tuple[DecoratedSSet, DecMap, DecMap]:
         root = Cell(cell.dim, cell.idx)
         if root in image_of_f:
             a = image_of_f[root]
-            img = DecoratedSSet._apply_word(cmap_apply(g.assign[a.nd]), cell.word)
-            return img
+            return DecoratedSSet._apply_word(cmap_apply(g.assign[a.nd]), cell.word)
         return DecoratedSSet._apply_word(bmap[root.nd], cell.word)
 
     def cmap_apply(cell: Cell) -> Cell:

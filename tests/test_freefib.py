@@ -140,6 +140,30 @@ def test_degeneracy_lemmas_small(small_ff):
     assert degeneracy_lemma_violations(small_ff) == []
 
 
+@pytest.mark.parametrize("name", [name for name, _ in fixture_functors()])
+def test_pair_algebra_matches_the_two_step_definitions(name):
+    """The one-step pair algebra (cached composite structure maps, cell-by-cell
+    degeneracy test) against its two-step definitions, on the stored pairs,
+    their degeneracies and extensions, and the double extensions for n <= 2."""
+    ff = build_free_fibration(dict(fixture_functors())[name])
+    pairs = list(ff.pairs.values())
+    pairs += [p.degeneracy(j) for p in ff.pairs.values() if p.n < 3 for j in range(p.n + 1)]
+    extensions = [p.extend(j) for p in pairs for j in range(p.n + 1)]
+    doubles = [e.extend(i) for e in extensions if e.n <= 3 for i in range(e.n + 1)]
+    for p in pairs + extensions + doubles:
+        assert p.is_degenerate() == any(p.face(j).degeneracy(j) == p for j in range(p.n))
+    assert any(p.is_degenerate() for p in pairs) and not all(p.is_degenerate() for p in pairs)
+    for p in pairs:
+        for j in range(p.n + 1):
+            ext = p.extend(j)
+            for s in range(p.n + 2):
+                assert p.extension_face(j, s) == ext.face(s)
+        for k in range(p.n + 1):
+            face = p.face(k)
+            for j in range(p.n):
+                assert p.face_extension(k, j) == face.extend(j)
+
+
 def test_face_identities_arrow(arrow_ff):
     assert face_identity_violations(arrow_ff) == []
 

@@ -601,3 +601,43 @@ def test_enumerate_maps_matches_brute_force(A, B):
     first = enumerate_maps(A, B, first_only=True)
     assert len(first) == min(len(full), 1)
     assert all(m in full for m in first)
+
+
+def _catalog_object(tag: str, params: tuple, end: str) -> DecoratedSSet:
+    from laxfib.anodyne import generators
+    gen = next(g for g in generators("MB", 3) if (g.tag, g.params) == (tag, params))
+    return gen.dom if end == "dom" else gen.cod
+
+
+# sources with a degenerate face, which the search plan gathers word by word
+WORD_FACE_SOURCES = {
+    "A3(3) dom": lambda: _catalog_object("A3", (3,), "dom"),
+    "A3(3) cod": lambda: _catalog_object("A3", (3,), "cod"),
+    "S4 dom": lambda: _catalog_object("S4", (), "dom"),
+    "S4 cod": lambda: _catalog_object("S4", (), "cod"),
+    "walking-iso nerve at 2": lambda: walking_iso().nerve(max_dim=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FACE_SOURCES))
+def test_enumerate_maps_through_degenerate_faces(name):
+    A = WORD_FACE_SOURCES[name]()
+    assert any(f.word for fs in A.faces.values() for f in fs)
+    for B in SEARCH_TARGETS:
+        assert [m.assign for m in enumerate_maps(A, B)] == brute_force_maps(A, B)
+
+
+def test_search_plan_follows_new_decorations():
+    flat = standard_simplex(2, kind="MB")
+    plan = flat.search_plan()
+    assert not any("marked" in decorations for *_, decorations in plan)
+    sharp = flat.with_decorations(marked={c.nd for c in flat.nondeg(1)})
+    assert sharp.search_plan() is not plan
+    assert [nd for nd, *_, decorations in sharp.search_plan() if "marked" in decorations] == [
+        c.nd for c in sharp.faces_first() if c.dim == 1]
+    for B in SEARCH_TARGETS:
+        maps = enumerate_maps(sharp, B)
+        assert [m.assign for m in maps] == brute_force_maps(sharp, B)
+    # into the flat simplex only the constant maps send every edge to a marked one
+    assert len(enumerate_maps(flat, flat)) == 10
+    assert len(enumerate_maps(sharp, flat)) == 3
