@@ -25,7 +25,6 @@ from .simplicial import (
     KeyedSSet,
     add_coskeletal_top,
     coskeletal_spheres,
-    degenerate_spheres,
     enumerate_maps,
     fill,
     vertex_cell,
@@ -161,7 +160,8 @@ class FreeFibration:
         # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho
         levels = [[PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
                    for rho in self._rhos_for(phi, n)] for n in range(TOP_DIM + 1)]
-        X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"))
+        X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"),
+                      is_degenerate=PairSimplex.is_degenerate)
         pairs = X.keys.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
         lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
@@ -599,6 +599,11 @@ def _stored_pairs(ff: FreeFibration):
         if nd[0] < TOP_DIM:
             out.extend((pair.degeneracy(j), (nd, "s", j)) for j in range(nd[0] + 1))
     return out
+
+
+def degenerate_spheres(X: DecoratedSSet, dim: int) -> set[tuple[Cell, ...]]:
+    """Face tuples of the degenerate ``dim``-cells of X."""
+    return {X.faces_tuple(X.deg(z, j)) for z in X.all_cells(dim - 1) for j in range(dim)}
 
 
 def three_coskeletal_violations(ff: FreeFibration) -> list:

@@ -238,7 +238,8 @@ class DecoratedSSet:
         return self._all_cells[dim]
 
     def by_faces(self, dim: int) -> dict[tuple[Cell, ...], list[Cell]]:
-        """Index of ``dim``-cells keyed by their face tuples."""
+        """Index of ``dim``-cells keyed by their face tuples, in :meth:`all_cells` order;
+        recorded by :func:`add_coskeletal_top`, shared by :meth:`with_decorations`."""
         if dim not in self._by_faces:
             index: dict = {}
             for cell in self.all_cells(dim):
@@ -279,9 +280,11 @@ class DecoratedSSet:
             raise BadDecorationError("PLAIN objects carry no decorations")
 
     def with_decorations(self, kind=None, marked=None, thin=None, lean=None) -> "DecoratedSSet":
-        """Copy of the object, of its own class, with decorations replaced."""
+        """Copy of the object, of its own class and face caches, with decorations replaced."""
         given = {"kind": kind, "marked": marked, "thin": thin, "lean": lean}
-        return self._replaced(**{k: v for k, v in given.items() if v is not None})
+        new = self._replaced(**{k: v for k, v in given.items() if v is not None})
+        new._by_faces, new._all_cells = self._by_faces, self._all_cells
+        return new
 
     def _replaced(self, **fields) -> "DecoratedSSet":
         """Copy of the object, of its own class and with its other attributes,
@@ -395,15 +398,15 @@ class KeyedSSet(DecoratedSSet):
 
     ``levels[n]`` lists the n-simplices in order; ``face(key, i)`` and
     ``deg(key, j)`` act on keys, and ``key_dim(key)`` is a key's dimension.  A
-    key is degenerate when it is ``deg(face(key, j), j)`` for some j; the
-    others are the nondegenerate cells, numbered in list order.  ``keys`` maps
-    each nondegenerate cell's ``nd`` to its key (the keys are also the labels)
-    and ``index`` maps each nondegenerate key to its Cell.  ``fields`` are
-    further constructor fields of :class:`DecoratedSSet`.
+    key is degenerate when it is ``deg(face(key, j), j)`` for some j, or by the
+    test ``is_degenerate(key)`` if one is given; the others are the nondegenerate
+    cells, numbered in list order.  ``keys`` maps each nondegenerate cell's ``nd``
+    to its key (the keys are also the labels) and ``index`` maps each
+    nondegenerate key to its Cell.  ``fields`` are further constructor fields.
     """
 
     def __init__(self, kind: str, levels: list, face: Callable, deg: Callable,
-                 key_dim: Callable, **fields):
+                 key_dim: Callable, is_degenerate: Optional[Callable] = None, **fields):
         self.key_face, self.key_deg, self.key_dim = face, deg, key_dim
         self.index: dict = {}
         n_cells: list[int] = []
@@ -411,7 +414,8 @@ class KeyedSSet(DecoratedSSet):
         for n, level in enumerate(levels):
             count = 0
             for key in level:
-                if any(deg(face(key, j), j) == key for j in range(n)):
+                if (is_degenerate(key) if is_degenerate else
+                        any(deg(face(key, j), j) == key for j in range(n))):
                     continue
                 cell = self.index[key] = Cell(n, count)
                 if n:
@@ -584,7 +588,7 @@ class DecMap:
         )
 
     def __hash__(self):
-        return hash((id(self.src), id(self.dst), frozenset(self.assign.items())))
+        return hash(frozenset(self.assign.values()))
 
     def key(self) -> tuple:
         """Structural key, independent of object identity."""
@@ -619,12 +623,13 @@ class DecMap:
         return DecMap(X, X, {c.nd: c for c in X.all_nondeg()})
 
     def commutes_with_faces(self) -> bool:
+        """Whether the images of each cell's faces are the faces of its image."""
         for d in range(1, self.src.top_dim + 1):
-            for cell in self.src.nondeg(d):
-                img = self.assign[cell.nd]
-                for i in range(d + 1):
-                    if self.apply(self.src.face(cell, i)) != self.dst.face(img, i):
-                        return False
+            for k in range(self.src.num(d)):
+                img = self.assign[(d, k)]
+                if tuple(map(self.apply, self.src.faces[(d, k)])) != (
+                        self.dst.faces_tuple(img) if img[2] else self.dst.faces[img[:2]]):
+                    return False
         return True
 
     def decoration_violations(self) -> list[tuple]:
@@ -884,19 +889,14 @@ def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
     return spheres
 
 
-def degenerate_spheres(X: DecoratedSSet, dim: int) -> set[tuple[Cell, ...]]:
-    """Face tuples of the degenerate ``dim``-cells of X."""
-    return {X.faces_tuple(X.deg(z, j)) for z in X.all_cells(dim - 1) for j in range(dim)}
-
-
 def add_coskeletal_top(X: DecoratedSSet, dim: int,
                        keep: Optional[Callable[[tuple[Cell, ...]], bool]] = None) -> DecoratedSSet:
     """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
     boundary sphere, in sorted sphere order.  ``keep`` filters the spheres; the
     result is then not (dim-1)-coskeletal and keeps X's ``coskeletal``.  The
-    result has X's class and its other attributes."""
+    result has X's class, its other attributes and its ``by_faces(dim)`` recorded."""
     assert X.top_dim <= dim - 1
-    degenerate = degenerate_spheres(X, dim)
+    index = dict(X.by_faces(dim))  # a copy: X's own cache must not list the new cells
     n_cells = list(X.n_cells)
     while len(n_cells) < dim:
         n_cells.append(0)
@@ -904,15 +904,18 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
     labels = dict(X.labels)
     count = 0
     for sphere in sorted(coskeletal_spheres(X, dim)):
-        if sphere in degenerate or (keep is not None and not keep(sphere)):
+        if sphere in index or (keep is not None and not keep(sphere)):
             continue
         nd = (dim, count)
         faces[nd] = sphere
         labels[nd] = ("cosk", sphere)
+        index[sphere] = (Cell(dim, count),)
         count += 1
     n_cells.append(count)
-    return X._replaced(n_cells=n_cells, faces=faces, labels=labels, truncated_at=None,
-                       coskeletal=dim - 1 if keep is None else X.coskeletal)
+    Y = X._replaced(n_cells=n_cells, faces=faces, labels=labels, truncated_at=None,
+                    coskeletal=dim - 1 if keep is None else X.coskeletal)
+    Y._by_faces[dim] = index
+    return Y
 
 
 def fill(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell) -> Optional[Cell]:

@@ -7,10 +7,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from laxfib.anodyne import certify_fibration
 from laxfib.fincat import terminal_cat, walking_arrow, CatFunctor
-from laxfib.fixtures import fixture_functors, include_at
+from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
 from laxfib.freefib import (
     build_free_fibration,
     compare_tame_fr,
@@ -22,7 +24,7 @@ from laxfib.freefib import (
     three_coskeletal_violations,
 )
 from laxfib.gray import delta, gray
-from laxfib.simplicial import Cell, ProductSSet
+from laxfib.simplicial import Cell, DecoratedSSet, ProductSSet
 from laxfib.twocat import (
     ScaledNerve,
     StrictTwoCat,
@@ -430,6 +432,44 @@ def test_cell_of_commutes_with_degeneracies(arrow_ff):
         assert cell == Cell(*nd)
         for j in range(pair.n + 1):
             assert ff.total.cell_of(pair.degeneracy(j)) == ff.total.deg(cell, j)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in fixture_functors()])
+def test_coskeletal_tops_record_their_face_index(name):
+    """The total space, both nerves, the sharp base (a redecorated copy of the target
+    nerve) and the Fr nerve keep the ``by_faces(4)`` their coskeletal top recorded, and
+    it is the index built from their face tables alone, group for group and in order."""
+    F = dict(fixture_functors())[name]
+    for mode in ("dagger", "natural"):
+        ff = build_free_fibration(F, mode=mode)
+        N = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode)
+        assert ff.base._by_faces is ff.nd._by_faces
+        for X in (ff.total, ff.nc, ff.nd, ff.base, N):
+            fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(4)
+            assert [(fs, list(cells)) for fs, cells in X._by_faces[4].items()] == \
+                list(fresh.items())
+
+
+@seed(20240813)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_poset_functors_pass_every_check(rng):
+    """The free fibration of a random monotone functor between posets of at most three
+    objects: in both modes the tame/Fr comparison and MB certification hold, and the
+    extension lemmas, the audit and 3-coskeletality hold."""
+    F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
+    assume(F is not None)
+    ffs = [build_free_fibration(two_bracket_functor(F), mode=mode) for mode in ("dagger", "natural")]
+    for ff in ffs:
+        assert compare_tame_fr(ff).ok
+        assert certify_fibration(ff.proj, "MB", n_max=3).ok
+    # the mode decides the marking only: the pairs, and so the lemmas, the audit and
+    # the coskeletal top, are those of either mode
+    ff = ffs[0]
+    assert face_identity_violations(ff) == [] and degeneracy_lemma_violations(ff) == []
+    audit = ff.filtration_audit()
+    assert audit["reachable"] == audit["total"] == sum(ff.total.n_cells[:4])
+    assert three_coskeletal_violations(ff) == []
 
 
 def _digest(text: str) -> str:

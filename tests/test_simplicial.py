@@ -384,6 +384,43 @@ def test_coskeletal_top_of_simplex_boundary():
     ext.validate()
 
 
+def _recorded_index_is_fresh(X: DecoratedSSet, dim: int) -> None:
+    """The ``by_faces(dim)`` that ``add_coskeletal_top`` recorded is the index built
+    from the face tables alone, group for group and in the same order."""
+    assert dim in X._by_faces
+    fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(dim)
+    assert [(fs, list(cells)) for fs, cells in X._by_faces[dim].items()] == list(fresh.items())
+
+
+def test_coskeletal_top_records_its_face_index():
+    X = standard_simplex(4, kind="PLAIN")
+    trunc = DecoratedSSet("PLAIN", X.n_cells[:4], {nd: X.faces[nd] for nd in X.faces if nd[0] <= 3})
+    _recorded_index_is_fresh(add_coskeletal_top(trunc, 4), 4)
+    for max_dim in (3, 4):
+        N = scaled_nerve(two_bracket(walking_iso()), max_dim=max_dim)
+        _recorded_index_is_fresh(N, max_dim)
+        # redecoration keeps the faces, so the copy shares the recorded index
+        sharp = N.with_decorations(marked={c.nd for c in N.nondeg(1)})
+        assert sharp._by_faces is N._by_faces
+        _recorded_index_is_fresh(sharp, max_dim)
+
+
+def test_commutes_with_faces_catches_a_wrong_top_image():
+    N = scaled_nerve(two_bracket(walking_arrow()))
+    identity = DecMap.identity(N)
+    assert identity.commutes_with_faces()
+    first, second = N.nondeg(4)
+    for wrong in (second, N.deg(Cell(3, 0), 0), N.deg(Cell(3, 1), 3)):
+        assert not DecMap(N, N, {**identity.assign, first.nd: wrong}).commutes_with_faces()
+    # a degenerate image is checked through its faces: 0 -> 0, 1 -> 1, 2 -> 1 sends
+    # the triangle to s_1 of the edge, and s_0 of the edge is wrong
+    folded = delta_map(standard_simplex(2, kind="PLAIN"), standard_simplex(1, kind="PLAIN"),
+                       {0: 0, 1: 1, 2: 1})
+    assert folded.assign[(2, 0)] == Cell(1, 0, (1,)) and folded.commutes_with_faces()
+    planted = DecMap(folded.src, folded.dst, {**folded.assign, (2, 0): Cell(1, 0, (0,))})
+    assert not planted.commutes_with_faces()
+
+
 def test_empty_and_roundtrip_json():
     for X in (empty_sset(), standard_simplex(2, kind="MB", marked="sharp", thin="flat", lean="sharp"),
               horn(3, 1, kind="MS", thin="sharp")):
