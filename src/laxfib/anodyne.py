@@ -71,7 +71,7 @@ def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
 
 def _inclusion(dom: KeyedSSet, cod: KeyedSSet) -> DecMap:
     """Vertex-identity inclusion between two objects keyed on vertex words."""
-    return DecMap(dom, cod, {nd: cod.index[verts] for nd, verts in dom.keys.items()})
+    return DecMap(dom, cod, {nd: cod.index[verts] for nd, verts in dom.labels.items()})
 
 
 def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):

@@ -129,7 +129,7 @@ def _config(args) -> dict:
     if cap > anodyne.N_MAX_DEFAULT or n_max > anodyne.N_MAX_DEFAULT:
         raise InputError(f"cap and n-max must be at most {anodyne.N_MAX_DEFAULT}")
     if any(v < 0 for v in budgets.values()):
-        raise InputError("budgets must be positive")
+        raise InputError("budgets must not be negative")
     return {"cap": cap, "budgets": budgets, "n_max": n_max}
 
 

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .simplicial import Cell, DecoratedSSet, SSetBuilder, insert_degeneracy
+from .simplicial import Cell, DecoratedSSet, insert_degeneracy
 
 
 class FinCat:
@@ -104,10 +104,12 @@ class FinCat:
         return FinCat(objs, mors, src, tgt, comp, ident)
 
     def nerve(self, max_dim: int = 4, kind: str = "PLAIN") -> DecoratedSSet:
-        """Nerve with nondegenerate cells the chains of non-identity morphisms."""
-        b = SSetBuilder()
-        for i, a in enumerate(self.objects):
-            b.add(0, label=("obj", a))
+        """Nerve with nondegenerate cells the chains of non-identity morphisms,
+        labelled ("obj", a) and ("chain", chain)."""
+        n_cells = [len(self.objects)]
+        faces: dict = {}
+        labels = {(0, i): ("obj", a) for i, a in enumerate(self.objects)}
+        cells = {("obj", a): Cell(0, i) for i, a in enumerate(self.objects)}  # label -> Cell
 
         def chain_cell(chain: tuple[str, ...], start: str) -> Cell:
             for t, m in enumerate(chain):
@@ -115,9 +117,7 @@ class FinCat:
                     # inserting an identity at position t is the degeneracy s_t
                     inner = chain_cell(chain[:t] + chain[t + 1:], start)
                     return Cell(inner.dim, inner.idx, insert_degeneracy(inner.word, t))
-            if not chain:
-                return b.by_label(0, ("obj", start))
-            return b.by_label(len(chain), ("chain", chain))
+            return cells[("chain", chain) if chain else ("obj", start)]
 
         chains = {0: [((), a) for a in self.objects]}
         for n in range(1, max_dim + 1):
@@ -128,8 +128,9 @@ class FinCat:
                     if self.src[m] == tail:
                         level.append((chain + (m,), start))
             chains[n] = level
-            for chain, start in level:
-                faces = []
+            n_cells.append(len(level))
+            for k, (chain, start) in enumerate(level):
+                fs = []
                 for i in range(n + 1):
                     if i == 0:
                         sub, st = chain[1:], self.tgt[chain[0]]
@@ -138,19 +139,19 @@ class FinCat:
                     else:
                         sub = chain[:i - 1] + (self.comp[(chain[i], chain[i - 1])],) + chain[i + 1:]
                         st = start
-                    faces.append(chain_cell(sub, st))
-                b.add(n, tuple(faces), label=("chain", chain))
-        del chain_cell  # it refers to itself: drop that cycle so the builder is freed by refcount
+                    fs.append(chain_cell(sub, st))
+                faces[(n, k)] = tuple(fs)
+                label = labels[(n, k)] = ("chain", chain)
+                cells[label] = Cell(n, k)
+        del chain_cell  # it refers to itself: drop that cycle so cells is freed by refcount
 
         marked: list = []
         thin: list = []
         if kind in ("MS", "MB"):
-            marked = [b.by_label(1, ("chain", (m,))).nd for m in self.nonidentity() if self.is_iso(m)]
+            marked = [cells[("chain", (m,))].nd for m in self.nonidentity() if self.is_iso(m)]
         if kind in ("MS", "MB", "SC"):
-            thin = [
-                b.by_label(2, ("chain", c)).nd
-                for c, _ in chains.get(2, [])
-            ]  # in a 1-category every triangle commutes strictly: all thin
+            # in a 1-category every triangle commutes strictly: all thin
+            thin = [cells[("chain", c)].nd for c, _ in chains.get(2, [])]
         # categories with loops have nondegenerate chains in every dimension;
         # record the truncation so homology stays sound at the boundary
         truncated = any(
@@ -158,8 +159,8 @@ class FinCat:
             for chain, start in chains.get(max_dim, [])
             for m in self.morphisms
         )
-        return b.build(kind, marked=marked, thin=thin, lean=thin,
-                       truncated_at=max_dim if truncated else None)
+        return DecoratedSSet(kind, n_cells, faces, marked, thin, thin, labels=labels,
+                             truncated_at=max_dim if truncated else None)
 
     def to_json_dict(self) -> dict:
         return {

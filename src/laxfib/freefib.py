@@ -130,7 +130,7 @@ class FreeFibration:
         self.nd: ScaledNerve = scaled_nerve(f.dst, dst_marking)
         self.fN = nerve_map(f, self.nc, self.nd)
         self.total: KeyedSSet = self._build_total()
-        self.pairs: dict[tuple, PairSimplex] = self.total.keys  # total cell nd -> pair
+        self.pairs: dict[tuple, PairSimplex] = self.total.labels  # total cell nd -> pair
         self.base: ScaledNerve = sharp_base(self.nd)
         self.proj: DecMap = self._projection()
         self.gamma: DecMap = self._unit()
@@ -162,10 +162,10 @@ class FreeFibration:
                    for rho in self._rhos_for(phi, n)] for n in range(TOP_DIM + 1)]
         X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"),
                       is_degenerate=PairSimplex.is_degenerate)
-        pairs = X.keys.items()
+        pairs = X.labels.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
         lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
-        thin = {nd for nd in lean if self._triangle_thin(X.keys[nd])}
+        thin = {nd for nd in lean if self._triangle_thin(X.labels[nd])}
         return add_coskeletal_top(X.with_decorations(marked=marked, thin=thin, lean=lean),
                                   TOP_DIM + 1)
 
@@ -231,9 +231,9 @@ class FreeFibration:
                 if over[nd].nd == dvert.nd and len(over[nd].word) == nd[0]]
         levels = [[x for x in keep if x.dim == n] for n in range(TOP_DIM + 1)]
         fib = KeyedSSet("MS", levels, T.face, T.deg, attrgetter("total_dim"), coskeletal=TOP_DIM)
-        fib = fib.with_decorations(marked={nd for nd, x in fib.keys.items() if x.nd in T.marked},
-                                   thin={nd for nd, x in fib.keys.items() if x.nd in T.lean})
-        return fib, DecMap(fib, T, dict(fib.keys))
+        fib = fib.with_decorations(marked={nd for nd, x in fib.labels.items() if x.nd in T.marked},
+                                   thin={nd for nd, x in fib.labels.items() if x.nd in T.lean})
+        return fib, DecMap(fib, T, dict(fib.labels))
 
     # -- the filtration audit ------------------------------------------------------
 
@@ -428,7 +428,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         P1 = prism(1)
         I, D1 = P1.factor_a, P1.factor_b
         phi_assign = {}
-        for nd2, (x, y) in P1.keys.items():
+        for nd2, (x, y) in P1.labels.items():
             iw = I.key_of(x)
             dw = D1.key_of(y)
             if nd2[0] == 0:
@@ -474,7 +474,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         I, D2 = P2.factor_a, P2.factor_b
         phi_assign: dict = {}
         diag_filler = D.hcomp2[(f.map2[zeta], D.id2[us[0]])]
-        for nd2, (x, y) in sorted(P2.keys.items()):
+        for nd2, (x, y) in sorted(P2.labels.items()):
             iw = I.key_of(x)
             dw = D2.key_of(y)
             dim = nd2[0]
@@ -525,14 +525,15 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
 
     pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     for cell in N.all_nondeg():
-        kind, data = N.labels[cell.nd]
-        if kind in pair_for:
+        key = N.labels.get(cell.nd)
+        if key is not None:
+            kind, data = key
             # a triangle without a pair (None) is not in the index either
             assign[cell.nd] = ff.total.index.get(pair_for[kind](data))
-        else:
+        else:  # tetrahedra and coskeletal cells carry no label: determined by faces
             assign[cell.nd] = fill(ff.total, assign, N, cell)
         if assign[cell.nd] is None:
-            diffs.append(("psi-missing", cell.nd, N.labels[cell.nd]))
+            diffs.append(("psi-missing", cell.nd, key or N.faces[cell.nd]))
     return DecMap(N, ff.total, assign)
 
 

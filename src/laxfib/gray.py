@@ -32,7 +32,7 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
     thin = set()
     provenance = {}
     for cell in P.nondeg(2):
-        x, y = P.keys[cell.nd]
+        x, y = P.labels[cell.nd]
         if not (X.is_thin(x) and Y.is_thin(y)):
             continue
         if X.face(x, 0).is_degenerate():
@@ -65,11 +65,11 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     marked = set()
     thin = set()
     for cell in P.nondeg(1):
-        e1, ex = P.keys[cell.nd]
+        e1, ex = P.labels[cell.nd]
         if I.key_of(e1) == (1, 1) and X.is_marked(ex):
             marked.add(cell.nd)
     for cell in P.nondeg(2):
-        s1, sx = P.keys[cell.nd]
+        s1, sx = P.labels[cell.nd]
         # (a) thin in the underlying Gray product
         if X.is_thin(sx) and (I.face(s1, 0).is_degenerate() or X.face(sx, 2).is_degenerate()):
             thin.add(cell.nd)
@@ -163,7 +163,7 @@ def e_map(j: int, n: int) -> DecMap:
         return (m, r) if r <= j else (1, r - 1)
 
     assign = {}
-    for nd, (x, y) in src.keys.items():
+    for nd, (x, y) in src.labels.items():
         pairs = [image_vertex(m, r)
                  for m, r in zip(src.factor_a.key_of(x), src.factor_b.key_of(y))]
         new_x = vertex_cell(I, tuple(p[0] for p in pairs))
@@ -196,4 +196,4 @@ def restriction_to_one_is_degeneracy(j: int, n: int) -> bool:
     inc1 = end_inclusion(delta(n + 1), prism(n + 1), 1)
     lhs = f.compose(inc1)
     rhs = end_inclusion(delta(n), prism(n), 1).compose(simplex_deg(n, j))
-    return lhs.key() == rhs.key()
+    return lhs == rhs

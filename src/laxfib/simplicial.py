@@ -101,7 +101,9 @@ class DecoratedSSet:
     """A finite (decorated) simplicial set given by face tables.
 
     ``faces[(n, k)]`` is the tuple (d_0 x, ..., d_n x) for the k-th
-    nondegenerate n-cell.  ``labels`` carries optional provenance payloads.
+    nondegenerate n-cell.  ``labels`` maps a nondegenerate cell's ``(n, k)`` to
+    its name; a cell without one, such as a coskeletal top, is named by its faces.
+    It is stored as given and never mutated, so redecorated copies share it.
     """
 
     def __init__(
@@ -128,7 +130,7 @@ class DecoratedSSet:
         if kind == "MS":
             lean = set(thin)
         self.lean = frozenset(lean)
-        self.labels = dict(labels or {})
+        self.labels = {} if labels is None else labels
         self.coskeletal = coskeletal
         self.truncated_at = truncated_at
         self._by_faces: dict[int, dict] = {}
@@ -266,11 +268,11 @@ class DecoratedSSet:
 
     def _check_decorations(self):
         for nd in self.marked:
-            if nd[0] != 1 or nd[1] >= self.num(1):
+            if nd[0] != 1 or not 0 <= nd[1] < self.num(1):
                 raise BadDecorationError(f"marked edge {nd} not present")
         for name, group in (("thin", self.thin), ("lean", self.lean)):
             for nd in group:
-                if nd[0] != 2 or nd[1] >= self.num(2):
+                if nd[0] != 2 or not 0 <= nd[1] < self.num(2):
                     raise BadDecorationError(f"{name} triangle {nd} not present")
         if self.kind == "MB" and not self.thin <= self.lean:
             raise BadDecorationError("thin triangles must be lean")
@@ -314,9 +316,11 @@ class DecoratedSSet:
                 fs = self.faces.get(cell.nd)
                 if fs is None or len(fs) != d + 1:
                     raise ValueError(f"missing/short face tuple for {cell}")
-                for f in fs:
-                    if f.total_dim != d - 1 or f.idx >= self.num(f.dim):
-                        raise ValueError(f"bad face {f} of {cell}")
+                for i, (dim, idx, w) in enumerate(fs):
+                    # a present root under a normal-form word: d - 1 > w[0] > ... > w[-1] >= 0
+                    if (dim + len(w) != d - 1 or not 0 <= idx < self.num(dim)
+                            or not all(d - 1 > a > b for a, b in zip(w, w[1:] + (-1,)))):
+                        raise ValueError(f"bad face d_{i} = {fs[i].encode()} of cell {d},{cell.idx}")
         bad = self.simplicial_identity_violations()
         if bad:
             raise ValueError(f"simplicial identities fail: {bad[:3]}")
@@ -400,9 +404,9 @@ class KeyedSSet(DecoratedSSet):
     ``deg(key, j)`` act on keys, and ``key_dim(key)`` is a key's dimension.  A
     key is degenerate when it is ``deg(face(key, j), j)`` for some j, or by the
     test ``is_degenerate(key)`` if one is given; the others are the nondegenerate
-    cells, numbered in list order.  ``keys`` maps each nondegenerate cell's ``nd``
-    to its key (the keys are also the labels) and ``index`` maps each
-    nondegenerate key to its Cell.  ``fields`` are further constructor fields.
+    cells, numbered in list order.  A nondegenerate cell's key is its label:
+    ``labels`` maps its ``nd`` to the key and ``index`` maps the key to the Cell.
+    ``fields`` are further constructor fields.
     """
 
     def __init__(self, kind: str, levels: list, face: Callable, deg: Callable,
@@ -410,7 +414,7 @@ class KeyedSSet(DecoratedSSet):
         self.key_face, self.key_deg, self.key_dim = face, deg, key_dim
         self.index: dict = {}
         n_cells: list[int] = []
-        faces: dict = {}
+        faces, labels = {}, {}
         for n, level in enumerate(levels):
             count = 0
             for key in level:
@@ -418,12 +422,12 @@ class KeyedSSet(DecoratedSSet):
                         any(deg(face(key, j), j) == key for j in range(n))):
                     continue
                 cell = self.index[key] = Cell(n, count)
+                labels[cell.nd] = key
                 if n:
                     faces[cell.nd] = tuple(self.cell_of(face(key, i)) for i in range(n + 1))
                 count += 1
             n_cells.append(count)
-        self.keys = {cell.nd: key for key, cell in self.index.items()}
-        super().__init__(kind, n_cells, faces, labels=self.keys, **fields)
+        super().__init__(kind, n_cells, faces, labels=labels, **fields)
 
     def cell_of(self, key) -> Cell:
         """The Cell of a key, degenerate or not.  A key missing from ``index`` is
@@ -439,43 +443,10 @@ class KeyedSSet(DecoratedSSet):
 
     def key_of(self, cell: Cell):
         """The key of a cell whose root is keyed, degenerate ones included."""
-        key = self.keys[cell.nd]
+        key = self.labels[cell.nd]
         for j in reversed(cell.word):
             key = self.key_deg(key, j)
         return key
-
-
-class SSetBuilder:
-    """Incremental constructor for DecoratedSSet."""
-
-    def __init__(self):
-        self.n_cells: list[int] = []
-        self.faces: dict = {}
-        self.labels: dict = {}
-        self._label_index: dict = {}
-
-    def add(self, dim: int, faces: tuple[Cell, ...] = (), label=None) -> Cell:
-        while len(self.n_cells) <= dim:
-            self.n_cells.append(0)
-        idx = self.n_cells[dim]
-        self.n_cells[dim] += 1
-        cell = Cell(dim, idx)
-        if dim > 0:
-            if len(faces) != dim + 1:
-                raise ValueError("need dim+1 faces")
-            self.faces[cell.nd] = tuple(faces)
-        if label is not None:
-            self.labels[cell.nd] = label
-            self._label_index[(dim, label)] = cell
-        return cell
-
-    def by_label(self, dim: int, label) -> Cell:
-        return self._label_index[(dim, label)]
-
-    def build(self, kind="PLAIN", marked=(), thin=(), lean=(), coskeletal=None,
-              truncated_at=None) -> DecoratedSSet:
-        return DecoratedSSet(kind, self.n_cells, self.faces, marked, thin, lean,
-                             labels=self.labels, coskeletal=coskeletal, truncated_at=truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +560,6 @@ class DecMap:
 
     def __hash__(self):
         return hash(frozenset(self.assign.values()))
-
-    def key(self) -> tuple:
-        """Structural key, independent of object identity."""
-        return tuple(sorted(self.assign.items()))
 
     def compose(self, other: "DecMap") -> "DecMap":
         """self after other (other first)."""
@@ -736,59 +703,52 @@ def enumerate_maps(
 def pushout(f: DecMap, g: DecMap) -> tuple[DecoratedSSet, DecMap, DecMap]:
     """Pushout of the span B <-f- A -g-> C with f a monomorphism.
 
-    Returns (P, leg_B, leg_C).  Decorations are unions of images.
+    Returns (P, leg_B, leg_C).  P numbers its cells per dimension: C's cells,
+    then B's cells outside f's image.  Decorations are unions of images.
     """
     if f.src is not g.src:
         raise ValueError("span legs must share a source")
     if not f.is_mono():
         raise ValueError("unsupported pushout: first leg is not a monomorphism")
     A, B, C = f.src, f.dst, g.dst
-    b = SSetBuilder()
+    n_cells: list[int] = []
+    faces: dict = {}
     cmap: dict[tuple[int, int], Cell] = {}
     bmap: dict[tuple[int, int], Cell] = {}
     image_of_f = {f.assign[a.nd]: a for a in A.all_nondeg()}
 
     def push_b(cell: Cell) -> Cell:
         """Image in P of an arbitrary cell of B."""
-        root = Cell(cell.dim, cell.idx)
-        if root in image_of_f:
-            a = image_of_f[root]
-            return DecoratedSSet._apply_word(cmap_apply(g.assign[a.nd]), cell.word)
-        return DecoratedSSet._apply_word(bmap[root.nd], cell.word)
+        a = image_of_f.get(Cell(*cell.nd))
+        root = bmap[cell.nd] if a is None else cmap_apply(g.assign[a.nd])
+        return DecoratedSSet._apply_word(root, cell.word)
 
     def cmap_apply(cell: Cell) -> Cell:
         return DecoratedSSet._apply_word(cmap[cell.nd], cell.word)
 
-    top = max([C.top_dim, B.top_dim, 0])
-    for dim in range(top + 1):
-        for cell in C.nondeg(dim):
-            faces = tuple(cmap_apply(C.face(cell, i)) for i in range(dim + 1)) if dim else ()
-            cmap[cell.nd] = b.add(dim, faces, label=("C", C.labels.get(cell.nd, cell.nd)))
-        for cell in B.nondeg(dim):
-            if cell in image_of_f:
-                continue
-            faces = tuple(push_b(B.face(cell, i)) for i in range(dim + 1)) if dim else ()
-            bmap[cell.nd] = b.add(dim, faces, label=("B", B.labels.get(cell.nd, cell.nd)))
+    def add(fs: tuple) -> Cell:
+        """The next cell of P's current dimension, with faces ``fs``."""
+        cell = Cell(len(n_cells) - 1, n_cells[-1])
+        n_cells[-1] += 1
+        if fs:
+            faces[cell.nd] = fs
+        return cell
 
-    def pushed(group_b, group_c):
-        out = set()
-        for nd in group_b:
-            img = push_b(Cell(*nd))
-            if not img.is_degenerate():
-                out.add(img.nd)
-        for nd in group_c:
-            img = cmap_apply(Cell(*nd))
-            if not img.is_degenerate():
-                out.add(img.nd)
-        return out
+    for dim in range(max([C.top_dim, B.top_dim, 0]) + 1):
+        n_cells.append(0)
+        for cell in C.nondeg(dim):
+            cmap[cell.nd] = add(tuple(map(cmap_apply, C.faces.get(cell.nd, ()))))
+        for cell in B.nondeg(dim):
+            if cell not in image_of_f:
+                bmap[cell.nd] = add(tuple(map(push_b, B.faces.get(cell.nd, ()))))
+
+    def pushed(group_b, group_c) -> set:
+        images = [push_b(Cell(*nd)) for nd in group_b] + [cmap_apply(Cell(*nd)) for nd in group_c]
+        return {img.nd for img in images if not img.word}
 
     kind = B.kind if B.kind != "PLAIN" else C.kind
-    P = b.build(
-        kind,
-        marked=pushed(B.marked, C.marked),
-        thin=pushed(B.thin, C.thin),
-        lean=pushed(B.lean, C.lean) if kind == "MB" else pushed(B.thin, C.thin),
-    )
+    P = DecoratedSSet(kind, n_cells, faces, pushed(B.marked, C.marked), pushed(B.thin, C.thin),
+                      pushed(B.lean, C.lean) if kind == "MB" else pushed(B.thin, C.thin))
     leg_b = DecMap(B, P, {c.nd: push_b(c) for c in B.all_nondeg()})
     leg_c = DecMap(C, P, {c.nd: cmap_apply(c) for c in C.all_nondeg()})
     return P, leg_b, leg_c
@@ -809,10 +769,10 @@ class ProductSSet(KeyedSSet):
         self.factor_b = B
 
     def proj_a(self) -> DecMap:
-        return DecMap(self, self.factor_a, {nd: x for nd, (x, _) in self.keys.items()})
+        return DecMap(self, self.factor_a, {nd: x for nd, (x, _) in self.labels.items()})
 
     def proj_b(self) -> DecMap:
-        return DecMap(self, self.factor_b, {nd: y for nd, (_, y) in self.keys.items()})
+        return DecMap(self, self.factor_b, {nd: y for nd, (_, y) in self.labels.items()})
 
 
 def _pair_dim(pair: tuple[Cell, Cell]) -> int:
@@ -836,7 +796,7 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
         return P
 
     def pairwise(dim: int, test: Callable) -> set:
-        return {nd for nd, (x, y) in P.keys.items() if nd[0] == dim and test(A, x) and test(B, y)}
+        return {nd for nd, (x, y) in P.labels.items() if nd[0] == dim and test(A, x) and test(B, y)}
 
     marked = set() if kind == "SC" else pairwise(1, DecoratedSSet.is_marked)
     thin = pairwise(2, DecoratedSSet.is_thin)
@@ -846,7 +806,7 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
 
 def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:
     """The induced map f x g : P -> Q between product objects."""
-    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.keys.items()})
+    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.labels.items()})
 
 
 def delta_map(X: DecoratedSSet, Y: DecoratedSSet, vertex_images: dict[int, int]) -> DecMap:
@@ -894,25 +854,24 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
     """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
     boundary sphere, in sorted sphere order.  ``keep`` filters the spheres; the
     result is then not (dim-1)-coskeletal and keeps X's ``coskeletal``.  The
-    result has X's class, its other attributes and its ``by_faces(dim)`` recorded."""
+    result has X's class, its other attributes and labels (a top is named by its
+    faces, so it has no label), and its ``by_faces(dim)`` recorded."""
     assert X.top_dim <= dim - 1
     index = dict(X.by_faces(dim))  # a copy: X's own cache must not list the new cells
     n_cells = list(X.n_cells)
     while len(n_cells) < dim:
         n_cells.append(0)
     faces = dict(X.faces)
-    labels = dict(X.labels)
     count = 0
     for sphere in sorted(coskeletal_spheres(X, dim)):
         if sphere in index or (keep is not None and not keep(sphere)):
             continue
         nd = (dim, count)
         faces[nd] = sphere
-        labels[nd] = ("cosk", sphere)
         index[sphere] = (Cell(dim, count),)
         count += 1
     n_cells.append(count)
-    Y = X._replaced(n_cells=n_cells, faces=faces, labels=labels, truncated_at=None,
+    Y = X._replaced(n_cells=n_cells, faces=faces, truncated_at=None,
                     coskeletal=dim - 1 if keep is None else X.coskeletal)
     Y._by_faces[dim] = index
     return Y

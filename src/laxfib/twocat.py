@@ -520,7 +520,7 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
 
     marked = [cell.nd for (kind, f), cell in N.index.items()
               if kind == "1cell" and f in marking.marked1]
-    quads = {nd: key[1] for nd, key in N.keys.items() if key[0] == "tri"}
+    quads = {nd: key[1] for nd, key in N.labels.items() if key[0] == "tri"}
     thin = [nd for nd, quad in quads.items() if C.is_invertible2(quad[3])]
     if lean_flag is None:
         kind, lean = "MS", thin
@@ -538,10 +538,11 @@ def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
              "tri": lambda q: (F.map1[q[0]], F.map1[q[1]], F.map1[q[2]], F.map2[q[3]])}
     assign: dict = {}
     for cell in NC.all_nondeg():
-        kind, x = NC.labels[cell.nd]
-        if kind in image:
+        key = NC.labels.get(cell.nd)
+        if key is not None:
+            kind, x = key
             assign[cell.nd] = ND.cell_of((kind, image[kind](x)))
-        else:  # tetrahedra and coskeletal cells: determined by faces
+        else:  # tetrahedra and coskeletal cells carry no label: determined by faces
             assign[cell.nd] = fill(ND, assign, NC, cell)
             if assign[cell.nd] is None:
                 raise ValueError(f"no unique {cell.dim}-cell of the target fills the image "

@@ -144,7 +144,7 @@ def test_solve_identity_always_lifts(mb):
     lp = LiftingProblem(g, tops[0], bottoms[0], p)
     lift = solve(lp)
     assert lift is not None
-    assert lift.key() == bottoms[0].key()
+    assert lift.assign == bottoms[0].assign
 
 
 def test_square_failing_off_the_pinning_is_not_counted(monkeypatch):
@@ -215,7 +215,7 @@ def test_anodyne_compose_empty():
     X = standard_simplex(1, kind="MB")
     comp, cert = anodyne_compose(X, [])
     assert cert == []
-    assert comp.key() == DecMap.identity(X).key()
+    assert comp.assign == DecMap.identity(X).assign
 
 
 def test_anodyne_compose_two_horns(mb):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -261,6 +262,15 @@ def _bad_inputs(tmp_path) -> dict:
         "list-doc": put("list-doc.json", "[1, 2]"),
         "list-marking": put("list-marking.json", {"marked1": [["o:*"]]}),
         "list-faces": put("list-faces.json", {"kind": "PLAIN", "dims": [1], "faces": []}),
+        "negative-face": put("negative-face.json", {
+            "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 0, []], [0, -1, []]]}}),
+        "negative-marked": put("negative-marked.json", {
+            "kind": "MS", "dims": [2, 1], "faces": {"1,0": [[0, 1, []], [0, 0, []]]},
+            "marked": [[1, -1]]}),
+        "face-word-out-of-range": put("face-word-out-of-range.json", {
+            "kind": "PLAIN", "dims": [3, 3, 1], "faces": {
+                "1,0": [[0, 1, []], [0, 0, []]], "1,1": [[0, 2, []], [0, 1, []]],
+                "1,2": [[0, 2, []], [0, 0, []]], "2,0": [[1, 1, []], [0, 0, [5]], [1, 0, []]]}}),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -288,6 +298,9 @@ BAD_CALLS = {
     "document-is-a-list": "nerve @list-doc",
     "marked-entry-is-a-list": "nerve @pt2 --marking @list-marking",
     "sset-faces-is-a-list": "homology @list-faces",
+    "sset-face-with-negative-index": "homology @negative-face",
+    "sset-marked-edge-with-negative-index": "homology @negative-marked",
+    "sset-face-word-out-of-range": "homology @face-word-out-of-range",
 }
 
 
@@ -301,6 +314,13 @@ def test_bad_input_is_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize("name, face", [("negative-face", "d_1 = [0, -1, []] of cell 1,0"),
+                                        ("face-word-out-of-range", "d_1 = [0, 0, [5]] of cell 2,0")])
+def test_bad_face_is_named(tmp_path, name, face):
+    with pytest.raises(cli.InputError, match=re.escape(face)):
+        cli.parse_sset(_bad_inputs(tmp_path)[name])
 
 
 def test_colon_in_object_name_reaches_a_verdict(tmp_path):

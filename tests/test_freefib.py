@@ -11,7 +11,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from laxfib.anodyne import certify_fibration
-from laxfib.fincat import terminal_cat, walking_arrow, CatFunctor
+from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
 from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
 from laxfib.freefib import (
     build_free_fibration,
@@ -24,8 +24,9 @@ from laxfib.freefib import (
     three_coskeletal_violations,
 )
 from laxfib.gray import delta, gray
-from laxfib.simplicial import Cell, DecoratedSSet, ProductSSet
+from laxfib.simplicial import Cell, DecoratedSSet, ProductSSet, standard_simplex
 from laxfib.twocat import (
+    Marking2Cat,
     ScaledNerve,
     StrictTwoCat,
     fr,
@@ -319,6 +320,17 @@ def test_dagger_strictly_extends_natural_marking():
     assert compare_tame_fr(nat).ok
 
 
+@pytest.mark.parametrize("pick", ["o:0", "o:1", "o:2"])
+def test_natural_mode_marks_by_equivalence_not_by_the_source_marking(pick):
+    """With one non-identity 1-cell of 2[chain 2] marked on both sides, natural mode still
+    marks an edge by whether its fiber 1-cell is an equivalence: an engine that read the
+    source marking instead no longer matches nerve(Fr)'s Cartesian edges."""
+    F = two_bracket_functor(identity_functor(chain_poset(2)))
+    ff = build_free_fibration(F, Marking2Cat(F.src, frozenset({pick})),
+                              Marking2Cat(F.dst, frozenset({pick})), mode="natural")
+    assert compare_tame_fr(ff).ok
+
+
 def test_build_rejects_nonpreserving_marking():
     from laxfib.fincat import walking_arrow
     from laxfib.twocat import Marking2Cat, identity_two_functor, two_bracket
@@ -448,6 +460,24 @@ def test_coskeletal_tops_record_their_face_index(name):
             fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(4)
             assert [(fs, list(cells)) for fs, cells in X._by_faces[4].items()] == \
                 list(fresh.items())
+
+
+def test_labels_are_the_one_name_table(arrow_ff):
+    """On every keyed object, ``labels`` and ``index`` are mutually inverse on the
+    labelled nondegenerate cells; coskeletal cells carry no label, and redecorated
+    copies share their original's table."""
+    fib, _ = arrow_ff.fiber("0")
+    objects = [(standard_simplex(3), 3), (gray(delta(1), delta(2)), 3),
+               (arrow_ff.nd, 2), (arrow_ff.total, 3), (fib, 3)]
+    for X, labelled in objects:
+        cells = [c for c in X.all_nondeg() if c.dim <= labelled]
+        assert cells and [X.index[X.labels[c.nd]] for c in cells] == cells
+        assert X.index == {X.labels[c.nd]: c for c in cells}
+        assert set(X.labels) == {c.nd for c in cells}
+    assert arrow_ff.total.num(4) and arrow_ff.nd.num(3) and arrow_ff.nd.num(4)
+    assert arrow_ff.pairs is arrow_ff.total.labels
+    assert sharp_base(arrow_ff.nd).labels is arrow_ff.nd.labels
+    assert fib.with_decorations(marked=()).labels is fib.labels
 
 
 @seed(20240813)

@@ -33,7 +33,7 @@ def test_gray_square_has_one_thin_triangle():
     assert G.num(2) == 2
     assert len(G.thin) == 1
     nd = next(iter(G.thin))
-    x, _ = G.keys[nd]
+    x, _ = G.labels[nd]
     # the thin shuffle is the one whose first projection collapses {1,2}
     assert G.factor_a.face(x, 0).is_degenerate()
     assert G.gray_provenance[nd] == "first-factor-collapses-12"
@@ -45,7 +45,7 @@ def test_gray_unit():
     for Y in (delta(2), standard_simplex(2, kind="SC", thin="sharp")):
         G = gray(delta(0), Y)
         assert G.n_cells == Y.n_cells
-        assert {G.keys[nd][1].nd for nd in G.thin} == set(Y.thin)
+        assert {G.labels[nd][1].nd for nd in G.thin} == set(Y.thin)
 
 
 def test_gray_asymmetry():
@@ -54,8 +54,8 @@ def test_gray_asymmetry():
     G2 = gray(B, A)
     assert G1.n_cells == G2.n_cells
     # same underlying square, different scalings: the thin shuffles differ
-    t1 = {G1.keys[nd] for nd in G1.thin}
-    t2 = {G2.keys[nd] for nd in G2.thin}
+    t1 = {G1.labels[nd] for nd in G1.thin}
+    t2 = {G2.labels[nd] for nd in G2.thin}
     swapped = {(y, x) for (x, y) in t2}
     assert t1 != swapped
 
@@ -64,7 +64,7 @@ def test_gray_thinness_rule_matches_provenance():
     X = standard_simplex(2, kind="SC", thin="sharp")
     G = gray(X, delta(1))
     for cell in G.nondeg(2):
-        x, y = G.keys[cell.nd]
+        x, y = G.labels[cell.nd]
         both_thin = (x.is_degenerate() or x.nd in X.thin) and y.is_degenerate()
         rule = X.face(x, 0).is_degenerate() or delta(1).face(y, 2).is_degenerate()
         assert (cell.nd in G.thin) == (both_thin and rule)
@@ -88,7 +88,7 @@ def test_decorated_gray_marked_edges():
     X = standard_simplex(1, kind="MB", marked="sharp", thin="flat", lean="flat")
     G = decorated_gray(X)
     I = G.factor_a
-    marked_pairs = {G.keys[nd] for nd in G.marked}
+    marked_pairs = {G.labels[nd] for nd in G.marked}
     for e1, ex in marked_pairs:
         word = I.key_of(e1)
         assert set(word) == {1}
@@ -107,7 +107,7 @@ def test_decorated_gray_contrary_triangles():
     G = decorated_gray(X)
     I = G.factor_a
     for nd in G.thin:
-        s1, sx = G.keys[nd]
+        s1, sx = G.labels[nd]
         assert I.key_of(s1) == (0, 1, 1)
         xw = G.factor_b.key_of(sx)
         assert xw[0] == xw[1]

@@ -197,10 +197,10 @@ def test_enumerate_maps_composition_closure():
     B = standard_simplex(2, kind="PLAIN")
     ab = enumerate_maps(A, B)
     bb = enumerate_maps(B, B)
-    ab_keys = {m.key() for m in ab}
+    ab_keys = {frozenset(m.assign.items()) for m in ab}
     for f in ab:
         for g in bb:
-            assert g.compose(f).key() in ab_keys
+            assert frozenset(g.compose(f).assign.items()) in ab_keys
 
 
 def test_map_validate_and_mono():
@@ -231,7 +231,7 @@ def test_pushout_identity():
     X = standard_simplex(2, kind="PLAIN")
     P, leg_b, leg_c = pushout(DecMap.identity(X), DecMap.identity(X))
     assert P.n_cells == X.n_cells
-    assert leg_b.key() == leg_c.key()
+    assert leg_b.assign == leg_c.assign
 
 
 def test_pushout_horn_filling():
@@ -315,7 +315,7 @@ def test_product_decorations_pairwise():
     # vertical edges (degenerate in B direction) are never marked unless both are
     marked_edges = [nd for nd in (c.nd for c in P.nondeg(1)) if nd in P.marked]
     for nd in marked_edges:
-        x, y = P.keys[nd]
+        x, y = P.labels[nd]
         assert A.is_marked(x) and B.is_marked(y)
 
 

@@ -173,8 +173,8 @@ def test_nerve_functoriality():
     m = nerve_map(F, NC, ND)
     assert m.commutes_with_faces()
     idC = identity_two_functor(F.src)
-    assert nerve_map(idC, NC, NC).key() == \
-        __import__("laxfib.simplicial", fromlist=["DecMap"]).DecMap.identity(NC).key()
+    assert nerve_map(idC, NC, NC).assign == \
+        __import__("laxfib.simplicial", fromlist=["DecMap"]).DecMap.identity(NC).assign
 
 
 def test_fr_of_terminal_identity():
@@ -275,7 +275,7 @@ def test_nerve_functoriality_for_composites():
     NC = scaled_nerve(G.dst)
     lhs = nerve_map(compose_two_functors(G, F), NA, NC)
     rhs = nerve_map(G, NB, NC).compose(nerve_map(F, NA, NB))
-    assert lhs.key() == rhs.key()
+    assert lhs.assign == rhs.assign
 
 
 def test_hom_index_is_rebuilt_by_validate():
