@@ -23,10 +23,11 @@ from .simplicial import (
     DecMap,
     DecoratedSSet,
     KeyedSSet,
+    NoFillerError,
     add_coskeletal_top,
     coskeletal_spheres,
     enumerate_maps,
-    fill,
+    extend_map,
     vertex_cell,
 )
 from .twocat import (
@@ -132,8 +133,12 @@ class FreeFibration:
         self.total: KeyedSSet = self._build_total()
         self.pairs: dict[tuple, PairSimplex] = self.total.labels  # total cell nd -> pair
         self.base: ScaledNerve = sharp_base(self.nd)
-        self.proj: DecMap = self._projection()
-        self.gamma: DecMap = self._unit()
+        # the projection and the unit, built in dimensions <= 3, are determined by faces above
+        self.proj: DecMap = extend_map(self.total, self.base,
+                                       {nd: pair.base_simplex() for nd, pair in self.pairs.items()})
+        self.gamma: DecMap = extend_map(self.nc, self.total, {
+            c.nd: self.total.cell_of(gamma_pair(self.fN, c)) for c in self.nc.all_nondeg()
+            if c.dim <= TOP_DIM})
 
     # -- construction --------------------------------------------------------
 
@@ -199,26 +204,6 @@ class FreeFibration:
         """Thinness of a lean triangle."""
         return self.nd.is_thin(pair.base_simplex())
 
-    # -- structure maps ----------------------------------------------------------
-
-    def _projection(self) -> DecMap:
-        assign = {}
-        for cell in self.total.all_nondeg():
-            if cell.dim <= TOP_DIM:
-                assign[cell.nd] = self.pairs[cell.nd].base_simplex()
-            else:
-                assign[cell.nd] = _filler(self.base, assign, self.total, cell, "projection")
-        return DecMap(self.total, self.base, assign)
-
-    def _unit(self) -> DecMap:
-        assign = {}
-        for cell in self.nc.all_nondeg():
-            if cell.dim <= TOP_DIM:
-                assign[cell.nd] = self.total.cell_of(gamma_pair(self.fN, cell))
-            else:
-                assign[cell.nd] = _filler(self.total, assign, self.nc, cell, "unit image")
-        return DecMap(self.nc, self.total, assign)
-
     # -- fibers -------------------------------------------------------------------
 
     def fiber(self, d: str) -> tuple[KeyedSSet, DecMap]:
@@ -260,13 +245,6 @@ class FreeFibration:
                               ("unit", "extension", "face_of_extension", "unreachable"))
         report["reachable"] = report["total"] - len(report["unreachable"])
         return report
-
-
-def _filler(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell, what: str) -> Cell:
-    hit = fill(Y, assign, X, cell)
-    if hit is None:
-        raise ValueError(f"{what} of a coskeletal cell is not unique")
-    return hit
 
 
 def sharp_base(ND: ScaledNerve) -> ScaledNerve:
@@ -341,17 +319,17 @@ def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
     return ComparisonReport(xi, psi, diffs)
 
 
-def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) -> DecMap:
+def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
+              diffs: list) -> Optional[DecMap]:
     Fr = bundle.twocat
     NC, ND = ff.nc, ff.nd
     assign: dict = {}
     objects: dict = {}
     edges: dict = {}
 
-    for cell in ff.total.all_nondeg():
-        n, nd = cell.dim, cell.nd
+    for nd, pair in ff.pairs.items():
+        n = nd[0]
         if n == 0:
-            pair = ff.pairs[nd]
             d = ND.labels[ff.proj.assign[nd].nd][1]
             c = NC.labels[pair.rho.assign[(0, 0)].nd][1]
             u = ND.onecell_of(pair.phi.assign[(1, 0)])
@@ -359,7 +337,6 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
             objects[nd] = o
             assign[nd] = N.vertex_of(o)
         elif n == 1:
-            pair = ff.pairs[nd]
             a, alpha, theta = ff.edge_data(pair)
             o0 = _object_of(ff, objects, pair.face(1))
             o1 = _object_of(ff, objects, pair.face(0))
@@ -370,7 +347,6 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
             edges[nd] = m
             assign[nd] = N.edge_of(m)
         elif n == 2:
-            pair = ff.pairs[nd]
             psi2 = ND.filler_of(pair.base_simplex())
             zeta = NC.filler_of(pair.rho.assign[(2, 0)])
             fm = _edge_of(ff, Fr, objects, edges, pair.face(2))
@@ -381,13 +357,10 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) 
                 diffs.append(("xi-filler-not-in-fr", nd, sigma))
                 continue
             assign[nd] = N.triangle_cell(fm, gm, hm, sigma)
-        else:
-            hit = fill(N, assign, ff.total, cell)
-            if hit is None:
-                diffs.append(("xi-no-unique-filler", nd))
-                continue
-            assign[nd] = hit
-    return DecMap(ff.total, N, assign)
+    try:  # tetrahedra and coskeletal cells are determined by faces
+        return None if diffs else extend_map(ff.total, N, assign)
+    except NoFillerError as e:
+        diffs.append(("xi-no-unique-filler", e.cell.nd))
 
 
 def _object_of(ff: FreeFibration, objects: dict, pair: PairSimplex):
@@ -403,11 +376,11 @@ def _edge_of(ff: FreeFibration, Fr: StrictTwoCat, objects: dict, edges: dict,
     return edges[cell.nd]
 
 
-def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list) -> DecMap:
+def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
+               diffs: list) -> Optional[DecMap]:
     NC, ND = ff.nc, ff.nd
     C, D = ff.f.src, ff.f.dst
     f = ff.f
-    assign: dict = {}
 
     def object_pair(o) -> PairSimplex:
         _, d, c, u = o
@@ -474,7 +447,7 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
         I, D2 = P2.factor_a, P2.factor_b
         phi_assign: dict = {}
         diag_filler = D.hcomp2[(f.map2[zeta], D.id2[us[0]])]
-        for nd2, (x, y) in sorted(P2.labels.items()):
+        for nd2, (x, y) in P2.labels.items():
             iw = I.key_of(x)
             dw = D2.key_of(y)
             dim = nd2[0]
@@ -516,25 +489,22 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve, diffs: list)
                         )]
                         phi_assign[nd2] = ND.triangle_cell(
                             aa[(0, 1)], gg[(1, 2)], gg[(0, 2)], mixed)
-            else:
-                phi_assign[nd2] = fill(ND, phi_assign, P2, Cell(*nd2))
-                if phi_assign[nd2] is None:
-                    return None
+        try:  # the prism's 3-cells are determined by faces
+            phi = extend_map(P2, ND, phi_assign)
+        except NoFillerError:
+            return None
         rho = classifying_map(NC, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta))
-        return PairSimplex(2, DecMap(P2, ND, phi_assign), rho)
+        return PairSimplex(2, phi, rho)
 
     pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
-    for cell in N.all_nondeg():
-        key = N.labels.get(cell.nd)
-        if key is not None:
-            kind, data = key
-            # a triangle without a pair (None) is not in the index either
-            assign[cell.nd] = ff.total.index.get(pair_for[kind](data))
-        else:  # tetrahedra and coskeletal cells carry no label: determined by faces
-            assign[cell.nd] = fill(ff.total, assign, N, cell)
-        if assign[cell.nd] is None:
-            diffs.append(("psi-missing", cell.nd, key or N.faces[cell.nd]))
-    return DecMap(N, ff.total, assign)
+    # a triangle without a pair (None) is not in the index either
+    assign = {nd: ff.total.index.get(pair_for[kind](data)) for nd, (kind, data) in N.labels.items()}
+    missing = [("psi-missing", nd, N.labels[nd]) for nd, img in assign.items() if img is None]
+    diffs += missing
+    try:  # tetrahedra and coskeletal cells carry no label: determined by faces
+        return None if missing else extend_map(N, ff.total, assign)
+    except NoFillerError as e:
+        diffs.append(("psi-missing", e.cell.nd, N.faces[e.cell.nd]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ class BadDecorationError(ValueError):
     """A decoration names a simplex that is not present."""
 
 
+class NoFillerError(ValueError):
+    """The image of a cell's boundary has no filler in the target, or more than one."""
+
+    def __init__(self, cell):
+        super().__init__(f"no unique {cell.dim}-cell of the target fills the image "
+                         f"of the boundary of {cell}")
+        self.cell = cell
+
+
 class Cell(NamedTuple):
     """A simplex: degeneracy word ``word`` applied to nondegenerate (dim, idx).
 
@@ -91,6 +100,12 @@ def face_through_word(word: tuple[int, ...], i: int):
         return rest, None
     w2, r = face_through_word(rest, i - 1)
     return insert_degeneracy(w2, j), r
+
+
+def _indices(*xs) -> bool:
+    """Whether each x is an int, not a bool, and not negative: the check of every
+    count and index that a simplicial set reads from its input."""
+    return all(type(x) is int and x >= 0 for x in xs)
 
 
 _SSET_FIELDS = ("kind", "n_cells", "faces", "marked", "thin", "lean", "labels", "coskeletal",
@@ -267,13 +282,11 @@ class DecoratedSSet:
         return cell.is_degenerate() or cell.nd in self.lean
 
     def _check_decorations(self):
-        for nd in self.marked:
-            if nd[0] != 1 or not 0 <= nd[1] < self.num(1):
-                raise BadDecorationError(f"marked edge {nd} not present")
-        for name, group in (("thin", self.thin), ("lean", self.lean)):
+        for name, group, dim in (("marked edge", self.marked, 1), ("thin triangle", self.thin, 2),
+                                 ("lean triangle", self.lean, 2)):
             for nd in group:
-                if nd[0] != 2 or not 0 <= nd[1] < self.num(2):
-                    raise BadDecorationError(f"{name} triangle {nd} not present")
+                if len(nd) != 2 or not _indices(*nd) or nd[0] != dim or nd[1] >= self.num(dim):
+                    raise BadDecorationError(f"{name} {nd} not present")
         if self.kind == "MB" and not self.thin <= self.lean:
             raise BadDecorationError("thin triangles must be lean")
         if self.kind == "SC" and self.marked:
@@ -311,6 +324,8 @@ class DecoratedSSet:
         return bad
 
     def validate(self):
+        if not _indices(*self.n_cells):
+            raise ValueError(f"dims {self.n_cells} are not all non-negative integers")
         for d in range(1, self.top_dim + 1):
             for cell in self.nondeg(d):
                 fs = self.faces.get(cell.nd)
@@ -318,7 +333,7 @@ class DecoratedSSet:
                     raise ValueError(f"missing/short face tuple for {cell}")
                 for i, (dim, idx, w) in enumerate(fs):
                     # a present root under a normal-form word: d - 1 > w[0] > ... > w[-1] >= 0
-                    if (dim + len(w) != d - 1 or not 0 <= idx < self.num(dim)
+                    if (not _indices(dim, idx, *w) or dim + len(w) != d - 1 or idx >= self.num(dim)
                             or not all(d - 1 > a > b for a, b in zip(w, w[1:] + (-1,)))):
                         raise ValueError(f"bad face d_{i} = {fs[i].encode()} of cell {d},{cell.idx}")
         bad = self.simplicial_identity_violations()
@@ -757,14 +772,16 @@ def pushout(f: DecMap, g: DecMap) -> tuple[DecoratedSSet, DecMap, DecMap]:
 class ProductSSet(KeyedSSet):
     """Cartesian product of A and B up to dimension ``top``, undecorated and
     keyed on pairs of same-dimension cells: the nondegenerate n-cells are the
-    jointly nondegenerate pairs (x, y) of n-cells."""
+    jointly nondegenerate pairs (x, y) of n-cells.  By Eilenberg-Zilber, a pair is
+    degenerate exactly when the normal-form words of x and y share an index."""
 
     def __init__(self, A: DecoratedSSet, B: DecoratedSSet, top: int):
         levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
         super().__init__("PLAIN", levels,
                          lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
-                         lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)),
-                         _pair_dim, truncated_at=top if A.top_dim + B.top_dim > top else None)
+                         lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)), _pair_dim,
+                         is_degenerate=lambda p: not set(p[0].word).isdisjoint(p[1].word),
+                         truncated_at=top if A.top_dim + B.top_dim > top else None)
         self.factor_a = A
         self.factor_b = B
 
@@ -877,15 +894,19 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
     return Y
 
 
-def fill(Y: DecoratedSSet, assign: dict, X: DecoratedSSet, cell: Cell) -> Optional[Cell]:
-    """The unique cell of Y whose faces are the images under ``assign`` of the
-    faces of the nondegenerate ``cell`` of X; None when a face has no image,
-    or when the boundary has no filler or more than one."""
-    images = []
-    for f in X.faces[cell.nd]:
-        img = assign.get(f.nd)
+def extend_map(X: DecoratedSSet, Y: DecoratedSSet, assign: dict) -> DecMap:
+    """The map X -> Y that agrees with ``assign``, a partial assignment covering X's
+    nondegenerate cells up to some dimension, and sends each other cell, in
+    :meth:`DecoratedSSet.all_nondeg` order, to the unique cell of Y whose faces are the
+    images of its faces.  Raises :class:`NoFillerError` at the first cell without one."""
+    out: dict = {}
+    for cell in X.all_nondeg():
+        img = assign.get(cell.nd)
         if img is None:
-            return None
-        images.append(DecoratedSSet._apply_word(img, f.word))
-    hits = Y.by_faces(cell.dim).get(tuple(images), ())
-    return hits[0] if len(hits) == 1 else None
+            hits = Y.by_faces(cell.dim).get(tuple(
+                DecoratedSSet._apply_word(out[f.nd], f.word) for f in X.faces[cell.nd]), ())
+            if len(hits) != 1:
+                raise NoFillerError(cell)
+            img = hits[0]
+        out[cell.nd] = img
+    return DecMap(X, Y, out)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat
-from .simplicial import Cell, DecMap, KeyedSSet, add_coskeletal_top, fill
+from .simplicial import Cell, DecMap, KeyedSSet, add_coskeletal_top, extend_map
 
 
 class StrictTwoCat:
@@ -533,21 +533,12 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
 
 
 def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
-    """Induced map of scaled nerves."""
+    """Induced map of scaled nerves.  Tetrahedra and coskeletal cells carry no label:
+    they are determined by faces."""
     image = {"obj": lambda a: F.omap[a], "1cell": lambda f: F.map1[f],
              "tri": lambda q: (F.map1[q[0]], F.map1[q[1]], F.map1[q[2]], F.map2[q[3]])}
-    assign: dict = {}
-    for cell in NC.all_nondeg():
-        key = NC.labels.get(cell.nd)
-        if key is not None:
-            kind, x = key
-            assign[cell.nd] = ND.cell_of((kind, image[kind](x)))
-        else:  # tetrahedra and coskeletal cells carry no label: determined by faces
-            assign[cell.nd] = fill(ND, assign, NC, cell)
-            if assign[cell.nd] is None:
-                raise ValueError(f"no unique {cell.dim}-cell of the target fills the image "
-                                 f"of the boundary of {cell}")
-    return DecMap(NC, ND, assign)
+    return extend_map(NC, ND, {nd: ND.cell_of((kind, image[kind](x)))
+                               for nd, (kind, x) in NC.labels.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,11 @@ def _bad_inputs(tmp_path) -> dict:
             "kind": "PLAIN", "dims": [3, 3, 1], "faces": {
                 "1,0": [[0, 1, []], [0, 0, []]], "1,1": [[0, 2, []], [0, 1, []]],
                 "1,2": [[0, 2, []], [0, 0, []]], "2,0": [[1, 1, []], [0, 0, [5]], [1, 0, []]]}}),
+        "negative-dim": put("negative-dim.json", {"kind": "PLAIN", "dims": [2, -1], "faces": {}}),
+        "float-face": put("float-face.json", {
+            "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1.5, []], [0, 0, []]]}}),
+        "bool-face": put("bool-face.json", {
+            "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, True, []], [0, 0, []]]}}),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -301,6 +306,9 @@ BAD_CALLS = {
     "sset-face-with-negative-index": "homology @negative-face",
     "sset-marked-edge-with-negative-index": "homology @negative-marked",
     "sset-face-word-out-of-range": "homology @face-word-out-of-range",
+    "sset-negative-dim": "homology @negative-dim",
+    "sset-face-with-float-index": "homology @float-face",
+    "sset-face-with-bool-index": "homology @bool-face",
 }
 
 

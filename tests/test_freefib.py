@@ -360,8 +360,10 @@ def test_fiber_is_ms_fibrant(small_ff):
 # 2-category, and for each battery fixture of the tame total space and of
 # nerve(Fr) in dagger and natural mode, then, per mode, of the fiber over each
 # object of the target (sorted) and of the filtration audit (``json.dumps``
-# with sorted keys).  These tables hold the coskeletal cells, so any change to
-# how fillers are found must leave them unchanged.
+# with sorted keys), then, per mode, of the ``assign`` tables in key order of
+# f's nerve map, the projection, the unit and the comparison maps xi and psi.
+# These tables hold the coskeletal cells, so any change to how fillers are found
+# must leave them unchanged.
 PINNED_TABLES = {
     "twocat-2bracket-point":
         "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
@@ -377,6 +379,16 @@ PINNED_TABLES = {
         "64b7711f9bc9af192fb78cac62db2c19e2c9232037eb310e8b28864bf2e1d7a5",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "64b7711f9bc9af192fb78cac62db2c19e2c9232037eb310e8b28864bf2e1d7a5",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
+        "a3f7eda20306bd26c2ab82511f7f14a086d568cba98a054eb76ba2c8392fb3d7",
     ],
     "2bracket-pt-id": [
         "c11593ec0a738f8b86d7c251626ebe2d8d2d7ac1f97ff8cf7e8353efd5b7ef34",
@@ -388,6 +400,16 @@ PINNED_TABLES = {
         "d60290aedef9a0380d47209e49515605bf29950eb1c966741c1bde8dd945ef06",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "479895e0c4c1bd6bae8ab0167868e3ab91856e729fe2693c4b46ae2efea8770d",
+        "d75e189a047f13fe8f1731e8da09f197e756f5d881c23f6e8057f36ef0af794b",
+        "bc5343880f6562884a1fe84d8913bd7244a194dd861358a6c9cde2c66331643d",
+        "cedd547f0a3f0524e10826db7ba47cf868d0781c0ec61a76547baf8f31be5fa1",
+        "6bbb1b3e4fe1910e9ee32584e960e3e6c5964aea8e3bb0b3d551768a811bc110",
+        "6bbb1b3e4fe1910e9ee32584e960e3e6c5964aea8e3bb0b3d551768a811bc110",
+        "d75e189a047f13fe8f1731e8da09f197e756f5d881c23f6e8057f36ef0af794b",
+        "bc5343880f6562884a1fe84d8913bd7244a194dd861358a6c9cde2c66331643d",
+        "cedd547f0a3f0524e10826db7ba47cf868d0781c0ec61a76547baf8f31be5fa1",
+        "6bbb1b3e4fe1910e9ee32584e960e3e6c5964aea8e3bb0b3d551768a811bc110",
+        "6bbb1b3e4fe1910e9ee32584e960e3e6c5964aea8e3bb0b3d551768a811bc110",
     ],
     "2bracket-empty-into-pt": [
         "8402b1db3ea93b2fcf83b3b49abaeddfd5af5a53c2f749b445dbf2d497c5c7dd",
@@ -399,6 +421,16 @@ PINNED_TABLES = {
         "1b6f7179774fd799c4af44800f2481e4d8cf97382eb1e5137a525a7e8fa01645",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "92def335395296bf5da9a1a092890499bcfcca79d12c374c7d8ae34330d5439e",
+        "468f0d7c79e2dcb2ce14d4e545d1f6307600a7ca5af7c18c1958ded45afc8faa",
+        "0311830a5b5a880d8121b8a328948cb92a5d1fd810838f8719e62bc98ddda9f7",
+        "f52e0c401387ecd9f708be7a3e8cb7f78a979cb35521a413a49eaa6769db518e",
+        "52f3cb14a9837400780a53c44e94b9322c97ca4f37912347534523e8600d766d",
+        "52f3cb14a9837400780a53c44e94b9322c97ca4f37912347534523e8600d766d",
+        "468f0d7c79e2dcb2ce14d4e545d1f6307600a7ca5af7c18c1958ded45afc8faa",
+        "0311830a5b5a880d8121b8a328948cb92a5d1fd810838f8719e62bc98ddda9f7",
+        "f52e0c401387ecd9f708be7a3e8cb7f78a979cb35521a413a49eaa6769db518e",
+        "52f3cb14a9837400780a53c44e94b9322c97ca4f37912347534523e8600d766d",
+        "52f3cb14a9837400780a53c44e94b9322c97ca4f37912347534523e8600d766d",
     ],
     "2bracket-pt-into-arrow-at-0": [
         "3d6b89811b06a7820c3e360d910afe827a1b996a3b36dfb7320ddf9b338d94a7",
@@ -410,6 +442,16 @@ PINNED_TABLES = {
         "dd635503a24395e5ec4c3d0242e09cff9026e55cec8a10ef05464707162347d3",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "0ab9fd7158b9d778dcea5ba72d2b28a587fbbddcc24fe7d28f3f75d189aeff8d",
+        "d75e189a047f13fe8f1731e8da09f197e756f5d881c23f6e8057f36ef0af794b",
+        "1870b7d6c4ad343a7caf37f2a29191a506d1913679495a746d0a87f39aa7852c",
+        "4417c8b281b2a0a5773796458c06ff9240d8a3f8e81862f3bbb5898ee22b38bf",
+        "c26f90242ca4a86edb45988c515af947a53d4d2adc113aed453009b4cd09da27",
+        "44a314536e9c7b4ce87e1cd20a9b1afa606606644927a8130611073a97603418",
+        "d75e189a047f13fe8f1731e8da09f197e756f5d881c23f6e8057f36ef0af794b",
+        "1870b7d6c4ad343a7caf37f2a29191a506d1913679495a746d0a87f39aa7852c",
+        "4417c8b281b2a0a5773796458c06ff9240d8a3f8e81862f3bbb5898ee22b38bf",
+        "c26f90242ca4a86edb45988c515af947a53d4d2adc113aed453009b4cd09da27",
+        "44a314536e9c7b4ce87e1cd20a9b1afa606606644927a8130611073a97603418",
     ],
     "2bracket-pt-into-arrow-at-1": [
         "bc9ef2de8aace944958fdc82585f0fcc4940e47bf6d1dc316a53aa55e715e18d",
@@ -421,6 +463,16 @@ PINNED_TABLES = {
         "fa2a190f05843a0eee6dfede54228fefba39c737f1061a386f56a91bbbed93cc",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "515869e27416322c1c8d918d46dd94ece13c13ec1171022a11cf8938224275a7",
+        "b6ba17d6214d5e28576dfc4cb0d9662fcbdd8b83313f07125332b595971eaa77",
+        "105cd115a51429c8f0cc6a481fad3fbf1a0dde85f4510c0c963ee1116ac799ff",
+        "caa16641e226bd9e6f6086d84681fe0ca181036a5564f1aad2db9723c77b592f",
+        "43f16c6c9fd04bb47e1a1a9899dca4317410b5a21b8b826c07d22a4506279044",
+        "43f16c6c9fd04bb47e1a1a9899dca4317410b5a21b8b826c07d22a4506279044",
+        "b6ba17d6214d5e28576dfc4cb0d9662fcbdd8b83313f07125332b595971eaa77",
+        "105cd115a51429c8f0cc6a481fad3fbf1a0dde85f4510c0c963ee1116ac799ff",
+        "caa16641e226bd9e6f6086d84681fe0ca181036a5564f1aad2db9723c77b592f",
+        "43f16c6c9fd04bb47e1a1a9899dca4317410b5a21b8b826c07d22a4506279044",
+        "43f16c6c9fd04bb47e1a1a9899dca4317410b5a21b8b826c07d22a4506279044",
     ],
     "2bracket-arrow-id": [
         "bf9ac6543079884635ef36e85d99c66d650242f0f23c1a5b57e22ddaf4c287f6",
@@ -432,6 +484,16 @@ PINNED_TABLES = {
         "3c7f990475bbd3f6c8f277ffa2323f08e09ab1ecb735a2885e1affa0674bc520",
         "026763601919e5de996bc2c5eb3b3a0f1f7c1fc87ae6b2eec8b617b3a8c9f289",
         "7fc752e810b9056d4fccb4120ee332b50a56d34554e56bf7dac60e5e67807c3e",
+        "63f89c7d7c4c47f8645066b9f953b32af7127cf22591f4c242c95793f78b7e95",
+        "251489323d553f4b9da16e7040df1a70be5e59dc3563e48b7e9883b89fffcbf1",
+        "22173c534a826a7b136eaba018f22e81019309ea4f3bde9f6a087875a50e6e93",
+        "0f3918a908cd604d179838396f0e7b454b63ef3bf93b9a1b725eac07a8418417",
+        "ee7104c6892da607ec263fe847d671fd0d1b5d0b0526659b0005ffe26e3daff6",
+        "63f89c7d7c4c47f8645066b9f953b32af7127cf22591f4c242c95793f78b7e95",
+        "251489323d553f4b9da16e7040df1a70be5e59dc3563e48b7e9883b89fffcbf1",
+        "22173c534a826a7b136eaba018f22e81019309ea4f3bde9f6a087875a50e6e93",
+        "0f3918a908cd604d179838396f0e7b454b63ef3bf93b9a1b725eac07a8418417",
+        "ee7104c6892da607ec263fe847d671fd0d1b5d0b0526659b0005ffe26e3daff6",
     ],
 }
 
@@ -520,4 +582,8 @@ def test_tables_are_pinned(name):
         for ff in ffs:
             got += [_digest(ff.fiber(d)[0].to_json()) for d in sorted(F.dst.objects)]
             got.append(_digest(json.dumps(ff.filtration_audit(), sort_keys=True)))
+        for ff in ffs:
+            report = compare_tame_fr(ff)
+            got += [_digest(json.dumps([[list(nd), img.encode()] for nd, img in m.assign.items()]))
+                    for m in (ff.fN, ff.proj, ff.gamma, report.xi, report.psi)]
     assert got == PINNED_TABLES[name]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from laxfib.simplicial import (
     boundary_simplex,
     delta_map,
     empty_sset,
+    NoFillerError,
     enumerate_maps,
+    extend_map,
     face_through_word,
-    fill,
     horn,
     insert_degeneracy,
     product,
@@ -31,6 +33,7 @@ from laxfib.simplicial import (
     vertex_cell,
 )
 from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
+from laxfib.gray import prism
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
@@ -537,12 +540,20 @@ def test_cell_is_its_field_tuple(triples):
             c.dim = dim + 1
 
 
-def test_fill_without_filler_is_none():
+def test_extend_map_without_filler_raises():
     # the boundary of the 2-simplex has no 2-cell on the image of its boundary
     X, Y = standard_simplex(2, kind="PLAIN"), boundary_simplex(2)
     assign = {c.nd: Y.index[X.labels[c.nd]] for c in X.all_nondeg() if c.dim < 2}
-    assert fill(Y, assign, X, Cell(2, 0)) is None
-    assert fill(X, {c.nd: c for c in X.all_nondeg()}, X, Cell(2, 0)) == Cell(2, 0)
+    with pytest.raises(NoFillerError, match=re.escape(str(Cell(2, 0)))) as err:
+        extend_map(X, Y, assign)
+    assert err.value.cell == Cell(2, 0) and isinstance(err.value, ValueError)
+    # the success path: given in reverse, the cells of Delta^3 above its edges are
+    # filled, and the keys run in all_nondeg() order
+    S = standard_simplex(3, kind="PLAIN")
+    edges = {c.nd: c for c in reversed(S.all_nondeg()) if c.dim < 2}
+    m = extend_map(S, S, edges)
+    assert list(m.assign) == [c.nd for c in S.all_nondeg()]
+    assert m == DecMap.identity(S)
 
 
 def test_nerve_map_without_filler_raises():
@@ -564,6 +575,20 @@ def test_product_projections_are_jointly_monic(m, n):
             assert key not in seen
             seen[key] = cell
 
+
+
+def test_product_degeneracy_test_matches_the_generic_one():
+    """The Eilenberg-Zilber degeneracy test of a product keeps the cells, faces and
+    labels that the generic test deg(face(p, j), j) == p gives over the same levels."""
+    products = [product(standard_simplex(m, kind="PLAIN"), standard_simplex(n, kind="PLAIN"))
+                for m in range(3) for n in range(3)]
+    for P in products + [prism(n) for n in range(4)]:
+        A, B = P.factor_a, P.factor_b
+        levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)]
+                  for n in range(P.top_dim + 1)]
+        generic = KeyedSSet("PLAIN", levels, P.key_face, P.key_deg, P.key_dim)
+        assert (generic.n_cells, generic.faces, generic.labels) == (P.n_cells, P.faces, P.labels)
+        assert list(generic.labels) == list(P.labels)
 
 # -- map search against a brute force ------------------------------------------
 
