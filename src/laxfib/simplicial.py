@@ -69,6 +69,8 @@ class Cell(NamedTuple):
 
     @staticmethod
     def decode(data: list) -> "Cell":
+        if len(data) != 3:
+            raise ValueError(f"face {data} is not a [dim, index, word] triple")
         return Cell(data[0], data[1], tuple(data[2]))
 
 
@@ -326,6 +328,10 @@ class DecoratedSSet:
     def validate(self):
         if not _indices(*self.n_cells):
             raise ValueError(f"dims {self.n_cells} are not all non-negative integers")
+        for field in ("coskeletal", "truncated_at"):
+            x = getattr(self, field)
+            if x is not None and not _indices(x):
+                raise ValueError(f"{field} {x!r} is not a non-negative integer")
         for d in range(1, self.top_dim + 1):
             for cell in self.nondeg(d):
                 fs = self.faces.get(cell.nd)

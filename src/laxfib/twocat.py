@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat
@@ -546,18 +547,46 @@ def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FrBundle:
-    """Fr(C) for a marked 2-functor, with its decorations and projection."""
+    """Fr(C) for a marked 2-functor f.  The 2-category, its decorations and its
+    projection to the target are built when first read; :func:`slice_fiber`
+    builds a slice from f and the markings alone."""
 
-    twocat: StrictTwoCat
-    marked1: frozenset          # marked 1-cells of Fr(C)-dagger
-    cartesian1: frozenset       # 1-cells flagged Cartesian
-    cocartesian2: frozenset     # 2-cells flagged coCartesian
-    proj: TwoFunctor            # projection to the target 2-category
-    f: TwoFunctor
-    src_marking: Marking2Cat
-    dst_marking: Marking2Cat
+    def __init__(self, f: TwoFunctor, src_marking: Marking2Cat, dst_marking: Marking2Cat):
+        self.f, self.src_marking, self.dst_marking = f, src_marking, dst_marking
+        self.homs = _sorted_homs(f.dst) + _sorted_homs(f.src)  # D's 1-, 2-cells, then C's
+
+    def _marked(self, onecells) -> frozenset:
+        return frozenset(m for m in onecells if self.f.dst.is_invertible2(m[5])
+                         and m[4] in self.src_marking.marked1)
+
+    @cached_property
+    def twocat(self) -> StrictTwoCat:
+        return _comma(self.f, self.f.dst.objects, *self.homs[:2], self.homs,
+                      f"Fr({self.f.src.name})")
+
+    @cached_property
+    def marked1(self) -> frozenset:
+        """Marked 1-cells of Fr(C)-dagger."""
+        return self._marked(self.twocat.onecells)
+
+    @cached_property
+    def cartesian1(self) -> frozenset:
+        """1-cells flagged Cartesian."""
+        return frozenset(m for m in self.twocat.onecells if self.f.dst.is_invertible2(m[5])
+                         and self.f.src.is_equivalence(m[4]))
+
+    @cached_property
+    def cocartesian2(self) -> frozenset:
+        """2-cells flagged coCartesian."""
+        return frozenset(t for t in self.twocat.twocells if self.f.src.is_invertible2(t[4]))
+
+    @cached_property
+    def proj(self) -> TwoFunctor:
+        """The projection to the target 2-category."""
+        Fr = self.twocat
+        return TwoFunctor(Fr, self.f.dst, {o: o[1] for o in Fr.objects},
+                          {m: m[3] for m in Fr.onecells}, {t: t[3] for t in Fr.twocells})
 
 
 def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
@@ -567,22 +596,28 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
     Objects are 1-cells u: d -> f(c); a 1-cell u -> v is (a, alpha,
     theta: f(alpha) o u => v o a); a 2-cell is a compatible pair (psi, zeta).
     """
-    C, D = f.src, f.dst
-    src_marking = src_marking or Marking2Cat(C)
-    dst_marking = dst_marking or Marking2Cat(D)
+    src_marking = src_marking or Marking2Cat(f.src)
+    dst_marking = dst_marking or Marking2Cat(f.dst)
     if not f.preserves_marking(src_marking, dst_marking):
         raise ValueError("functor does not preserve the markings")
+    return FrBundle(f, src_marking, dst_marking)
 
-    homD, twoD = _sorted_homs(D)
-    homC, twoC = _sorted_homs(C)
-    objects = [("o", d, c, u) for d in D.objects for c in C.objects
+
+def _comma(f: TwoFunctor, ds, homA: dict, twoA: dict, homs: tuple,
+           name: str) -> StrictTwoCat:
+    """The lax squares over the objects ``ds`` of the target D whose D-parts
+    a and psi are drawn from ``homA`` and ``twoA``: all of Fr(C) with D's own
+    hom tables, the slice over d with only id_d and its identity."""
+    C, D = f.src, f.dst
+    homD, twoD, homC, twoC = homs
+    objects = [("o", d, c, u) for d in ds for c in C.objects
                for u in homD.get((d, f.omap[c]), ())]
     onecells: dict = {}
     for o0 in objects:
         _, d0, c0, u0 = o0
         for o1 in objects:
             _, d1, c1, u1 = o1
-            for a in homD.get((d0, d1), ()):
+            for a in homA.get((d0, d1), ()):
                 rhs = D.hcomp1[(u1, a)]
                 for alpha in homC.get((c0, c1), ()):
                     lhs = D.hcomp1[(f.map1[alpha], u0)]
@@ -601,7 +636,7 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
             _, _, _, a0, alpha0, theta0 = m0
             for m1 in ms:
                 _, _, _, a1, alpha1, theta1 = m1
-                for psi in twoD.get((a0, a1), ()):
+                for psi in twoA.get((a0, a1), ()):
                     right = D.vcomp[(D.hcomp2[(id_u1, psi)], theta0)]
                     for zeta in twoC.get((alpha0, alpha1), ()):
                         if D.vcomp[(theta1, D.hcomp2[(f.map2[zeta], id_u0)])] == right:
@@ -623,23 +658,7 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
     hcomp2 = {(t2, t): ("t", hcomp1[(t2[1], t[1])], hcomp1[(t2[2], t[2])],
                         D.hcomp2[(t2[3], t[3])], C.hcomp2[(t2[4], t[4])])
               for t in twocells for t2 in over2.get(t[1][2], ())}
-
-    frcat = StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2,
-                         name=f"Fr({C.name})")
-
-    equiv = {alpha for alpha in C.onecells if C.is_equivalence(alpha)}
-    inv_c = {zeta for zeta in C.twocells if C.is_invertible2(zeta)}
-    inv_d = {theta for theta in D.twocells if D.is_invertible2(theta)}
-    cartesian = frozenset(m for m in onecells if m[5] in inv_d and m[4] in equiv)
-    marked = frozenset(m for m in onecells if m[5] in inv_d and m[4] in src_marking.marked1)
-    cocart = frozenset(t for t in twocells if t[4] in inv_c)
-    proj = TwoFunctor(
-        frcat, D,
-        omap={o: o[1] for o in objects},
-        map1={m: m[3] for m in onecells},
-        map2={t: t[3] for t in twocells},
-    )
-    return FrBundle(frcat, marked, cartesian, cocart, proj, f, src_marking, dst_marking)
+    return StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2, name=name)
 
 
 def _sorted_homs(T: StrictTwoCat) -> tuple[dict, dict]:
@@ -667,24 +686,13 @@ def _groups(onecells, twocells) -> tuple[dict, dict, dict]:
 def slice_fiber(bundle: FrBundle, d: str) -> tuple[Marking2Cat, FrBundle]:
     """The fiber of Fr(C) -> D over d: the strict model of the lax slice.
 
-    Returns the marked sub-2-category on objects with source d, 1-cells over
-    id_d and 2-cells over the identity.
+    Returns the marked 2-category on the objects with source d, the 1-cells
+    over id_d and the 2-cells over its identity, in the order of Fr(C)'s tables.
     """
-    Fr, D = bundle.twocat, bundle.f.dst
+    D = bundle.f.dst
     if d not in D.objects:
         raise KeyError(f"unknown object {d}")
-    objs = [o for o in Fr.objects if o[1] == d]
-    id_d, id2_d = D.id1[d], D.id2[D.id1[d]]
-    ones = {m: st for m, st in Fr.onecells.items() if m[3] == id_d and st[0][1] == d}
-    twos = {t: st for t, st in Fr.twocells.items()
-            if t[3] == id2_d and t[1] in ones and t[2] in ones}
-    after1, after2, over2 = _groups(ones, twos)
-    sub = StrictTwoCat(
-        objs, ones, {o: Fr.id1[o] for o in objs}, twos, {m: Fr.id2[m] for m in ones},
-        {(t2, t1): Fr.vcomp[(t2, t1)] for t1 in twos for t2 in after2.get(t1[2], ())},
-        {(m2, m): Fr.hcomp1[(m2, m)] for m in ones for m2 in after1.get(m[2], ())},
-        {(t2, t): Fr.hcomp2[(t2, t)] for t in twos for t2 in over2.get(t[1][2], ())},
-        name=f"{Fr.name}|{d}",
-    )
-    marking = Marking2Cat(sub, bundle.marked1.intersection(ones))
-    return marking, bundle
+    id_d = D.id1[d]
+    sub = _comma(bundle.f, [d], {(d, d): [id_d]}, {(id_d, id_d): [D.id2[id_d]]}, bundle.homs,
+                 f"Fr({bundle.f.src.name})|{d}")
+    return Marking2Cat(sub, bundle._marked(sub.onecells)), bundle

@@ -276,6 +276,13 @@ def _bad_inputs(tmp_path) -> dict:
             "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1.5, []], [0, 0, []]]}}),
         "bool-face": put("bool-face.json", {
             "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, True, []], [0, 0, []]]}}),
+        "two-entry-face": put("two-entry-face.json", {
+            "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1], [0, 0, []]]}}),
+        **{f"{field}-{name}": put(f"{field}-{name}.json", {
+            "kind": "PLAIN", "dims": [1], "faces": {}, field: value})
+           for field, values in (("coskeletal", {"str": "x", "negative": -2}),
+                                 ("truncated_at", {"negative": -1, "str": "x", "bool": True}))
+           for name, value in values.items()},
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -309,6 +316,12 @@ BAD_CALLS = {
     "sset-negative-dim": "homology @negative-dim",
     "sset-face-with-float-index": "homology @float-face",
     "sset-face-with-bool-index": "homology @bool-face",
+    "sset-face-with-two-entries": "homology @two-entry-face",
+    "sset-coskeletal-is-a-string": "homology @coskeletal-str",
+    "sset-coskeletal-negative": "homology @coskeletal-negative",
+    "sset-truncated-at-negative": "homology @truncated_at-negative",
+    "sset-truncated-at-is-a-string": "homology @truncated_at-str",
+    "sset-truncated-at-is-a-bool": "homology @truncated_at-bool",
 }
 
 

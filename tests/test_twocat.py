@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from laxfib.cofinality import check_cofinal, eta_terminal_check
 from laxfib.fincat import (
     CatFunctor,
     FinCat,
@@ -20,6 +21,7 @@ from laxfib.fincat import (
 from laxfib.fixtures import fixture_functors, random_monotone_functor, random_poset
 from laxfib.simplicial import coskeletal_spheres
 from laxfib.twocat import (
+    FrBundle,
     Marking2Cat,
     StrictTwoCat,
     TwoFunctor,
@@ -301,9 +303,9 @@ def _scan_two_between(T, f, g):
     return [t for t, (s, tg) in T.twocells.items() if s == f and tg == g]
 
 
-def _reference_fr(f):
+def _reference_fr(f, src_marking=None):
     C, D = f.src, f.dst
-    src_marking, dst_marking = Marking2Cat(C), Marking2Cat(D)
+    src_marking = src_marking or Marking2Cat(C)
     objects = []
     for d in D.objects:
         for c in C.objects:
@@ -423,3 +425,43 @@ def test_fr_and_slices_match_the_all_pairs_reference(F):
         want, want_marked = _reference_slice(tables, marked, F.dst, d)
         _assert_tables_match(marking.base, want)
         assert marking.marked1 == Marking2Cat(marking.base, frozenset(want_marked)).marked1
+
+
+def _reference_markings(F):
+    """Default markings; every 1-cell marked on both sides; and one
+    non-identity 1-cell of the source with its image, which F preserves."""
+    C, D = F.src, F.dst
+    one = frozenset(sorted(set(C.onecells) - set(C.id1.values()))[:1])
+    return [(None, None),
+            (Marking2Cat(C, frozenset(C.onecells)), Marking2Cat(D, frozenset(D.onecells))),
+            (Marking2Cat(C, one), Marking2Cat(D, frozenset(F.map1[m] for m in one)))]
+
+
+@pytest.mark.parametrize("F", [pytest.param(F, id=name) for name, F in _reference_functors()])
+def test_slices_are_built_without_the_whole_fr(F):
+    """Each slice, taken before the whole Fr is read, equals the slice of the
+    all-pairs reference, table by table and in order, under three markings."""
+    for src_marking, dst_marking in _reference_markings(F):
+        tables, marked, _, _ = _reference_fr(F, src_marking)
+        bundle = fr(F, src_marking, dst_marking)
+        for d in F.dst.objects:
+            marking, _ = slice_fiber(bundle, d)
+            want, want_marked = _reference_slice(tables, marked, F.dst, d)
+            _assert_tables_match(marking.base, want)
+            assert marking.marked1 == Marking2Cat(marking.base, frozenset(want_marked)).marked1
+        assert "twocat" not in vars(bundle)
+
+
+def test_cofinality_reads_fr_only_through_slices(monkeypatch):
+    functors = [F for _, F in _reference_functors()]
+    T = two_bracket(walking_arrow())
+    units = [(d, e) for e, (d, _) in sorted(T.onecells.items())]
+    want = ([check_cofinal(F).to_json_dict() for F in functors],
+            [eta_terminal_check(T, d, e).value for d, e in units])
+
+    def whole(bundle):
+        raise AssertionError("the whole Fr was built")
+
+    monkeypatch.setattr(FrBundle, "twocat", property(whole))
+    assert ([check_cofinal(F).to_json_dict() for F in functors],
+            [eta_terminal_check(T, d, e).value for d, e in units]) == want
