@@ -62,12 +62,9 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
     never converted to decisive verdicts.
     """
     C, D = f.src, f.dst
-    src_marking = src_marking or Marking2Cat(C)
-    dst_marking = dst_marking or Marking2Cat(D)
-    if not f.preserves_marking(src_marking, dst_marking):
-        raise ValueError("functor does not preserve the markings")
-    budgets = budgets or {}
     frC = fr(f, src_marking, dst_marking)
+    dst_marking = frC.dst_marking
+    budgets = budgets or {}
     frD = fr(identity_two_functor(D), dst_marking, dst_marking)
 
     per_object: dict = {}

@@ -1,5 +1,5 @@
-"""Homotopy-type verdicts: exact homology, collapsibility, edge-path groups,
-and initiality in localizations of marked 2-categories.
+"""Homotopy-type verdicts: exact homology, collapsibility, and initiality in
+localizations of marked 2-categories.
 
 All decisive verdicts are sound: a No always carries a concrete obstruction
 (nonzero reduced homology, a missing component, an unreachable object), a Yes
@@ -19,7 +19,7 @@ from .twocat import Marking2Cat, StrictTwoCat
 
 DEFAULT_BUDGETS = {
     "collapse_states": 20000,
-    "tietze_steps": 400,
+    "tietze_steps": 400,     # recorded and echoed in verdicts; no step reads it
     "max_degree": 4,
 }
 
@@ -292,148 +292,20 @@ def replay_collapse(X: DecoratedSSet, sequence: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fundamental group
-# ---------------------------------------------------------------------------
-
-
-def pi1(X: DecoratedSSet, budget: Optional[int] = None) -> tuple[dict, Verdict]:
-    """Edge-path presentation at the first vertex and a triviality verdict."""
-    budget = budget if budget is not None else DEFAULT_BUDGETS["tietze_steps"]
-    if X.is_empty():
-        raise ValueError("empty simplicial set has no fundamental group")
-    verts = [c.nd for c in X.nondeg(0)]
-    edges = [c.nd for c in X.nondeg(1)]
-    adj: dict = {v: [] for v in verts}
-    for e in edges:
-        d0, d1 = X.faces[e][0], X.faces[e][1]
-        adj[d1.nd].append((e, d0.nd))
-        adj[d0.nd].append((e, d1.nd))
-    base = verts[0]
-    tree: set = set()
-    seen = {base}
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for e, w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(e)
-                queue.append(w)
-    component = seen
-
-    gens = [e for e in edges
-            if e not in tree and X.faces[e][1].nd in component]
-    gen_index = {e: i for i, e in enumerate(gens)}
-
-    def letter(edge_cell: Cell):
-        if edge_cell.is_degenerate():
-            return ()
-        nd = edge_cell.nd
-        if nd in tree or nd not in gen_index:
-            return ()
-        return ((gen_index[nd], 1),)
-
-    relations = []
-    for t in X.nondeg(2):
-        faces = X.faces[t.nd]
-        if faces[2].is_degenerate() and faces[0].is_degenerate() and faces[1].is_degenerate():
-            continue
-        v0 = X.face(faces[2], 1)
-        if v0.nd not in component:
-            continue
-        word = list(letter(faces[2])) + list(letter(faces[0])) + \
-            [(g, -p) for (g, p) in reversed(letter(faces[1]))]
-        word = _free_reduce(word)
-        if word:
-            relations.append(word)
-
-    ngens, relations, steps = _tietze(len(gens), relations, budget)
-    presentation = {"generators": ngens, "relations": [list(map(list, r)) for r in relations],
-                    "tietze_steps": steps, "budget": budget}
-    if ngens == 0:
-        return presentation, Verdict("yes", {"presentation": presentation})
-    # abelianization via Smith normal form
-    mat = [[0] * len(relations) for _ in range(ngens)]
-    for j, rel in enumerate(relations):
-        for g, p in rel:
-            mat[g][j] += p
-    diag = smith_normal_form(mat) if relations else []
-    rank = ngens - sum(1 for d in diag if d != 0)
-    torsion = [abs(d) for d in diag if d not in (0, 1, -1)]
-    if rank > 0 or torsion:
-        return presentation, Verdict(
-            "no", {"abelianization": {"rank": rank, "torsion": torsion},
-                   "presentation": presentation})
-    return presentation, Verdict("unknown", {"presentation": presentation})
-
-
-def _free_reduce(word):
-    out = []
-    for g, p in word:
-        if p == 0:
-            continue
-        if out and out[-1][0] == g and out[-1][1] == -p:
-            out.pop()
-        else:
-            out.append((g, p))
-    return tuple(out)
-
-
-def _tietze(ngens: int, relations: list, budget: int):
-    rels = [tuple(r) for r in relations]
-    alive = list(range(ngens))
-    steps = 0
-    changed = True
-    while changed and steps < budget:
-        changed = False
-        rels = sorted({_free_reduce(r) for r in rels} - {()}, key=lambda r: (len(r), r))
-        for rel in rels:
-            counts: dict = {}
-            for g, p in rel:
-                counts[g] = counts.get(g, 0) + 1
-            candidates = [(g, p) for (g, p) in rel if counts[g] == 1 and p in (1, -1)]
-            if not candidates:
-                continue
-            g, p = candidates[0]
-            idx = rel.index((g, p))
-            rest = rel[idx + 1:] + rel[:idx]
-            expr = tuple((h, -q) for (h, q) in reversed(rest)) if p == 1 else tuple(rest)
-            new_rels = []
-            for r in rels:
-                if r == rel:
-                    continue
-                out = []
-                for (h, q) in r:
-                    if h == g:
-                        seg = expr if q == 1 else tuple((a, -b) for (a, b) in reversed(expr))
-                        out.extend(seg)
-                    else:
-                        out.append((h, q))
-                new_rels.append(_free_reduce(tuple(out)))
-            rels = new_rels
-            alive.remove(g)
-            steps += 1
-            changed = True
-            break
-    # reindex surviving generators
-    index = {g: i for i, g in enumerate(alive)}
-    rels = [tuple((index[g], p) for g, p in r) for r in rels if r]
-    return len(alive), sorted(set(rels)), steps
-
-
-# ---------------------------------------------------------------------------
 # combined contractibility verdict
 # ---------------------------------------------------------------------------
 
 
 def weakly_contractible(X: DecoratedSSet, budgets: Optional[dict] = None) -> Verdict:
-    """Three-valued contractibility: collapse gives Yes, homology or the
-    fundamental group give No, anything else is Unknown."""
+    """Three-valued contractibility: homology in the degrees that truncation
+    leaves sound gives No, a collapse sequence gives Yes, anything else is
+    Unknown.  No edge-path group is computed: its abelianization is H_1, which
+    homology has already checked wherever H_1 is sound."""
     budgets = {**DEFAULT_BUDGETS, **(budgets or {})}
     if X.is_empty():
         return Verdict("no", {"obstruction": "empty"})
     H = homology(X, budgets["max_degree"])
-    if H.reduced_rank(0) != 0:
+    if H.sound_up_to >= 0 and H.reduced_rank(0) != 0:
         return Verdict("no", {"obstruction": "components", "h0_rank": H.group(0)[0],
                               "budgets": budgets})
     for k in range(1, H.sound_up_to + 1):
@@ -445,10 +317,6 @@ def weakly_contractible(X: DecoratedSSet, budgets: Optional[dict] = None) -> Ver
     if c.yes:
         return Verdict("yes", {"witness": "collapse", "collapse": c.evidence["collapse"],
                                "budgets": budgets})
-    _, p = pi1(X, budget=budgets["tietze_steps"])
-    if p.no:
-        return Verdict("no", {"obstruction": "pi1", "detail": p.evidence,
-                              "budgets": budgets})
     return Verdict("unknown", {"reason": "inconclusive at cap", "budgets": budgets})
 
 

@@ -188,8 +188,10 @@ class StrictTwoCat:
 
     def _name_violations(self) -> list[tuple]:
         objs, ones, twos = set(self.objects), set(self.onecells), set(self.twocells)
-        bad = [("1-cell-endpoints", f) for f, st in self.onecells.items() if not set(st) <= objs]
-        bad += [("2-cell-endpoints", t) for t, st in self.twocells.items() if not set(st) <= ones]
+        bad = [("1-cell-endpoints", f) for f, st in self.onecells.items()
+               if len(st) != 2 or not set(st) <= objs]
+        bad += [("2-cell-endpoints", t) for t, st in self.twocells.items()
+                if len(st) != 2 or not set(st) <= ones]
         bad += [("id1", a) for a in self.objects if self.id1.get(a) not in ones]
         bad += [("id2", f) for f in self.onecells if self.id2.get(f) not in twos]
         for law, table, known in (("vcomp", self.vcomp, twos), ("hcomp1", self.hcomp1, ones),

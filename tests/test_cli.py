@@ -117,6 +117,20 @@ def test_contractible_exit_codes(tmp_path):
     assert report["evidence"]["budgets"]["collapse_states"] == 0
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "PLAIN", "dims": [2], "faces": {}, "truncated_at": 0},
+    {"kind": "PLAIN", "dims": [3, 3], "truncated_at": 1, "faces": {
+        "1,0": [[0, 1, []], [0, 0, []]], "1,1": [[0, 2, []], [0, 1, []]],
+        "1,2": [[0, 2, []], [0, 0, []]]}},
+], ids=["two-points-at-0", "triangle-edges-at-1"])
+def test_contractible_truncated_is_unknown(tmp_path, doc):
+    """Homology from the truncated dimension up is not sound, so it may not say No."""
+    X = tmp_path / "truncated.json"
+    X.write_text(json.dumps(doc))
+    code, report = run(tmp_path, "contractible", str(X))
+    assert code == 3 and report["value"] == "unknown"
+
+
 def test_duality_subcommand_agree(tmp_path):
     code, report = run(
         tmp_path, "duality",
@@ -257,6 +271,8 @@ def _bad_inputs(tmp_path) -> dict:
             "onecells": {"id0": "id0"}, "twocells": {}}),
         "list-name": put("list-name.json", dict(cat, morphisms=[
             dict(cat["morphisms"][0], name=["0<0"]), *cat["morphisms"][1:]])),
+        "empty-endpoints": put("empty-endpoints.json", dict(
+            twocat, twocells={**twocat["twocells"], "2id0": []})),
         "short-vcomp": put("short-vcomp.json", dict(twocat, vcomp=[
             twocat["vcomp"][0][:2], *twocat["vcomp"][1:]])),
         "list-doc": put("list-doc.json", "[1, 2]"),
@@ -306,6 +322,7 @@ BAD_CALLS = {
     "freefib-unknown-fiber": "freefib @pt2 @arrow2 @f2 --fiber nope",
     "gray-past-cap-without-truncate": "gray @s2 @s3",
     "morphism-name-is-a-list": "joyal @list-name @arrow @f0",
+    "twocell-endpoints-empty": "nerve @empty-endpoints",
     "vcomp-triple-too-short": "nerve @short-vcomp",
     "document-is-a-list": "nerve @list-doc",
     "marked-entry-is-a-list": "nerve @pt2 --marking @list-marking",

@@ -161,7 +161,7 @@ def test_theorem_a_gates_on_failing_hypothesis():
 
 def test_check_cofinal_unknown_never_decisive():
     # aggregation keeps unknowns: verify on a case with an unknown condition
-    # by brutally reducing budgets so collapse and pi1 cannot run
+    # by brutally reducing budgets so collapse cannot run
     S = chain_poset(1)
     F = two_bracket_functor(include_at(S, "0"))
     rep = check_cofinal(F, budgets={"collapse_states": 0, "tietze_steps": 0})

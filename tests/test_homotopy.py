@@ -1,4 +1,4 @@
-"""Homology exactness, collapse search, edge-path groups, verdict soundness."""
+"""Homology exactness, collapse search, verdict soundness."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from laxfib.homotopy import (
     collapse_search,
     homology,
     initial_in_localization,
-    pi1,
     replay_collapse,
     smith_normal_form,
     weakly_contractible,
@@ -166,25 +165,6 @@ def test_collapse_records_budget():
     assert "budget" in v.evidence
 
 
-def test_pi1_simplex_trivial():
-    for n in (1, 2, 3):
-        _, v = pi1(standard_simplex(n, kind="PLAIN"))
-        assert v.yes
-
-
-def test_pi1_circle():
-    pres, v = pi1(boundary_simplex(2))
-    assert pres["generators"] == 1 and pres["relations"] == []
-    assert v.no
-    assert v.evidence["abelianization"]["rank"] == 1
-
-
-def test_pi1_nerve_of_poset_with_top():
-    P = poset_cat(["a", "b", "t"], [("a", "t"), ("b", "t")])
-    _, v = pi1(P.nerve(max_dim=4))
-    assert v.yes
-
-
 def test_weakly_contractible_verdicts():
     # a nerve with an initial object is contractible; the circle is not
     assert weakly_contractible(chain_poset(2).nerve(max_dim=4)).yes
@@ -198,6 +178,13 @@ def test_budget_exhaustion_is_unknown_not_yes():
     v = weakly_contractible(standard_simplex(2, kind="PLAIN"),
                             {"collapse_states": 0, "tietze_steps": 0})
     assert v.value == "unknown"
+
+
+def test_truncation_gives_no_false_no():
+    # homology above the truncation is not sound, and nothing else may say No:
+    # both nerves are of categories with an initial object
+    assert not weakly_contractible(chain_poset(2).nerve(max_dim=1)).no
+    assert not weakly_contractible(walking_arrow().nerve(max_dim=0)).no
 
 
 def test_disconnected_is_no():
