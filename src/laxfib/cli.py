@@ -115,13 +115,13 @@ def _emit(report: dict, args) -> None:
 
 
 def _config(args) -> dict:
-    cap = getattr(args, "cap", 4)
+    cap = args.cap
     budgets = {
-        "collapse_states": getattr(args, "collapse_budget", 20000),
-        "tietze_steps": getattr(args, "tietze_budget", 400),
+        "collapse_states": args.collapse_budget,
+        "tietze_steps": args.tietze_budget,
         "max_degree": cap,
     }
-    n_max = getattr(args, "n_max", 4)
+    n_max = getattr(args, "n_max", anodyne.N_MAX_DEFAULT)
     if cap < 3:
         raise InputError("cap must be at least 3")
     if n_max < 2:
@@ -362,8 +362,9 @@ def _common(sub, func):
     """The options every subcommand takes, and its handler."""
     sub.add_argument("--output", "-o", help="write the JSON report here")
     sub.add_argument("--cap", type=int, default=4, help="dimension cap")
-    sub.add_argument("--collapse-budget", type=int, default=20000)
-    sub.add_argument("--tietze-budget", type=int, default=400)
+    sub.add_argument("--collapse-budget", type=int,
+                     default=homotopy.DEFAULT_BUDGETS["collapse_states"])
+    sub.add_argument("--tietze-budget", type=int, default=homotopy.DEFAULT_BUDGETS["tietze_steps"])
     sub.set_defaults(func=func)
 
 
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _functor_parser(sp, "check-fibration", "certify the lifting property")
     p.add_argument("--family", choices=["MB", "MS"], default="MB")
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=anodyne.N_MAX_DEFAULT)
     _common(p, cmd_check_fibration)
 
     p = _functor_parser(sp, "check-cofinal", "the cofinality criterion", mode=False)
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("corpus", help="run the bundled verification corpus")
     p.add_argument("--seed", type=int, default=fixtures.CORPUS_SEED)
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=anodyne.N_MAX_DEFAULT)
     _common(p, cmd_corpus)
 
     return ap

@@ -38,10 +38,6 @@ class CofinalityReport:
         }
 
 
-def _slice_object_for(u: str, c: str, d: str) -> tuple:
-    return ("o", d, c, u)
-
-
 def _aggregate(values: list[str]) -> str:
     if any(v == "no" for v in values):
         return "no"
@@ -120,7 +116,7 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
             for c in C.objects:
                 if f.omap[c] != b:
                     continue
-                o = _slice_object_for(u, c, d)
+                o = ("o", d, c, u)
                 v = initial(c_slice, o)
                 checks_ii.append({"object": o, "verdict": v})
         cond_ii = _aggregate([r["verdict"].value for r in checks_ii]) if checks_ii else "yes"

@@ -12,7 +12,7 @@ from .simplicial import Cell, DecoratedSSet, insert_degeneracy
 class FinCat:
     """A finite category given by explicit composition tables.
 
-    Composition ``comp[(g, f)] = g âˆ˜ f`` is defined whenever tgt(f) = src(g).
+    Composition ``comp[(g, f)] = g o f`` is defined whenever tgt(f) = src(g).
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable[str],
@@ -56,6 +56,8 @@ class FinCat:
             i = self.ident.get(a)
             if i is None or self.src.get(i) != a or self.tgt.get(i) != a:
                 bad.append(("identity", a))
+        if bad:
+            return bad  # the laws below look up the identities of the endpoints
         for f in self.morphisms:
             for g in self.morphisms:
                 if self.src[g] != self.tgt[f]:
@@ -63,6 +65,8 @@ class FinCat:
                 h = self.comp.get((g, f))
                 if h is None or self.src.get(h) != self.src[f] or self.tgt.get(h) != self.tgt[g]:
                     bad.append(("composition", g, f))
+        bad += [("composition", g, f) for g, f in self.comp
+                if g not in self.src or f not in self.tgt or self.src[g] != self.tgt[f]]
         for f in self.morphisms:
             if self.comp.get((f, self.ident[self.src[f]])) != f:
                 bad.append(("right-unit", f))
@@ -92,15 +96,14 @@ class FinCat:
         )
 
     def product(self, other: "FinCat") -> "FinCat":
-        objs = [f"{a}|{b}" for a in self.objects for b in other.objects]
-        mors = [f"{m}|{n}" for m in self.morphisms for n in other.morphisms]
-        src = {f"{m}|{n}": f"{self.src[m]}|{other.src[n]}" for m in self.morphisms for n in other.morphisms}
-        tgt = {f"{m}|{n}": f"{self.tgt[m]}|{other.tgt[n]}" for m in self.morphisms for n in other.morphisms}
-        comp = {}
-        for (g, f), h in self.comp.items():
-            for (gg, ff), hh in other.comp.items():
-                comp[(f"{g}|{gg}", f"{f}|{ff}")] = f"{h}|{hh}"
-        ident = {f"{a}|{b}": f"{self.ident[a]}|{other.ident[b]}" for a in self.objects for b in other.objects}
+        """The product category; objects and morphisms are pairs (a, b)."""
+        objs = [(a, b) for a in self.objects for b in other.objects]
+        mors = [(m, n) for m in self.morphisms for n in other.morphisms]
+        src = {(m, n): (self.src[m], other.src[n]) for m, n in mors}
+        tgt = {(m, n): (self.tgt[m], other.tgt[n]) for m, n in mors}
+        comp = {((g, gg), (f, ff)): (h, hh) for (g, f), h in self.comp.items()
+                for (gg, ff), hh in other.comp.items()}
+        ident = {(a, b): (self.ident[a], other.ident[b]) for a, b in objs}
         return FinCat(objs, mors, src, tgt, comp, ident)
 
     def nerve(self, max_dim: int = 4, kind: str = "PLAIN") -> DecoratedSSet:

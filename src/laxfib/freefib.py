@@ -256,11 +256,8 @@ def sharp_base(ND: ScaledNerve) -> ScaledNerve:
 def build_free_fibration(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
                          dst_marking: Optional[Marking2Cat] = None,
                          mode: str = "dagger") -> FreeFibration:
-    src_marking = src_marking or Marking2Cat(f.src)
-    dst_marking = dst_marking or Marking2Cat(f.dst)
-    if not f.preserves_marking(src_marking, dst_marking):
-        raise ValueError("functor does not preserve the markings")
-    return FreeFibration(f, src_marking, dst_marking, mode=mode)
+    bundle = fr(f, src_marking, dst_marking)
+    return FreeFibration(f, bundle.src_marking, bundle.dst_marking, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -118,72 +118,46 @@ class StrictTwoCat:
 
     # -- validation ------------------------------------------------------------
 
+    def one_cat(self) -> FinCat:
+        """The objects and 1-cells under horizontal composition."""
+        return FinCat(self.objects, self.onecells, {f: st[0] for f, st in self.onecells.items()},
+                      {f: st[1] for f, st in self.onecells.items()}, self.hcomp1, self.id1)
+
+    def horizontal_cat(self) -> FinCat:
+        """The objects and 2-cells under horizontal composition; a 2-cell runs
+        between the endpoints of its source 1-cell."""
+        ends = {t: self.onecells[f] for t, (f, _) in self.twocells.items()}
+        return FinCat(self.objects, self.twocells, {t: st[0] for t, st in ends.items()},
+                      {t: st[1] for t, st in ends.items()}, self.hcomp2,
+                      {a: self.id2[self.id1[a]] for a in self.objects})
+
     def validate(self) -> list[tuple]:
-        """Every violated law with a witness; empty iff all laws hold.  Cells and
-        table entries naming unknown objects or cells are reported alone: the
-        laws look those names up."""
+        """Every violated law with a witness; empty iff all laws hold.
+
+        A strict 2-category is a Cat-enriched category, so its laws are those
+        of categories and functors: the hom-categories, the 1-cells and the
+        2-cells under horizontal composition, and horizontal composition as a
+        functor hom(b, c) x hom(a, b) -> hom(a, c), whose composition law is
+        the interchange law.  Cells and table entries naming unknown objects or
+        cells are reported alone, and failed category laws before the functors:
+        the later laws look those names and composites up."""
         self._index = None  # the tables may have been edited since it was built
         bad = self._name_violations()
         if bad:
             return bad
+        homs = {(a, b): self.hom_cat(a, b) for a in self.objects for b in self.objects}
+        for (a, b), H in homs.items():
+            bad.extend(("hom", a, b) + v for v in H.validate())
+        bad.extend(("hcomp1",) + v for v in self.one_cat().validate())
+        bad.extend(("hcomp2",) + v for v in self.horizontal_cat().validate())
+        if bad:
+            return bad
         for a in self.objects:
             for b in self.objects:
-                bad.extend(("hom", a, b) + v for v in self.hom_cat(a, b).validate())
-        # unit laws for horizontal composition
-        for f, (a, b) in self.onecells.items():
-            if self.hcomp1.get((self.id1[b], f)) != f:
-                bad.append(("left-unit-1", f))
-            if self.hcomp1.get((f, self.id1[a])) != f:
-                bad.append(("right-unit-1", f))
-        # strict associativity of 1-cell composition
-        for f, (a, b) in self.onecells.items():
-            for g, (b2, c) in self.onecells.items():
-                if b2 != b:
-                    continue
-                gf = self.hcomp1.get((g, f))
-                for h, (c2, d) in self.onecells.items():
-                    if c2 != c:
-                        continue
-                    hg = self.hcomp1.get((h, g))
-                    lhs = self.hcomp1.get((h, gf)) if gf else None
-                    rhs = self.hcomp1.get((hg, f)) if hg else None
-                    if lhs is None or rhs is None or lhs != rhs:
-                        bad.append(("assoc-1", h, g, f))
-        # hcomp2 endpoints and functoriality (interchange law)
-        for (beta, alpha), res in self.hcomp2.items():
-            fb, gb = self.twocells[beta]
-            fa, ga = self.twocells[alpha]
-            want = (self.hcomp1[(fb, fa)], self.hcomp1[(gb, ga)])
-            if self.twocells.get(res) != want:
-                bad.append(("hcomp2-endpoints", beta, alpha))
-        for f in self.onecells:
-            for g in self.onecells:
-                if self.one_src(g) != self.one_tgt(f):
-                    continue
-                if self.hcomp2.get((self.id2[g], self.id2[f])) != self.id2[self.hcomp1[(g, f)]]:
-                    bad.append(("hcomp2-identity", g, f))
-        # whiskering by identity 1-cells is the identity
-        for t, (f, g) in self.twocells.items():
-            a, bb = self.onecells[f]
-            if self.hcomp2.get((self.id2[self.id1[bb]], t)) != t:
-                bad.append(("left-unit-2", t))
-            if self.hcomp2.get((t, self.id2[self.id1[a]])) != t:
-                bad.append(("right-unit-2", t))
-        bad.extend(self._interchange_violations())
-        # associativity of horizontal 2-cell composition
-        for alpha in self.twocells:
-            for beta in self.twocells:
-                if not self._hcomposable(beta, alpha):
-                    continue
-                for gamma in self.twocells:
-                    if not self._hcomposable(gamma, beta):
-                        continue
-                    inner_l = self.hcomp2.get((beta, alpha))
-                    inner_r = self.hcomp2.get((gamma, beta))
-                    lhs = self.hcomp2.get((gamma, inner_l)) if inner_l else None
-                    rhs = self.hcomp2.get((inner_r, alpha)) if inner_r else None
-                    if lhs is None or rhs is None or lhs != rhs:
-                        bad.append(("assoc-2", gamma, beta, alpha))
+                for c in self.objects:
+                    hcomp = CatFunctor(homs[b, c].product(homs[a, b]), homs[a, c],
+                                       self.hcomp1, self.hcomp2)
+                    bad.extend(("hcomp", a, b, c) + v for v in hcomp.validate())
         return bad
 
     def _name_violations(self) -> list[tuple]:
@@ -197,34 +171,6 @@ class StrictTwoCat:
         for law, table, known in (("vcomp", self.vcomp, twos), ("hcomp1", self.hcomp1, ones),
                                   ("hcomp2", self.hcomp2, twos)):
             bad += [(law, *pair) for pair, res in table.items() if not {*pair, res} <= known]
-        return bad
-
-    def _hcomposable(self, beta: str, alpha: str) -> bool:
-        return self.one_src(self.twocells[beta][0]) == self.one_tgt(self.twocells[alpha][0])
-
-    def _interchange_violations(self) -> list[tuple]:
-        bad = []
-        twos = list(self.twocells)
-        for alpha in twos:
-            fa, ga = self.twocells[alpha]
-            for alpha2 in twos:
-                if self.twocells[alpha2][0] != ga:
-                    continue
-                for beta in twos:
-                    if not self._hcomposable(beta, alpha):
-                        continue
-                    fb, gb = self.twocells[beta]
-                    for beta2 in twos:
-                        if self.twocells[beta2][0] != gb:
-                            continue
-                        vb = self.vcomp.get((beta2, beta))
-                        va = self.vcomp.get((alpha2, alpha))
-                        h2 = self.hcomp2.get((beta2, alpha2))
-                        h1 = self.hcomp2.get((beta, alpha))
-                        v_then_h = self.hcomp2.get((vb, va)) if vb and va else None
-                        h_then_v = self.vcomp.get((h2, h1)) if h2 and h1 else None
-                        if v_then_h is None or h_then_v is None or v_then_h != h_then_v:
-                            bad.append(("interchange", beta2, beta, alpha2, alpha))
         return bad
 
     # -- serialization ---------------------------------------------------------
@@ -290,18 +236,14 @@ class TwoFunctor:
     map2: dict
 
     def validate(self) -> list[tuple]:
-        bad = []
+        """Every violated law with a witness: F is a functor on the 1-cells and
+        on the 2-cells under horizontal composition, then on each hom-category."""
         C, D = self.src, self.dst
-        for f, (a, b) in C.onecells.items():
-            g = self.map1.get(f)
-            if g is None or D.onecells.get(g) != (self.omap.get(a), self.omap.get(b)):
-                bad.append(("1-cell", f))
-        for a in C.objects:
-            if self.map1.get(C.id1[a]) != D.id1.get(self.omap.get(a)):
-                bad.append(("id1", a))
-        for (g, f), h in C.hcomp1.items():
-            if self.map1.get(h) != D.hcomp1.get((self.map1.get(g), self.map1.get(f))):
-                bad.append(("hcomp1", g, f))
+        for law, cat, cells in (("hcomp1", StrictTwoCat.one_cat, self.map1),
+                                ("hcomp2", StrictTwoCat.horizontal_cat, self.map2)):
+            bad = [(law,) + v for v in CatFunctor(cat(C), cat(D), self.omap, cells).validate()]
+            if bad:
+                return bad
         for t, (f, g) in C.twocells.items():
             u = self.map2.get(t)
             if u is None or D.twocells.get(u) != (self.map1.get(f), self.map1.get(g)):
@@ -312,9 +254,6 @@ class TwoFunctor:
         for (b, a), c in C.vcomp.items():
             if self.map2.get(c) != D.vcomp.get((self.map2.get(b), self.map2.get(a))):
                 bad.append(("vcomp", b, a))
-        for (b, a), c in C.hcomp2.items():
-            if self.map2.get(c) != D.hcomp2.get((self.map2.get(b), self.map2.get(a))):
-                bad.append(("hcomp2", b, a))
         return bad
 
     def preserves_marking(self, mC: Marking2Cat, mD: Marking2Cat) -> bool:

@@ -248,6 +248,23 @@ def test_report_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _wrong_endpoints_twocat() -> dict:
+    """Objects a, b, c and 1-cells f, k: a -> b, h: b -> c, m: a -> c with only
+    identity 2-cells, whose table gives h o f = k: a composite with the wrong
+    target.  The entries h o k = m and id_c o k = k make the three-fold
+    composites agree, so the associativity law alone does not see it."""
+    ones = {"ida": ["a", "a"], "idb": ["b", "b"], "idc": ["c", "c"],
+            "f": ["a", "b"], "h": ["b", "c"], "k": ["a", "b"], "m": ["a", "c"]}
+    comp = {("h", "f"): "k", ("h", "k"): "m", ("idc", "k"): "k"}
+    for x, (s, t) in ones.items():
+        comp[("id" + t, x)] = comp[(x, "id" + s)] = x
+    return {"schema": "laxfib/twocat-v1", "objects": ["a", "b", "c"], "onecells": ones,
+            "id1": {o: "id" + o for o in "abc"}, "twocells": {"i" + x: [x, x] for x in ones},
+            "id2": {x: "i" + x for x in ones}, "vcomp": [["i" + x] * 3 for x in ones],
+            "hcomp1": [[g, f, h] for (g, f), h in comp.items()],
+            "hcomp2": [["i" + g, "i" + f, "i" + h] for (g, f), h in comp.items()]}
+
+
 def _bad_inputs(tmp_path) -> dict:
     def put(name, doc):
         path = tmp_path / name
@@ -255,6 +272,7 @@ def _bad_inputs(tmp_path) -> dict:
         return str(path)
 
     twocat = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
+    arrow2 = json.loads(Path(data_path("twocat-2bracket-walking-arrow.json")).read_text())
     cat = json.loads(Path(data_path("category-walking-arrow.json")).read_text())
     return {
         "pt": data_path("category-point.json"),
@@ -276,6 +294,18 @@ def _bad_inputs(tmp_path) -> dict:
         "short-vcomp": put("short-vcomp.json", dict(twocat, vcomp=[
             twocat["vcomp"][0][:2], *twocat["vcomp"][1:]])),
         "list-doc": put("list-doc.json", "[1, 2]"),
+        "wrong-endpoints": put("wrong-endpoints.json", _wrong_endpoints_twocat()),
+        "missing-hcomp1": put("missing-hcomp1.json", dict(arrow2, hcomp1=[
+            e for e in arrow2["hcomp1"] if e != ["id1", "o:0", "o:0"]])),
+        "noncomposable-hcomp2": put("noncomposable-hcomp2.json", dict(
+            arrow2, hcomp2=[*arrow2["hcomp2"], ["m:0<1", "m:0<1", "m:0<1"]])),
+        "noncomposable-hcomp1": put("noncomposable-hcomp1.json", dict(
+            arrow2, hcomp1=[*arrow2["hcomp1"], ["o:0", "o:0", "o:0"]])),
+        "noncomposable-comp": put("noncomposable-comp.json", dict(
+            cat, composition=[*cat["composition"], ["0<0", "1<1", "0<0"]])),
+        "identity-missing": put("identity-missing.json", dict(cat, identity={"0": "0<0"})),
+        "endpoint-unknown": put("endpoint-unknown.json", dict(cat, morphisms=[
+            *cat["morphisms"], {"name": "z", "src": "0", "tgt": "nowhere"}])),
         "list-marking": put("list-marking.json", {"marked1": [["o:*"]]}),
         "list-faces": put("list-faces.json", {"kind": "PLAIN", "dims": [1], "faces": []}),
         "negative-face": put("negative-face.json", {
@@ -325,6 +355,13 @@ BAD_CALLS = {
     "twocell-endpoints-empty": "nerve @empty-endpoints",
     "vcomp-triple-too-short": "nerve @short-vcomp",
     "document-is-a-list": "nerve @list-doc",
+    "hcomp1-wrong-endpoints": "nerve @wrong-endpoints",
+    "hcomp1-missing-composite": "nerve @missing-hcomp1",
+    "hcomp2-noncomposable-entry": "nerve @noncomposable-hcomp2",
+    "hcomp1-noncomposable-entry": "nerve @noncomposable-hcomp1",
+    "composition-noncomposable-entry": "joyal @pt @noncomposable-comp @f0",
+    "category-identity-missing": "joyal @pt @identity-missing @f0",
+    "category-endpoint-unknown": "joyal @pt @endpoint-unknown @f0",
     "marked-entry-is-a-list": "nerve @pt2 --marking @list-marking",
     "sset-faces-is-a-list": "homology @list-faces",
     "sset-face-with-negative-index": "homology @negative-face",
@@ -352,6 +389,23 @@ def test_bad_input_is_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize("case, witness", [
+    ("hcomp1-wrong-endpoints", "('hcomp1', 'composition', 'h', 'f')"),
+    ("hcomp1-missing-composite", "('hcomp1', 'composition', 'id1', 'o:0')"),
+    ("hcomp2-noncomposable-entry", "('hcomp2', 'composition', 'm:0<1', 'm:0<1')"),
+    ("hcomp1-noncomposable-entry", "('hcomp1', 'composition', 'o:0', 'o:0')"),
+    ("composition-noncomposable-entry", "('composition', '0<0', '1<1')"),
+    ("category-identity-missing", "('identity', '1')"),
+    ("category-endpoint-unknown", "('endpoints', 'z')")])
+def test_bad_table_names_the_failed_law(tmp_path, capsys, case, witness):
+    files = _bad_inputs(tmp_path)
+    argv = [files[a[1:]] if a.startswith("@") else a for a in BAD_CALLS[case].split()]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "laws fail" in err and witness in err
+    assert "missing field" not in err
 
 
 @pytest.mark.parametrize("name, face", [("negative-face", "d_1 = [0, -1, []] of cell 1,0"),

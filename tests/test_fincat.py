@@ -25,6 +25,13 @@ def test_standard_categories_valid():
         assert C.validate() == []
 
 
+def test_noncomposable_table_entry_is_reported():
+    C = walking_arrow()
+    C.comp[("0<0", "1<1")] = "0<0"
+    C.comp[("ghost", "0<0")] = "0<0"
+    assert C.validate() == [("composition", "0<0", "1<1"), ("composition", "ghost", "0<0")]
+
+
 def test_walking_iso_isos():
     C = walking_iso()
     assert C.is_iso("u") and C.is_iso("v") and C.is_iso("id0")
@@ -113,6 +120,7 @@ def test_product_categories():
     P = walking_arrow().product(walking_arrow())
     assert len(P.objects) == 4
     assert P.validate() == []
+    assert P.compose(("1<1", "0<1"), ("0<1", "0<0")) == ("0<1", "0<1")
 
 
 def test_all_functors_counts():

@@ -74,7 +74,31 @@ def test_corrupted_tables_are_reported():
     T = two_bracket(parallel_pair_cat())
     T.hcomp2[("2id1", "m:a")] = "m:b"
     report = T.validate()
-    assert any(v[0] == "left-unit-2" for v in report)
+    assert ("hcomp2", "left-unit", "m:a") in report
+
+
+def _same_endpoint_mutants(T):
+    """Each composition-table entry replaced by another cell with the same
+    endpoints, one at a time."""
+    for table, cells in (("vcomp", T.twocells), ("hcomp1", T.onecells), ("hcomp2", T.twocells)):
+        for pair, res in getattr(T, table).items():
+            for other, ends in cells.items():
+                if other != res and ends == cells[res]:
+                    yield table, pair, other
+
+
+def test_same_endpoint_mutants_are_rejected():
+    """Such a mutant keeps every endpoint law, so only the unit, associativity
+    and interchange laws can catch it."""
+    T = fr(identity_two_functor(two_bracket(walking_arrow()))).twocat
+    assert T.validate() == []
+    mutants = list(_same_endpoint_mutants(T))
+    assert len(mutants) == 30
+    for table, pair, other in mutants:
+        tab = getattr(T, table)
+        res, tab[pair] = tab[pair], other
+        assert T.validate() != [], (table, pair, other)
+        tab[pair] = res
 
 
 def test_unknown_names_are_reported_before_the_laws():
@@ -101,6 +125,14 @@ def test_two_functor_validation():
                    {"id*": walking_arrow().ident["1"]})
     F = two_bracket_functor(p)
     assert F.validate() == []
+
+
+def test_two_functor_must_preserve_horizontal_composites():
+    C, D = two_bracket(parallel_pair_cat()), two_bracket(parallel_pair_cat())
+    D.hcomp2[("2id1", "m:a")] = "m:b"
+    F = TwoFunctor(C, D, {a: a for a in C.objects}, {f: f for f in C.onecells},
+                   {t: t for t in C.twocells})
+    assert F.validate() == [("hcomp2", "composition", "2id1", "m:a")]
 
 
 def test_nerve_of_one_category():
