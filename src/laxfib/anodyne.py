@@ -21,7 +21,6 @@ from .simplicial import (
     delta_map,
     enumerate_maps,
     horn,
-    pushout,
     standard_simplex,
 )
 
@@ -93,6 +92,48 @@ def _quotient(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optiona
         return DecMap(d, c, {nd: leg_c.apply(to_simplex.apply(b))
                              for nd, b in _image_roots(leg_d)})
     return build
+
+
+def pushout(f: DecMap, g: DecMap) -> tuple[KeyedSSet, DecMap, DecMap]:
+    """Pushout of the span B <-f- A -g-> C with f a monomorphism.
+
+    Returns (P, leg_B, leg_C).  P is keyed on ``("c", cell of C)`` and ``("b", cell
+    of B outside f's image)``, numbered per dimension: C's cells, then B's.  A cell
+    f(a) of B is the key ``("c", g(a))``.  Decorations are unions of images.
+    """
+    if f.src is not g.src:
+        raise ValueError("span legs must share a source")
+    if not f.is_mono():
+        raise ValueError("unsupported pushout: first leg is not a monomorphism")
+    B, C = f.dst, g.dst
+    sides = {"b": B, "c": C}
+    preimage = {img.nd: a for a, img in f.assign.items()}
+
+    def push(b: Cell) -> tuple:
+        a = preimage.get(b.nd)
+        return ("b", b) if a is None else ("c", g.apply(Cell(*a, b.word)))
+
+    def face(key: tuple, i: int) -> tuple:
+        side, x = key
+        y = sides[side].face(x, i)
+        return push(y) if side == "b" else ("c", y)
+
+    levels = [[("c", c) for c in C.nondeg(n)] + [("b", b) for b in B.nondeg(n)
+                                                  if b.nd not in preimage]
+              for n in range(max(B.top_dim, C.top_dim) + 1)]
+    kind = B.kind if B.kind != "PLAIN" else C.kind
+    P = KeyedSSet(kind, levels, face, lambda key, j: (key[0], sides[key[0]].deg(key[1], j)),
+                  lambda key: key[1].total_dim)
+    to_b = {b.nd: P.cell_of(push(b)) for b in B.all_nondeg()}
+    to_c = {c.nd: P.index[("c", c)] for c in C.all_nondeg()}
+
+    def pushed(name: str) -> set:
+        images = [to_b[nd] for nd in getattr(B, name)] + [to_c[nd] for nd in getattr(C, name)]
+        return {img.nd for img in images if not img.word}
+
+    P = P.with_decorations(marked=pushed("marked"), thin=pushed("thin"),
+                           lean=pushed("lean" if kind == "MB" else "thin"))
+    return P, DecMap(B, P, to_b), DecMap(C, P, to_c)
 
 
 def _collapse01(kind: str, n: int, deco: dict, horn_index: Optional[int] = None):

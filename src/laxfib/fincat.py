@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .simplicial import Cell, DecoratedSSet, insert_degeneracy
+
+
+def json_list(x, field: str, length: Optional[int] = None) -> list:
+    """x if it is a JSON list, of ``length`` entries when given: a string is not
+    read as the list of its characters."""
+    if not isinstance(x, list) or length not in (None, len(x)):
+        raise TypeError(f"{field} must be a list{'' if length is None else f' of {length}'}, "
+                        f"not {x!r}")
+    return x
 
 
 class FinCat:
@@ -178,7 +187,7 @@ class FinCat:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "FinCat":
-        objects = doc["objects"]
+        objects = json_list(doc["objects"], "objects")
         morphisms = [m["name"] for m in doc["morphisms"]]
         src = {m["name"]: m["src"] for m in doc["morphisms"]}
         tgt = {m["name"]: m["tgt"] for m in doc["morphisms"]}

@@ -150,7 +150,7 @@ class FreeFibration:
                 return ND.is_identity_triangle(cand)
             return True
 
-        return enumerate_maps(P, ND, constraint=hook, respect_decorations=False)
+        return enumerate_maps(P, ND, constraint=hook)
 
     def _rhos_for(self, phi: DecMap, n: int) -> list[DecMap]:
         NC, fN = self.nc, self.fN
@@ -159,7 +159,7 @@ class FreeFibration:
         def hook(cell: Cell, cand: Cell) -> bool:
             return fN.apply(cand) == phi.apply(inc1.assign[cell.nd])
 
-        return enumerate_maps(delta(n), NC, constraint=hook, respect_decorations=False)
+        return enumerate_maps(delta(n), NC, constraint=hook)
 
     def _build_total(self) -> KeyedSSet:
         # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho

@@ -1,4 +1,4 @@
-"""Gray tensor products, the decorated interval product, and extensions.
+"""Cartesian and Gray tensor products, the decorated interval product, and extensions.
 
 The Gray product of scaled simplicial sets has underlying set X x Y with an
 asymmetric scaling: a 2-simplex (s_X, s_Y) is thin iff both components are
@@ -13,11 +13,9 @@ from .simplicial import (
     Cell,
     DecMap,
     DecoratedSSet,
+    DimensionCapError,
     KeyedSSet,
-    ProductSSet,
     delta_map,
-    product,
-    product_map,
     standard_simplex,
     vertex_cell,
 )
@@ -25,10 +23,56 @@ from .simplicial import (
 CAP = 4
 
 
+class ProductSSet(KeyedSSet):
+    """Cartesian product of A and B up to dimension ``top``, undecorated and
+    keyed on pairs of same-dimension cells: the nondegenerate n-cells are the
+    jointly nondegenerate pairs (x, y) of n-cells.  By Eilenberg-Zilber, a pair is
+    degenerate exactly when the normal-form words of x and y share an index."""
+
+    def __init__(self, A: DecoratedSSet, B: DecoratedSSet, top: int):
+        levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
+        super().__init__("PLAIN", levels,
+                         lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
+                         lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)), _pair_dim,
+                         is_degenerate=lambda p: not set(p[0].word).isdisjoint(p[1].word),
+                         truncated_at=top if A.top_dim + B.top_dim > top else None)
+        self.factor_a = A
+        self.factor_b = B
+
+    def proj_a(self) -> DecMap:
+        return DecMap(self, self.factor_a, {nd: x for nd, (x, _) in self.labels.items()})
+
+    def proj_b(self) -> DecMap:
+        return DecMap(self, self.factor_b, {nd: y for nd, (_, y) in self.labels.items()})
+
+
+def _pair_dim(pair: tuple[Cell, Cell]) -> int:
+    x, y = pair
+    if x.total_dim != y.total_dim:
+        raise ValueError("pair components must have equal dimension")
+    return x.total_dim
+
+
+def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = CAP,
+            truncate: bool = False) -> ProductSSet:
+    """Cartesian product of the underlying simplicial sets, truncated at ``cap``
+    with ``truncate``; the Gray products below decorate it."""
+    full_dim = A.top_dim + B.top_dim
+    if full_dim > cap and not truncate:
+        raise DimensionCapError(
+            f"product dimension {full_dim} exceeds cap {cap}; pass truncate=True")
+    return ProductSSet(A, B, min(full_dim, cap))
+
+
+def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:
+    """The induced map f x g : P -> Q between product objects."""
+    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.labels.items()})
+
+
 def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
          truncate: bool = False) -> ProductSSet:
     """Gray product of two scaled simplicial sets."""
-    P = product(X, Y, cap=cap, truncate=truncate, kind="PLAIN")
+    P = product(X, Y, cap=cap, truncate=truncate)
     thin = set()
     provenance = {}
     for cell in P.nondeg(2):
@@ -61,7 +105,7 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     if X.kind != "MB":
         raise ValueError("decorated interval product expects a two-scaling object")
     I = interval()
-    P = product(I, X, cap=cap, truncate=truncate, kind="PLAIN")
+    P = product(I, X, cap=cap, truncate=truncate)
     marked = set()
     thin = set()
     for cell in P.nondeg(1):

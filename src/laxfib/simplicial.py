@@ -332,6 +332,12 @@ class DecoratedSSet:
             x = getattr(self, field)
             if x is not None and not _indices(x):
                 raise ValueError(f"{field} {x!r} is not a non-negative integer")
+        cells = {c.nd for c in self.all_nondeg()}
+        for field, named, what in (("faces", {nd for nd in cells if nd[0]}, "cell with faces"),
+                                   ("labels", cells, "nondegenerate cell")):
+            stray = [nd for nd in getattr(self, field) if nd not in named]
+            if stray:
+                raise ValueError(f"{field} key {','.join(map(str, stray[0]))} names no {what}")
         for d in range(1, self.top_dim + 1):
             for cell in self.nondeg(d):
                 fs = self.faces.get(cell.nd)
@@ -668,7 +674,6 @@ def enumerate_maps(
     *,
     partial: Optional[dict[tuple[int, int], Cell]] = None,
     constraint: Optional[Callable[[Cell, Cell], bool]] = None,
-    respect_decorations: bool = True,
     first_only: bool = False,
 ) -> list[DecMap]:
     """All decoration-preserving simplicial maps A -> B.
@@ -695,10 +700,9 @@ def enumerate_maps(
         cands = B.all_cells(0) if gather is None else B.by_faces(cell[0]).get(gather(assign), ())
         if nd in partial:
             cands = [c for c in cands if c == partial[nd]]
-        if respect_decorations:
-            for name in decorations:
-                group = getattr(B, name)
-                cands = [c for c in cands if c[2] or c[:2] in group]
+        for name in decorations:
+            group = getattr(B, name)
+            cands = [c for c in cands if c[2] or c[:2] in group]
         if constraint is not None:
             cands = [c for c in cands if constraint(cell, c)]
         for cand in cands:
@@ -714,122 +718,6 @@ def enumerate_maps(
         lex = itemgetter(*(c.nd for c in A.all_nondeg()))
         out.sort(key=lambda m: lex(m.assign))
     return out
-
-
-# ---------------------------------------------------------------------------
-# colimits and products
-# ---------------------------------------------------------------------------
-
-
-def pushout(f: DecMap, g: DecMap) -> tuple[DecoratedSSet, DecMap, DecMap]:
-    """Pushout of the span B <-f- A -g-> C with f a monomorphism.
-
-    Returns (P, leg_B, leg_C).  P numbers its cells per dimension: C's cells,
-    then B's cells outside f's image.  Decorations are unions of images.
-    """
-    if f.src is not g.src:
-        raise ValueError("span legs must share a source")
-    if not f.is_mono():
-        raise ValueError("unsupported pushout: first leg is not a monomorphism")
-    A, B, C = f.src, f.dst, g.dst
-    n_cells: list[int] = []
-    faces: dict = {}
-    cmap: dict[tuple[int, int], Cell] = {}
-    bmap: dict[tuple[int, int], Cell] = {}
-    image_of_f = {f.assign[a.nd]: a for a in A.all_nondeg()}
-
-    def push_b(cell: Cell) -> Cell:
-        """Image in P of an arbitrary cell of B."""
-        a = image_of_f.get(Cell(*cell.nd))
-        root = bmap[cell.nd] if a is None else cmap_apply(g.assign[a.nd])
-        return DecoratedSSet._apply_word(root, cell.word)
-
-    def cmap_apply(cell: Cell) -> Cell:
-        return DecoratedSSet._apply_word(cmap[cell.nd], cell.word)
-
-    def add(fs: tuple) -> Cell:
-        """The next cell of P's current dimension, with faces ``fs``."""
-        cell = Cell(len(n_cells) - 1, n_cells[-1])
-        n_cells[-1] += 1
-        if fs:
-            faces[cell.nd] = fs
-        return cell
-
-    for dim in range(max([C.top_dim, B.top_dim, 0]) + 1):
-        n_cells.append(0)
-        for cell in C.nondeg(dim):
-            cmap[cell.nd] = add(tuple(map(cmap_apply, C.faces.get(cell.nd, ()))))
-        for cell in B.nondeg(dim):
-            if cell not in image_of_f:
-                bmap[cell.nd] = add(tuple(map(push_b, B.faces.get(cell.nd, ()))))
-
-    def pushed(group_b, group_c) -> set:
-        images = [push_b(Cell(*nd)) for nd in group_b] + [cmap_apply(Cell(*nd)) for nd in group_c]
-        return {img.nd for img in images if not img.word}
-
-    kind = B.kind if B.kind != "PLAIN" else C.kind
-    P = DecoratedSSet(kind, n_cells, faces, pushed(B.marked, C.marked), pushed(B.thin, C.thin),
-                      pushed(B.lean, C.lean) if kind == "MB" else pushed(B.thin, C.thin))
-    leg_b = DecMap(B, P, {c.nd: push_b(c) for c in B.all_nondeg()})
-    leg_c = DecMap(C, P, {c.nd: cmap_apply(c) for c in C.all_nondeg()})
-    return P, leg_b, leg_c
-
-
-class ProductSSet(KeyedSSet):
-    """Cartesian product of A and B up to dimension ``top``, undecorated and
-    keyed on pairs of same-dimension cells: the nondegenerate n-cells are the
-    jointly nondegenerate pairs (x, y) of n-cells.  By Eilenberg-Zilber, a pair is
-    degenerate exactly when the normal-form words of x and y share an index."""
-
-    def __init__(self, A: DecoratedSSet, B: DecoratedSSet, top: int):
-        levels = [[(x, y) for x in A.all_cells(n) for y in B.all_cells(n)] for n in range(top + 1)]
-        super().__init__("PLAIN", levels,
-                         lambda p, i: (A.face(p[0], i), B.face(p[1], i)),
-                         lambda p, j: (A.deg(p[0], j), B.deg(p[1], j)), _pair_dim,
-                         is_degenerate=lambda p: not set(p[0].word).isdisjoint(p[1].word),
-                         truncated_at=top if A.top_dim + B.top_dim > top else None)
-        self.factor_a = A
-        self.factor_b = B
-
-    def proj_a(self) -> DecMap:
-        return DecMap(self, self.factor_a, {nd: x for nd, (x, _) in self.labels.items()})
-
-    def proj_b(self) -> DecMap:
-        return DecMap(self, self.factor_b, {nd: y for nd, (_, y) in self.labels.items()})
-
-
-def _pair_dim(pair: tuple[Cell, Cell]) -> int:
-    x, y = pair
-    if x.total_dim != y.total_dim:
-        raise ValueError("pair components must have equal dimension")
-    return x.total_dim
-
-
-def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = 4,
-            truncate: bool = False, kind: Optional[str] = None) -> ProductSSet:
-    """Cartesian product; decorations are taken pairwise."""
-    full_dim = A.top_dim + B.top_dim
-    if full_dim > cap and not truncate:
-        raise DimensionCapError(
-            f"product dimension {full_dim} exceeds cap {cap}; pass truncate=True")
-    P = ProductSSet(A, B, min(full_dim, cap))
-    if kind is None:
-        kind = A.kind if A.kind == B.kind else "PLAIN"
-    if kind == "PLAIN":
-        return P
-
-    def pairwise(dim: int, test: Callable) -> set:
-        return {nd for nd, (x, y) in P.labels.items() if nd[0] == dim and test(A, x) and test(B, y)}
-
-    marked = set() if kind == "SC" else pairwise(1, DecoratedSSet.is_marked)
-    thin = pairwise(2, DecoratedSSet.is_thin)
-    lean = pairwise(2, DecoratedSSet.is_lean) if kind == "MB" else thin
-    return P.with_decorations(kind, marked, thin, lean)
-
-
-def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:
-    """The induced map f x g : P -> Q between product objects."""
-    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.labels.items()})
 
 
 def delta_map(X: DecoratedSSet, Y: DecoratedSSet, vertex_images: dict[int, int]) -> DecMap:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .fincat import CatFunctor, FinCat
+from .fincat import CatFunctor, FinCat, json_list
 from .simplicial import Cell, DecMap, KeyedSSet, add_coskeletal_top, extend_map
 
 
@@ -191,10 +191,10 @@ class StrictTwoCat:
     @staticmethod
     def from_json_dict(doc: dict) -> "StrictTwoCat":
         return StrictTwoCat(
-            doc["objects"],
-            {f: tuple(st) for f, st in doc["onecells"].items()},
+            json_list(doc["objects"], "objects"),
+            {f: tuple(json_list(st, f"onecells {f!r}", 2)) for f, st in doc["onecells"].items()},
             doc["id1"],
-            {t: tuple(st) for t, st in doc["twocells"].items()},
+            {t: tuple(json_list(st, f"twocells {t!r}", 2)) for t, st in doc["twocells"].items()},
             doc["id2"],
             {(b, a): c for b, a, c in doc["vcomp"]},
             {(g, f): h for g, f, h in doc["hcomp1"]},

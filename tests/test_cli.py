@@ -274,6 +274,7 @@ def _bad_inputs(tmp_path) -> dict:
     twocat = json.loads(Path(data_path("twocat-2bracket-point.json")).read_text())
     arrow2 = json.loads(Path(data_path("twocat-2bracket-walking-arrow.json")).read_text())
     cat = json.loads(Path(data_path("category-walking-arrow.json")).read_text())
+    edge = {"kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1, []], [0, 0, []]]}}
     return {
         "pt": data_path("category-point.json"),
         "arrow": data_path("category-walking-arrow.json"),
@@ -329,6 +330,14 @@ def _bad_inputs(tmp_path) -> dict:
            for field, values in (("coskeletal", {"str": "x", "negative": -2}),
                                  ("truncated_at", {"negative": -1, "str": "x", "bool": True}))
            for name, value in values.items()},
+        **{f"faces-key-{key}": put(f"faces-key-{key}.json", dict(
+            edge, faces={**edge["faces"], key: edge["faces"]["1,0"]})) for key in ("1,7", "-3,0")},
+        **{f"labels-key-{key}": put(f"labels-key-{key}.json", dict(edge, labels={key: "x"}))
+           for key in ("0,-1", "5,5")},
+        "objects-string": put("objects-string.json", dict(twocat, objects="01")),
+        "endpoints-string": put("endpoints-string.json", dict(
+            twocat, onecells={**twocat["onecells"], "id0": "00"})),
+        "cat-objects-string": put("cat-objects-string.json", dict(cat, objects="01")),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -376,6 +385,13 @@ BAD_CALLS = {
     "sset-truncated-at-negative": "homology @truncated_at-negative",
     "sset-truncated-at-is-a-string": "homology @truncated_at-str",
     "sset-truncated-at-is-a-bool": "homology @truncated_at-bool",
+    "sset-faces-key-names-no-cell": "homology @faces-key-1,7",
+    "sset-faces-key-negative": "homology @faces-key--3,0",
+    "sset-labels-key-negative": "homology @labels-key-0,-1",
+    "sset-labels-key-names-no-cell": "homology @labels-key-5,5",
+    "twocat-objects-is-a-string": "nerve @objects-string",
+    "onecell-endpoints-is-a-string": "nerve @endpoints-string",
+    "category-objects-is-a-string": "joyal @pt @cat-objects-string @f0",
 }
 
 

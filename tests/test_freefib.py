@@ -23,8 +23,8 @@ from laxfib.freefib import (
     sharp_base,
     three_coskeletal_violations,
 )
-from laxfib.gray import delta, gray
-from laxfib.simplicial import Cell, DecoratedSSet, ProductSSet, standard_simplex
+from laxfib.gray import ProductSSet, delta, gray
+from laxfib.simplicial import Cell, DecoratedSSet, standard_simplex
 from laxfib.twocat import (
     Marking2Cat,
     ScaledNerve,

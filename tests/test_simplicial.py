@@ -6,7 +6,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from laxfib.simplicial import (
@@ -26,14 +26,12 @@ from laxfib.simplicial import (
     face_through_word,
     horn,
     insert_degeneracy,
-    product,
-    product_map,
-    pushout,
     standard_simplex,
     vertex_cell,
 )
+from laxfib.anodyne import pushout
 from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
-from laxfib.gray import prism
+from laxfib.gray import prism, product, product_map
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
@@ -263,6 +261,43 @@ def test_pushout_collapse_edge():
     assert img.is_degenerate()
 
 
+def _pushout_monos() -> list[DecMap]:
+    """Small monomorphisms A -> B of PLAIN objects, the first legs of the spans below."""
+    pt, edge, tri = (standard_simplex(n, kind="PLAIN") for n in range(3))
+    return [DecMap(empty_sset(), edge, {}),
+            delta_map(pt, edge, {0: 1}),
+            delta_map(boundary_simplex(1), edge, {0: 0, 1: 1}),
+            delta_map(edge, tri, {0: 0, 1: 2}),
+            delta_map(horn(2, 1, kind="PLAIN"), tri, {0: 0, 1: 1, 2: 2}),
+            delta_map(boundary_simplex(2), tri, {0: 0, 1: 1, 2: 2})]
+
+
+SPAN_TARGETS = [standard_simplex(n, kind="PLAIN") for n in range(3)] + [boundary_simplex(2)]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 5), st.integers(0, len(SPAN_TARGETS) - 1), st.integers(0, 10**6))
+def test_pushout_universal_property(which, target, pick):
+    """On a span B <-f- A -g-> C with f a mono, the square commutes, and each cocone
+    (u, v) into a small Z, found by the map search, factors through exactly one
+    map h out of the pushout: h o leg_b == u and h o leg_c == v."""
+    f = _pushout_monos()[which]
+    C = SPAN_TARGETS[target]
+    maps_to_c = enumerate_maps(f.src, C)
+    g = maps_to_c[pick % len(maps_to_c)]
+    P, leg_b, leg_c = pushout(f, g)
+    P.validate()
+    assert leg_b.validate().compose(f) == leg_c.validate().compose(g)
+    for Z in SPAN_TARGETS[1:]:
+        outs = enumerate_maps(P, Z)
+        cocones = [(u, v) for u in enumerate_maps(f.dst, Z) for v in enumerate_maps(C, Z)
+                   if u.compose(f) == v.compose(g)]
+        assert cocones
+        for u, v in cocones:
+            assert sum(h.compose(leg_b) == u and h.compose(leg_c) == v for h in outs) == 1
+
+
 # -- products ----------------------------------------------------------------
 
 
@@ -309,17 +344,6 @@ def test_product_cap():
     P = product(standard_simplex(2, kind="PLAIN"), standard_simplex(3, kind="PLAIN"),
                 truncate=True)
     assert P.top_dim == 4 and P.truncated_at == 4
-
-
-def test_product_decorations_pairwise():
-    A = standard_simplex(1, kind="MS", marked="sharp")
-    B = standard_simplex(1, kind="MS", marked="flat")
-    P = product(A, B)
-    # vertical edges (degenerate in B direction) are never marked unless both are
-    marked_edges = [nd for nd in (c.nd for c in P.nondeg(1)) if nd in P.marked]
-    for nd in marked_edges:
-        x, y = P.labels[nd]
-        assert A.is_marked(x) and B.is_marked(y)
 
 
 def test_product_map_and_projections():
