@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from .fincat import walking_iso
 from .simplicial import (
+    CAP,
     Cell,
     DecMap,
     DecoratedSSet,
@@ -23,8 +24,6 @@ from .simplicial import (
     horn,
     standard_simplex,
 )
-
-N_MAX_DEFAULT = 4
 
 
 @dataclass
@@ -209,11 +208,11 @@ _DERIVED = {"UI": "derived scaling lemma"}
 _KAN_TAGS = {"MB": "E", "MS": "MSE"}
 
 
-def generators(family: str, n_max: int = N_MAX_DEFAULT) -> list[GeneratorInstance]:
+def generators(family: str, n_max: int = CAP) -> list[GeneratorInstance]:
     """The generating inclusions of the two-scaling (MB) or single-scaling (MS)
     theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3."""
-    if n_max > N_MAX_DEFAULT:
-        raise ValueError(f"n_max={n_max} exceeds the dimension cap {N_MAX_DEFAULT}")
+    if n_max > CAP:
+        raise ValueError(f"n_max={n_max} exceeds the dimension cap {CAP}")
     if n_max < 2:
         raise ValueError(f"n_max={n_max} is below 2, the size of the smallest horn")
     if family not in _KAN_TAGS:
@@ -237,7 +236,7 @@ def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
     """Finite stand-ins for 'every Kan complex': a point and the walking
     isomorphism, truncated at the cap."""
     pt = standard_simplex(0, kind="MB", thin="sharp", lean="sharp")
-    J = walking_iso().nerve(max_dim=N_MAX_DEFAULT, kind="PLAIN")
+    J = walking_iso().nerve(max_dim=CAP, kind="PLAIN")
     tris = [c.nd for c in J.nondeg(2)]
     return [("point", pt), ("walking-iso", J.with_decorations("MB", thin=tris, lean=tris))]
 
@@ -312,7 +311,7 @@ class Counterexample:
         }
 
 
-def certify_fibration(p: DecMap, family: str = "MB", n_max: int = N_MAX_DEFAULT,
+def certify_fibration(p: DecMap, family: str = "MB", n_max: int = CAP,
                       tags: Optional[Iterable[str]] = None):
     """Enumerate every lifting problem against the catalog and solve each.
 

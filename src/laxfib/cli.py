@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import anodyne, cofinality, fixtures, freefib, gray, homotopy, laxlim
 from .fincat import CatFunctor, FinCat
-from .simplicial import DecoratedSSet, DimensionCapError
+from .simplicial import CAP, Cell, DecoratedSSet, DimensionCapError
 from .twocat import Marking2Cat, StrictTwoCat, TwoFunctor, scaled_nerve
 
 EXIT_OK = 0
@@ -35,75 +36,165 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+# The shape of every input document.  str is a name, int a count (an integer,
+# not negative, not a bool) and any str value stands for itself; [s] is a list
+# of s, (s, ...) a list of exactly those shapes, {str: s} a map from names to s
+# and any other dict an object of those fields, where a field ending in "?" is
+# optional and null counts as absent.
+SCHEMAS = {
+    "category": {
+        "schema": "laxfib/category-v1", "objects": [str],
+        "morphisms": [{"name": str, "src": str, "tgt": str}], "identity": {str: str},
+        "composition": [(str, str, str)]},
+    "2-category": {
+        "schema": "laxfib/twocat-v1", "objects": [str], "onecells": {str: (str, str)},
+        "id1": {str: str}, "twocells": {str: (str, str)}, "id2": {str: str},
+        "vcomp": [(str, str, str)], "hcomp1": [(str, str, str)], "hcomp2": [(str, str, str)]},
+    "cat-functor": {"schema": "laxfib/cat-functor-v1", "objects?": {str: str},
+                    "morphisms?": {str: str}},
+    "two-functor": {"schema": "laxfib/two-functor-v1", "objects?": {str: str},
+                    "onecells?": {str: str}, "twocells?": {str: str}},
+    "simplicial set": {
+        "kind": str, "dims": [int], "faces?": {str: [(int, int, [int])]},
+        "marked?": [(int, int)], "thin?": [(int, int)], "lean?": [(int, int)],
+        "labels?": {str: str}, "coskeletal?": int, "truncated_at?": int},
+    "marking": {"marked1?": [str]},
+}
+WHAT = {str: "a name", int: "a non-negative integer", list: "a list", dict: "an object"}
+
+
+def check(x, shape, at: str = ""):
+    """x read as shape: an object keeps only the fields of its shape and a
+    fixed-length list becomes a tuple.  An InputError names the path of the
+    first part of x that does not fit."""
+    if type(shape) is dict and isinstance(x, dict):
+        if str in shape:
+            return {k: check(v, shape[str], f"{at}/{k}") for k, v in x.items()}
+        out = {}
+        for field, s in shape.items():
+            name = field.rstrip("?")
+            if name not in x and name == field:
+                raise InputError(f"{at}/{name}: missing field")
+            if x.get(name) is not None or name == field:
+                out[name] = check(x[name], s, f"{at}/{name}")
+        return out
+    if type(shape) is list and isinstance(x, list):
+        return [check(v, shape[0], f"{at}/{i}") for i, v in enumerate(x)]
+    if type(shape) is tuple and isinstance(x, list) and len(x) == len(shape):
+        return tuple(check(v, s, f"{at}/{i}") for i, (v, s) in enumerate(zip(x, shape)))
+    if (shape is str and isinstance(x, str) or shape is int and type(x) is int and x >= 0
+            or isinstance(shape, str) and x == shape):
+        return x
+    what = (json.dumps(shape) if isinstance(shape, str) else f"a list of {len(shape)}"
+            if type(shape) is tuple else WHAT[shape if shape in (str, int) else type(shape)])
+    raise InputError(f"{at or '/'}: expected {what}, got {json.dumps(x)[:60]}")
+
+
+def _once(keys: list, at: str) -> list:
+    """keys, when none is listed twice."""
+    first: dict = {}
+    for i, k in enumerate(keys):
+        if first.setdefault(k, i) != i:
+            raise InputError(f"{at}/{i}: {k!r} is listed twice")
+    return keys
+
+
+def _table(doc: dict, field: str) -> dict:
+    """A composition table from its [outer, inner, result] triples."""
+    pairs = _once([(g, f) for g, f, _ in doc[field]], f"/{field}")
+    return {p: h for p, (_, _, h) in zip(pairs, doc[field])}
+
+
+def build_category(doc: dict) -> FinCat:
+    doc = check(doc, SCHEMAS["category"])
+    mors = doc["morphisms"]
+    return FinCat(_once(doc["objects"], "/objects"), _once([m["name"] for m in mors], "/morphisms"),
+                  {m["name"]: m["src"] for m in mors}, {m["name"]: m["tgt"] for m in mors},
+                  _table(doc, "composition"), doc["identity"])
+
+
+def build_two_cat(doc: dict) -> StrictTwoCat:
+    doc = check(doc, SCHEMAS["2-category"])
+    return StrictTwoCat(_once(doc["objects"], "/objects"), doc["onecells"], doc["id1"],
+                        doc["twocells"], doc["id2"],
+                        *(_table(doc, t) for t in ("vcomp", "hcomp1", "hcomp2")))
+
+
+def build_cat_functor(doc: dict, src: FinCat, dst: FinCat) -> CatFunctor:
+    doc = check(doc, SCHEMAS["cat-functor"])
+    return CatFunctor(src, dst, doc.get("objects", {}), doc.get("morphisms", {}))
+
+
+def build_two_functor(doc: dict, src: StrictTwoCat, dst: StrictTwoCat) -> TwoFunctor:
+    doc = check(doc, SCHEMAS["two-functor"])
+    return TwoFunctor(src, dst, *(doc.get(f, {}) for f in ("objects", "onecells", "twocells")))
+
+
+def _cell_keyed(doc: dict, field: str) -> dict:
+    """A map field with its "dim,index" keys read as (dim, index)."""
+    out = {}
+    for key, v in doc.get(field, {}).items():
+        d, _, k = key.partition(",")
+        if not (d.isdecimal() and k.isdecimal()):
+            raise InputError(f"/{field}/{key}: expected a key \"dim,index\"")
+        out[int(d), int(k)] = v
+    return out
+
+
+def build_sset(doc: dict) -> DecoratedSSet:
+    """The simplicial set of a document; the constructor raises ValueError on a
+    decoration it refuses, and validate() on a face or law that fails."""
+    doc = check(doc, SCHEMAS["simplicial set"])
+    faces = {nd: tuple(Cell(d, k, tuple(w)) for d, k, w in fs)
+             for nd, fs in _cell_keyed(doc, "faces").items()}
+    return DecoratedSSet(doc["kind"], doc["dims"], faces,
+                         *(doc.get(f, ()) for f in ("marked", "thin", "lean")),
+                         labels=_cell_keyed(doc, "labels"), coskeletal=doc.get("coskeletal"),
+                         truncated_at=doc.get("truncated_at"))
+
+
+def build_marking(doc: dict, C: StrictTwoCat) -> Marking2Cat:
+    marked = check(doc, SCHEMAS["marking"]).get("marked1", [])
+    unknown = [m for m in marked if m not in C.onecells]
+    if unknown:
+        raise InputError(f"marked 1-cells not in the 2-category: {unknown}")
+    return Marking2Cat(C, frozenset(marked))
+
+
+def _parse(path: str, *args, build, laws=None):
+    """What build makes of the JSON document at path and args, with its laws
+    checked when laws names them; an input error names the file."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _parse(path: str, schema: str, build, what: str):
-    """Load a document, check its schema, build it and validate its laws."""
-    doc = _load_json(path)
-    if doc.get("schema") != schema:
-        raise InputError(f"{path}: expected schema {schema}")
     try:
-        obj = build(doc)
-        bad = obj.validate()
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}")
-    except (AttributeError, TypeError, ValueError) as e:
-        # wrong JSON shapes: a list where a name belongs, a short triple, ...
-        raise InputError(f"{path}: malformed {what}: {e}")
+        obj = build(doc, *args)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
+    bad = laws and obj.validate()
     if bad:
-        raise InputError(f"{path}: {what} laws fail, first witness: {bad[0]}")
+        raise InputError(f"{path}: {laws} laws fail, first witness: {bad[0]}")
     return obj
 
 
-def parse_two_cat(path: str) -> StrictTwoCat:
-    return _parse(path, "laxfib/twocat-v1", StrictTwoCat.from_json_dict, "2-category")
-
-
-def parse_category(path: str) -> FinCat:
-    return _parse(path, "laxfib/category-v1", FinCat.from_json_dict, "category")
-
-
-def parse_two_functor(path: str, src: StrictTwoCat, dst: StrictTwoCat) -> TwoFunctor:
-    return _parse(path, "laxfib/two-functor-v1", lambda doc: TwoFunctor(
-        src, dst, doc.get("objects", {}), doc.get("onecells", {}), doc.get("twocells", {})),
-        "functor")
-
-
-def parse_cat_functor(path: str, src: FinCat, dst: FinCat) -> CatFunctor:
-    return _parse(path, "laxfib/cat-functor-v1", lambda doc: CatFunctor(
-        src, dst, doc.get("objects", {}), doc.get("morphisms", {})), "functor")
+parse_two_cat = partial(_parse, build=build_two_cat, laws="2-category")
+parse_category = partial(_parse, build=build_category, laws="category")
+parse_two_functor = partial(_parse, build=build_two_functor, laws="functor")
+parse_cat_functor = partial(_parse, build=build_cat_functor, laws="functor")
 
 
 def parse_sset(path: str) -> DecoratedSSet:
-    doc = _load_json(path)
     try:
-        X = DecoratedSSet.from_json_dict(doc)
-        X.validate()
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        return _parse(path, build=build_sset).validate()
+    except ValueError as e:
         raise InputError(f"{path}: bad simplicial set: {e}")
-    return X
 
 
 def parse_marking(path, C: StrictTwoCat) -> Marking2Cat:
-    if path is None:
-        return Marking2Cat(C)
-    marked = _load_json(path).get("marked1", [])
-    if not isinstance(marked, list) or not all(isinstance(m, str) for m in marked):
-        raise InputError(f"{path}: marked1 must be a list of 1-cell names")
-    unknown = [m for m in marked if m not in C.onecells]
-    if unknown:
-        raise InputError(f"{path}: marked 1-cells not in the 2-category: {unknown}")
-    return Marking2Cat(C, frozenset(marked))
+    return Marking2Cat(C) if path is None else _parse(path, C, build=build_marking)
 
 
 def _emit(report: dict, args) -> None:
@@ -121,13 +212,13 @@ def _config(args) -> dict:
         "tietze_steps": args.tietze_budget,
         "max_degree": cap,
     }
-    n_max = getattr(args, "n_max", anodyne.N_MAX_DEFAULT)
+    n_max = getattr(args, "n_max", CAP)
     if cap < 3:
         raise InputError("cap must be at least 3")
     if n_max < 2:
         raise InputError("n-max must be at least 2")
-    if cap > anodyne.N_MAX_DEFAULT or n_max > anodyne.N_MAX_DEFAULT:
-        raise InputError(f"cap and n-max must be at most {anodyne.N_MAX_DEFAULT}")
+    if cap > CAP or n_max > CAP:
+        raise InputError(f"cap and n-max must be at most {CAP}")
     if any(v < 0 for v in budgets.values()):
         raise InputError("budgets must not be negative")
     return {"cap": cap, "budgets": budgets, "n_max": n_max}
@@ -361,7 +452,7 @@ def cmd_corpus(args) -> int:
 def _common(sub, func):
     """The options every subcommand takes, and its handler."""
     sub.add_argument("--output", "-o", help="write the JSON report here")
-    sub.add_argument("--cap", type=int, default=4, help="dimension cap")
+    sub.add_argument("--cap", type=int, default=CAP, help="dimension cap")
     sub.add_argument("--collapse-budget", type=int,
                      default=homotopy.DEFAULT_BUDGETS["collapse_states"])
     sub.add_argument("--tietze-budget", type=int, default=homotopy.DEFAULT_BUDGETS["tietze_steps"])
@@ -412,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _functor_parser(sp, "check-fibration", "certify the lifting property")
     p.add_argument("--family", choices=["MB", "MS"], default="MB")
-    p.add_argument("--n-max", type=int, default=anodyne.N_MAX_DEFAULT)
+    p.add_argument("--n-max", type=int, default=CAP)
     _common(p, cmd_check_fibration)
 
     p = _functor_parser(sp, "check-cofinal", "the cofinality criterion", mode=False)
@@ -448,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("corpus", help="run the bundled verification corpus")
     p.add_argument("--seed", type=int, default=fixtures.CORPUS_SEED)
-    p.add_argument("--n-max", type=int, default=anodyne.N_MAX_DEFAULT)
+    p.add_argument("--n-max", type=int, default=CAP)
     _common(p, cmd_corpus)
 
     return ap

@@ -168,7 +168,7 @@ def joyal_cofinal(p: CatFunctor, budgets: Optional[dict] = None) -> Verdict:
     values = []
     for d in p.dst.objects:
         comma = comma_under(p, d)
-        v = weakly_contractible(comma.nerve(max_dim=4), budgets)
+        v = weakly_contractible(comma.nerve(), budgets)
         per_object[d] = v
         values.append(v.value)
     value = _aggregate(values) if values else "yes"
@@ -213,8 +213,8 @@ def theorem_a_localizations(f: TwoFunctor, budgets: Optional[dict] = None) -> di
     if report.verdict != "yes":
         out["status"] = "hypothesis not established; consequence not asserted"
         return out
-    HC = homology(scaled_nerve(C, sharpC), 4)
-    HD = homology(scaled_nerve(D, sharpD), 4)
+    HC = homology(scaled_nerve(C, sharpC))
+    HD = homology(scaled_nerve(D, sharpD))
     hi = min(HC.sound_up_to, HD.sound_up_to)
     match = all(HC.group(k) == HD.group(k) for k in range(hi + 1))
     out["status"] = "hypothesis established"

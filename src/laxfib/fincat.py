@@ -4,18 +4,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .simplicial import Cell, DecoratedSSet, insert_degeneracy
-
-
-def json_list(x, field: str, length: Optional[int] = None) -> list:
-    """x if it is a JSON list, of ``length`` entries when given: a string is not
-    read as the list of its characters."""
-    if not isinstance(x, list) or length not in (None, len(x)):
-        raise TypeError(f"{field} must be a list{'' if length is None else f' of {length}'}, "
-                        f"not {x!r}")
-    return x
+from .simplicial import CAP, Cell, DecoratedSSet, insert_degeneracy
 
 
 class FinCat:
@@ -115,7 +106,7 @@ class FinCat:
         ident = {(a, b): (self.ident[a], other.ident[b]) for a, b in objs}
         return FinCat(objs, mors, src, tgt, comp, ident)
 
-    def nerve(self, max_dim: int = 4, kind: str = "PLAIN") -> DecoratedSSet:
+    def nerve(self, max_dim: int = CAP, kind: str = "PLAIN") -> DecoratedSSet:
         """Nerve with nondegenerate cells the chains of non-identity morphisms,
         labelled ("obj", a) and ("chain", chain)."""
         n_cells = [len(self.objects)]
@@ -185,15 +176,6 @@ class FinCat:
             "composition": [[g, f, h] for (g, f), h in sorted(self.comp.items())],
         }
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "FinCat":
-        objects = json_list(doc["objects"], "objects")
-        morphisms = [m["name"] for m in doc["morphisms"]]
-        src = {m["name"]: m["src"] for m in doc["morphisms"]}
-        tgt = {m["name"]: m["tgt"] for m in doc["morphisms"]}
-        comp = {(g, f): h for g, f, h in doc["composition"]}
-        return FinCat(objects, morphisms, src, tgt, comp, doc["identity"])
-
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
@@ -225,13 +207,6 @@ class CatFunctor:
 
     def opposite(self) -> "CatFunctor":
         return CatFunctor(self.src.opposite(), self.dst.opposite(), self.omap, self.mmap)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "laxfib/cat-functor-v1",
-            "objects": dict(sorted(self.omap.items())),
-            "morphisms": dict(sorted(self.mmap.items())),
-        }
 
 
 def identity_functor(C: FinCat) -> CatFunctor:

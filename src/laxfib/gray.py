@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .simplicial import (
+    CAP,
     Cell,
     DecMap,
     DecoratedSSet,
@@ -19,8 +20,6 @@ from .simplicial import (
     standard_simplex,
     vertex_cell,
 )
-
-CAP = 4
 
 
 class ProductSSet(KeyedSSet):

@@ -14,13 +14,13 @@ from math import gcd
 from typing import Optional
 
 from .fincat import FinCat
-from .simplicial import Cell, DecoratedSSet
+from .simplicial import CAP, Cell, DecoratedSSet
 from .twocat import Marking2Cat, StrictTwoCat
 
 DEFAULT_BUDGETS = {
     "collapse_states": 20000,
     "tietze_steps": 400,     # recorded and echoed in verdicts; no step reads it
-    "max_degree": 4,
+    "max_degree": CAP,
 }
 
 
@@ -153,7 +153,7 @@ class HomologyResult:
         }
 
 
-def homology(X: DecoratedSSet, max_deg: int = 4) -> HomologyResult:
+def homology(X: DecoratedSSet, max_deg: int = CAP) -> HomologyResult:
     """Integral simplicial homology via Smith normal form, exact arithmetic."""
     if X.is_empty():
         return HomologyResult({}, max_deg, max_deg)

@@ -27,6 +27,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 KINDS = ("MB", "MS", "SC", "PLAIN")
 
+# the dimension cap: the largest dimension a construction builds unless told otherwise
+CAP = 4
+
 
 class DimensionCapError(ValueError):
     """A construction would exceed the configured dimension cap."""
@@ -67,12 +70,6 @@ class Cell(NamedTuple):
     def encode(self) -> list:
         return [self.dim, self.idx, list(self.word)]
 
-    @staticmethod
-    def decode(data: list) -> "Cell":
-        if len(data) != 3:
-            raise ValueError(f"face {data} is not a [dim, index, word] triple")
-        return Cell(data[0], data[1], tuple(data[2]))
-
 
 # Cell from a (dim, idx, word) tuple, without the Python-level NamedTuple constructor
 _cell = functools.partial(tuple.__new__, Cell)
@@ -102,12 +99,6 @@ def face_through_word(word: tuple[int, ...], i: int):
         return rest, None
     w2, r = face_through_word(rest, i - 1)
     return insert_degeneracy(w2, j), r
-
-
-def _indices(*xs) -> bool:
-    """Whether each x is an int, not a bool, and not negative: the check of every
-    count and index that a simplicial set reads from its input."""
-    return all(type(x) is int and x >= 0 for x in xs)
 
 
 _SSET_FIELDS = ("kind", "n_cells", "faces", "marked", "thin", "lean", "labels", "coskeletal",
@@ -287,7 +278,7 @@ class DecoratedSSet:
         for name, group, dim in (("marked edge", self.marked, 1), ("thin triangle", self.thin, 2),
                                  ("lean triangle", self.lean, 2)):
             for nd in group:
-                if len(nd) != 2 or not _indices(*nd) or nd[0] != dim or nd[1] >= self.num(dim):
+                if nd[0] != dim or nd[1] >= self.num(dim):
                     raise BadDecorationError(f"{name} {nd} not present")
         if self.kind == "MB" and not self.thin <= self.lean:
             raise BadDecorationError("thin triangles must be lean")
@@ -326,12 +317,6 @@ class DecoratedSSet:
         return bad
 
     def validate(self):
-        if not _indices(*self.n_cells):
-            raise ValueError(f"dims {self.n_cells} are not all non-negative integers")
-        for field in ("coskeletal", "truncated_at"):
-            x = getattr(self, field)
-            if x is not None and not _indices(x):
-                raise ValueError(f"{field} {x!r} is not a non-negative integer")
         cells = {c.nd for c in self.all_nondeg()}
         for field, named, what in (("faces", {nd for nd in cells if nd[0]}, "cell with faces"),
                                    ("labels", cells, "nondegenerate cell")):
@@ -345,7 +330,7 @@ class DecoratedSSet:
                     raise ValueError(f"missing/short face tuple for {cell}")
                 for i, (dim, idx, w) in enumerate(fs):
                     # a present root under a normal-form word: d - 1 > w[0] > ... > w[-1] >= 0
-                    if (not _indices(dim, idx, *w) or dim + len(w) != d - 1 or idx >= self.num(dim)
+                    if (dim + len(w) != d - 1 or idx >= self.num(dim)
                             or not all(d - 1 > a > b for a, b in zip(w, w[1:] + (-1,)))):
                         raise ValueError(f"bad face d_{i} = {fs[i].encode()} of cell {d},{cell.idx}")
         bad = self.simplicial_identity_violations()
@@ -383,32 +368,6 @@ class DecoratedSSet:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "DecoratedSSet":
-        faces = {}
-        for key, fs in doc.get("faces", {}).items():
-            d, k = (int(x) for x in key.split(","))
-            faces[(d, k)] = tuple(Cell.decode(f) for f in fs)
-        labels = {}
-        for key, lab in doc.get("labels", {}).items():
-            d, k = (int(x) for x in key.split(","))
-            labels[(d, k)] = lab
-        return DecoratedSSet(
-            doc["kind"],
-            list(doc["dims"]),
-            faces,
-            marked=[tuple(nd) for nd in doc.get("marked", [])],
-            thin=[tuple(nd) for nd in doc.get("thin", [])],
-            lean=[tuple(nd) for nd in doc.get("lean", [])],
-            labels=labels,
-            coskeletal=doc.get("coskeletal"),
-            truncated_at=doc.get("truncated_at"),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "DecoratedSSet":
-        return DecoratedSSet.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"DecoratedSSet(kind={self.kind}, cells={self.n_cells})"
@@ -516,7 +475,7 @@ def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
 
 
 def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-                     cap: int = 4) -> KeyedSSet:
+                     cap: int = CAP) -> KeyedSSet:
     """The n-simplex with flat/sharp/explicit decorations.
 
     ``lean=None`` means lean coincides with thin (the single-scaling notation).
@@ -525,7 +484,7 @@ def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None
 
 
 def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-         cap: int = 4) -> KeyedSSet:
+         cap: int = CAP) -> KeyedSSet:
     """The horn missing the i-th facet and the interior.
 
     Decorations naming cells that fall outside the horn are dropped silently
@@ -538,7 +497,7 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
                             omit=(full, full[:i] + full[i + 1:]), strict=False)
 
 
-def boundary_simplex(n: int, *, kind="PLAIN", cap: int = 4) -> KeyedSSet:
+def boundary_simplex(n: int, *, kind="PLAIN", cap: int = CAP) -> KeyedSSet:
     return _simplex_complex(n, kind, "flat", "flat", None, cap, omit=(tuple(range(n + 1)),))
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .fincat import CatFunctor, FinCat, json_list
-from .simplicial import Cell, DecMap, KeyedSSet, add_coskeletal_top, extend_map
+from .fincat import CatFunctor, FinCat
+from .simplicial import CAP, Cell, DecMap, KeyedSSet, add_coskeletal_top, extend_map
 
 
 class StrictTwoCat:
@@ -163,43 +163,15 @@ class StrictTwoCat:
     def _name_violations(self) -> list[tuple]:
         objs, ones, twos = set(self.objects), set(self.onecells), set(self.twocells)
         bad = [("1-cell-endpoints", f) for f, st in self.onecells.items()
-               if len(st) != 2 or not set(st) <= objs]
+               if not set(st) <= objs]
         bad += [("2-cell-endpoints", t) for t, st in self.twocells.items()
-                if len(st) != 2 or not set(st) <= ones]
+                if not set(st) <= ones]
         bad += [("id1", a) for a in self.objects if self.id1.get(a) not in ones]
         bad += [("id2", f) for f in self.onecells if self.id2.get(f) not in twos]
         for law, table, known in (("vcomp", self.vcomp, twos), ("hcomp1", self.hcomp1, ones),
                                   ("hcomp2", self.hcomp2, twos)):
             bad += [(law, *pair) for pair, res in table.items() if not {*pair, res} <= known]
         return bad
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "laxfib/twocat-v1",
-            "objects": list(self.objects),
-            "onecells": {f: list(st) for f, st in sorted(self.onecells.items())},
-            "id1": dict(sorted(self.id1.items())),
-            "twocells": {t: list(st) for t, st in sorted(self.twocells.items())},
-            "id2": dict(sorted(self.id2.items())),
-            "vcomp": [[b, a, c] for (b, a), c in sorted(self.vcomp.items())],
-            "hcomp1": [[g, f, h] for (g, f), h in sorted(self.hcomp1.items())],
-            "hcomp2": [[b, a, c] for (b, a), c in sorted(self.hcomp2.items())],
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "StrictTwoCat":
-        return StrictTwoCat(
-            json_list(doc["objects"], "objects"),
-            {f: tuple(json_list(st, f"onecells {f!r}", 2)) for f, st in doc["onecells"].items()},
-            doc["id1"],
-            {t: tuple(json_list(st, f"twocells {t!r}", 2)) for t, st in doc["twocells"].items()},
-            doc["id2"],
-            {(b, a): c for b, a, c in doc["vcomp"]},
-            {(g, f): h for g, f, h in doc["hcomp1"]},
-            {(b, a): c for b, a, c in doc["hcomp2"]},
-        )
 
     def __repr__(self):
         return (f"StrictTwoCat({len(self.objects)} objects, "
@@ -258,14 +230,6 @@ class TwoFunctor:
 
     def preserves_marking(self, mC: Marking2Cat, mD: Marking2Cat) -> bool:
         return all(self.map1[f] in mD.marked1 for f in mC.marked1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "laxfib/two-functor-v1",
-            "objects": dict(sorted(self.omap.items())),
-            "onecells": dict(sorted(self.map1.items())),
-            "twocells": dict(sorted(self.map2.items())),
-        }
 
 
 def identity_two_functor(C: StrictTwoCat) -> TwoFunctor:
@@ -442,7 +406,7 @@ def cocycle_holds(C: StrictTwoCat, data012, data013, data023, data123) -> bool:
 
 
 def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
-                 lean_flag=None, max_dim: int = 4) -> ScaledNerve:
+                 lean_flag=None, max_dim: int = CAP) -> ScaledNerve:
     """Scaled nerve as a decorated simplicial set.
 
     ``marking`` (defaulting to identities-and-equivalences) gives the marked

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import os
 import re
@@ -338,6 +340,21 @@ def _bad_inputs(tmp_path) -> dict:
         "endpoints-string": put("endpoints-string.json", dict(
             twocat, onecells={**twocat["onecells"], "id0": "00"})),
         "cat-objects-string": put("cat-objects-string.json", dict(cat, objects="01")),
+        "string-triple": put("string-triple.json", {
+            "schema": "laxfib/category-v1", "objects": ["*"],
+            "morphisms": [{"name": "i", "src": "*", "tgt": "*"}], "identity": {"*": "i"},
+            "composition": ["iii"]}),
+        "to-pt": put("to-pt.json", {"schema": "laxfib/cat-functor-v1", "objects": {"*": "*"},
+                                    "morphisms": {"i": "id*"}}),
+        "arrow-id": put("arrow-id.json", {
+            "schema": "laxfib/cat-functor-v1", "objects": {"0": "0", "1": "1"},
+            "morphisms": {m["name"]: m["name"] for m in cat["morphisms"]}}),
+        "twice-morphism": put("twice-morphism.json", dict(
+            cat, morphisms=[*cat["morphisms"], cat["morphisms"][1]])),
+        "twice-object": put("twice-object.json", dict(cat, objects=["0", "0", "1"])),
+        "twice-pair": put("twice-pair.json", dict(
+            cat, composition=[*cat["composition"], cat["composition"][1]])),
+        "twice-object2": put("twice-object2.json", dict(arrow2, objects=["0", "0", "1"])),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -392,19 +409,33 @@ BAD_CALLS = {
     "twocat-objects-is-a-string": "nerve @objects-string",
     "onecell-endpoints-is-a-string": "nerve @endpoints-string",
     "category-objects-is-a-string": "joyal @pt @cat-objects-string @f0",
+    "composition-entry-is-a-string": "joyal @string-triple @pt @to-pt",
+    "category-morphism-listed-twice": "joyal @arrow @twice-morphism @arrow-id",
+    "category-object-listed-twice": "joyal @twice-object @twice-object @arrow-id",
+    "composition-pair-listed-twice": "joyal @arrow @twice-pair @arrow-id",
+    "twocat-object-listed-twice": "nerve @twice-object2",
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_CALLS))
-def test_bad_input_is_input_error(tmp_path, case):
+def _bad_call(tmp_path, case: str) -> list[str]:
     files = _bad_inputs(tmp_path)
-    argv = [files[a[1:]] if a.startswith("@") else a for a in BAD_CALLS[case].split()]
+    return [files[a[1:]] if a.startswith("@") else a for a in BAD_CALLS[case].split()]
+
+
+@pytest.mark.parametrize("case", list(BAD_CALLS))
+def test_bad_input_is_input_error(tmp_path, capsys, case):
+    assert cli.main(_bad_call(tmp_path, case)) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_bad_input_is_one_line_from_the_module_entry_point(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "laxfib.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert "Traceback" not in proc.stderr, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "laxfib.cli", *_bad_call(tmp_path, "composition-entry-is-a-string")],
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 
 @pytest.mark.parametrize("case, witness", [
@@ -416,15 +447,13 @@ def test_bad_input_is_input_error(tmp_path, case):
     ("category-identity-missing", "('identity', '1')"),
     ("category-endpoint-unknown", "('endpoints', 'z')")])
 def test_bad_table_names_the_failed_law(tmp_path, capsys, case, witness):
-    files = _bad_inputs(tmp_path)
-    argv = [files[a[1:]] if a.startswith("@") else a for a in BAD_CALLS[case].split()]
-    assert cli.main(argv) == 1
+    assert cli.main(_bad_call(tmp_path, case)) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "laws fail" in err and witness in err
     assert "missing field" not in err
 
 
-@pytest.mark.parametrize("name, face", [("negative-face", "d_1 = [0, -1, []] of cell 1,0"),
+@pytest.mark.parametrize("name, face", [("negative-face", "/faces/1,0/1/1: expected a non-negative"),
                                         ("face-word-out-of-range", "d_1 = [0, 0, [5]] of cell 2,0")])
 def test_bad_face_is_named(tmp_path, name, face):
     with pytest.raises(cli.InputError, match=re.escape(face)):
@@ -452,3 +481,89 @@ def test_colon_in_object_name_reaches_a_verdict(tmp_path):
                               capture_output=True, text=True, env=env, timeout=120)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode in (0, 2, 3), (command, proc.returncode)
+
+
+# A small simplicial set with every field of its schema: a triangle with a
+# degenerate face, marked, thin and lean, named, coskeletal and truncated.
+SSET = {"kind": "MB", "dims": [2, 1, 1], "marked": [[1, 0]], "thin": [[2, 0]], "lean": [[2, 0]],
+        "faces": {"1,0": [[0, 1, []], [0, 0, []]], "2,0": [[1, 0, []], [1, 0, []], [0, 0, [0]]]},
+        "labels": {"0,0": "a", "1,0": "e"}, "coskeletal": 2, "truncated_at": 2}
+
+# Each fuzzed document and the call that reads it; "@" stands for the mutated
+# copy, "@name" for the bundled file name.json.
+FUZZ_CALLS = {
+    "category-point": "joyal @ @category-walking-arrow @functor-point-into-arrow-at-0",
+    "category-walking-arrow": "joyal @category-point @ @functor-point-into-arrow-at-0",
+    "functor-point-into-arrow-at-0": "joyal @category-point @category-walking-arrow @",
+    "twocat-2bracket-point":
+        "check-cofinal @ @twocat-2bracket-walking-arrow @two-functor-2bracket-at-0",
+    "twocat-2bracket-walking-arrow":
+        "check-cofinal @twocat-2bracket-point @ @two-functor-2bracket-at-0",
+    "two-functor-2bracket-at-0":
+        "check-cofinal @twocat-2bracket-point @twocat-2bracket-walking-arrow @",
+    "twocat-corrupted-interchange": "nerve @",
+    "sset": "homology @",
+    "marking": "nerve @twocat-2bracket-walking-arrow --marking @",
+}
+LEAVES = (-1, 1.5, True, None, "x", [], {})
+DROP = object()
+
+
+def _mutations(doc):
+    """Each single mutation of doc as (path, new value or DROP): a key dropped, a
+    leaf replaced, a list turned into a string or truncated."""
+    def nodes(x, path):
+        yield path, x
+        for k, v in (x.items() if isinstance(x, dict) else
+                     enumerate(x) if isinstance(x, list) else ()):
+            yield from nodes(v, (*path, k))
+
+    for path, x in list(nodes(doc, ()))[1:]:
+        if isinstance(path[-1], str):
+            yield path, DROP
+        if isinstance(x, list):
+            # ["i", "i", "i"] becomes "iii", which has three entries too
+            yield path, "".join(v if isinstance(v, str) else json.dumps(v) for v in x)
+            if x:
+                yield path, x[:-1]
+        elif not isinstance(x, dict):
+            yield from ((path, v) for v in LEAVES)
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *up, last = path
+    parent = functools.reduce(lambda x, k: x[k], up, doc)
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def test_every_bundled_document_is_fuzzed():
+    data = resources.files("laxfib").joinpath("data")
+    assert {p.name.removesuffix(".json") for p in data.iterdir()} <= FUZZ_CALLS.keys()
+
+
+@pytest.mark.parametrize("name", list(FUZZ_CALLS))
+def test_mutated_documents_are_read_or_refused(tmp_path, capsys, name):
+    """Every single mutation of a bundled document (and of a simplicial set and
+    a marking) runs to exit 0, 1, 2 or 3 with no exception, and exit 1 prints
+    an input error."""
+    doc = {"sset": SSET, "marking": {"marked1": ["o:0"]}}.get(name) or json.loads(
+        Path(data_path(f"{name}.json")).read_text())
+    path = tmp_path / "mutated.json"
+    argv = [str(path) if a == "@" else data_path(f"{a[1:]}.json") if a.startswith("@") else a
+            for a in FUZZ_CALLS[name].split()]
+    bad = []
+    for where, value in _mutations(doc):
+        path.write_text(json.dumps(_mutated(doc, where, value)))
+        try:
+            code = cli.main(argv)
+        except Exception as e:  # the mutation is reported with what escaped
+            code = repr(e)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or (code == 1) != err.startswith("input error:"):
+            bad.append((where, value, code, err[:200]))
+    assert not bad, bad[:5]

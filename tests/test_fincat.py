@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from laxfib.cli import build_category
 from laxfib.fincat import (
     CatFunctor,
-    FinCat,
     all_functors,
     chain_poset,
     comma_over,
@@ -135,6 +135,6 @@ def test_all_functors_counts():
 def test_json_roundtrip():
     C = chain_poset(2)
     doc = C.to_json_dict()
-    D = FinCat.from_json_dict(doc)
+    D = build_category(doc)
     assert D.validate() == []
     assert D.to_json_dict() == doc

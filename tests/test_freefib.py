@@ -11,6 +11,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from laxfib.anodyne import certify_fibration
+from laxfib.cli import build_two_cat
 from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
 from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
 from laxfib.freefib import (
@@ -28,7 +29,6 @@ from laxfib.simplicial import Cell, DecoratedSSet, standard_simplex
 from laxfib.twocat import (
     Marking2Cat,
     ScaledNerve,
-    StrictTwoCat,
     fr,
     identity_two_functor,
     scaled_nerve,
@@ -572,7 +572,7 @@ def _digest(text: str) -> str:
 def test_tables_are_pinned(name):
     if name.startswith("twocat-"):
         doc = resources.files("laxfib").joinpath("data", f"{name}.json").read_text()
-        got = _digest(scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc))).to_json())
+        got = _digest(scaled_nerve(build_two_cat(json.loads(doc))).to_json())
     else:
         F = dict(fixture_functors())[name]
         bundle = fr(F)

@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from laxfib.cli import build_two_cat
 from laxfib.cofinality import check_cofinal, eta_terminal_check
 from laxfib.fincat import (
     CatFunctor,
@@ -23,7 +24,6 @@ from laxfib.simplicial import coskeletal_spheres
 from laxfib.twocat import (
     FrBundle,
     Marking2Cat,
-    StrictTwoCat,
     TwoFunctor,
     fr,
     from_fincat,
@@ -174,7 +174,7 @@ def test_nerve_keys_round_trip(name):
     """Every cell of dimension <= 2, degenerate ones included, is the cell of
     its own key."""
     doc = resources.files("laxfib").joinpath("data", f"{name}.json").read_text()
-    N = scaled_nerve(StrictTwoCat.from_json_dict(json.loads(doc)))
+    N = scaled_nerve(build_two_cat(json.loads(doc)))
     for v in N.all_cells(0):
         assert N.vertex_of(N.key_of(v)[1]) == v
     for e in N.all_cells(1):
