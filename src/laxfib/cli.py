@@ -12,21 +12,20 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import anodyne, cofinality, fixtures, freefib, gray, homotopy, laxlim
-from .fincat import CatFunctor, FinCat
+from . import homotopy
 from .simplicial import CAP, Cell, DecoratedSSet, DimensionCapError
-from .twocat import Marking2Cat, StrictTwoCat, TwoFunctor, scaled_nerve
+
+if TYPE_CHECKING:
+    from . import freefib
+    from .fincat import CatFunctor, FinCat
+    from .twocat import Marking2Cat, StrictTwoCat, TwoFunctor
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
 EXIT_UNKNOWN = 3
-
-
-# the legs of each lax-limit shape; a leg is named by its --marking value
-SHAPE_LEGS = {"lambda22": ("cospan", (laxlim.F_LEG, laxlim.G_LEG)),
-              "delta1": ("arrow", (laxlim.ARROW_LEG,))}
 
 VERDICT_EXIT = {"yes": EXIT_OK, "AGREE": EXIT_OK, "no": EXIT_FAIL, "DISAGREE": EXIT_FAIL,
                 "unknown": EXIT_UNKNOWN, "UNDECIDED": EXIT_UNKNOWN}
@@ -106,6 +105,7 @@ def _table(doc: dict, field: str) -> dict:
 
 
 def build_category(doc: dict) -> FinCat:
+    from .fincat import FinCat
     doc = check(doc, SCHEMAS["category"])
     mors = doc["morphisms"]
     return FinCat(_once(doc["objects"], "/objects"), _once([m["name"] for m in mors], "/morphisms"),
@@ -114,6 +114,7 @@ def build_category(doc: dict) -> FinCat:
 
 
 def build_two_cat(doc: dict) -> StrictTwoCat:
+    from .twocat import StrictTwoCat
     doc = check(doc, SCHEMAS["2-category"])
     return StrictTwoCat(_once(doc["objects"], "/objects"), doc["onecells"], doc["id1"],
                         doc["twocells"], doc["id2"],
@@ -121,11 +122,13 @@ def build_two_cat(doc: dict) -> StrictTwoCat:
 
 
 def build_cat_functor(doc: dict, src: FinCat, dst: FinCat) -> CatFunctor:
+    from .fincat import CatFunctor
     doc = check(doc, SCHEMAS["cat-functor"])
     return CatFunctor(src, dst, doc.get("objects", {}), doc.get("morphisms", {}))
 
 
 def build_two_functor(doc: dict, src: StrictTwoCat, dst: StrictTwoCat) -> TwoFunctor:
+    from .twocat import TwoFunctor
     doc = check(doc, SCHEMAS["two-functor"])
     return TwoFunctor(src, dst, *(doc.get(f, {}) for f in ("objects", "onecells", "twocells")))
 
@@ -154,6 +157,7 @@ def build_sset(doc: dict) -> DecoratedSSet:
 
 
 def build_marking(doc: dict, C: StrictTwoCat) -> Marking2Cat:
+    from .twocat import Marking2Cat
     marked = check(doc, SCHEMAS["marking"]).get("marked1", [])
     unknown = [m for m in marked if m not in C.onecells]
     if unknown:
@@ -161,17 +165,25 @@ def build_marking(doc: dict, C: StrictTwoCat) -> Marking2Cat:
     return Marking2Cat(C, frozenset(marked))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object, when it gives no key twice."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise InputError(f"key {k!r} is given twice in one object")
+        out[k] = v
+    return out
+
+
 def _parse(path: str, *args, build, laws=None):
     """What build makes of the JSON document at path and args, with its laws
     checked when laws names them; an input error names the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        obj = build(json.loads(Path(path).read_text(), object_pairs_hook=_json_object), *args)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
-    try:
-        obj = build(doc, *args)
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
     bad = laws and obj.validate()
@@ -194,6 +206,7 @@ def parse_sset(path: str) -> DecoratedSSet:
 
 
 def parse_marking(path, C: StrictTwoCat) -> Marking2Cat:
+    from .twocat import Marking2Cat
     return Marking2Cat(C) if path is None else _parse(path, C, build=build_marking)
 
 
@@ -238,6 +251,7 @@ def _sset_summary(X: DecoratedSSet) -> dict:
 
 
 def cmd_nerve(args) -> int:
+    from .twocat import scaled_nerve
     cfg = _config(args)
     C = parse_two_cat(args.twocat)
     marking = parse_marking(args.marking, C)
@@ -247,6 +261,7 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_gray(args) -> int:
+    from . import gray
     cfg = _config(args)
     X, Y = parse_sset(args.x), parse_sset(args.y)
     try:
@@ -260,6 +275,7 @@ def cmd_gray(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    from . import gray
     cfg = _config(args)
     if not 0 <= args.j <= args.n:
         raise InputError("need 0 <= j <= n")
@@ -283,6 +299,7 @@ def _marked_functor(args) -> tuple[TwoFunctor, Marking2Cat, Marking2Cat]:
 
 
 def _load_freefib(args) -> freefib.FreeFibration:
+    from . import freefib
     F, mc, md = _marked_functor(args)
     try:
         return freefib.build_free_fibration(F, mc, md, mode=args.mode)
@@ -319,6 +336,7 @@ def cmd_freefib(args) -> int:
 
 
 def cmd_check_fibration(args) -> int:
+    from . import anodyne
     cfg = _config(args)
     ff = _load_freefib(args)
     res = anodyne.certify_fibration(ff.proj, args.family, cfg["n_max"])
@@ -328,6 +346,7 @@ def cmd_check_fibration(args) -> int:
 
 
 def cmd_check_cofinal(args) -> int:
+    from . import cofinality
     cfg = _config(args)
     F, mc, md = _marked_functor(args)
     try:
@@ -339,6 +358,7 @@ def cmd_check_cofinal(args) -> int:
 
 
 def cmd_joyal(args) -> int:
+    from . import cofinality
     cfg = _config(args)
     K = parse_category(args.source)
     S = parse_category(args.target)
@@ -349,6 +369,7 @@ def cmd_joyal(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    from . import cofinality
     cfg = _config(args)
     K = parse_category(args.source)
     S = parse_category(args.target)
@@ -366,8 +387,11 @@ def cmd_duality(args) -> int:
 
 
 def cmd_laxlim(args) -> int:
+    from . import laxlim
     cfg = _config(args)
-    shape, legs = SHAPE_LEGS[args.shape]
+    # the legs of each lax-limit shape; a leg is named by its --marking value
+    shape, legs = {"lambda22": ("cospan", (laxlim.F_LEG, laxlim.G_LEG)),
+                   "delta1": ("arrow", (laxlim.ARROW_LEG,))}[args.shape]
     marking = frozenset({"none": (), "both": legs}.get(args.marking, (args.marking,)))
     if not marking <= set(legs) or (args.marking == "both" and len(legs) < 2):
         raise InputError(f"marking {args.marking} does not name {shape} legs")
@@ -412,12 +436,14 @@ def cmd_contractible(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import anodyne, cofinality, fixtures, freefib
     cfg = _config(args)
-    report = {"command": "corpus", "config": cfg, "seed": args.seed}
+    seed = fixtures.CORPUS_SEED if args.seed is None else args.seed
+    report = {"command": "corpus", "config": cfg, "seed": seed}
     ok = True
 
     rows = []
-    for name, p in fixtures.duality_corpus(args.seed):
+    for name, p in fixtures.duality_corpus(seed):
         r = cofinality.two_bracket_duality(p, cfg["budgets"])
         rows.append({"item": name, "status": r["status"],
                      "two_categorical": r["two_categorical"],
@@ -538,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, cmd_contractible)
 
     p = sp.add_parser("corpus", help="run the bundled verification corpus")
-    p.add_argument("--seed", type=int, default=fixtures.CORPUS_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--n-max", type=int, default=CAP)
     _common(p, cmd_corpus)
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .fincat import FinCat
 from .simplicial import CAP, Cell, DecoratedSSet
-from .twocat import Marking2Cat, StrictTwoCat
+
+if TYPE_CHECKING:
+    from .fincat import FinCat
+    from .twocat import Marking2Cat, StrictTwoCat
 
 DEFAULT_BUDGETS = {
     "collapse_states": 20000,

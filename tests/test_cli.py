@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import copy
 import functools
 import json
@@ -250,6 +251,71 @@ def test_report_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_defaults_have_one_home(monkeypatch, capsys):
+    """Every subcommand's cap and budgets, and the corpus seed, are the engine's."""
+    from laxfib import fixtures
+    from laxfib.homotopy import DEFAULT_BUDGETS
+    from laxfib.simplicial import CAP
+
+    ap = cli.build_parser()
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(subs) == 12
+    for name, p in subs.items():
+        assert p.get_default("cap") == CAP, name
+        assert p.get_default("n_max") == (CAP if name in ("check-fibration", "corpus") else None)
+        assert p.get_default("collapse_budget") == DEFAULT_BUDGETS["collapse_states"], name
+        assert p.get_default("tietze_budget") == DEFAULT_BUDGETS["tietze_steps"], name
+    seeds = []
+    monkeypatch.setattr(fixtures, "duality_corpus", lambda seed: seeds.append(seed) or [])
+    monkeypatch.setattr(fixtures, "fixture_functors", lambda: [])
+    assert cli.main(["corpus"]) == 0
+    assert seeds == [fixtures.CORPUS_SEED]
+    assert json.loads(capsys.readouterr().out)["seed"] == fixtures.CORPUS_SEED
+
+
+def _laxfib_modules_after(code: str) -> set:
+    """The laxfib modules a fresh interpreter holds after running code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('laxfib.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_homotopy_import_does_not_load_categories():
+    loaded = _laxfib_modules_after("import laxfib.homotopy")
+    assert not loaded & {"laxfib.fincat", "laxfib.twocat"}
+
+
+def test_homology_and_contractible_load_no_category_module(tmp_path):
+    X = tmp_path / "simplex.json"
+    X.write_text(standard_simplex(2, kind="PLAIN").to_json())
+    out = tmp_path / "report.json"
+    loaded = _laxfib_modules_after(
+        "from laxfib import cli\n"
+        f"assert cli.main(['homology', {str(X)!r}, '-o', {str(out)!r}]) == 0\n"
+        f"assert cli.main(['contractible', {str(X)!r}, '-o', {str(out)!r}]) == 0")
+    assert "laxfib.homotopy" in loaded
+    assert not loaded & {"laxfib.fincat", "laxfib.twocat", "laxfib.freefib"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["nerve", "twocat-2bracket-walking-arrow.json"],
+    ["ext", "--j", "1", "--n", "2"],
+    ["gray", "@x", "@x"],
+], ids=lambda argv: argv[0])
+def test_construction_loads_no_verdict_module(tmp_path, argv):
+    x = tmp_path / "x.json"
+    x.write_text(standard_simplex(1, kind="SC").to_json())
+    argv = [str(x) if a == "@x" else data_path(a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "report.json"
+    loaded = _laxfib_modules_after(
+        f"from laxfib import cli\nassert cli.main({argv + ['-o', str(out)]!r}) == 0")
+    assert json.loads(out.read_text())["command"] == argv[0]
+    assert not loaded & {f"laxfib.{m}" for m in (
+        "freefib", "anodyne", "cofinality", "laxlim", "fixtures")}
+
+
 def _wrong_endpoints_twocat() -> dict:
     """Objects a, b, c and 1-cells f, k: a -> b, h: b -> c, m: a -> c with only
     identity 2-cells, whose table gives h o f = k: a composite with the wrong
@@ -355,6 +421,9 @@ def _bad_inputs(tmp_path) -> dict:
         "twice-pair": put("twice-pair.json", dict(
             cat, composition=[*cat["composition"], cat["composition"][1]])),
         "twice-object2": put("twice-object2.json", dict(arrow2, objects=["0", "0", "1"])),
+        "key-twice": put("key-twice.json", (
+            '{"schema": "laxfib/cat-functor-v1", "objects": {"*": "1", "*": "0"}, '
+            '"morphisms": {"id*": "1<1", "id*": "0<0"}}')),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
     }
@@ -414,6 +483,7 @@ BAD_CALLS = {
     "category-object-listed-twice": "joyal @twice-object @twice-object @arrow-id",
     "composition-pair-listed-twice": "joyal @arrow @twice-pair @arrow-id",
     "twocat-object-listed-twice": "nerve @twice-object2",
+    "json-key-given-twice": "joyal @pt @arrow @key-twice",
 }
 
 
@@ -436,6 +506,12 @@ def test_bad_input_is_one_line_from_the_module_entry_point(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+
+def test_key_given_twice_names_the_file_and_the_key(tmp_path, capsys):
+    """json.loads alone keeps the last of two entries, here the functor at 0."""
+    assert cli.main(_bad_call(tmp_path, "json-key-given-twice")) == 1
+    path = _bad_inputs(tmp_path)["key-twice"]
+    assert capsys.readouterr().err == f"input error: {path}: key '*' is given twice in one object\n"
 
 
 @pytest.mark.parametrize("case, witness", [
