@@ -226,18 +226,45 @@ class FreeFibration:
         """Classify every nondegenerate simplex (dims <= 3) of the total space.
 
         Every cell must be a unit image, an extension of a lower simplex, or a
-        face of an extension; anything else is unreachable.
+        face of an extension; anything else is unreachable.  Only nondegenerate
+        images count: a degenerate unit image or face marks nothing.
+
+        One pass over the stored pairs keeps only the roots reached.  The
+        extension ``tau.extend(j)`` is ``(tau.phi o E_j, tau.rho o s_j)``, so it
+        reads ``tau.phi`` on the roots of E_j's images and all of ``tau.rho``.
+        Keyed on ``n``, ``j`` and those values, equal keys give equal extensions,
+        and an extension is built only when its key is new: a skip loses no cell.
+        A stored extension's faces are its row of the face table; any other
+        extension (degenerate, or of dimension 4) looks its faces up by pair.
         """
-        units = set(self.gamma.assign.values())
-        extensions = {tau.extend(j) for nd, tau in self.pairs.items() for j in range(nd[0] + 1)}
-        extension_faces = {ext.face(s) for ext in extensions for s in range(ext.n + 1)}
+        T = self.total
+        reads = {(n, j): tuple(dict.fromkeys(c.nd for c in e_map(j, n).assign.values()))
+                 for n in range(TOP_DIM + 1) for j in range(n + 1)}
+        units = {c.nd for c in self.gamma.assign.values() if not c.word}
+        keys, extensions, faces = set(), set(), set()
+        for nd, tau in self.pairs.items():
+            n = nd[0]
+            rho = tuple(map(tau.rho.assign.__getitem__, delta(n).labels))
+            for j in range(n + 1):
+                key = (n, j, tuple(map(tau.phi.assign.__getitem__, reads[(n, j)])), rho)
+                if key in keys:
+                    continue
+                keys.add(key)
+                ext = tau.extend(j)
+                hit = T.index.get(ext) if n < TOP_DIM else None
+                if hit is not None:
+                    extensions.add(hit.nd)
+                    faces.update(f.nd for f in T.faces[hit.nd] if not f.word)
+                else:
+                    faces.update(f.nd for f in map(T.index.get, map(ext.face, range(n + 2)))
+                                 if f is not None)
         report = {"unit": [], "extension": [], "face_of_extension": [], "unreachable": []}
-        for nd, pair in self.pairs.items():
-            if Cell(*nd) in units:
+        for nd in self.pairs:
+            if nd in units:
                 report["unit"].append(nd)
-            elif pair in extensions:
+            elif nd in extensions:
                 report["extension"].append(nd)
-            elif pair in extension_faces:
+            elif nd in faces:
                 report["face_of_extension"].append(nd)
             else:
                 report["unreachable"].append(nd)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from importlib import resources
@@ -14,6 +15,7 @@ from laxfib.anodyne import certify_fibration
 from laxfib.cli import build_two_cat
 from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
 from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
+from laxfib import freefib
 from laxfib.freefib import (
     build_free_fibration,
     compare_tame_fr,
@@ -24,8 +26,8 @@ from laxfib.freefib import (
     sharp_base,
     three_coskeletal_violations,
 )
-from laxfib.gray import ProductSSet, delta, gray
-from laxfib.simplicial import Cell, DecoratedSSet, standard_simplex
+from laxfib.gray import ProductSSet, delta, e_map, end_map, gray, prism, simplex_deg
+from laxfib.simplicial import Cell, DecMap, DecoratedSSet, standard_simplex
 from laxfib.twocat import (
     Marking2Cat,
     ScaledNerve,
@@ -208,6 +210,61 @@ def test_compare_commutes_with_projection(small_ff):
         assert d_of_fr == d_of_total
 
 
+def _reference_audit(ff) -> dict:
+    """The audit by whole pairs: every extension and every face of one, held in two sets."""
+    units = set(ff.gamma.assign.values())
+    extensions = {tau.extend(j) for nd, tau in ff.pairs.items() for j in range(nd[0] + 1)}
+    extension_faces = {ext.face(s) for ext in extensions for s in range(ext.n + 1)}
+    report = {"unit": [], "extension": [], "face_of_extension": [], "unreachable": []}
+    for nd, pair in ff.pairs.items():
+        if Cell(*nd) in units:
+            report["unit"].append(nd)
+        elif pair in extensions:
+            report["extension"].append(nd)
+        elif pair in extension_faces:
+            report["face_of_extension"].append(nd)
+        else:
+            report["unreachable"].append(nd)
+    report["total"] = sum(len(report[k]) for k in
+                          ("unit", "extension", "face_of_extension", "unreachable"))
+    report["reachable"] = report["total"] - len(report["unreachable"])
+    return report
+
+
+@pytest.mark.parametrize("mode", ["dagger", "natural"])
+@pytest.mark.parametrize("name", [name for name, _ in fixture_functors()])
+def test_filtration_audit_matches_the_reference(name, mode):
+    ff = build_free_fibration(dict(fixture_functors())[name], mode=mode)
+    assert ff.filtration_audit() == _reference_audit(ff)
+
+
+@pytest.mark.parametrize("plant", ["no-units", "degenerate-units"])
+def test_filtration_audit_matches_the_reference_on_planted_units(arrow_ff, plant):
+    """No battery fixture has a degenerate unit image; a degenerate one marks no unit."""
+    ff, T = copy.copy(arrow_ff), arrow_ff.total
+    ff.gamma = DecMap(ff.nc, T, {} if plant == "no-units" else
+                      {nd: T.deg(img, 0) for nd, img in arrow_ff.gamma.assign.items()})
+    assert ff.filtration_audit() == _reference_audit(ff)
+
+
+def test_filtration_audit_matches_the_reference_on_an_unreachable_edge(arrow_ff, monkeypatch):
+    """Every stored simplex is d_{n+1} E_n of itself, so no real cell is unreachable and no
+    root is met only as a degenerate face of an extension.  Plant both: the extensions of
+    an edge collapse onto the far end of the prism, the units are gone, and the audit
+    covers one triangle and an edge on which its extension E_2 has degenerate faces only."""
+    collapse = [end_map(1, 1).compose(simplex_deg(1, j)).compose(prism(2).proj_b())
+                for j in range(2)]
+    monkeypatch.setattr(freefib, "e_map", lambda j, n: collapse[j] if n == 1 else e_map(j, n))
+    ff = copy.copy(arrow_ff)
+    ff.gamma = DecMap(ff.nc, ff.total, {})
+    ff.pairs = {nd: arrow_ff.pairs[nd] for nd in ((1, 7), (2, 6))}
+    x = ff.total.cell_of(ff.pairs[(2, 6)].extend(2))
+    assert not x.word and any(f.word and f.nd == (1, 7) for f in ff.total.faces[x.nd])
+    audit = ff.filtration_audit()
+    assert audit["unreachable"] == [(1, 7)]
+    assert audit == _reference_audit(ff)
+
+
 def test_filtration_audit_small(small_ff):
     report = small_ff.filtration_audit()
     assert report["unreachable"] == []
@@ -246,13 +303,13 @@ def test_marked_edge_generation_replay(arrow_ff):
     from laxfib.freefib import gamma_pair
     nat = build_free_fibration(ff.f, ff.src_marking, ff.dst_marking, mode="natural")
     replayed = 0
+    audit = ff.filtration_audit()
     for nd in sorted(ff.total.marked):
         e = ff.pairs[nd]
         ext0 = e.extend(0)
         cell0 = ff.total.cell_of(ext0)
         if cell0.is_degenerate():
             # edges that are themselves extensions carry their marking already
-            audit = ff.filtration_audit()
             assert nd in audit["extension"] or nd in audit["unit"]
             continue
         replayed += 1
@@ -299,7 +356,9 @@ def test_groupoid_hom_fixture():
     from laxfib.twocat import two_bracket, identity_two_functor
     ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
     assert compare_tame_fr(ff).ok
-    assert ff.filtration_audit()["unreachable"] == []
+    audit = ff.filtration_audit()
+    assert audit["unreachable"] == []
+    assert audit == _reference_audit(ff)
     # the 1-cells into object 1 are still not equivalences, but the invertible
     # 2-cell marks the corresponding slice edges
     assert len(ff.total.marked) > 0
@@ -561,6 +620,8 @@ def test_random_poset_functors_pass_every_check(rng):
     assert face_identity_violations(ff) == [] and degeneracy_lemma_violations(ff) == []
     audit = ff.filtration_audit()
     assert audit["reachable"] == audit["total"] == sum(ff.total.n_cells[:4])
+    # a functor that is not injective does not fix rho by phi over {1}: the audit's key reads both
+    assert audit == _reference_audit(ff)
     assert three_coskeletal_violations(ff) == []
 
 
