@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+
+from laxfib import homotopy
 
 from laxfib.cofinality import (
     check_cofinal,
@@ -21,7 +26,7 @@ from laxfib.fincat import (
     terminal_cat,
     walking_arrow,
 )
-from laxfib.fixtures import duality_corpus, include_at
+from laxfib.fixtures import CORPUS_SEED, duality_corpus, include_at
 from laxfib.twocat import (
     Marking2Cat,
     from_cat_functor,
@@ -189,3 +194,26 @@ def test_duality_with_parallel_arrows():
     # sides must decisively refuse
     assert r["status"] == "AGREE"
     assert r["two_categorical"] == "no"
+
+
+# sha256 over the duality corpus at CORPUS_SEED: each item's check_cofinal
+# report, then every collapse_search verdict in call order, each as sorted-key
+# JSON; it pins candidate order, evidence and collapse sequences, which the
+# corpus report (statuses only) does not show
+VERDICT_LAYER_DIGEST = "3416bc5cf28c9867ffc24de4c1db1454f43f0ac307640468e0744bc4e84baaa8"
+
+
+def test_verdict_layer_reports_pinned(monkeypatch):
+    h = hashlib.sha256()
+    search = homotopy.collapse_search
+
+    def recorded(X, budget=None):
+        v = search(X, budget)
+        h.update(json.dumps(v.to_json_dict(), sort_keys=True).encode())
+        return v
+
+    monkeypatch.setattr(homotopy, "collapse_search", recorded)
+    for _, p in duality_corpus(CORPUS_SEED):
+        h.update(json.dumps(two_bracket_duality(p)["report"].to_json_dict(),
+                            sort_keys=True).encode())
+    assert h.hexdigest() == VERDICT_LAYER_DIGEST
