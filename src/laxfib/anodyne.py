@@ -67,18 +67,14 @@ def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
     return out
 
 
-def _inclusion(dom: KeyedSSet, cod: KeyedSSet) -> DecMap:
-    """Vertex-identity inclusion between two objects keyed on vertex words."""
-    return DecMap(dom, cod, {nd: cod.index[verts] for nd, verts in dom.labels.items()})
-
-
 def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
     """Builder of the inclusion of Delta^n (or its horn) into Delta^n, with
     two-scaling decorations ``dom`` and ``cod`` (default: ``dom``)."""
     def build(kind: str) -> DecMap:
         d = standard_simplex(n, kind=kind, **_deco(kind, **dom)) if horn_index is None \
             else horn(n, horn_index, kind=kind, **_deco(kind, **dom))
-        return _inclusion(d, standard_simplex(n, kind=kind, **_deco(kind, **(cod or dom))))
+        return delta_map(d, standard_simplex(n, kind=kind, **_deco(kind, **(cod or dom))),
+                         {v: v for v in range(n + 1)})
     return build
 
 
@@ -87,7 +83,7 @@ def _quotient(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optiona
     def build(kind: str) -> DecMap:
         d, leg_d = _collapse01(kind, n, dom, horn_index)
         c, leg_c = _collapse01(kind, n, cod or dom)
-        to_simplex = _inclusion(leg_d.src, leg_c.src)
+        to_simplex = delta_map(leg_d.src, leg_c.src, {v: v for v in range(n + 1)})
         return DecMap(d, c, {nd: leg_c.apply(to_simplex.apply(b))
                              for nd, b in _image_roots(leg_d)})
     return build

@@ -210,14 +210,6 @@ def parse_marking(path, C: StrictTwoCat) -> Marking2Cat:
     return Marking2Cat(C) if path is None else _parse(path, C, build=build_marking)
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _config(args) -> dict:
     cap = args.cap
     budgets = {
@@ -248,47 +240,41 @@ def _sset_summary(X: DecoratedSSet) -> dict:
 
 
 # -- subcommand handlers -----------------------------------------------------
+# Each handler takes the parsed arguments and the checked configuration and
+# returns the body of its report and its exit code; main adds the command and
+# the configuration and emits the report.
 
 
-def cmd_nerve(args) -> int:
+def cmd_nerve(args, cfg) -> tuple[dict, int]:
     from .twocat import scaled_nerve
-    cfg = _config(args)
     C = parse_two_cat(args.twocat)
-    marking = parse_marking(args.marking, C)
-    N = scaled_nerve(C, marking)
-    _emit({"command": "nerve", "config": cfg, "nerve": N.to_json_dict()}, args)
-    return EXIT_OK
+    return {"nerve": scaled_nerve(C, parse_marking(args.marking, C)).to_json_dict()}, EXIT_OK
 
 
-def cmd_gray(args) -> int:
+def cmd_gray(args, cfg) -> tuple[dict, int]:
     from . import gray
-    cfg = _config(args)
     X, Y = parse_sset(args.x), parse_sset(args.y)
     try:
         G = gray.gray(X, Y, cap=cfg["cap"], truncate=args.truncate)
     except DimensionCapError as e:
         raise InputError(str(e))
-    _emit({"command": "gray", "config": cfg, "product": G.to_json_dict(),
-           "provenance": {f"{k[0]},{k[1]}": v for k, v in sorted(G.gray_provenance.items())}},
-          args)
-    return EXIT_OK
+    provenance = {f"{k[0]},{k[1]}": v for k, v in sorted(G.gray_provenance.items())}
+    return {"product": G.to_json_dict(), "provenance": provenance}, EXIT_OK
 
 
-def cmd_ext(args) -> int:
+def cmd_ext(args, cfg) -> tuple[dict, int]:
     from . import gray
-    cfg = _config(args)
     if not 0 <= args.j <= args.n:
         raise InputError("need 0 <= j <= n")
     if args.n + 1 > cfg["cap"]:
         raise InputError("extension exceeds the cap")
     f = gray.e_map(args.j, args.n)
     table = {f"{nd[0]},{nd[1]}": f.assign[nd].encode() for nd in sorted(f.assign)}
-    _emit({"command": "ext", "config": cfg, "j": args.j, "n": args.n,
-           "respects_scaling": gray.e_map_respects_scaling(args.j, args.n),
-           "restriction_over_1_is_degeneracy":
-               gray.restriction_to_one_is_degeneracy(args.j, args.n),
-           "assignment": table}, args)
-    return EXIT_OK
+    return {"j": args.j, "n": args.n,
+            "respects_scaling": gray.e_map_respects_scaling(args.j, args.n),
+            "restriction_over_1_is_degeneracy":
+                gray.restriction_to_one_is_degeneracy(args.j, args.n),
+            "assignment": table}, EXIT_OK
 
 
 def _marked_functor(args) -> tuple[TwoFunctor, Marking2Cat, Marking2Cat]:
@@ -296,6 +282,11 @@ def _marked_functor(args) -> tuple[TwoFunctor, Marking2Cat, Marking2Cat]:
     D = parse_two_cat(args.target)
     F = parse_two_functor(args.functor, C, D)
     return F, parse_marking(args.marking_src, C), parse_marking(args.marking_dst, D)
+
+
+def _cat_functor(args) -> CatFunctor:
+    K = parse_category(args.source)
+    return parse_cat_functor(args.functor, K, parse_category(args.target))
 
 
 def _load_freefib(args) -> freefib.FreeFibration:
@@ -307,11 +298,10 @@ def _load_freefib(args) -> freefib.FreeFibration:
         raise InputError(str(e))
 
 
-def cmd_freefib(args) -> int:
-    cfg = _config(args)
+def cmd_freefib(args, cfg) -> tuple[dict, int]:
     ff = _load_freefib(args)
     report = {
-        "command": "freefib", "config": cfg, "mode": ff.mode,
+        "mode": ff.mode,
         "total": _sset_summary(ff.total),
         "base": _sset_summary(ff.base),
         "tables": {"total": ff.total.to_json_dict(),
@@ -331,64 +321,41 @@ def cmd_freefib(args) -> int:
                            for k, v in audit.items()}
         if audit["unreachable"]:
             status = EXIT_FAIL
-    _emit(report, args)
-    return status
+    return report, status
 
 
-def cmd_check_fibration(args) -> int:
+def cmd_check_fibration(args, cfg) -> tuple[dict, int]:
     from . import anodyne
-    cfg = _config(args)
-    ff = _load_freefib(args)
-    res = anodyne.certify_fibration(ff.proj, args.family, cfg["n_max"])
-    report = {"command": "check-fibration", "config": cfg, **res.to_json_dict()}
-    _emit(report, args)
-    return EXIT_OK if res.ok else EXIT_FAIL
+    res = anodyne.certify_fibration(_load_freefib(args).proj, args.family, cfg["n_max"])
+    return res.to_json_dict(), EXIT_OK if res.ok else EXIT_FAIL
 
 
-def cmd_check_cofinal(args) -> int:
+def cmd_check_cofinal(args, cfg) -> tuple[dict, int]:
     from . import cofinality
-    cfg = _config(args)
     F, mc, md = _marked_functor(args)
     try:
         rep = cofinality.check_cofinal(F, mc, md, cfg["budgets"])
     except ValueError as e:
         raise InputError(str(e))
-    _emit({"command": "check-cofinal", "config": cfg, **rep.to_json_dict()}, args)
-    return VERDICT_EXIT[rep.verdict]
+    return rep.to_json_dict(), VERDICT_EXIT[rep.verdict]
 
 
-def cmd_joyal(args) -> int:
+def cmd_joyal(args, cfg) -> tuple[dict, int]:
     from . import cofinality
-    cfg = _config(args)
-    K = parse_category(args.source)
-    S = parse_category(args.target)
-    p = parse_cat_functor(args.functor, K, S)
-    v = cofinality.joyal_cofinal(p, cfg["budgets"])
-    _emit({"command": "joyal", "config": cfg, **v.to_json_dict()}, args)
-    return VERDICT_EXIT[v.value]
+    v = cofinality.joyal_cofinal(_cat_functor(args), cfg["budgets"])
+    return v.to_json_dict(), VERDICT_EXIT[v.value]
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args, cfg) -> tuple[dict, int]:
     from . import cofinality
-    cfg = _config(args)
-    K = parse_category(args.source)
-    S = parse_category(args.target)
-    p = parse_cat_functor(args.functor, K, S)
-    r = cofinality.two_bracket_duality(p, cfg["budgets"])
-    report = {
-        "command": "duality", "config": cfg, "status": r["status"],
-        "two_categorical": r["two_categorical"],
-        "one_categorical": r["one_categorical"],
-        "report": r["report"].to_json_dict(),
-        "oracle": r["oracle"].to_json_dict(),
-    }
-    _emit(report, args)
-    return VERDICT_EXIT[r["status"]]
+    r = cofinality.two_bracket_duality(_cat_functor(args), cfg["budgets"])
+    return {"status": r["status"], "two_categorical": r["two_categorical"],
+            "one_categorical": r["one_categorical"], "report": r["report"].to_json_dict(),
+            "oracle": r["oracle"].to_json_dict()}, VERDICT_EXIT[r["status"]]
 
 
-def cmd_laxlim(args) -> int:
+def cmd_laxlim(args, cfg) -> tuple[dict, int]:
     from . import laxlim
-    cfg = _config(args)
     # the legs of each lax-limit shape; a leg is named by its --marking value
     shape, legs = {"lambda22": ("cospan", (laxlim.F_LEG, laxlim.G_LEG)),
                    "delta1": ("arrow", (laxlim.ARROW_LEG,))}[args.shape]
@@ -406,70 +373,46 @@ def cmd_laxlim(args) -> int:
         diagram = laxlim.ConeDiagram(parse_cat_functor(args.f, A, C),
                                      parse_cat_functor(args.g, B, C), marking)
     cand = laxlim.lax_limit(diagram)
-    report = {"command": "laxlim", "config": cfg, "shape": args.shape,
-              "marking": args.marking,
+    report = {"shape": args.shape, "marking": args.marking,
               "category": cand.category.to_json_dict()}
-    status = EXIT_OK
-    if args.oracle:
-        oracle = laxlim.cone_oracle(diagram, cand)
-        report["oracle"] = oracle
-        if not oracle["pass"]:
-            status = EXIT_FAIL
-    _emit(report, args)
-    return status
+    if not args.oracle:
+        return report, EXIT_OK
+    report["oracle"] = laxlim.cone_oracle(diagram, cand)
+    return report, EXIT_OK if report["oracle"]["pass"] else EXIT_FAIL
 
 
-def cmd_homology(args) -> int:
-    cfg = _config(args)
-    X = parse_sset(args.sset)
-    H = homotopy.homology(X, cfg["cap"])
-    _emit({"command": "homology", "config": cfg, **H.to_json_dict()}, args)
-    return EXIT_OK
+def cmd_homology(args, cfg) -> tuple[dict, int]:
+    return homotopy.homology(parse_sset(args.sset), cfg["cap"]).to_json_dict(), EXIT_OK
 
 
-def cmd_contractible(args) -> int:
-    cfg = _config(args)
-    X = parse_sset(args.sset)
-    v = homotopy.weakly_contractible(X, cfg["budgets"])
-    _emit({"command": "contractible", "config": cfg, **v.to_json_dict()}, args)
-    return VERDICT_EXIT[v.value]
+def cmd_contractible(args, cfg) -> tuple[dict, int]:
+    v = homotopy.weakly_contractible(parse_sset(args.sset), cfg["budgets"])
+    return v.to_json_dict(), VERDICT_EXIT[v.value]
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args, cfg) -> tuple[dict, int]:
     from . import anodyne, cofinality, fixtures, freefib
-    cfg = _config(args)
     seed = fixtures.CORPUS_SEED if args.seed is None else args.seed
-    report = {"command": "corpus", "config": cfg, "seed": seed}
-    ok = True
-
     rows = []
     for name, p in fixtures.duality_corpus(seed):
         r = cofinality.two_bracket_duality(p, cfg["budgets"])
         rows.append({"item": name, "status": r["status"],
                      "two_categorical": r["two_categorical"],
                      "one_categorical": r["one_categorical"]})
-        if r["status"] == "DISAGREE":
-            ok = False
-    report["duality"] = rows
-
     battery = []
     for name, F in fixtures.fixture_functors():
         ff = freefib.build_free_fibration(F)
-        entry = {"fixture": name, "total_cells": list(ff.total.n_cells)}
-        entry["face_identities"] = not freefib.face_identity_violations(ff)
-        entry["degeneracy_lemmas"] = not freefib.degeneracy_lemma_violations(ff)
-        audit = ff.filtration_audit()
-        entry["audit_reachable"] = not audit["unreachable"]
-        entry["comparison"] = freefib.compare_tame_fr(ff).ok
-        cert = anodyne.certify_fibration(ff.proj, "MB", cfg["n_max"])
-        entry["fibration_certified"] = cert.ok
-        battery.append(entry)
-        if not all(v for k, v in entry.items() if isinstance(v, bool)):
-            ok = False
-    report["fixtures"] = battery
-    report["pass"] = ok
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_FAIL
+        battery.append({
+            "fixture": name, "total_cells": list(ff.total.n_cells),
+            "face_identities": not freefib.face_identity_violations(ff),
+            "degeneracy_lemmas": not freefib.degeneracy_lemma_violations(ff),
+            "audit_reachable": not ff.filtration_audit()["unreachable"],
+            "comparison": freefib.compare_tame_fr(ff).ok,
+            "fibration_certified": anodyne.certify_fibration(ff.proj, "MB", cfg["n_max"]).ok})
+    ok = (all(r["status"] != "DISAGREE" for r in rows)
+          and all(v for entry in battery for v in entry.values() if isinstance(v, bool)))
+    return ({"seed": seed, "duality": rows, "fixtures": battery, "pass": ok},
+            EXIT_OK if ok else EXIT_FAIL)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -574,10 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        body, status = args.func(args, cfg)
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
+    text = json.dumps({"command": args.command, "config": cfg, **body}, indent=2,
+                      sort_keys=True) + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

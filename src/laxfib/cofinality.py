@@ -46,6 +46,11 @@ def _aggregate(values: list[str]) -> str:
     return "unknown"
 
 
+def _condition(checks: list) -> dict:
+    """A condition checked object by object: the aggregate of the checks' verdicts."""
+    return {"verdict": _aggregate([r["verdict"].value for r in checks]), "checks": checks}
+
+
 def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
                   dst_marking: Optional[Marking2Cat] = None,
                   budgets: Optional[dict] = None) -> CofinalityReport:
@@ -65,10 +70,10 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
 
     per_object: dict = {}
     chosen: dict = {}
-    counterexample = None
-
-    c_slices = {d: slice_fiber(frC, d)[0] for d in D.objects}
-    d_slices = {d: slice_fiber(frD, d)[0] for d in D.objects}
+    c_slices = {d: slice_fiber(frC, d) for d in D.objects}
+    d_slices = {d: slice_fiber(frD, d) for d in D.objects}
+    marked = sorted(dst_marking.marked1)
+    marked_out = {d: [u for u in marked if D.one_src(u) == d] for d in D.objects}
     asked: dict = {}    # (slice, object) -> verdict: conditions (ii) and (iii) ask again
 
     def initial(M: Marking2Cat, o) -> Verdict:  # the slices live as long as this call
@@ -78,8 +83,6 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
 
     for d in D.objects:
         c_slice = c_slices[d]
-        d_slice = d_slices[d]
-        record: dict = {}
 
         # condition (i): search candidates, marked morphisms first
         def cand_key(o):
@@ -87,49 +90,35 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
             return (0 if u in dst_marking.marked1 else 1,
                     0 if u == D.id1[d] else 1, str(o))
 
-        candidates = sorted(c_slice.base.objects, key=cand_key)
-        cond_i = "no" if not candidates else None
         cand_records = []
-        for o in candidates:
+        for o in sorted(c_slice.base.objects, key=cand_key):
             v_src = initial(c_slice, o)
-            o_dst = ("o", d, f.omap[o[2]], o[3])
-            v_dst = initial(d_slices[d], o_dst)
+            v_dst = initial(d_slices[d], ("o", d, f.omap[o[2]], o[3]))
             cand_records.append({"candidate": o, "in_source_slice": v_src,
                                  "in_target_slice": v_dst})
             if v_src.yes and v_dst.yes:
-                cond_i = "yes"
                 chosen[d] = o
                 break
-        if cond_i is None:
-            decisive_no = all(r["in_source_slice"].no or r["in_target_slice"].no
-                              for r in cand_records)
-            cond_i = "no" if decisive_no else "unknown"
-        record["condition_i"] = {"verdict": cond_i, "chosen": chosen.get(d),
-                                 "candidates": cand_records}
+        refuted = all(r["in_source_slice"].no or r["in_target_slice"].no for r in cand_records)
+        cond_i = "yes" if d in chosen else "no" if refuted else "unknown"
 
         # condition (ii): marked morphisms d -> f(c) give initial objects
         checks_ii = []
-        for u in sorted(dst_marking.marked1):
-            if D.one_src(u) != d:
-                continue
-            b = D.one_tgt(u)
+        for u in marked_out[d]:
             for c in C.objects:
-                if f.omap[c] != b:
-                    continue
-                o = ("o", d, c, u)
-                v = initial(c_slice, o)
-                checks_ii.append({"object": o, "verdict": v})
-        cond_ii = _aggregate([r["verdict"].value for r in checks_ii]) if checks_ii else "yes"
-        record["condition_ii"] = {"verdict": cond_ii, "checks": checks_ii}
-        per_object[d] = record
+                if f.omap[c] == D.one_tgt(u):
+                    o = ("o", d, c, u)
+                    checks_ii.append({"object": o, "verdict": initial(c_slice, o)})
+        per_object[d] = {
+            "condition_i": {"verdict": cond_i, "chosen": chosen.get(d),
+                            "candidates": cand_records},
+            "condition_ii": _condition(checks_ii)}
 
     # condition (iii): restriction along marked morphisms preserves the chosen
     # initial objects; quantified over the stored marked set only
     for d in D.objects:
         checks_iii = []
-        for e in sorted(dst_marking.marked1):
-            if D.one_src(e) != d:
-                continue
+        for e in marked_out[d]:
             b = D.one_tgt(e)
             if b not in chosen:
                 checks_iii.append({"edge": e, "verdict": Verdict(
@@ -137,21 +126,18 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
                 continue
             g_b = chosen[b]
             restricted = ("o", d, g_b[2], D.hcomp1[(g_b[3], e)])
-            v = initial(c_slices[d], restricted)
-            checks_iii.append({"edge": e, "restricted": restricted, "verdict": v})
-        cond_iii = _aggregate([r["verdict"].value for r in checks_iii]) if checks_iii else "yes"
-        per_object[d]["condition_iii"] = {"verdict": cond_iii, "checks": checks_iii}
+            checks_iii.append({"edge": e, "restricted": restricted,
+                               "verdict": initial(c_slices[d], restricted)})
+        per_object[d]["condition_iii"] = _condition(checks_iii)
 
-    values = []
-    for d in D.objects:
-        rec = per_object[d]
-        for cond in ("condition_i", "condition_ii", "condition_iii"):
-            values.append(rec[cond]["verdict"])
-            if rec[cond]["verdict"] == "no" and counterexample is None:
-                counterexample = {"object": d, "condition": cond,
-                                  "detail": rec[cond]}
-    verdict = _aggregate(values) if values else "yes"
-    return CofinalityReport(verdict, per_object, counterexample,
+    # the first decisive No, in object and condition order, is the counterexample
+    values, counterexample = [], None
+    for d, record in per_object.items():
+        for cond, rec in record.items():
+            values.append(rec["verdict"])
+            if rec["verdict"] == "no" and counterexample is None:
+                counterexample = {"object": d, "condition": cond, "detail": rec}
+    return CofinalityReport(_aggregate(values), per_object, counterexample,
                             {"note": "conditions quantified over the stored marked set",
                              **budgets})
 
@@ -164,16 +150,11 @@ def check_cofinal(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
 def joyal_cofinal(p: CatFunctor, budgets: Optional[dict] = None) -> Verdict:
     """Classical cofinality of a functor of finite categories: every comma
     category d/p must be weakly contractible."""
-    per_object = {}
-    values = []
-    for d in p.dst.objects:
-        comma = comma_under(p, d)
-        v = weakly_contractible(comma.nerve(), budgets)
-        per_object[d] = v
-        values.append(v.value)
-    value = _aggregate(values) if values else "yes"
-    witness = next((d for d in p.dst.objects if per_object[d].no), None)
-    return Verdict(value, {"per_object": per_object, "witness": witness})
+    per_object = {d: weakly_contractible(comma_under(p, d).nerve(), budgets)
+                  for d in p.dst.objects}
+    witness = next((d for d, v in per_object.items() if v.no), None)
+    return Verdict(_aggregate([v.value for v in per_object.values()]),
+                   {"per_object": per_object, "witness": witness})
 
 
 def two_bracket_duality(p: CatFunctor, budgets: Optional[dict] = None) -> dict:
@@ -236,8 +217,7 @@ def eta_terminal_check(D: StrictTwoCat, d: str, e: str) -> Verdict:
     if e not in D.onecells or D.one_src(e) != d:
         raise KeyError(f"{e} is not a 1-cell out of {d}")
     bundle = fr(identity_two_functor(D))
-    marking, _ = slice_fiber(bundle, d)
-    sub = marking.base
+    sub = slice_fiber(bundle, d).base
     o_id = ("o", d, d, D.id1[d])
     o_e = ("o", d, D.one_tgt(e), e)
     eta = ("m", o_id, o_e, D.id1[d], e, D.id2[e])

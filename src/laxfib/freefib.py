@@ -236,6 +236,11 @@ class FreeFibration:
         and an extension is built only when its key is new: a skip loses no cell.
         A stored extension's faces are its row of the face table; any other
         extension (degenerate, or of dimension 4) looks its faces up by pair.
+
+        Every stored simplex tau is ``d_{n+1} E_n tau``, a face of its own
+        extension (on ``2[walking-iso]`` this holds for all 1250), so
+        ``unreachable`` can be non-empty only where that identity fails, and
+        ``reachable == total`` says nothing more about the filtration.
         """
         T = self.total
         reads = {(n, j): tuple(dict.fromkeys(c.nd for c in e_map(j, n).assign.values()))

@@ -223,14 +223,9 @@ def composite(outer, outer_args: tuple, inner, inner_args: tuple) -> DecMap:
 
 
 def e_map_respects_scaling(j: int, n: int) -> bool:
-    """Thin triangles of the source prism land on thin triangles."""
-    f = e_map(j, n)
-    src, dst = prism(n + 1), prism(n)
-    for nd in sorted(src.thin):
-        img = f.apply(Cell(*nd))
-        if not img.is_degenerate() and img.nd not in dst.thin:
-            return False
-    return True
+    """Each decorated cell of the source prism lands on a cell with the same
+    decoration or on a degenerate one."""
+    return not e_map(j, n).decoration_violations()
 
 
 def restriction_to_one_is_degeneracy(j: int, n: int) -> bool:

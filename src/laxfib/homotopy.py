@@ -163,8 +163,8 @@ def homology(X: DecoratedSSet, max_deg: int = CAP) -> HomologyResult:
     # boundary-of-boundary must vanish on the nose
     for k in range(len(mats) - 1):
         a, b = mats[k], mats[k + 1]
-        if a and b and a[0] is not None:
-            for j in range(len(b[0]) if b else 0):
+        if a and b:
+            for j in range(len(b[0])):
                 col = [sum(a[r][i] * b[i][j] for i in range(len(b))) for r in range(len(a))]
                 assert all(v == 0 for v in col), "boundary squared is nonzero"
     groups = {}
@@ -218,27 +218,19 @@ def collapse_search(X: DecoratedSSet, budget: Optional[int] = None) -> Verdict:
             if other != nd:
                 cofaces[other].add(nd)
 
-    facet_rows = {nd: [ (f.nd, f.is_degenerate()) for f in X.faces.get(nd, ()) ] for nd in cells}
+    # the faces sigma may collapse through: nondegenerate, with a root that
+    # occurs once among sigma's faces; they depend on sigma alone
+    free_faces: dict = {}
+    for nd in cells:
+        roots = [f.nd for f in X.faces.get(nd, ())]
+        free_faces[nd] = [f.nd for f in X.faces.get(nd, ())
+                          if not f.is_degenerate() and roots.count(f.nd) == 1]
 
     def free_pairs(alive: frozenset):
-        out = []
-        for sigma in alive:
-            if sigma[0] == 0:
-                continue
-            if any(o in alive for o in cofaces[sigma]):
-                continue
-            seen: dict = {}
-            for f_nd, degen in facet_rows[sigma]:
-                seen.setdefault((f_nd, degen), 0)
-                seen[(f_nd, degen)] += 1
-            for tau in {f_nd for f_nd, degen in facet_rows[sigma] if not degen}:
-                if seen.get((tau, False)) != 1 or seen.get((tau, True)):
-                    continue
-                holders = [o for o in cofaces[tau] if o in alive and o != sigma]
-                if holders:
-                    continue
-                out.append((tau, sigma))
-        return sorted(out)
+        """(tau, sigma) with sigma maximal among the living cells and the only
+        living coface of tau, sorted."""
+        return sorted((tau, sigma) for sigma in alive if cofaces[sigma].isdisjoint(alive)
+                      for tau in free_faces[sigma] if cofaces[tau] & alive == {sigma})
 
     state_count = [0]
     failed: set = set()
@@ -366,13 +358,8 @@ def initial_in_localization(M: Marking2Cat, obj, budgets: Optional[dict] = None)
 
 def _base_initial_verdict(M: Marking2Cat, obj, budgets: dict) -> Verdict:
     C = M.base
-    strict = True
-    for x in C.objects:
-        hom = C.hom1(obj, x)
-        if len(hom) != 1 or len(C.two_between(hom[0], hom[0])) != 1:
-            strict = False
-            break
-    if strict:
+    homs = (C.hom1(obj, x) for x in C.objects)
+    if all(len(hom) == 1 and len(C.two_between(hom[0], hom[0])) == 1 for hom in homs):
         return Verdict("yes", {"witness": "strictly-initial", "budgets": budgets})
 
     # when only identities are marked, localizing changes nothing beyond the
@@ -380,45 +367,34 @@ def _base_initial_verdict(M: Marking2Cat, obj, budgets: dict) -> Verdict:
     # mapping category refutes initiality
     trivial_marking = all(m == C.id1[C.one_src(m)] for m in M.marked1)
 
-    per_object = {}
-    all_yes = True
+    per_object, mappings = {}, {}
     for x in C.objects:
-        mapping = C.hom_cat(obj, x)
-        nerve = mapping.nerve(max_dim=budgets["max_degree"])
-        v = weakly_contractible(nerve, budgets)
+        mappings[x] = C.hom_cat(obj, x)
+        v = weakly_contractible(mappings[x].nerve(max_dim=budgets["max_degree"]), budgets)
         per_object[x] = v
-        if not v.yes:
-            all_yes = False
         if v.no and trivial_marking:
             return Verdict("no", {"obstruction": "mapping-category", "witness": x,
                                   "detail": v, "budgets": budgets})
-    marked_ok = True
-    marked_witness = None
-    for m in sorted(C.onecells, key=str):
-        if m not in M.marked1:
-            continue
-        a, b = C.onecells[m]
-        if a != obj:
-            continue
-        mapping = C.hom_cat(obj, b)
-        anchor = mapping.objects[0]
-        if not _invertibly_connected(C, mapping, anchor, m):
-            marked_ok = False
-            marked_witness = m
-            break
-    if all_yes and marked_ok:
+    # the first marked 1-cell out of obj not connected to the first object of
+    # its mapping category through invertible 2-cells
+    marked_out = [(m, C.onecells[m][1]) for m in sorted(C.onecells, key=str)
+                  if m in M.marked1 and C.onecells[m][0] == obj]
+    unconnected = next((m for m, b in marked_out if not _invertibly_connected(C, mappings[b], m)),
+                       None)
+    if unconnected is None and all(v.yes for v in per_object.values()):
         return Verdict("yes", {"witness": "mapping-categories-contractible",
                                "per_object": per_object, "budgets": budgets})
     ev = {"per_object": per_object, "budgets": budgets}
-    if not marked_ok:
-        ev["marked_edge_not_connected"] = marked_witness
+    if unconnected is not None:
+        ev["marked_edge_not_connected"] = unconnected
     return Verdict("unknown", ev)
 
 
-def _invertibly_connected(C: StrictTwoCat, mapping: FinCat, a, b) -> bool:
-    """Connectivity of two 1-cells through invertible 2-cells."""
+def _invertibly_connected(C: StrictTwoCat, mapping: FinCat, m) -> bool:
+    """Connectivity of the 1-cell m to the first object of its mapping category
+    through invertible 2-cells."""
     steps = [(mapping.src[t], mapping.tgt[t]) for t in mapping.morphisms if C.is_invertible2(t)]
-    return b in _reachable(a, steps + [(y, x) for x, y in steps])
+    return m in _reachable(mapping.objects[0], steps + [(y, x) for x, y in steps])
 
 
 def _reachable(start, steps: list) -> set:

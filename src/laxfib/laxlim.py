@@ -97,6 +97,13 @@ class LimitCandidate:
     strictified: Optional[FinCat] = None
 
 
+def _name(parts) -> str:
+    """The parts joined by "|", with "\\", "|" and ">" escaped in each part, so
+    that distinct tuples get distinct names."""
+    return "|".join(str(p).replace("\\", "\\\\").replace("|", "\\|").replace(">", "\\>")
+                    for p in parts)
+
+
 def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, list]:
     """Tuples with componentwise morphisms.
 
@@ -114,7 +121,7 @@ def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, 
             hom = g.dst.hom(f.omap[xs[i]], g.omap[xs[j]])
             pools.append([m for m in hom if g.dst.is_iso(m)] if pos in iso else hom)
         for alphas in itertools.product(*pools):
-            o = "|".join(map(str, xs + alphas))
+            o = _name(xs + alphas)
             objs.append(o)
             data[o] = (xs, alphas)
     squares = [(f.mmap, i, g.mmap, j, g.dst.comp) for f, i, g, j in links]
@@ -126,7 +133,7 @@ def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, 
             for ms in itertools.product(*[c.hom(a, b) for c, a, b in zip(cats, xs1, xs2)]):
                 if all(comp[(gm[ms[j]], a1)] == comp[(a2, fm[ms[i]])]
                        for (fm, i, gm, j, comp), a1, a2 in zip(squares, al1, al2)):
-                    m = "|".join(map(str, ms)) + f"|{o1}>{o2}"
+                    m = _name(ms) + f"|{o1}>{o2}"
                     mors.append(m)
                     src[m], tgt[m] = o1, o2
                     mdata[m] = ms
@@ -135,8 +142,8 @@ def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, 
         for m2 in mors:
             if tgt[m1] == src[m2]:
                 parts = (c.comp[(b, a)] for c, a, b in zip(cats, mdata[m1], mdata[m2]))
-                comp[(m2, m1)] = "|".join(map(str, parts)) + f"|{src[m1]}>{tgt[m2]}"
-    ident = {o: "|".join(str(c.ident[x]) for c, x in zip(cats, data[o][0])) + f"|{o}>{o}"
+                comp[(m2, m1)] = _name(parts) + f"|{src[m1]}>{tgt[m2]}"
+    ident = {o: _name(c.ident[x] for c, x in zip(cats, data[o][0])) + f"|{o}>{o}"
              for o in objs}
     P = FinCat(objs, mors, src, tgt, comp, ident, name=name)
     projections = [CatFunctor(P, c, {o: data[o][0][k] for o in objs},

@@ -588,7 +588,7 @@ def _groups(onecells, twocells) -> tuple[dict, dict, dict]:
     return after1, after2, over2
 
 
-def slice_fiber(bundle: FrBundle, d: str) -> tuple[Marking2Cat, FrBundle]:
+def slice_fiber(bundle: FrBundle, d: str) -> Marking2Cat:
     """The fiber of Fr(C) -> D over d: the strict model of the lax slice.
 
     Returns the marked 2-category on the objects with source d, the 1-cells
@@ -600,4 +600,4 @@ def slice_fiber(bundle: FrBundle, d: str) -> tuple[Marking2Cat, FrBundle]:
     id_d = D.id1[d]
     sub = _comma(bundle.f, [d], {(d, d): [id_d]}, {(id_d, id_d): [D.id2[id_d]]}, bundle.homs,
                  f"Fr({bundle.f.src.name})|{d}")
-    return Marking2Cat(sub, bundle._marked(sub.onecells)), bundle
+    return Marking2Cat(sub, bundle._marked(sub.onecells))

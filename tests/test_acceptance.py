@@ -224,7 +224,7 @@ def test_criterion_6_eta_terminality(battery):
             checked += 1
     # negative control: the non-unit object of Map(id_0, o:1) is not terminal
     bundle = fr(identity_two_functor(T))
-    marking, _ = slice_fiber(bundle, "0")
+    marking = slice_fiber(bundle, "0")
     mapping = marking.base.hom_cat(("o", "0", "0", "id0"), ("o", "0", "1", "o:1"))
     eta = ("m", ("o", "0", "0", "id0"), ("o", "0", "1", "o:1"), "id0", "o:1", T.id2["o:1"])
     non_eta = next(o for o in mapping.objects if o != eta)

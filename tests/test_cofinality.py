@@ -123,7 +123,7 @@ def test_eta_negative_control_non_terminal_object():
     # targets, so it is not terminal
     T = two_bracket(walking_arrow())
     bundle = fr(identity_two_functor(T))
-    marking, _ = slice_fiber(bundle, "0")
+    marking = slice_fiber(bundle, "0")
     sub = marking.base
     o_id = ("o", "0", "0", "id0")
     o_e = ("o", "0", "1", "o:1")

@@ -328,7 +328,7 @@ def test_fiber_matches_strict_slice_nerve(small_ff):
     bundle = fr(small_ff.f, small_ff.src_marking, small_ff.dst_marking)
     for d in small_ff.f.dst.objects:
         fib, _ = small_ff.fiber(d)
-        marking, _ = slice_fiber(bundle, d)
+        marking = slice_fiber(bundle, d)
         N = scaled_nerve(marking)
         assert fib.n_cells == N.n_cells, d
         assert len(fib.marked) == len(N.marked), d

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from laxfib.fincat import CatFunctor, FinCat, identity_functor, terminal_cat, walking_arrow, walking_iso
+from laxfib.fincat import (
+    CatFunctor,
+    FinCat,
+    identity_functor,
+    poset_cat,
+    terminal_cat,
+    walking_arrow,
+    walking_iso,
+)
 from laxfib.fixtures import include_at
 from laxfib.laxlim import (
     BudgetError,
@@ -119,6 +127,20 @@ def test_all_outputs_are_valid_categories():
                  pseudo_pullback(identity_functor(S), identity_functor(S)),
                  directed_pullback(identity_functor(S), identity_functor(S), G_LEG)):
         assert cand.category.validate() == []
+
+
+def test_tuple_names_are_injective():
+    # joined by a bare "|", the tuples (p, q|r, *) and (p|q, r, *) shared one name
+    pt = terminal_cat()
+    F, G = (CatFunctor(X, pt, dict.fromkeys(X.objects, "*"), dict.fromkeys(X.morphisms, "id*"))
+            for X in (poset_cat(["p", "p|q"], []), poset_cat(["q|r", "r"], [])))
+    L = lax_pullback(F, G)
+    strict = directed_pullback(F, G).strictified
+    for P in (L.category, strict):
+        assert len(set(P.objects)) == len(P.objects) == 4
+        assert len(set(P.morphisms)) == len(P.morphisms)
+        assert P.validate() == []
+    assert cone_oracle(ConeDiagram(F, G), L)["pass"]
 
 
 def test_cone_oracle_passes_on_lax_pullback():
