@@ -47,7 +47,7 @@ def _aggregate(values: list[str]) -> str:
 
 
 def _condition(checks: list) -> dict:
-    """A condition checked object by object: the aggregate of the checks' verdicts."""
+    """A condition's record: its checks and the aggregate of their verdicts."""
     return {"verdict": _aggregate([r["verdict"].value for r in checks]), "checks": checks}
 
 

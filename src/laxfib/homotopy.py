@@ -222,9 +222,9 @@ def collapse_search(X: DecoratedSSet, budget: Optional[int] = None) -> Verdict:
     # occurs once among sigma's faces; they depend on sigma alone
     free_faces: dict = {}
     for nd in cells:
-        roots = [f.nd for f in X.faces.get(nd, ())]
-        free_faces[nd] = [f.nd for f in X.faces.get(nd, ())
-                          if not f.is_degenerate() and roots.count(f.nd) == 1]
+        faces = X.faces.get(nd, ())
+        roots = [f.nd for f in faces]
+        free_faces[nd] = [f.nd for f in faces if not f.is_degenerate() and roots.count(f.nd) == 1]
 
     def free_pairs(alive: frozenset):
         """(tau, sigma) with sigma maximal among the living cells and the only
