@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,7 +49,9 @@ class FinCat:
         return self._iso_cache[m]
 
     def validate(self) -> list[tuple]:
-        bad = []
+        bad = [(f"repeated-{kind}", x) for kind, names in (("object", self.objects),
+                                                           ("morphism", self.morphisms))
+               for x, count in Counter(names).items() if count > 1]
         for m in self.morphisms:
             if self.src[m] not in self.objects or self.tgt[m] not in self.objects:
                 bad.append(("endpoints", m))

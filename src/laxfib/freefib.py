@@ -13,6 +13,7 @@ and is 3-coskeletal above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
@@ -561,35 +562,59 @@ def expected_extension_face(ff: FreeFibration, sigma: PairSimplex, j: int, s: in
 
 def face_identity_violations(ff: FreeFibration) -> list:
     """Check all six face identities for every stored simplex, its degeneracies
-    included, and every j."""
+    included, and every j.
+
+    Outside the unit clause s = j = 0, both sides of d_s E_j are sigma composed
+    with ``gray`` structure maps that do not depend on sigma, so a clause that
+    holds on the universal pair ``_universal_pair(n)`` holds for every n-pair:
+    those clauses check the structure maps, once per shape and call.  The unit
+    clause, which reads sigma through ``gamma_pair``, and any clause that fails
+    on the universal pair are checked per sigma."""
+    u = _universal_pair
+    per_sigma = {n: [(j, s) for j in range(n + 1) for s in range(n + 2) if j == s == 0
+                     or u(n).extension_face(j, s) != expected_extension_face(ff, u(n), j, s)]
+                 for n in range(TOP_DIM + 1)}
     bad = []
     for sigma, label in _stored_pairs(ff):
-        n = sigma.n
-        for j in range(n + 1):
-            for s in range(n + 2):
-                want = expected_extension_face(ff, sigma, j, s)
-                # the s = j + 1 = n + 1 corner is covered by the first clause
-                if sigma.extension_face(j, s) != want:
-                    bad.append((label, j, s))
+        # the s = j + 1 = n + 1 corner is covered by the first clause
+        bad.extend((label, j, s) for j, s in per_sigma[sigma.n]
+                   if sigma.extension_face(j, s) != expected_extension_face(ff, sigma, j, s))
     return bad
 
 
 def degeneracy_lemma_violations(ff: FreeFibration) -> list:
-    """Extensions of degenerate simplices, and double extensions, degenerate."""
+    """Extensions of degenerate simplices, and double extensions, degenerate.
+
+    A double extension E_i E_j sigma, and an extension E_j s_k tau of a stored
+    degeneracy, is sigma (tau) composed with ``gray`` structure maps, so it is
+    degenerate as soon as that of the universal pair is: these cases check the
+    structure maps, once per shape and call, and only a case that fails there
+    is checked per sigma, as is any other degenerate sigma."""
+    u = _universal_pair
+    # the cases that fail on the universal pair, each checked per sigma
+    of_degeneracy = {(n, k): [j for j in range(n + 1)
+                              if not u(n - 1).degeneracy(k).extend(j).is_degenerate()]
+                     for n in range(1, TOP_DIM + 1) for k in range(n)}
+    of_extension = {n: [(j, i) for j in range(n + 1) for i in range(n + 2)
+                        if not u(n).extend(j).extend(i).is_degenerate()] for n in range(TOP_DIM)}
     bad = []
     for sigma, label in _stored_pairs(ff):
         n = sigma.n
         if sigma.is_degenerate():
-            for j in range(n + 1):
-                if not sigma.extend(j).is_degenerate():
-                    bad.append(("extension-of-degenerate", label, j))
-        if n <= 2:
-            for j in range(n + 1):
-                ext = sigma.extend(j)
-                for i in range(n + 2):
-                    if not ext.extend(i).is_degenerate():
-                        bad.append(("extension-of-extension", label, j, i))
+            # a stored degeneracy s_k tau is labelled (nd, "s", k); any other sigma has no shape
+            js = of_degeneracy[(n, label[2])] if len(label) == 3 else range(n + 1)
+            bad.extend(("extension-of-degenerate", label, j) for j in js
+                       if not sigma.extend(j).is_degenerate())
+        bad.extend(("extension-of-extension", label, j, i) for j, i in of_extension.get(n, ())
+                   if not sigma.extend(j).extend(i).is_degenerate())
     return bad
+
+
+@lru_cache(maxsize=None)
+def _universal_pair(n: int) -> PairSimplex:
+    """(identity of the prism, identity of Delta^n): every n-pair sigma is
+    sigma composed with it, so it satisfies exactly the structure-map identities."""
+    return PairSimplex(n, DecMap.identity(prism(n)), DecMap.identity(delta(n)))
 
 
 def _stored_pairs(ff: FreeFibration):

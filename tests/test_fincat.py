@@ -5,6 +5,7 @@ from __future__ import annotations
 from laxfib.cli import build_category
 from laxfib.fincat import (
     CatFunctor,
+    FinCat,
     all_functors,
     chain_poset,
     comma_over,
@@ -138,3 +139,10 @@ def test_json_roundtrip():
     D = build_category(doc)
     assert D.validate() == []
     assert D.to_json_dict() == doc
+
+
+def test_validate_reports_repeated_names():
+    """A category that lists an object or a morphism twice is reported, once per name."""
+    C = FinCat(["p", "p"], ["idp", "idp"], {"idp": "p"}, {"idp": "p"},
+               {("idp", "idp"): "idp"}, {"p": "idp"})
+    assert C.validate() == [("repeated-object", "p"), ("repeated-morphism", "idp")]

@@ -26,7 +26,7 @@ from laxfib.freefib import (
     sharp_base,
     three_coskeletal_violations,
 )
-from laxfib.gray import ProductSSet, delta, e_map, end_map, gray, prism, simplex_deg
+from laxfib.gray import ProductSSet, delta, e_map, end_map, gray, prism, prism_deg, simplex_deg
 from laxfib.simplicial import Cell, DecMap, DecoratedSSet, standard_simplex
 from laxfib.twocat import (
     Marking2Cat,
@@ -263,6 +263,91 @@ def test_filtration_audit_matches_the_reference_on_an_unreachable_edge(arrow_ff,
     audit = ff.filtration_audit()
     assert audit["unreachable"] == [(1, 7)]
     assert audit == _reference_audit(ff)
+
+
+def _reference_face_identities(ff) -> list:
+    """The face identities clause by clause, for every stored pair and degeneracy."""
+    bad = []
+    for sigma, label in freefib._stored_pairs(ff):
+        n = sigma.n
+        for j in range(n + 1):
+            for s in range(n + 2):
+                if sigma.extension_face(j, s) != freefib.expected_extension_face(ff, sigma, j, s):
+                    bad.append((label, j, s))
+    return bad
+
+
+def _reference_degeneracy_lemmas(ff) -> list:
+    """The degeneracy lemmas case by case, for every stored pair and degeneracy."""
+    bad = []
+    for sigma, label in freefib._stored_pairs(ff):
+        n = sigma.n
+        if sigma.is_degenerate():
+            for j in range(n + 1):
+                if not sigma.extend(j).is_degenerate():
+                    bad.append(("extension-of-degenerate", label, j))
+        if n <= 2:
+            for j in range(n + 1):
+                ext = sigma.extend(j)
+                for i in range(n + 2):
+                    if not ext.extend(i).is_degenerate():
+                        bad.append(("extension-of-extension", label, j, i))
+    return bad
+
+
+def _assert_extension_lemmas_match_the_references(ff) -> tuple[int, int]:
+    faces, lemmas = face_identity_violations(ff), degeneracy_lemma_violations(ff)
+    assert faces == _reference_face_identities(ff)
+    assert lemmas == _reference_degeneracy_lemmas(ff)
+    return len(faces), len(lemmas)
+
+
+@pytest.fixture(scope="module")
+def battery_ffs():
+    """The battery fixtures' free fibrations, in both modes."""
+    return [build_free_fibration(F, mode=mode)
+            for mode in ("dagger", "natural") for _, F in fixture_functors()]
+
+
+def test_extension_lemmas_match_the_references_on_the_battery(battery_ffs):
+    for ff in battery_ffs:
+        assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
+
+
+@pytest.mark.parametrize("name, plant, counts", [
+    ("expected_extension_face", lambda ff, sigma, j, s: sigma, (8036, 0)),
+    ("e_map", lambda j, n: e_map(0, 1) if (j, n) == (1, 1) else e_map(j, n), (472, 0)),
+    ("prism_deg", lambda n, j: prism_deg(n, 0), (132, 1372))], ids=["sigma", "e_map", "prism_deg"])
+def test_extension_lemmas_match_the_references_on_planted_defects(battery_ffs, monkeypatch,
+                                                                  name, plant, counts):
+    """A wrong right-hand side, a wrong E_1 on edges and a wrong prism degeneracy fail on the
+    universal pair, so the engine checks those clauses per sigma and lists what the per-sigma
+    references list, over the battery in both modes (planted after the battery is built)."""
+    monkeypatch.setattr(freefib, name, plant)
+    totals = [_assert_extension_lemmas_match_the_references(ff) for ff in battery_ffs]
+    assert tuple(map(sum, zip(*totals))) == counts
+
+
+def test_extension_lemmas_match_the_references_on_walking_iso():
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
+    assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
+
+
+def test_structure_map_identities_hold_on_the_universal_pair(small_ff):
+    """For n <= 3 every face clause but the unit clause s = j = 0 (36) and every degeneracy
+    lemma case (20 double extensions, 20 extensions of degeneracies) holds on the universal
+    pair, so on a sound engine only the unit clause is checked per sigma."""
+    u = freefib._universal_pair
+    faces = [u(n).extension_face(j, s) == freefib.expected_extension_face(small_ff, u(n), j, s)
+             for n in range(4) for j in range(n + 1) for s in range(n + 2) if (j, s) != (0, 0)]
+    lemmas = [u(n).extend(j).extend(i).is_degenerate()
+              for n in range(3) for j in range(n + 1) for i in range(n + 2)]
+    lemmas += [u(n - 1).degeneracy(k).extend(j).is_degenerate()
+               for n in range(1, 4) for k in range(n) for j in range(n + 1)]
+    assert len(faces) == 36 and all(faces)
+    assert len(lemmas) == 40 and all(lemmas)
 
 
 def test_filtration_audit_small(small_ff):
@@ -623,6 +708,18 @@ def test_random_poset_functors_pass_every_check(rng):
     # a functor that is not injective does not fix rho by phi over {1}: the audit's key reads both
     assert audit == _reference_audit(ff)
     assert three_coskeletal_violations(ff) == []
+
+
+@seed(20240813)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_poset_functors_match_the_extension_lemma_references(rng):
+    """The examples of ``test_random_poset_functors_pass_every_check`` (same seed, same
+    draws): the extension lemmas list what the per-sigma references list."""
+    F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
+    assume(F is not None)
+    ff = build_free_fibration(two_bracket_functor(F))
+    assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
 
 
 def _digest(text: str) -> str:
