@@ -13,7 +13,7 @@ and is 3-coskeletal above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Optional
 
@@ -298,58 +298,82 @@ def build_free_fibration(f: TwoFunctor, src_marking: Optional[Marking2Cat] = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ComparisonReport:
-    """Mutually inverse maps between the tame model and nerve(Fr), or diffs."""
+    """Diffs decided in dimensions <= 3 and, when there are none, the mutually inverse
+    maps ``xi`` (total space -> nerve(Fr)) and ``psi``.  These are extended over the
+    4-cells when first read, through one ``fr_nerve(bundle, mode)`` built then and
+    shared, so they equal the full comparison's, key order included.  Both read
+    None when ``ok`` is false."""
 
-    xi: Optional[DecMap]
-    psi: Optional[DecMap]
-    diffs: list
+    def __init__(self, diffs: list, maps: Optional[tuple] = None):
+        self.diffs = diffs
+        self._maps = maps  # (the total space, xi and psi in dimensions <= 3)
 
     @property
     def ok(self) -> bool:
         return not self.diffs
 
+    @cached_property
+    def _nerve(self) -> ScaledNerve:
+        return add_coskeletal_top(self._maps[1].dst, TOP_DIM + 1)
 
-def fr_nerve(bundle: FrBundle, mode: str = "dagger") -> ScaledNerve:
+    @cached_property
+    def xi(self) -> Optional[DecMap]:
+        return self._maps and extend_map(self._maps[0], self._nerve, self._maps[1].assign)
+
+    @cached_property
+    def psi(self) -> Optional[DecMap]:
+        return self._maps and extend_map(self._nerve, self._maps[0], self._maps[2].assign)
+
+
+def fr_nerve(bundle: FrBundle, mode: str = "dagger", max_dim: int = TOP_DIM + 1) -> ScaledNerve:
     """Nerve of Fr with marked edges per mode and lean = coCartesian fillers."""
     marked = bundle.marked1 if mode == "dagger" else bundle.cartesian1
     return scaled_nerve(bundle.twocat, Marking2Cat(bundle.twocat, marked),
-                        lean_flag=lambda t: t in bundle.cocartesian2)
+                        lean_flag=lambda t: t in bundle.cocartesian2, max_dim=max_dim)
 
 
 def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
-    """Build the isomorphism between the total space and nerve(Fr), verifying
-    that it is decoration-preserving and mutually inverse in dims 0..4."""
+    """Build the isomorphism between the total space and nerve(Fr), verifying on
+    the 3-truncations that it is decoration-preserving and mutually inverse.
+
+    That decides dimension 4 too.  Both sides have exactly one 4-cell per
+    nondegenerate 4-sphere: the total space from ``add_coskeletal_top`` in
+    ``_build_total`` (``three_coskeletal_violations`` counts them apart), nerve(Fr)
+    from ``scaled_nerve``.  Maps that commute with faces and are mutually inverse in
+    dimensions <= 3 carry nondegenerate 4-spheres bijectively onto nondegenerate
+    4-spheres, so their unique extensions are mutually inverse; and no decoration
+    lives in dimension 4."""
     bundle = fr(ff.f, ff.src_marking, ff.dst_marking)
-    N = fr_nerve(bundle, ff.mode)
+    N = fr_nerve(bundle, ff.mode, max_dim=TOP_DIM)
+    T = ff.total._replaced(n_cells=ff.total.n_cells[:TOP_DIM + 1],
+                           faces={nd: f for nd, f in ff.total.faces.items() if nd[0] <= TOP_DIM})
     diffs: list = []
 
-    xi = _build_xi(ff, bundle, N, diffs)
-    psi = _build_psi(ff, bundle, N, diffs)
+    xi = _build_xi(ff, T, bundle, N, diffs)
+    psi = _build_psi(ff, T, bundle, N, diffs)
     if diffs:
-        return ComparisonReport(None, None, diffs)
+        return ComparisonReport(diffs)
 
     if not xi.commutes_with_faces():
         diffs.append(("xi", "faces"))
     if not psi.commutes_with_faces():
         diffs.append(("psi", "faces"))
-    for cell in ff.total.all_nondeg():
+    for cell in T.all_nondeg():
         if psi.apply(xi.apply(cell)) != cell:
             diffs.append(("roundtrip-total", cell))
     for cell in N.all_nondeg():
         if xi.apply(psi.apply(cell)) != cell:
             diffs.append(("roundtrip-nerve", cell))
-    for name, left, right in (("marked", ff.total.marked, N.marked),
-                              ("thin", ff.total.thin, N.thin),
-                              ("lean", ff.total.lean, N.lean)):
+    for name in ("marked", "thin", "lean"):
+        left, right = getattr(T, name), set(getattr(N, name))
         image = {xi.assign[nd].nd for nd in left if not xi.assign[nd].is_degenerate()}
-        if image != set(right):
-            diffs.append(("decoration", name, sorted(image ^ set(right))))
-    return ComparisonReport(xi, psi, diffs)
+        if image != right:
+            diffs.append(("decoration", name, sorted(image ^ right)))
+    return ComparisonReport(diffs, None if diffs else (ff.total, xi, psi))
 
 
-def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
+def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
               diffs: list) -> Optional[DecMap]:
     Fr = bundle.twocat
     NC, ND = ff.nc, ff.nd
@@ -388,7 +412,7 @@ def _build_xi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
                 continue
             assign[nd] = N.triangle_cell(fm, gm, hm, sigma)
     try:  # tetrahedra and coskeletal cells are determined by faces
-        return None if diffs else extend_map(ff.total, N, assign)
+        return None if diffs else extend_map(T, N, assign)
     except NoFillerError as e:
         diffs.append(("xi-no-unique-filler", e.cell.nd))
 
@@ -406,7 +430,7 @@ def _edge_of(ff: FreeFibration, Fr: StrictTwoCat, objects: dict, edges: dict,
     return edges[cell.nd]
 
 
-def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
+def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
                diffs: list) -> Optional[DecMap]:
     NC, ND = ff.nc, ff.nd
     C, D = ff.f.src, ff.f.dst
@@ -528,11 +552,11 @@ def _build_psi(ff: FreeFibration, bundle: FrBundle, N: ScaledNerve,
 
     pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     # a triangle without a pair (None) is not in the index either
-    assign = {nd: ff.total.index.get(pair_for[kind](data)) for nd, (kind, data) in N.labels.items()}
+    assign = {nd: T.index.get(pair_for[kind](data)) for nd, (kind, data) in N.labels.items()}
     missing = [("psi-missing", nd, N.labels[nd]) for nd, img in assign.items() if img is None]
     diffs += missing
     try:  # tetrahedra and coskeletal cells carry no label: determined by faces
-        return None if missing else extend_map(N, ff.total, assign)
+        return None if missing else extend_map(N, T, assign)
     except NoFillerError as e:
         diffs.append(("psi-missing", e.cell.nd, N.faces[e.cell.nd]))
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from checkers import assert_no_lift
 from laxfib import anodyne
 from laxfib.anodyne import (
     AnodyneStep,
@@ -18,6 +19,8 @@ from laxfib.anodyne import (
     solve,
 )
 from laxfib.fincat import terminal_cat
+from laxfib.fixtures import fixture_functors
+from laxfib.freefib import build_free_fibration
 from laxfib.simplicial import (
     Cell,
     DecMap,
@@ -258,3 +261,25 @@ def test_ms_inner_horns_against_nerve_over_point():
     p = DecMap(N, base, {c.nd: _collapse_cell(c) for c in N.all_nondeg()})
     res = certify_fibration(p, "MS", n_max=3, tags=["MS1", "UI"])
     assert res.ok
+
+
+def test_early_exit_counterexamples_have_no_lift():
+    """The maps that the benchmark's verdict stream certifies: the unit maps of the first
+    three battery fixtures in both modes, and a vertex of the sharp interval.  Each of the
+    five that are not fibrations stops at a counterexample square, which the brute-force
+    checker, written apart from ``anodyne``, finds without a lift."""
+    maps = [(f"gamma/{name}/{mode}", build_free_fibration(F, mode=mode).gamma)
+            for name, F in fixture_functors()[:3] for mode in ("dagger", "natural")]
+    sharp = {"kind": "MB", "marked": "sharp", "thin": "sharp", "lean": "sharp"}
+    maps.append(("delta0-to-delta1-at-1",
+                 delta_map(standard_simplex(0, **sharp), standard_simplex(1, **sharp), {0: 1})))
+    stopped = []
+    for name, p in maps:
+        res = certify_fibration(p, "MB", 4)
+        if not res.ok:
+            assert_no_lift(res.gen.incl, res.top, res.bottom, p)
+            stopped.append((name, res.gen.describe()))
+    assert stopped == [(name, "MB:A5()") for name in (
+        "gamma/2bracket-pt-id/dagger", "gamma/2bracket-pt-id/natural",
+        "gamma/2bracket-empty-into-pt/dagger", "gamma/2bracket-empty-into-pt/natural",
+        "delta0-to-delta1-at-1")]

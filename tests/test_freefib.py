@@ -15,8 +15,9 @@ from laxfib.anodyne import certify_fibration
 from laxfib.cli import build_two_cat
 from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
 from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
-from laxfib import freefib
+from laxfib import freefib, simplicial
 from laxfib.freefib import (
+    FreeFibration,
     build_free_fibration,
     compare_tame_fr,
     degeneracy_lemma_violations,
@@ -333,6 +334,130 @@ def test_extension_lemmas_match_the_references_on_walking_iso():
     from laxfib.twocat import two_bracket
     ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
     assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
+
+
+def _reference_comparison(ff) -> tuple:
+    """The comparison in dimensions 0..4: the full nerve of Fr, and xi and psi extended
+    over the total space's 4-cells before any check.  Returns (diffs, xi, psi); the maps
+    are None when they could not be built, and given alongside any other diffs."""
+    bundle = fr(ff.f, ff.src_marking, ff.dst_marking)
+    N = fr_nerve(bundle, ff.mode)
+    diffs: list = []
+
+    xi = freefib._build_xi(ff, ff.total, bundle, N, diffs)
+    psi = freefib._build_psi(ff, ff.total, bundle, N, diffs)
+    if diffs:
+        return diffs, None, None
+
+    if not xi.commutes_with_faces():
+        diffs.append(("xi", "faces"))
+    if not psi.commutes_with_faces():
+        diffs.append(("psi", "faces"))
+    for cell in ff.total.all_nondeg():
+        if psi.apply(xi.apply(cell)) != cell:
+            diffs.append(("roundtrip-total", cell))
+    for cell in N.all_nondeg():
+        if xi.apply(psi.apply(cell)) != cell:
+            diffs.append(("roundtrip-nerve", cell))
+    for name, left, right in (("marked", ff.total.marked, N.marked),
+                              ("thin", ff.total.thin, N.thin),
+                              ("lean", ff.total.lean, N.lean)):
+        image = {xi.assign[nd].nd for nd in left if not xi.assign[nd].is_degenerate()}
+        if image != set(right):
+            diffs.append(("decoration", name, sorted(image ^ set(right))))
+    return diffs, xi, psi
+
+
+def _assert_comparison_matches_the_reference(ff) -> list:
+    """The comparison's ``ok`` and ``diffs`` equal the reference's; returns the diffs."""
+    rep = compare_tame_fr(ff)
+    diffs = _reference_comparison(ff)[0]
+    assert rep.diffs == diffs and rep.ok == (not diffs)
+    return diffs
+
+
+def test_comparison_matches_the_reference_on_the_battery(battery_ffs):
+    for ff in battery_ffs:
+        assert _assert_comparison_matches_the_reference(ff) == []
+
+
+def test_comparison_matches_the_reference_on_walking_iso():
+    """Decided in dimensions <= 3, the comparison agrees with the full one; the maps read
+    afterwards are built over the 4-cells, are mutually inverse there, and are the
+    reference's maps, key order included."""
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    iso_ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
+    rep = compare_tame_fr(iso_ff)
+    diffs, xi, psi = _reference_comparison(iso_ff)
+    assert rep.ok and rep.diffs == diffs == []
+    assert rep.xi.validate().dst is rep.psi.validate().src
+    assert iso_ff.total.num(4) == rep.xi.dst.num(4) == 28210
+    assert all(rep.psi.apply(rep.xi.apply(c)) == c for c in iso_ff.total.nondeg(4))
+    assert all(rep.xi.apply(rep.psi.apply(c)) == c for c in rep.xi.dst.nondeg(4))
+    assert list(rep.xi.assign.items()) == list(xi.assign.items())
+    assert list(rep.psi.assign.items()) == list(psi.assign.items())
+
+
+def _flip_first_edge_marking(monkeypatch):
+    """Each free fibration built afterwards has the marking of its first edge flipped."""
+    edge_marked = FreeFibration._edge_marked
+
+    def flipped(self, pair, mode):
+        return edge_marked(self, pair, mode) != (self.__dict__.setdefault("_flipped", pair) is pair)
+
+    monkeypatch.setattr(FreeFibration, "_edge_marked", flipped)
+
+
+def _swap_two_psi_edges(monkeypatch):
+    """psi, once built, has the images of the nerve's first two edges swapped."""
+    build_psi = freefib._build_psi
+
+    def swapped(ff, T, bundle, N, diffs):
+        psi = build_psi(ff, T, bundle, N, diffs)
+        edges = [c.nd for c in N.nondeg(1)][:2]
+        if psi is not None and len(edges) == 2:
+            a, b = edges
+            psi.assign[a], psi.assign[b] = psi.assign[b], psi.assign[a]
+        return psi
+
+    monkeypatch.setattr(freefib, "_build_psi", swapped)
+
+
+@pytest.mark.parametrize("plant, kinds", [
+    (_flip_first_edge_marking, {"decoration": 10}),
+    (_swap_two_psi_edges, {"psi": 8, "roundtrip-total": 16, "roundtrip-nerve": 16}),
+])
+def test_comparison_matches_the_reference_on_planted_defects(monkeypatch, plant, kinds):
+    """A total edge with its marking flipped, and two edge images of psi swapped: over the
+    battery in both modes (built after the plant) the comparison lists the reference's diffs."""
+    plant(monkeypatch)
+    found = {}
+    for mode in ("dagger", "natural"):
+        for _, F in fixture_functors():
+            for diff in _assert_comparison_matches_the_reference(build_free_fibration(F, mode=mode)):
+                found[diff[0]] = found.get(diff[0], 0) + 1
+    assert found == kinds
+
+
+def test_the_comparison_walks_no_4_sphere_until_a_map_is_read(arrow_ff, monkeypatch):
+    """On the battery's 2bracket-pt-into-arrow-at-0, deciding the comparison walks no
+    4-sphere; the first read of xi walks them once, to build nerve(Fr)'s 4-cells, and psi
+    shares them."""
+    dims = []
+    spheres = simplicial.coskeletal_spheres
+
+    def recorded(X, dim):
+        dims.append(dim)
+        return spheres(X, dim)
+
+    monkeypatch.setattr(simplicial, "coskeletal_spheres", recorded)
+    rep = compare_tame_fr(arrow_ff)
+    assert rep.ok and dims and 4 not in dims
+    dims.clear()
+    assert rep.xi is not None and dims == [4]
+    dims.clear()
+    assert rep.psi is not None and dims == []
 
 
 def test_structure_map_identities_hold_on_the_universal_pair(small_ff):
@@ -720,6 +845,19 @@ def test_random_poset_functors_match_the_extension_lemma_references(rng):
     assume(F is not None)
     ff = build_free_fibration(two_bracket_functor(F))
     assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
+
+
+@seed(20240813)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_poset_functors_match_the_comparison_reference(rng):
+    """The examples of ``test_random_poset_functors_pass_every_check`` (same seed, same
+    draws): in both modes the comparison lists what the full comparison lists."""
+    F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
+    assume(F is not None)
+    for mode in ("dagger", "natural"):
+        assert _assert_comparison_matches_the_reference(
+            build_free_fibration(two_bracket_functor(F), mode=mode)) == []
 
 
 def _digest(text: str) -> str:
