@@ -250,8 +250,9 @@ class LiftingProblem:
     p: DecMap
 
     def commutes(self) -> bool:
-        for b in self.gen.dom.all_nondeg():
-            if self.p.apply(self.top.apply(b)) != self.bottom.apply(self.gen.incl.apply(b)):
+        """p o top == bottom o incl on every cell of the domain (incl.assign lists them)."""
+        for nd, img in self.gen.incl.assign.items():
+            if self.p.apply(self.top.assign[nd]) != self.bottom.apply(img):
                 return False
         return True
 
@@ -264,9 +265,12 @@ def solve(lp: LiftingProblem) -> Optional[DecMap]:
 
 
 def _lift(lp: LiftingProblem, partial: dict) -> Optional[DecMap]:
-    """solve's filler search on a commuting square, the top pinned as ``partial``."""
+    """solve's filler search on a commuting square, the top pinned as ``partial``.
+    A pinned cell is not tested over the base: ``commutes()``, which both callers run
+    first, checks p o top == bottom o incl on every b whose image ``_image_roots`` pins;
+    the search still pins that cell and checks its faces and decorations."""
     def over_base(cell: Cell, cand: Cell) -> bool:
-        return lp.p.apply(cand) == lp.bottom.assign[cell.nd]
+        return cell.nd in partial or lp.p.apply(cand) == lp.bottom.assign[cell.nd]
 
     lifts = enumerate_maps(lp.gen.cod, lp.top.dst, partial=partial,
                            constraint=over_base, first_only=True)
@@ -311,7 +315,8 @@ def certify_fibration(p: DecMap, family: str = "MB", n_max: int = CAP,
                       tags: Optional[Iterable[str]] = None):
     """Enumerate every lifting problem against the catalog and solve each.
 
-    Each square is checked to commute once, then searched for a lift.
+    The bottom maps are searched once per image of p o top on the inclusion's roots;
+    each square is checked to commute once, then searched for a lift.
     Returns a Certificate with per-generator counts, or the first failing
     square as a Counterexample (catalog order, deterministic).
     """
@@ -324,10 +329,14 @@ def certify_fibration(p: DecMap, family: str = "MB", n_max: int = CAP,
     for gen in gens:
         squares = 0
         roots = _image_roots(gen.incl)
+        bottoms = {}            # p o top on the roots, in their order -> bottom maps
         for top in enumerate_maps(gen.dom, p.src):
             partial = {nd: top.apply(b) for nd, b in roots}
             pinned = {nd: p.apply(c) for nd, c in partial.items()}
-            for bottom in enumerate_maps(gen.cod, p.dst, partial=pinned):
+            key = tuple(pinned.values())
+            if key not in bottoms:
+                bottoms[key] = enumerate_maps(gen.cod, p.dst, partial=pinned)
+            for bottom in bottoms[key]:
                 lp = LiftingProblem(gen, top, bottom, p)
                 if not lp.commutes():
                     continue

@@ -141,6 +141,11 @@ class FreeFibration:
             c.nd: self.total.cell_of(gamma_pair(self.fN, c)) for c in self.nc.all_nondeg()
             if c.dim <= TOP_DIM})
 
+    def unit_pair(self, cell: Cell) -> PairSimplex:
+        """``gamma_pair(self.fN, cell)``, built on the first call for the cell and kept."""
+        memo = self.__dict__.setdefault("_unit_pairs", {})
+        return memo[cell] if cell in memo else memo.setdefault(cell, gamma_pair(self.fN, cell))
+
     # -- construction --------------------------------------------------------
 
     def _tame_phis(self, n: int) -> list[DecMap]:
@@ -581,7 +586,7 @@ def expected_extension_face(ff: FreeFibration, sigma: PairSimplex, j: int, s: in
         return sigma.extension_face(j - 1, j)
     # s == j == 0: the face collapses onto the unit image of the fibre part
     # (computing the vertex maps gives gamma of ell itself, of dimension n)
-    return gamma_pair(ff.fN, sigma.rho.assign[(n, 0)])
+    return ff.unit_pair(sigma.rho.assign[(n, 0)])
 
 
 def face_identity_violations(ff: FreeFibration) -> list:

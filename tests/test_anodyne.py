@@ -7,10 +7,12 @@ import json
 
 import pytest
 
-from checkers import assert_no_lift
+from checkers import assert_no_lift, count_squares
 from laxfib import anodyne
 from laxfib.anodyne import (
     AnodyneStep,
+    Certificate,
+    Counterexample,
     GeneratorInstance,
     LiftingProblem,
     anodyne_compose,
@@ -26,6 +28,7 @@ from laxfib.simplicial import (
     DecMap,
     boundary_simplex,
     delta_map,
+    enumerate_maps,
     standard_simplex,
     vertex_cell,
 )
@@ -148,6 +151,92 @@ def test_solve_identity_always_lifts(mb):
     lift = solve(lp)
     assert lift is not None
     assert lift.assign == bottoms[0].assign
+
+
+def _reference_certify(p, family, n_max, tags=None):
+    """The certification loop with nothing shared between squares: one bottom search
+    per top, commutation checked on every cell of the domain, and every cell of a
+    lift tested over the bottom, pinned cells included."""
+    gens = anodyne.generators(family, n_max)
+    library = [g.params[0] for g in gens if g.tag == anodyne._KAN_TAGS[family]]
+    if tags is not None:
+        gens = [g for g in gens if g.tag in set(tags)]
+    counts = []
+    for gen in gens:
+        squares = 0
+        roots = anodyne._image_roots(gen.incl)
+        for top in enumerate_maps(gen.dom, p.src):
+            partial = {nd: top.apply(b) for nd, b in roots}
+            pinned = {nd: p.apply(c) for nd, c in partial.items()}
+            for bottom in enumerate_maps(gen.cod, p.dst, partial=pinned):
+                if any(p.apply(top.apply(b)) != bottom.apply(gen.incl.apply(b))
+                       for b in gen.dom.all_nondeg()):
+                    continue
+                squares += 1
+                lifts = enumerate_maps(gen.cod, top.dst, partial=partial, first_only=True,
+                                       constraint=lambda cell, cand, bottom=bottom:
+                                       p.apply(cand) == bottom.assign[cell.nd])
+                if not lifts:
+                    return Counterexample(gen, top, bottom)
+        counts.append((gen.tag, gen.params, squares))
+    return Certificate(family, n_max, counts, library)
+
+
+def _assert_certifies_as_reference(p, family, n_max, tags=None):
+    res, ref = certify_fibration(p, family, n_max, tags), _reference_certify(p, family, n_max, tags)
+    assert type(res) is type(ref)
+    if ref.ok:
+        assert (res.counts, res.library) == (ref.counts, ref.library)
+    else:
+        assert res.gen.describe() == ref.gen.describe()
+        assert (res.top.assign, res.bottom.assign) == (ref.top.assign, ref.bottom.assign)
+    return res
+
+
+@pytest.mark.parametrize("mode", ["dagger", "natural"])
+def test_certification_equals_reference_on_battery_projections(mode):
+    for _, F in fixture_functors():
+        assert _assert_certifies_as_reference(build_free_fibration(F, mode=mode).proj, "MB", 3).ok
+
+
+def test_certification_equals_reference_in_the_single_scaling_family():
+    F = dict(fixture_functors())["2bracket-pt-into-arrow-at-0"]
+    assert _assert_certifies_as_reference(build_free_fibration(F).proj, "MS", 3).ok
+
+
+def test_certification_equals_reference_on_the_verdict_stream_maps():
+    """The seven maps of test_early_exit_counterexamples_have_no_lift, at n_max=4."""
+    maps = [build_free_fibration(F, mode=mode).gamma
+            for _, F in fixture_functors()[:3] for mode in ("dagger", "natural")]
+    sharp = {"kind": "MB", "marked": "sharp", "thin": "sharp", "lean": "sharp"}
+    maps.append(delta_map(standard_simplex(0, **sharp), standard_simplex(1, **sharp), {0: 1}))
+    results = [_assert_certifies_as_reference(p, "MB", 4) for p in maps]
+    assert sum(not r.ok for r in results) == 5
+
+
+def _two_points_to_point(reverse=False):
+    """Both vertices of the boundary of Delta^1 sent to the one point: the pinning
+    keeps the later vertex, whichever order the inclusion lists them in."""
+    two, pt = boundary_simplex(1, kind="MB"), standard_simplex(0, kind="MB")
+    keys = [(0, 1), (0, 0)] if reverse else [(0, 0), (0, 1)]
+    return GeneratorInstance("MB", "T", (), DecMap(two, pt, {k: Cell(0, 0) for k in keys}))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_certification_equals_reference_on_a_non_injective_generator(monkeypatch, reverse):
+    gen = _two_points_to_point(reverse)
+    monkeypatch.setattr(anodyne, "generators", lambda family, n_max: [gen])
+    res = _assert_certifies_as_reference(DecMap.identity(gen.dom), "MB", 2)
+    assert res.counts == [("T", (), 2)]
+
+
+@pytest.mark.parametrize("mode", ["dagger", "natural"])
+def test_square_counts_equal_an_independent_count(mode):
+    """Per generator, the commuting squares over the projection of 2bracket-pt-id at
+    n_max=3, counted by the plain backtracking of ``checkers.count_squares``."""
+    F = dict(fixture_functors())["2bracket-pt-id"]
+    p = build_free_fibration(F, mode=mode).proj
+    assert count_squares(generators("MB", 3), p) == certify_fibration(p, "MB", 3).counts
 
 
 def test_square_failing_off_the_pinning_is_not_counted(monkeypatch):

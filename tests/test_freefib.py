@@ -186,6 +186,12 @@ def test_cartesian_edge_to_unit_image(small_ff):
         assert target == gamma_pair(small_ff.fN, rho_cell)
 
 
+def test_unit_pair_is_gamma_pair_built_once_per_cell(small_ff):
+    for c in small_ff.nc.all_nondeg() + small_ff.nc.all_cells(2):
+        pair = small_ff.unit_pair(c)
+        assert pair == gamma_pair(small_ff.fN, c) and small_ff.unit_pair(c) is pair
+
+
 def test_three_coskeletal(small_ff):
     assert three_coskeletal_violations(small_ff) == []
 
