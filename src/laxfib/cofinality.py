@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat, comma_under
-from .homotopy import Verdict, homology, initial_in_localization, weakly_contractible
+from .homotopy import Verdict, _jsonable, homology, initial_in_localization, weakly_contractible
 from .twocat import (
     Marking2Cat,
     StrictTwoCat,
@@ -29,7 +29,6 @@ class CofinalityReport:
     budgets: dict
 
     def to_json_dict(self) -> dict:
-        from .homotopy import _jsonable
         return {
             "verdict": self.verdict,
             "per_object": _jsonable(self.per_object),

@@ -117,17 +117,16 @@ def laxlim_corpus(seed: int = CORPUS_SEED) -> list:
     arrow = walking_arrow()
     iso = walking_iso()
     chain2 = chain_poset(2)
+    emb = CatFunctor(arrow, chain2, {"0": "0", "1": "2"},
+                     {"0<0": "0<0", "1<1": "2<2", "0<1": "0<2"})
     diagrams = [
         ("points-over-pt", include_at(pt, "*"), include_at(pt, "*")),
         ("points-over-arrow", include_at(arrow, "0"), include_at(arrow, "1")),
         ("points-over-iso", include_at(iso, "0"), include_at(iso, "1")),
         ("points-over-chain", include_at(chain2, "0"), include_at(chain2, "2")),
         ("identity-cospan-arrow", identity_functor(arrow), identity_functor(arrow)),
-        ("arrow-into-chain", None, None),
+        ("arrow-into-chain", emb, include_at(chain2, "1")),
     ]
-    emb = CatFunctor(arrow, chain2, {"0": "0", "1": "2"},
-                     {"0<0": "0<0", "1<1": "2<2", "0<1": "0<2"})
-    diagrams[-1] = ("arrow-into-chain", emb, include_at(chain2, "1"))
     rng = random.Random(seed)
     tries = 0
     while tries < 40 and len(diagrams) < 8:

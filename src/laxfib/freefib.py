@@ -35,7 +35,6 @@ from .twocat import (
     FrBundle,
     Marking2Cat,
     ScaledNerve,
-    StrictTwoCat,
     TwoFunctor,
     fr,
     nerve_map,
@@ -175,8 +174,9 @@ class FreeFibration:
                       is_degenerate=PairSimplex.is_degenerate)
         pairs = X.labels.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
-        lean = {nd for nd, p in pairs if nd[0] == 2 and self._triangle_lean(p)}
-        thin = {nd for nd in lean if self._triangle_thin(X.labels[nd])}
+        # a triangle is lean when its fiber part is thin, and a lean one thin when its base part is
+        lean = {nd for nd, p in pairs if nd[0] == 2 and self.nc.is_thin(p.rho.assign[(2, 0)])}
+        thin = {nd for nd in lean if self.nd.is_thin(X.labels[nd].base_simplex())}
         return add_coskeletal_top(X.with_decorations(marked=marked, thin=thin, lean=lean),
                                   TOP_DIM + 1)
 
@@ -202,14 +202,6 @@ class FreeFibration:
             return C.is_equivalence(alpha)
         return alpha in self.src_marking.marked1
 
-    def _triangle_lean(self, pair: PairSimplex) -> bool:
-        rho_top = pair.rho.assign[(2, 0)]
-        return self.nc.is_thin(rho_top)
-
-    def _triangle_thin(self, pair: PairSimplex) -> bool:
-        """Thinness of a lean triangle."""
-        return self.nd.is_thin(pair.base_simplex())
-
     # -- fibers -------------------------------------------------------------------
 
     def fiber(self, d: str) -> tuple[KeyedSSet, DecMap]:
@@ -218,8 +210,7 @@ class FreeFibration:
         if d not in self.f.dst.objects:
             raise KeyError(f"unknown object {d}")
         T, dvert, over = self.total, self.nd.vertex_of(d), self.proj.assign
-        keep = [Cell(*nd) for nd in self.pairs
-                if over[nd].nd == dvert.nd and len(over[nd].word) == nd[0]]
+        keep = [Cell(*nd) for nd in self.pairs if over[nd].nd == dvert.nd]
         levels = [[x for x in keep if x.dim == n] for n in range(TOP_DIM + 1)]
         fib = KeyedSSet("MS", levels, T.face, T.deg, attrgetter("total_dim"), coskeletal=TOP_DIM)
         fib = fib.with_decorations(marked={nd for nd, x in fib.labels.items() if x.nd in T.marked},
@@ -397,9 +388,8 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
             assign[nd] = N.vertex_of(o)
         elif n == 1:
             a, alpha, theta = ff.edge_data(pair)
-            o0 = _object_of(ff, objects, pair.face(1))
-            o1 = _object_of(ff, objects, pair.face(0))
-            m = ("m", o0, o1, a, alpha, theta)
+            tgt, src = T.faces[nd]
+            m = ("m", objects[src.nd], objects[tgt.nd], a, alpha, theta)
             if m not in Fr.onecells:
                 diffs.append(("xi-edge-not-in-fr", nd, m))
                 continue
@@ -408,9 +398,8 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
         elif n == 2:
             psi2 = ND.filler_of(pair.base_simplex())
             zeta = NC.filler_of(pair.rho.assign[(2, 0)])
-            fm = _edge_of(ff, Fr, objects, edges, pair.face(2))
-            gm = _edge_of(ff, Fr, objects, edges, pair.face(0))
-            hm = _edge_of(ff, Fr, objects, edges, pair.face(1))
+            # a degenerate edge of the triangle is the identity 1-cell on its vertex
+            gm, hm, fm = (Fr.id1[objects[e.nd]] if e.word else edges[e.nd] for e in T.faces[nd])
             sigma = ("t", hm, Fr.hcomp1[(gm, fm)], psi2, zeta)
             if sigma not in Fr.twocells:
                 diffs.append(("xi-filler-not-in-fr", nd, sigma))
@@ -420,19 +409,6 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
         return None if diffs else extend_map(T, N, assign)
     except NoFillerError as e:
         diffs.append(("xi-no-unique-filler", e.cell.nd))
-
-
-def _object_of(ff: FreeFibration, objects: dict, pair: PairSimplex):
-    return objects[ff.total.cell_of(pair).nd]
-
-
-def _edge_of(ff: FreeFibration, Fr: StrictTwoCat, objects: dict, edges: dict,
-             pair: PairSimplex):
-    cell = ff.total.cell_of(pair)
-    if cell.is_degenerate():
-        # degenerate edge: the identity 1-cell on its vertex
-        return Fr.id1[objects[cell.nd]]
-    return edges[cell.nd]
 
 
 def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,

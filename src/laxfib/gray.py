@@ -151,7 +151,7 @@ def restrict_to_end(G: ProductSSet, eps: int) -> DecoratedSSet:
 
 @lru_cache(maxsize=None)
 def delta(n: int, kind: str = "SC") -> KeyedSSet:
-    return standard_simplex(n, kind=kind, cap=max(CAP, n))
+    return standard_simplex(n, kind=kind)
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +230,4 @@ def e_map_respects_scaling(j: int, n: int) -> bool:
 
 def restriction_to_one_is_degeneracy(j: int, n: int) -> bool:
     """e_map over {1} agrees with the degeneracy s_j of the simplex factor."""
-    f = e_map(j, n)
-    inc1 = end_inclusion(delta(n + 1), prism(n + 1), 1)
-    lhs = f.compose(inc1)
-    rhs = end_inclusion(delta(n), prism(n), 1).compose(simplex_deg(n, j))
-    return lhs == rhs
+    return e_map(j, n).compose(end_map(n + 1, 1)) == end_map(n, 1).compose(simplex_deg(n, j))

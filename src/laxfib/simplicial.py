@@ -440,7 +440,7 @@ class KeyedSSet(DecoratedSSet):
 # ---------------------------------------------------------------------------
 
 
-def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
+def _simplex_complex(n: int, kind, marked, thin, lean, omit=(),
                      strict: bool = True) -> KeyedSSet:
     """The vertex subsets of [n] not in ``omit``, keyed on their vertex words:
     ``key_of`` gives a cell's vertex word and ``index`` the cell of a word.
@@ -449,8 +449,8 @@ def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
     means lean coincides with thin.  Without ``strict``, decorations naming
     absent simplices are dropped.
     """
-    if n > cap:
-        raise DimensionCapError(f"n={n} exceeds cap {cap}")
+    if n > CAP:
+        raise DimensionCapError(f"n={n} exceeds cap {CAP}")
     levels = [[w for w in itertools.combinations(range(n + 1), k + 1) if w not in omit]
               for k in range(n + 1)]
     where = {w: (k, pos) for k, level in enumerate(levels) for pos, w in enumerate(level)}
@@ -474,17 +474,15 @@ def _simplex_complex(n: int, kind, marked, thin, lean, cap: int, omit=(),
                      lean=t if lean is None else deco(lean, 2))
 
 
-def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-                     cap: int = CAP) -> KeyedSSet:
+def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None) -> KeyedSSet:
     """The n-simplex with flat/sharp/explicit decorations.
 
     ``lean=None`` means lean coincides with thin (the single-scaling notation).
     """
-    return _simplex_complex(n, kind, marked, thin, lean, cap)
+    return _simplex_complex(n, kind, marked, thin, lean)
 
 
-def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
-         cap: int = CAP) -> KeyedSSet:
+def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None) -> KeyedSSet:
     """The horn missing the i-th facet and the interior.
 
     Decorations naming cells that fall outside the horn are dropped silently
@@ -493,12 +491,12 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None,
     if not 0 <= i <= n:
         raise ValueError("horn index out of range")
     full = tuple(range(n + 1))
-    return _simplex_complex(n, kind, marked, thin, lean, cap,
-                            omit=(full, full[:i] + full[i + 1:]), strict=False)
+    return _simplex_complex(n, kind, marked, thin, lean, omit=(full, full[:i] + full[i + 1:]),
+                            strict=False)
 
 
-def boundary_simplex(n: int, *, kind="PLAIN", cap: int = CAP) -> KeyedSSet:
-    return _simplex_complex(n, kind, "flat", "flat", None, cap, omit=(tuple(range(n + 1)),))
+def boundary_simplex(n: int, *, kind="PLAIN") -> KeyedSSet:
+    return _simplex_complex(n, kind, "flat", "flat", None, omit=(tuple(range(n + 1)),))
 
 
 def empty_sset(kind="PLAIN") -> DecoratedSSet:

@@ -81,17 +81,9 @@ class StrictTwoCat:
             name=f"hom({a},{b})",
         )
 
-    def whisker_r(self, sigma: str, f: str) -> str:
-        """sigma * f for a 1-cell f into the source of sigma's boundary."""
-        return self.hcomp2[(sigma, self.id2[f])]
-
-    def whisker_l(self, g: str, sigma: str) -> str:
-        return self.hcomp2[(self.id2[g], sigma)]
-
     def is_invertible2(self, t: str) -> bool:
         if t not in self._inv2_cache:
             f, g = self.twocells[t]
-            a, b = self.onecells[f]
             inv = any(
                 self.vcomp[(s, t)] == self.id2[f] and self.vcomp[(t, s)] == self.id2[g]
                 for s in self.two_between(g, f)
@@ -194,9 +186,6 @@ class Marking2Cat:
             if f not in self.marked1 and self.base.is_equivalence(f):
                 marked.add(f)
         self.marked1 = frozenset(marked)
-
-    def is_marked(self, f: str) -> bool:
-        return f in self.marked1
 
 
 @dataclass
@@ -400,12 +389,12 @@ def cocycle_holds(C: StrictTwoCat, data012, data013, data023, data123) -> bool:
     f01 = data012[0]
     f23 = data123[1]
     s012, s013, s023, s123 = data012[3], data013[3], data023[3], data123[3]
-    lhs = C.vcomp[(C.whisker_r(s123, f01), s013)]
-    rhs = C.vcomp[(C.whisker_l(f23, s012), s023)]
+    lhs = C.vcomp[(C.hcomp2[(s123, C.id2[f01])], s013)]
+    rhs = C.vcomp[(C.hcomp2[(C.id2[f23], s012)], s023)]
     return lhs == rhs
 
 
-def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
+def scaled_nerve(C: StrictTwoCat, marking: Optional[Marking2Cat] = None, *,
                  lean_flag=None, max_dim: int = CAP) -> ScaledNerve:
     """Scaled nerve as a decorated simplicial set.
 
@@ -413,9 +402,6 @@ def scaled_nerve(C, marking: Optional[Marking2Cat] = None, *,
     edges; ``lean_flag`` is an optional 2-cell predicate producing an MB object
     whose lean triangles are the flagged fillers.
     """
-    if isinstance(C, Marking2Cat):
-        marking = C
-        C = marking.base
     if marking is None:
         marking = Marking2Cat(C)
     # 3-simplices: the boundary spheres of the 2-truncation whose pasting

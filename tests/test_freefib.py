@@ -96,6 +96,21 @@ def test_fiber_of_point_functor(small_ff):
     incl1.validate()
 
 
+def test_fiber_keeps_the_cells_over_the_vertex(battery_ffs):
+    """The projection keeps dimension, so a total cell whose projection is rooted at a vertex
+    lies over it under a word as long as the cell's dimension, and each fiber keeps the cells
+    that the filter with that length clause keeps, in the same order."""
+    for ff in battery_ffs:
+        over = ff.proj.assign
+        assert all(len(over[nd].word) == nd[0] for nd in ff.pairs if over[nd].dim == 0)
+        for d in ff.f.dst.objects:
+            dvert = ff.nd.vertex_of(d)
+            kept = [Cell(*nd) for nd in ff.pairs
+                    if over[nd].nd == dvert.nd and len(over[nd].word) == nd[0]]
+            fib, _ = ff.fiber(d)
+            assert list(fib.labels.values()) == kept
+
+
 def test_fiber_unknown_object(small_ff):
     with pytest.raises(KeyError):
         small_ff.fiber("zzz")
@@ -387,6 +402,21 @@ def test_comparison_matches_the_reference_on_the_battery(battery_ffs):
         assert _assert_comparison_matches_the_reference(ff) == []
 
 
+def test_xi_reads_the_faces_of_stored_pairs_from_the_face_table(battery_ffs, monkeypatch):
+    """Over the battery in both modes the comparison looks up no pair's cell by its key:
+    xi takes the faces of a stored edge or triangle from the total space's face table
+    (rebuilding each face and looking it up took 189 lookups per mode)."""
+    cell_of, keys = simplicial.KeyedSSet.cell_of, []
+
+    def counted(self, key):
+        keys.append(key)
+        return cell_of(self, key)
+
+    monkeypatch.setattr(simplicial.KeyedSSet, "cell_of", counted)
+    assert all(compare_tame_fr(ff).ok for ff in battery_ffs)
+    assert keys and sum(isinstance(k, freefib.PairSimplex) for k in keys) == 0
+
+
 def test_comparison_matches_the_reference_on_walking_iso():
     """Decided in dimensions <= 3, the comparison agrees with the full one; the maps read
     afterwards are built over the 4-cells, are mutually inverse there, and are the
@@ -545,7 +575,7 @@ def test_fiber_matches_strict_slice_nerve(small_ff):
     for d in small_ff.f.dst.objects:
         fib, _ = small_ff.fiber(d)
         marking = slice_fiber(bundle, d)
-        N = scaled_nerve(marking)
+        N = scaled_nerve(marking.base, marking)
         assert fib.n_cells == N.n_cells, d
         assert len(fib.marked) == len(N.marked), d
         assert len(fib.thin) == len(N.thin), d

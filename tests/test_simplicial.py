@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from laxfib.simplicial import (
+    CAP,
     BadDecorationError,
     Cell,
     DecMap,
@@ -33,7 +34,7 @@ from laxfib.simplicial import (
 from laxfib.anodyne import pushout
 from laxfib.cli import build_sset
 from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
-from laxfib.gray import prism, product, product_map
+from laxfib.gray import delta, prism, product, product_map
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
@@ -133,8 +134,11 @@ def test_boundary_simplex():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        standard_simplex(5)
+    """Every simplex builder stops at the one cap, the cached simplices of ``gray`` too."""
+    for build in (standard_simplex, delta, lambda n: horn(n, 1), boundary_simplex):
+        build(CAP)
+        with pytest.raises(DimensionCapError):
+            build(CAP + 1)
 
 
 def test_bad_decoration():

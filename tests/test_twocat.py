@@ -163,7 +163,7 @@ def test_nerve_thinness_tracks_invertibility():
 
 def test_nerve_marked_edges():
     T = two_bracket(walking_arrow())
-    N = scaled_nerve(Marking2Cat(T, frozenset({"o:0"})))
+    N = scaled_nerve(T, Marking2Cat(T, frozenset({"o:0"})))
     marked_labels = {N.labels[nd][1] for nd in N.marked}
     assert marked_labels == {"o:0"}
 
