@@ -148,28 +148,34 @@ class FreeFibration:
     # -- construction --------------------------------------------------------
 
     def _tame_phis(self, n: int) -> list[DecMap]:
+        """The maps prism(n) -> nd sending each contrary triangle to an identity triangle.
+        The prism's thin triangles are its contrary ones, and degenerate triangles are
+        identity ones, which are thin in nd: so these are the maps into nd rescaled to have
+        its identity triangles thin, returned as maps into nd itself (map equality compares
+        targets by identity)."""
         P, ND = prism(n), self.nd
+        tame = ND.with_decorations(thin={c.nd for c in ND.nondeg(2) if ND.is_identity_triangle(c)})
+        return [DecMap(P, ND, m.assign) for m in enumerate_maps(P, tame)]
 
-        def hook(cell: Cell, cand: Cell) -> bool:
-            if cell.dim == 2 and cell.nd in P.thin:
-                return ND.is_identity_triangle(cand)
-            return True
-
-        return enumerate_maps(P, ND, constraint=hook)
-
-    def _rhos_for(self, phi: DecMap, n: int) -> list[DecMap]:
-        NC, fN = self.nc, self.fN
-        inc1 = end_map(n, 1)
-
-        def hook(cell: Cell, cand: Cell) -> bool:
-            return fN.apply(cand) == phi.apply(inc1.assign[cell.nd])
-
-        return enumerate_maps(delta(n), NC, constraint=hook)
+    def _rhos_for(self, n: int, end: tuple) -> list[DecMap]:
+        """The maps rho : Delta^n -> nc with nerve(f) o rho = ``end``, the images of
+        phi on {1} x Delta^n in ``end_map(n, 1)`` order."""
+        fN, over = self.fN, dict(zip(end_map(n, 1).assign, end))
+        return enumerate_maps(delta(n), self.nc,
+                              constraint=lambda cell, cand: fN.apply(cand) == over[cell.nd])
 
     def _build_total(self) -> KeyedSSet:
-        # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho
-        levels = [[PairSimplex(n, phi, rho) for phi in self._tame_phis(n)
-                   for rho in self._rhos_for(phi, n)] for n in range(TOP_DIM + 1)]
+        # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho.
+        # The rhos read phi only over {1}, so phis that agree there share one search.
+        rhos: dict = {}
+        levels: list = [[] for _ in range(TOP_DIM + 1)]
+        for n, level in enumerate(levels):
+            end_cells = end_map(n, 1).assign.values()
+            for phi in self._tame_phis(n):
+                key = (n, tuple(map(phi.apply, end_cells)))
+                if key not in rhos:
+                    rhos[key] = self._rhos_for(*key)
+                level.extend(PairSimplex(n, phi, rho) for rho in rhos[key])
         X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"),
                       is_degenerate=PairSimplex.is_degenerate)
         pairs = X.labels.items()

@@ -701,18 +701,20 @@ def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
             prefix[k].setdefault(row[:k], []).append(y)
     spheres = []
 
-    def extend(tup):
+    def extend(tup, rows):
+        # slot j takes a y whose first j faces are d_{j-1} of the cells already chosen
         j = len(tup)
         if j == dim + 1:
             spheres.append(tuple(tup))
             return
-        want = tuple(face_rows[tup[i]][j - 1] for i in range(min(j, dim)))
-        for y in prefix[len(want)].get(want, ()):
+        for y in prefix[j].get(tuple(map(itemgetter(j - 1), rows)), ()):
             tup.append(y)
-            extend(tup)
+            rows.append(face_rows[y])
+            extend(tup, rows)
             tup.pop()
+            rows.pop()
 
-    extend([])
+    extend([], [])
     del extend  # it refers to itself: drop that cycle so its tables are freed by refcount
     return spheres
 

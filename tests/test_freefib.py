@@ -357,6 +357,97 @@ def test_extension_lemmas_match_the_references_on_walking_iso():
     assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
 
 
+def _reference_tame_phis(ff, n: int) -> list:
+    """The tame maps prism(n) -> nd by a per-candidate test: a contrary triangle of the
+    prism, one of its thin triangles, must go to a triangle with an identity filler."""
+    P, ND = prism(n), ff.nd
+
+    def hook(cell, cand) -> bool:
+        if cell.dim == 2 and cell.nd in P.thin:
+            return ND.is_identity_triangle(cand)
+        return True
+
+    return simplicial.enumerate_maps(P, ND, constraint=hook)
+
+
+def _assert_tame_phis_match_the_reference(ff) -> list[int]:
+    """The engine's tame maps are the reference's, in its order and into nd itself; and the
+    premises of its scaled search hold on nd."""
+    ND = ff.nd
+    assert all(ND.is_identity_triangle(t) for t in ND.all_cells(2) if t.word)
+    assert {t.nd for t in ND.nondeg(2) if ND.is_identity_triangle(t)} <= ND.thin
+    counts = []
+    for n in range(4):
+        phis, reference = ff._tame_phis(n), _reference_tame_phis(ff, n)
+        assert all(phi.src is prism(n) and phi.dst is ND for phi in phis)
+        assert [list(phi.assign.items()) for phi in phis] == [
+            list(m.assign.items()) for m in reference]
+        counts.append(len(phis))
+    return counts
+
+
+def test_the_prisms_thin_triangles_are_its_contrary_ones():
+    """The tame search reads the prism's decorations: its thin triangles are the contrary
+    ones (0,x) -> (1,x) -> (1,y), and it carries no other decoration that a search reads."""
+    for n in range(4):
+        P = prism(n)
+        I, D = P.factor_a, P.factor_b
+        contrary = {nd for nd, (x, y) in P.labels.items() if nd[0] == 2
+                    and I.key_of(x) == (0, 1, 1) and D.key_of(y)[0] == D.key_of(y)[1]}
+        assert P.thin == contrary and not P.marked and P.kind == "SC"
+
+
+def test_tame_phis_match_the_reference_on_the_battery(battery_ffs):
+    for ff in battery_ffs:
+        _assert_tame_phis_match_the_reference(ff)
+
+
+def test_tame_phis_match_the_reference_on_walking_iso():
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
+    assert _assert_tame_phis_match_the_reference(ff)[3] == 1458
+
+
+@seed(20240813)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_poset_functors_match_the_tame_reference(rng):
+    """The examples of ``test_random_poset_functors_pass_every_check`` (same seed, same
+    draws): the tame maps are the reference's."""
+    F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
+    assume(F is not None)
+    _assert_tame_phis_match_the_reference(build_free_fibration(two_bracket_functor(F)))
+
+
+def _reference_levels(ff) -> list:
+    """The pairs of each dimension, with one fibre-part search per phi that reads phi."""
+    def rhos_for(phi, n):
+        inc1 = end_map(n, 1)
+        return simplicial.enumerate_maps(delta(n), ff.nc, constraint=lambda cell, cand: (
+            ff.fN.apply(cand) == phi.apply(inc1.assign[cell.nd])))
+
+    return [[freefib.PairSimplex(n, phi, rho) for phi in ff._tame_phis(n)
+             for rho in rhos_for(phi, n)] for n in range(4)]
+
+
+@pytest.mark.parametrize("mode", ["dagger", "natural"])
+def test_built_levels_match_one_fibre_search_per_phi(monkeypatch, mode):
+    """The levels the total space is built from, its degenerate pairs included, are those of
+    one fibre-part search per phi, over the battery fixtures."""
+    built = []
+
+    def keyed(kind, levels, *args, **fields):
+        built.append(levels)
+        return simplicial.KeyedSSet(kind, levels, *args, **fields)
+
+    monkeypatch.setattr(freefib, "KeyedSSet", keyed)
+    for _, F in fixture_functors():
+        ff = build_free_fibration(F, mode=mode)
+        assert built == [_reference_levels(ff)]
+        built.clear()
+
+
 def _reference_comparison(ff) -> tuple:
     """The comparison in dimensions 0..4: the full nerve of Fr, and xi and psi extended
     over the total space's 4-cells before any check.  Returns (diffs, xi, psi); the maps

@@ -20,6 +20,7 @@ from laxfib.simplicial import (
     KeyedSSet,
     add_coskeletal_top,
     boundary_simplex,
+    coskeletal_spheres,
     delta_map,
     empty_sset,
     NoFillerError,
@@ -436,6 +437,30 @@ def test_coskeletal_top_records_its_face_index():
         sharp = N.with_decorations(marked={c.nd for c in N.nondeg(1)})
         assert sharp._by_faces is N._by_faces
         _recorded_index_is_fresh(sharp, max_dim)
+
+
+def _battery_total_3_skeleton() -> DecoratedSSet:
+    from laxfib.fixtures import fixture_functors
+    from laxfib.freefib import build_free_fibration
+    T = build_free_fibration(dict(fixture_functors())["2bracket-arrow-id"]).total
+    return T._replaced(n_cells=T.n_cells[:4],
+                       faces={nd: f for nd, f in T.faces.items() if nd[0] <= 3})
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: walking_iso().nerve(), 3),
+    (lambda: walking_iso().nerve(), 4),
+    (lambda: chain_poset(3).nerve(), 3),
+    (lambda: chain_poset(3).nerve(), 4),
+    (_battery_total_3_skeleton, 4),
+], ids=["walking-iso-3", "walking-iso-4", "chain-3-3", "chain-3-4", "battery-total-4"])
+def test_coskeletal_spheres_are_the_maps_from_the_boundary(build, dim):
+    """The spheres are the face tuples of the maps from the boundary of Delta^dim, each
+    once and in sorted order: the image of d_i is the image of the facet without vertex i."""
+    X, B = build(), boundary_simplex(dim)
+    facets = [B.index[tuple(v for v in range(dim + 1) if v != i)] for i in range(dim + 1)]
+    spheres = sorted(tuple(map(m.apply, facets)) for m in enumerate_maps(B, X))
+    assert coskeletal_spheres(X, dim) == spheres
 
 
 def test_commutes_with_faces_catches_a_wrong_top_image():
