@@ -266,14 +266,12 @@ def solve(lp: LiftingProblem) -> Optional[DecMap]:
 
 def _lift(lp: LiftingProblem, partial: dict) -> Optional[DecMap]:
     """solve's filler search on a commuting square, the top pinned as ``partial``.
-    A pinned cell is not tested over the base: ``commutes()``, which both callers run
-    first, checks p o top == bottom o incl on every b whose image ``_image_roots`` pins;
-    the search still pins that cell and checks its faces and decorations."""
-    def over_base(cell: Cell, cand: Cell) -> bool:
-        return cell.nd in partial or lp.p.apply(cand) == lp.bottom.assign[cell.nd]
-
+    The pinning is face-closed, so the map search checks the pinned cells' faces and
+    decorations once and searches only the cells off it, each over the bottom.  A pinned
+    cell is not tested over the base: ``commutes()``, which both callers run first, checks
+    p o top == bottom o incl on every b whose image ``_image_roots`` pins."""
     lifts = enumerate_maps(lp.gen.cod, lp.top.dst, partial=partial,
-                           constraint=over_base, first_only=True)
+                           over=(lp.p, lp.bottom.assign), first_only=True)
     return lifts[0] if lifts else None
 
 

@@ -161,8 +161,7 @@ class FreeFibration:
         """The maps rho : Delta^n -> nc with nerve(f) o rho = ``end``, the images of
         phi on {1} x Delta^n in ``end_map(n, 1)`` order."""
         fN, over = self.fN, dict(zip(end_map(n, 1).assign, end))
-        return enumerate_maps(delta(n), self.nc,
-                              constraint=lambda cell, cand: fN.apply(cand) == over[cell.nd])
+        return enumerate_maps(delta(n), self.nc, over=(fN, over))
 
     def _build_total(self) -> KeyedSSet:
         # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho.

@@ -144,6 +144,7 @@ class DecoratedSSet:
         self._by_faces: dict[int, dict] = {}
         self._all_cells: dict[int, list[Cell]] = {}
         self._plan: Optional[list] = None
+        self._splits: dict = {}
         self._check_decorations()
 
     # -- basic structure ---------------------------------------------------
@@ -201,6 +202,20 @@ class DecoratedSSet:
                     name for name in ("marked", "thin", "lean")
                     if nd in getattr(self, name) and (name != "lean" or self.kind == "MB"))))
         return self._plan
+
+    def search_split(self, pinned) -> tuple:
+        """:meth:`search_plan` split by a set of pinned roots, kept per set: ``(fixed, rows,
+        order)``, the pinned rows whose faces are all pinned and the others, each in plan
+        order, and a dict from every root, in plan order, to None."""
+        key = frozenset(pinned)
+        if key not in self._splits:
+            plan = self.search_plan()
+            fixed = {nd for nd, *_ in plan if nd in key and key.issuperset(
+                f.nd for f in self.faces.get(nd, ()))}
+            self._splits[key] = ([row for row in plan if row[0] in fixed],
+                                 [row for row in plan if row[0] not in fixed],
+                                 dict.fromkeys(row[0] for row in plan))
+        return self._splits[key]
 
     def is_empty(self) -> bool:
         return not self.n_cells
@@ -630,38 +645,43 @@ def enumerate_maps(
     B: DecoratedSSet,
     *,
     partial: Optional[dict[tuple[int, int], Cell]] = None,
-    constraint: Optional[Callable[[Cell, Cell], bool]] = None,
+    over: Optional[tuple] = None,
     first_only: bool = False,
 ) -> list[DecMap]:
-    """All decoration-preserving simplicial maps A -> B.
-
-    The full list is in lexicographic order of the images of
-    ``A.all_nondeg()``.  The search assigns the cells of A in
-    ``A.faces_first()`` order; with ``first_only`` it stops at the first
-    complete map in that order, which need not be the lexicographic first.
-    ``partial`` pins images of some nondegenerate cells; ``constraint`` is an
-    extra per-cell predicate.
-    """
-    plan = A.search_plan()
+    """All decoration-preserving simplicial maps A -> B, in lexicographic order of the
+    images of ``A.all_nondeg()``.  ``partial`` pins the images of some nondegenerate cells.
+    A pinned cell whose faces are all pinned is checked once, up front, for its faces and
+    decorations; the search assigns the other cells in ``A.faces_first()`` order, a pinned
+    one with its pin as only candidate.  With ``first_only`` it stops at the first map in
+    that order, which need not be the lexicographic first.  ``over=(f, wanted)`` keeps,
+    for a searched cell with root in ``wanted``, only the c with f(c) == wanted[root]."""
     if B.is_empty():
-        return [] if plan else [DecMap(A, B, {})]
-    assign: dict[tuple[int, int], Cell] = {}
-    out: list[DecMap] = []
+        return [] if A.search_plan() else [DecMap(A, B, {})]
     partial = partial or {}
+    fixed, rows, order = A.search_split(partial)
+    f, wanted = over or (None, {})
+    assign: dict[tuple[int, int], Cell] = order.copy()
+    for nd, cell, gather, decorations in fixed:
+        img = assign[nd] = partial[nd]
+        cands = B.all_cells(0) if gather is None else B.by_faces(cell[0]).get(gather(partial), ())
+        if img not in cands or decorations and not img[2] and any(
+                img[:2] not in getattr(B, name) for name in decorations):
+            return []
+    out: list[DecMap] = []
 
     def search(pos: int) -> bool:
-        if pos == len(plan):
+        if pos == len(rows):
             out.append(DecMap(A, B, dict(assign)))
             return first_only
-        nd, cell, gather, decorations = plan[pos]
+        nd, cell, gather, decorations = rows[pos]
         cands = B.all_cells(0) if gather is None else B.by_faces(cell[0]).get(gather(assign), ())
         if nd in partial:
             cands = [c for c in cands if c == partial[nd]]
         for name in decorations:
             group = getattr(B, name)
             cands = [c for c in cands if c[2] or c[:2] in group]
-        if constraint is not None:
-            cands = [c for c in cands if constraint(cell, c)]
+        if nd in wanted:
+            cands = [c for c in cands if f.apply(c) == wanted[nd]]
         for cand in cands:
             # a later position reads only the images of its faces, which come before it
             assign[nd] = cand
@@ -689,7 +709,8 @@ def delta_map(X: DecoratedSSet, Y: DecoratedSSet, vertex_images: dict[int, int])
 
 def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
     """Boundary spheres: tuples (y_0, ..., y_dim) of (dim-1)-cells with
-    d_i y_j = d_{j-1} y_i for i < j.
+    d_i y_j = d_{j-1} y_i for i < j, in sorted order: each slot is filled
+    from a sorted list, depth first.
     """
     lower = X.all_cells(dim - 1)
     face_rows = {y: tuple(X.face(y, i) for i in range(dim)) for y in lower}
@@ -733,7 +754,7 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
         n_cells.append(0)
     faces = dict(X.faces)
     count = 0
-    for sphere in sorted(coskeletal_spheres(X, dim)):
+    for sphere in coskeletal_spheres(X, dim):
         if sphere in index or (keep is not None and not keep(sphere)):
             continue
         nd = (dim, count)

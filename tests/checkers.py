@@ -5,8 +5,9 @@ objects it is given."""
 from __future__ import annotations
 
 import itertools
+import weakref
 
-from laxfib.simplicial import DecMap
+from laxfib.simplicial import Cell, DecMap
 
 
 def _image(assign: dict, Y, cell):
@@ -42,32 +43,116 @@ def assert_no_lift(incl: DecMap, top: DecMap, bottom: DecMap, p: DecMap) -> None
         assert not fills({c.nd: x for c, x in zip(cells, choice)}), "the square has a lift"
 
 
-def _maps(A, Y) -> list[dict]:
-    """Every decoration-preserving map A -> Y as a dict on A's nondegenerate cells,
-    by plain backtracking over A's cells in dimension order: a candidate is any cell
-    of Y of the same dimension whose faces are the images of the cell's faces."""
-    cells = A.all_nondeg()
-    names = ("marked", "thin", "lean") if A.kind == "MB" else ("marked", "thin")
+_BY_FACES = weakref.WeakKeyDictionary()   # object -> {dim: its cells keyed by their faces}
+
+
+def _cells_with_faces(Y, d: int) -> dict:
+    """Y's d-cells, degenerate ones included, keyed by their tuples of faces as
+    ``Y.face`` computes them, in ``Y.all_cells`` order; built once per object."""
+    index = _BY_FACES.setdefault(Y, {})
+    if d not in index:
+        by: dict = {}
+        for y in Y.all_cells(d):
+            by.setdefault(tuple(Y.face(y, i) for i in range(d + 1)) if d else (), []).append(y)
+        index[d] = by
+    return index[d]
+
+
+_WALKS = weakref.WeakKeyDictionary()   # object -> its rows for _maps
+
+
+def _walk(A) -> list[tuple]:
+    """A's nondegenerate cells from the top cells down, each right after its faces,
+    depth first, as rows ``(cell, faces, decoration names)``; built once per object."""
+    if A not in _WALKS:
+        names = ("marked", "thin", "lean") if A.kind == "MB" else ("marked", "thin")
+        order: dict = {}
+
+        def visit(c):
+            if c.nd not in order:
+                faces = [A.face(c, i) for i in range(c.dim + 1 if c.dim else 0)]
+                for x in faces:
+                    visit(Cell(*x.nd))
+                order[c.nd] = (c, faces, [name for name in names if c.nd in getattr(A, name)])
+
+        for c in sorted(A.all_nondeg(), key=lambda c: -c.dim):
+            visit(c)
+        _WALKS[A] = list(order.values())
+    return _WALKS[A]
+
+
+def _maps(A, Y, pins=None, keep=None, first=False) -> list[dict]:
+    """Decoration-preserving maps A -> Y as dicts on A's nondegenerate cells, in
+    lexicographic order of the images of ``A.all_nondeg()``.  A plain backtracking
+    assigns A's cells in :func:`_walk` order, and each dict lists its keys in that
+    order.  A candidate is a cell of Y of the cell's dimension whose faces are the
+    images of the cell's faces.  It must equal ``pins[root]`` where ``pins`` has the
+    cell's root, and pass ``keep(cell, candidate)`` where ``keep`` is given.  With
+    ``first`` the backtracking stops at the first map it meets."""
+    pins = pins or {}
+    rows = _walk(A)
+    index = {c.dim: _cells_with_faces(Y, c.dim) for c, *_ in rows}
     out, assign = [], {}
 
-    def fits(c, y):
-        return (all(Y.face(y, i) == _image(assign, Y, A.face(c, i))
-                    for i in range(c.dim + 1 if c.dim else 0))
-                and all(y.is_degenerate() or y.nd in getattr(Y, name)
-                        for name in names if c.nd in getattr(A, name)))
-
     def extend(k):
-        if k == len(cells):
+        if k == len(rows):
             out.append(dict(assign))
-            return
-        for y in Y.all_cells(cells[k].dim):
-            if fits(cells[k], y):
-                assign[cells[k].nd] = y
-                extend(k + 1)
-                del assign[cells[k].nd]
+            return first
+        c, faces, names = rows[k]
+        pin = pins.get(c.nd)
+        for y in index[c.dim].get(tuple(_image(assign, Y, x) for x in faces), ()):
+            if ((pin is None or y == pin)
+                    and (y.word or not any(y.nd not in getattr(Y, name) for name in names))
+                    and (keep is None or keep(c, y))):
+                assign[c.nd] = y
+                if extend(k + 1):
+                    return True
+                del assign[c.nd]
+        return False
 
     extend(0)
-    return out
+    roots = [c.nd for c in A.all_nondeg()]
+    return sorted(out, key=lambda m: [m[nd] for nd in roots])
+
+
+_FACES_OF = weakref.WeakKeyDictionary()   # object -> {degenerate cell: its faces}
+
+
+def _faces(Y, y) -> tuple:
+    """The faces of a cell of Y: its row of Y's face table if it is nondegenerate,
+    else computed through its word, once per object and cell."""
+    if not y.word:
+        return Y.faces[y.nd]
+    rows = _FACES_OF.setdefault(Y, {})
+    if y not in rows:
+        rows[y] = tuple(Y.face(y, i) for i in range(y.total_dim + 1))
+    return rows[y]
+
+
+def check_lift(lp, lift: DecMap) -> None:
+    """Independent of ``enumerate_maps`` and ``anodyne``: ``lift`` fills the square
+    ``lp`` of incl: A -> B, top: A -> X, bottom: B -> S and p: X -> S.  It assigns a cell
+    of X of the right dimension to every nondegenerate cell of B, commutes with faces,
+    keeps B's marked, thin and lean cells, and gives the top on every cell of A through
+    incl and the bottom on every cell of B through p.  Maps are compared on the
+    nondegenerate cells, which fix a simplicial map."""
+    incl, top, bottom, p = lp.gen.incl, lp.top, lp.bottom, lp.p
+    B, X, S = incl.dst, top.dst, p.dst
+    up = lift.assign
+    assert lift.src is B and lift.dst is X
+    assert sorted(up) == [(d, k) for d, n in enumerate(B.n_cells) for k in range(n)], \
+        "the lift does not cover the codomain"
+    for nd, y in up.items():
+        assert y.dim + len(y.word) == nd[0], ("dimension", nd)
+        if nd[0]:
+            assert _faces(X, y) == tuple(_image(up, X, x) for x in B.faces[nd]), ("faces", nd)
+    for name in ("marked", "thin", "lean") if B.kind == "MB" else ("marked", "thin"):
+        for nd in getattr(B, name):
+            assert up[nd].word or up[nd].nd in getattr(X, name), (name, nd)
+    for nd, b in incl.assign.items():
+        assert _image(up, X, b) == top.assign[nd], ("top", nd)
+    for nd, y in up.items():
+        assert _image(p.assign, S, y) == bottom.assign[nd], ("bottom", nd)
 
 
 def count_squares(gens, p: DecMap) -> list[tuple]:

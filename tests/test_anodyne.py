@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from checkers import assert_no_lift, count_squares
+from checkers import _maps, assert_no_lift, count_squares
 from laxfib import anodyne
 from laxfib.anodyne import (
     AnodyneStep,
@@ -155,8 +155,9 @@ def test_solve_identity_always_lifts(mb):
 
 def _reference_certify(p, family, n_max, tags=None):
     """The certification loop with nothing shared between squares: one bottom search
-    per top, commutation checked on every cell of the domain, and every cell of a
-    lift tested over the bottom, pinned cells included."""
+    per top, commutation checked on every cell of the domain, and each lift searched
+    by the checkers' own backtracking, every cell tested over the bottom, pinned cells
+    included."""
     gens = anodyne.generators(family, n_max)
     library = [g.params[0] for g in gens if g.tag == anodyne._KAN_TAGS[family]]
     if tags is not None:
@@ -173,10 +174,8 @@ def _reference_certify(p, family, n_max, tags=None):
                        for b in gen.dom.all_nondeg()):
                     continue
                 squares += 1
-                lifts = enumerate_maps(gen.cod, top.dst, partial=partial, first_only=True,
-                                       constraint=lambda cell, cand, bottom=bottom:
-                                       p.apply(cand) == bottom.assign[cell.nd])
-                if not lifts:
+                if not _maps(gen.cod, top.dst, pins=partial, first=True,
+                             keep=lambda c, y, bottom=bottom: p.apply(y) == bottom.assign[c.nd]):
                     return Counterexample(gen, top, bottom)
         counts.append((gen.tag, gen.params, squares))
     return Certificate(family, n_max, counts, library)

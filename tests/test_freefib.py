@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from checkers import _maps
 from laxfib.anodyne import certify_fibration
 from laxfib.cli import build_two_cat
 from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
@@ -358,16 +359,13 @@ def test_extension_lemmas_match_the_references_on_walking_iso():
 
 
 def _reference_tame_phis(ff, n: int) -> list:
-    """The tame maps prism(n) -> nd by a per-candidate test: a contrary triangle of the
-    prism, one of its thin triangles, must go to a triangle with an identity filler."""
+    """The tame maps prism(n) -> nd by the checkers' own search with a per-candidate
+    test: a contrary triangle of the prism, one of its thin triangles, must go to a
+    triangle with an identity filler.  Each map lists its cells in the order the search
+    assigns them, top cells first, each after its faces."""
     P, ND = prism(n), ff.nd
-
-    def hook(cell, cand) -> bool:
-        if cell.dim == 2 and cell.nd in P.thin:
-            return ND.is_identity_triangle(cand)
-        return True
-
-    return simplicial.enumerate_maps(P, ND, constraint=hook)
+    tame = _maps(P, ND, keep=lambda c, y: c.nd not in P.thin or ND.is_identity_triangle(y))
+    return [DecMap(P, ND, m) for m in tame]
 
 
 def _assert_tame_phis_match_the_reference(ff) -> list[int]:
@@ -424,8 +422,8 @@ def _reference_levels(ff) -> list:
     """The pairs of each dimension, with one fibre-part search per phi that reads phi."""
     def rhos_for(phi, n):
         inc1 = end_map(n, 1)
-        return simplicial.enumerate_maps(delta(n), ff.nc, constraint=lambda cell, cand: (
-            ff.fN.apply(cand) == phi.apply(inc1.assign[cell.nd])))
+        return [DecMap(delta(n), ff.nc, m) for m in _maps(delta(n), ff.nc, keep=lambda c, y: (
+            ff.fN.apply(y) == phi.apply(inc1.assign[c.nd])))]
 
     return [[freefib.PairSimplex(n, phi, rho) for phi in ff._tame_phis(n)
              for rho in rhos_for(phi, n)] for n in range(4)]

@@ -463,6 +463,21 @@ def test_coskeletal_spheres_are_the_maps_from_the_boundary(build, dim):
     assert coskeletal_spheres(X, dim) == spheres
 
 
+@pytest.mark.parametrize("build, dim", [
+    (lambda: walking_iso().nerve(), 3),
+    (lambda: walking_iso().nerve(), 4),
+    (lambda: chain_poset(3).nerve(), 3),
+    (lambda: chain_poset(3).nerve(), 4),
+    (_battery_total_3_skeleton, 4),
+], ids=["walking-iso-3", "walking-iso-4", "chain-3-3", "chain-3-4", "battery-total-4"])
+def test_coskeletal_spheres_come_sorted(build, dim):
+    """add_coskeletal_top numbers the new tops in the order the sphere walk lists the
+    spheres, and that order must be the sorted one."""
+    X = build()
+    spheres = coskeletal_spheres(X, dim)
+    assert spheres and spheres == sorted(spheres)
+
+
 def test_commutes_with_faces_catches_a_wrong_top_image():
     N = scaled_nerve(two_bracket(walking_arrow()))
     identity = DecMap.identity(N)
@@ -720,6 +735,99 @@ def test_enumerate_maps_matches_brute_force(A, B):
     assert all(m in full for m in first)
 
 
+# a plain target for over=: maps B -> Delta^1 split B's cells in two
+OVER_BASE = standard_simplex(1, kind="PLAIN")
+
+
+def _face_closure(A: DecoratedSSet, nds) -> set:
+    """The roots nds and the roots of all their faces."""
+    out, todo = set(), list(nds)
+    while todo:
+        nd = todo.pop()
+        if nd not in out:
+            out.add(nd)
+            todo.extend(f.nd for f in A.faces.get(nd, ()) if nd[0])
+    return out
+
+
+def _assert_pinned_search_matches_brute_force(A, B, brute, pins, over):
+    """With ``partial=pins`` and ``over=(f, wanted)``, wanted on cells off the pins, the
+    search lists the brute-force maps that agree with the pins and send each wanted cell
+    over its wanted image; with first_only it gives one of them, if there is one."""
+    f, wanted = over
+
+    def image(cell):
+        img = f.assign[cell.nd]
+        for j in reversed(cell.word):
+            img = OVER_BASE.deg(img, j)
+        return img
+
+    expected = [m for m in brute if all(m[nd] == c for nd, c in pins.items())
+                and all(image(m[nd]) == w for nd, w in wanted.items())]
+    assert [m.assign for m in enumerate_maps(A, B, partial=pins, over=over)] == expected
+    first = enumerate_maps(A, B, partial=pins, over=over, first_only=True)
+    assert len(first) == min(len(expected), 1)
+    assert all(m.assign in expected for m in first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_sources(), st.sampled_from(SEARCH_TARGETS), st.data())
+def test_pinned_map_search_matches_brute_force(A, B, data):
+    """Pins from a map on a face-closed set of cells or on any set (a pinned cell may
+    have an unpinned face); pins on a face-closed set from a map that keeps A's
+    decorations except on those cells, and breaks one there; and pins drawn at random,
+    which may break a face too.  With over= on a few of the other cells."""
+    brute = brute_force_maps(A, B)
+    cells = A.all_nondeg()
+    shape = data.draw(st.sampled_from(["closed", "any", "bare", "random"]))
+    nds = sorted({c.nd for c in data.draw(st.sets(st.sampled_from(cells), max_size=4))})
+    decorated = sorted(A.marked | A.thin | A.lean)
+    if shape == "bare" and decorated:
+        nds.append(data.draw(st.sampled_from(decorated)))
+    if shape in ("closed", "bare"):
+        nds = sorted(_face_closure(A, nds))
+    source = brute
+    if shape == "bare":
+        bare = A.with_decorations(marked=A.marked - set(nds), thin=A.thin - set(nds),
+                                  lean=A.lean - set(nds))
+        # a map of bare that is no map of A breaks a decoration of a pinned cell
+        source = [m for m in brute_force_maps(bare, B) if m not in brute]
+    if shape == "random" or not source:
+        pins = {nd: data.draw(st.sampled_from(B.all_cells(nd[0]))) for nd in nds}
+    else:
+        g = data.draw(st.sampled_from(source))
+        pins = {nd: g[nd] for nd in nds}
+    f = data.draw(st.sampled_from(enumerate_maps(B, OVER_BASE)))
+    free = [c for c in cells if c.nd not in pins]
+    chosen = data.draw(st.sets(st.sampled_from(free), max_size=3)) if free else ()
+    wanted = {c.nd: data.draw(st.sampled_from(OVER_BASE.all_cells(c.dim))) for c in chosen}
+    _assert_pinned_search_matches_brute_force(A, B, brute, pins, (f, wanted))
+
+
+def test_pinned_map_search_refuses_a_broken_pin():
+    """A pin that breaks a decoration or a face gives no map, whether its faces are
+    pinned (checked before the search) or not (checked in it)."""
+    sharp = standard_simplex(2, kind="MB", marked="sharp")
+    flat = standard_simplex(2, kind="MB")
+    plain = standard_simplex(2, kind="PLAIN")
+    v0, v1 = vertex_cell(flat, (0,)), vertex_cell(flat, (1,))
+    e01, e12 = vertex_cell(flat, (0, 1)), vertex_cell(flat, (1, 2))
+    triangle = vertex_cell(flat, (0, 1, 2))
+    arrow = standard_simplex(1, kind="MB", marked="sharp")
+    cases = [
+        (sharp, flat, {e01.nd: e01}),                              # an unmarked image
+        (arrow, flat, {v0.nd: v0, v1.nd: v1, e01.nd: e01}),
+        (plain, plain, {v0.nd: v0, e01.nd: e12}),                  # a face breaks
+        (plain, plain, {v0.nd: v1, v1.nd: v0, e01.nd: e01}),
+        (plain, plain, {v0.nd: e01}),                              # a vertex to an edge
+        (plain, plain, {e01.nd: e01, e12.nd: e01, triangle.nd: triangle}),
+    ]
+    for A, B, pins in cases:
+        assert not [m for m in brute_force_maps(A, B) if all(m[nd] == c for nd, c in pins.items())]
+        for first_only in (False, True):
+            assert enumerate_maps(A, B, partial=pins, first_only=first_only) == []
+
+
 def _catalog_object(tag: str, params: tuple, end: str) -> DecoratedSSet:
     from laxfib.anodyne import generators
     gen = next(g for g in generators("MB", 3) if (g.tag, g.params) == (tag, params))
@@ -742,6 +850,23 @@ def test_enumerate_maps_through_degenerate_faces(name):
     assert any(f.word for fs in A.faces.values() for f in fs)
     for B in SEARCH_TARGETS:
         assert [m.assign for m in enumerate_maps(A, B)] == brute_force_maps(A, B)
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FACE_SOURCES))
+def test_pinned_map_search_through_degenerate_faces(name):
+    """Pins from a few brute-force maps on the face-closed cells of dimension <= 1 and
+    on the top cells alone, whose faces are unpinned; with over= on two other cells."""
+    A = WORD_FACE_SOURCES[name]()
+    for B in SEARCH_TARGETS:
+        brute = brute_force_maps(A, B)
+        f = enumerate_maps(B, OVER_BASE)[-1]
+        for g in brute[::max(1, len(brute) // 3)]:
+            low = {c.nd: g[c.nd] for c in A.all_nondeg() if c.dim <= 1}
+            top = {c.nd: g[c.nd] for c in A.nondeg(A.top_dim)}
+            for pins in (low, top):
+                free = [c for c in A.all_nondeg() if c.dim and c.nd not in pins][:2]
+                wanted = {c.nd: f.apply(g[c.nd]) for c in free}
+                _assert_pinned_search_matches_brute_force(A, B, brute, pins, (f, wanted))
 
 
 def test_search_plan_follows_new_decorations():
