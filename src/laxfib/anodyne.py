@@ -8,8 +8,10 @@ complexes for the marking-saturation generators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .fincat import walking_iso
@@ -47,6 +49,17 @@ class GeneratorInstance:
         ps = ",".join(str(p) for p in self.params)
         return f"{self.family}:{self.tag}({ps})" + (" [derived]" if self.derived else "")
 
+    @functools.cached_property
+    def pinning(self) -> tuple:
+        """``(roots, at_cells, at_roots, loose)``, derived once: the codomain roots that
+        :func:`_image_roots` pins, in its order; tuple gathers of a map on the cells that pin
+        them and on the roots; the loose cells: a degenerate image, or a root a later cell pins."""
+        def gather(keys):  # itemgetter alone gives one key's bare value
+            return itemgetter(*keys) if len(keys) > 1 else lambda m: tuple(m[k] for k in keys)
+        pins = dict(_image_roots(self.incl))
+        return (tuple(pins), gather([b.nd for b in pins.values()]), gather(list(pins)),
+                [b for b in self.dom.all_nondeg() if b not in pins.values()])
+
 
 def _deco(kind: str, marked=(), thin=(), lean=()) -> dict:
     """Decoration keywords from two-scaling data.  The single-scaling theory
@@ -59,12 +72,7 @@ def _deco(kind: str, marked=(), thin=(), lean=()) -> dict:
 def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
     """(root of f(b), b) for the cells b with a nondegenerate image; built into
     a dict, the later b wins where two cells share an image."""
-    out = []
-    for b in f.src.all_nondeg():
-        img = f.apply(b)
-        if not img.is_degenerate():
-            out.append((img.nd, b))
-    return out
+    return [(img.nd, b) for b in f.src.all_nondeg() if not (img := f.apply(b)).word]
 
 
 def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
@@ -204,9 +212,10 @@ _DERIVED = {"UI": "derived scaling lemma"}
 _KAN_TAGS = {"MB": "E", "MS": "MSE"}
 
 
-def generators(family: str, n_max: int = CAP) -> list[GeneratorInstance]:
+@functools.lru_cache(maxsize=None)
+def generators(family: str, n_max: int = CAP) -> tuple[GeneratorInstance, ...]:
     """The generating inclusions of the two-scaling (MB) or single-scaling (MS)
-    theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3."""
+    theory, sizes <= n_max, plus the derived MS scaling lemmas on Delta^3; built once."""
     if n_max > CAP:
         raise ValueError(f"n_max={n_max} exceeds the dimension cap {CAP}")
     if n_max < 2:
@@ -225,7 +234,7 @@ def generators(family: str, n_max: int = CAP) -> list[GeneratorInstance]:
             family, _KAN_TAGS[family], (name,),
             DecMap(K, sharp, {c.nd: c for c in K.all_nondeg()}),
             note="finite Kan library; quantification over all Kan complexes is truncated"))
-    return sorted(gens, key=lambda g: g.derived)
+    return tuple(sorted(gens, key=lambda g: g.derived))
 
 
 def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
@@ -249,27 +258,33 @@ class LiftingProblem:
     bottom: DecMap
     p: DecMap
 
+    @functools.cached_property
+    def image(self) -> tuple:
+        """p o top on the cells of the generator's pinning; certify_fibration sets it."""
+        return tuple(map(self.p.apply, self.gen.pinning[1](self.top.assign)))
+
     def commutes(self) -> bool:
-        """p o top == bottom o incl on every cell of the domain (incl.assign lists them)."""
-        for nd, img in self.gen.incl.assign.items():
-            if self.p.apply(self.top.assign[nd]) != self.bottom.apply(img):
-                return False
-        return True
+        """p o top == bottom o incl on every cell of the domain: on the pinning by one gather
+        of the bottom on its roots, against :attr:`image`; on the loose cells one by one."""
+        p, top, bottom, (_, _, at_roots, loose) = self.p, self.top, self.bottom, self.gen.pinning
+        return at_roots(bottom.assign) == self.image and all(
+            p.apply(top.apply(b)) == bottom.apply(self.gen.incl.apply(b)) for b in loose)
 
 
 def solve(lp: LiftingProblem) -> Optional[DecMap]:
     """A decoration-preserving diagonal filler, or None (exhaustive search)."""
     if not lp.commutes():
         raise ValueError("lifting square does not commute")
-    return _lift(lp, {nd: lp.top.apply(b) for nd, b in _image_roots(lp.gen.incl)})
+    roots, at_cells, _, _ = lp.gen.pinning
+    return _lift(lp, dict(zip(roots, at_cells(lp.top.assign))))
 
 
 def _lift(lp: LiftingProblem, partial: dict) -> Optional[DecMap]:
-    """solve's filler search on a commuting square, the top pinned as ``partial``.
-    The pinning is face-closed, so the map search checks the pinned cells' faces and
-    decorations once and searches only the cells off it, each over the bottom.  A pinned
-    cell is not tested over the base: ``commutes()``, which both callers run first, checks
-    p o top == bottom o incl on every b whose image ``_image_roots`` pins."""
+    """solve's filler search on a commuting square, the top pinned as ``partial`` on the
+    codomain roots of the generator's pinning.  The pinning is face-closed, so the map search
+    checks the pinned cells' faces and decorations once and searches only the cells off it,
+    each over the bottom.  A pinned cell is not tested over the base: ``commutes()``, which
+    both callers run first, compares the bottom on every pinned root with p o top."""
     lifts = enumerate_maps(lp.gen.cod, lp.top.dst, partial=partial,
                            over=(lp.p, lp.bottom.assign), first_only=True)
     return lifts[0] if lifts else None
@@ -313,33 +328,37 @@ def certify_fibration(p: DecMap, family: str = "MB", n_max: int = CAP,
                       tags: Optional[Iterable[str]] = None):
     """Enumerate every lifting problem against the catalog and solve each.
 
-    The bottom maps are searched once per image of p o top on the inclusion's roots;
-    each square is checked to commute once, then searched for a lift.
-    Returns a Certificate with per-generator counts, or the first failing
-    square as a Counterexample (catalog order, deterministic).
+    The catalog and each generator's pinning are built once per process.  Per top, p o top
+    on the pinning is one gather, p applied once per cell: it keys and pins the bottom maps,
+    searched once per image, and ``commutes()`` compares each bottom with it.  Returns a
+    Certificate with per-generator counts, or the first failing square as a Counterexample
+    (catalog order, deterministic).  A tag no generator has at n_max is a ValueError.
     """
     gens = generators(family, n_max)
     library = [g.params[0] for g in gens if g.tag == _KAN_TAGS[family]]
     if tags is not None:
         tags = set(tags)
+        unknown = sorted(tags.difference(g.tag for g in gens))
+        if unknown:
+            raise ValueError(f"no {family} generator at n_max={n_max} has the tag(s) {unknown}")
         gens = [g for g in gens if g.tag in tags]
-    counts = []
+    counts, p_of = [], {}       # p on each cell of p.src that a top reaches, applied once
     for gen in gens:
         squares = 0
-        roots = _image_roots(gen.incl)
-        bottoms = {}            # p o top on the roots, in their order -> bottom maps
+        roots, at_cells, _, _ = gen.pinning
+        bottoms = {}            # p o top on the pinning, in root order -> bottom maps
         for top in enumerate_maps(gen.dom, p.src):
-            partial = {nd: top.apply(b) for nd, b in roots}
-            pinned = {nd: p.apply(c) for nd, c in partial.items()}
-            key = tuple(pinned.values())
-            if key not in bottoms:
-                bottoms[key] = enumerate_maps(gen.cod, p.dst, partial=pinned)
-            for bottom in bottoms[key]:
+            ups = at_cells(top.assign)
+            image = tuple([p_of[c] if c in p_of else p_of.setdefault(c, p.apply(c)) for c in ups])
+            if image not in bottoms:
+                bottoms[image] = enumerate_maps(gen.cod, p.dst, partial=dict(zip(roots, image)))
+            for bottom in bottoms[image]:
                 lp = LiftingProblem(gen, top, bottom, p)
+                lp.image = image
                 if not lp.commutes():
                     continue
                 squares += 1
-                if _lift(lp, partial) is None:
+                if _lift(lp, dict(zip(roots, ups))) is None:
                     return Counterexample(gen, top, bottom)
         counts.append((gen.tag, gen.params, squares))
     return Certificate(family, n_max, counts, library)

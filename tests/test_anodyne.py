@@ -257,6 +257,106 @@ def test_square_failing_off_the_pinning_is_not_counted(monkeypatch):
         solve(lp)
 
 
+def _commutes_cell_by_cell(lp):
+    """The commutation check as it reads: p o top == bottom o incl on every
+    nondegenerate cell of the generator's domain."""
+    return [b for b in lp.gen.dom.all_nondeg()
+            if lp.p.apply(lp.top.apply(b)) != lp.bottom.apply(lp.gen.incl.apply(b))]
+
+
+def _circle():
+    """Delta^1 with its two vertices glued: one vertex and one nondegenerate loop."""
+    two = boundary_simplex(1, kind="MB")
+    edge = delta_map(two, standard_simplex(1, kind="MB"), {0: 0, 1: 1})
+    P, _, _ = anodyne.pushout(edge, DecMap(two, standard_simplex(0, kind="MB"),
+                                           {(0, 0): Cell(0, 0), (0, 1): Cell(0, 0)}))
+    return P
+
+
+def _squares(gen, p):
+    """Every pair of a top gen.dom -> p.src and a bottom gen.cod -> p.dst, commuting or not."""
+    for top in enumerate_maps(gen.dom, p.src):
+        for bottom in enumerate_maps(gen.cod, p.dst):
+            yield LiftingProblem(gen, top, bottom, p)
+
+
+def _loose_squares(case):
+    if case == "non-injective":
+        gen = _two_points_to_point()
+        return list(_squares(gen, DecMap.identity(gen.dom)))
+    # Delta^1 -> Delta^0 sends the edge to a degenerate edge and both vertices to one;
+    # over the circle a top on the loop meets the bottom on both vertices, not on the edge
+    interval, pt = standard_simplex(1, kind="MB"), standard_simplex(0, kind="MB")
+    gen = GeneratorInstance("MB", "T", (), DecMap(interval, pt, {
+        (0, 0): Cell(0, 0), (0, 1): Cell(0, 0), (1, 0): Cell(0, 0, (0,))}))
+    return list(_squares(gen, DecMap.identity(interval))) + list(
+        _squares(gen, DecMap.identity(_circle())))
+
+
+def _battery_squares():
+    """Commuting squares over a battery projection, each also with one bottom cell
+    replaced by every other cell of its dimension."""
+    p = build_free_fibration(dict(fixture_functors())["2bracket-pt-into-arrow-at-0"]).proj
+    out = []
+    for gen in generators("MB", 3):
+        roots = anodyne._image_roots(gen.incl)
+        for top in enumerate_maps(gen.dom, p.src)[:2]:
+            pinned = {nd: p.apply(top.apply(b)) for nd, b in roots}
+            for bottom in enumerate_maps(gen.cod, p.dst, partial=pinned)[:1]:
+                out.append(LiftingProblem(gen, top, bottom, p))
+                for nd, c in bottom.assign.items():
+                    out += [LiftingProblem(gen, top, DecMap(gen.cod, p.dst, {
+                        **bottom.assign, nd: other}), p) for other in p.dst.all_cells(nd[0])
+                        if other != c]
+    return out
+
+
+@pytest.mark.parametrize("case", ["non-injective", "degenerate-edge", "battery"])
+def test_commutes_equals_a_cell_by_cell_reference(case):
+    squares = _battery_squares() if case == "battery" else _loose_squares(case)
+    verdicts = [(lp.commutes(), not _commutes_cell_by_cell(lp)) for lp in squares]
+    assert all(got == want for got, want in verdicts)
+    assert {want for _, want in verdicts} == {True, False}
+    if case != "battery":
+        # some square fails only on cells that the pinning leaves loose
+        pinning = set(dict(anodyne._image_roots(squares[0].gen.incl)).values())
+        assert any(bad and not pinning.intersection(bad)
+                   for bad in map(_commutes_cell_by_cell, squares))
+
+
+def _sharp_vertex_of_interval(kind):
+    sharp = dict(marked="sharp", thin="sharp") | (dict(lean="sharp") if kind == "MB" else {})
+    return delta_map(standard_simplex(0, kind=kind, **sharp),
+                     standard_simplex(1, kind=kind, **sharp), {0: 1})
+
+
+@pytest.mark.parametrize("family", ["MB", "MS"])
+def test_the_cached_catalog_carries_no_state_between_calls(family):
+    gens = generators(family, 3)
+    assert all(a is b for a, b in zip(gens, generators(family, 3), strict=True))
+    p1 = build_free_fibration(dict(fixture_functors())["2bracket-pt-into-arrow-at-0"]).proj
+    p2 = _sharp_vertex_of_interval(family)
+    results = [_assert_certifies_as_reference(p, family, 3) for p in (p1, p2, p1)]
+    assert [r.ok for r in results] == [True, False, True]
+    assert results[0].counts == results[2].counts
+
+
+@pytest.mark.parametrize("family,n_max,tags,unknown", [
+    ("MB", 4, ["A6"], ["A6"]),
+    ("MB", 4, ["MS1"], ["MS1"]),
+    ("MB", 4, ["A1", "MS1", "A6"], ["A6", "MS1"]),
+    ("MB", 3, ["A2"], ["A2"]),
+    ("MS", 4, ["A5", "MS5"], ["A5"]),
+])
+def test_a_tag_that_matches_no_generator_is_an_error(family, n_max, tags, unknown):
+    # without tags the sharp vertex of the interval fails A5 (MS5); a filter that
+    # matched nothing used to give a certificate with no counts
+    with pytest.raises(ValueError) as err:
+        certify_fibration(_sharp_vertex_of_interval(family), family, n_max, tags=tags)
+    named = [t for t in tags if repr(t) in str(err.value)]
+    assert sorted(named) == unknown
+
+
 def test_negative_control_a5(mb):
     interval = standard_simplex(1, kind="MB", marked="sharp", thin="sharp", lean="sharp")
     pt = standard_simplex(0, kind="MB", marked="sharp", thin="sharp", lean="sharp")
