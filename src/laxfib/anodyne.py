@@ -241,7 +241,7 @@ def default_kan_library() -> list[tuple[str, DecoratedSSet]]:
     """Finite stand-ins for 'every Kan complex': a point and the walking
     isomorphism, truncated at the cap."""
     pt = standard_simplex(0, kind="MB", thin="sharp", lean="sharp")
-    J = walking_iso().nerve(max_dim=CAP, kind="PLAIN")
+    J = walking_iso().nerve()
     tris = [c.nd for c in J.nondeg(2)]
     return [("point", pt), ("walking-iso", J.with_decorations("MB", thin=tris, lean=tris))]
 

@@ -182,13 +182,13 @@ def two_bracket_duality(p: CatFunctor, budgets: Optional[dict] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def theorem_a_localizations(f: TwoFunctor, budgets: Optional[dict] = None) -> dict:
+def theorem_a_localizations(f: TwoFunctor) -> dict:
     """With every 1-cell marked, a cofinal functor induces an equivalence of
     localizations; the homology of the nerves is a sound necessary check."""
     C, D = f.src, f.dst
     sharpC = Marking2Cat(C, frozenset(C.onecells))
     sharpD = Marking2Cat(D, frozenset(D.onecells))
-    report = check_cofinal(f, sharpC, sharpD, budgets)
+    report = check_cofinal(f, sharpC, sharpD)
     out: dict = {"cofinality": report.verdict}
     if report.verdict != "yes":
         out["status"] = "hypothesis not established; consequence not asserted"

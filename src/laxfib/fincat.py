@@ -17,14 +17,13 @@ class FinCat:
     """
 
     def __init__(self, objects: Iterable[str], morphisms: Iterable[str],
-                 src: dict, tgt: dict, comp: dict, ident: dict, name: str = ""):
+                 src: dict, tgt: dict, comp: dict, ident: dict):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.comp = dict(comp)
         self.ident = dict(ident)
-        self.name = name
         self._iso_cache: dict[str, bool] = {}
 
     def hom(self, a: str, b: str) -> list[str]:
@@ -95,7 +94,6 @@ class FinCat:
             src=self.tgt, tgt=self.src,
             comp={(f, g): h for (g, f), h in self.comp.items()},
             ident=self.ident,
-            name=f"{self.name}^op" if self.name else "op",
         )
 
     def product(self, other: "FinCat") -> "FinCat":
@@ -109,7 +107,7 @@ class FinCat:
         ident = {(a, b): (self.ident[a], other.ident[b]) for a, b in objs}
         return FinCat(objs, mors, src, tgt, comp, ident)
 
-    def nerve(self, max_dim: int = CAP, kind: str = "PLAIN") -> DecoratedSSet:
+    def nerve(self, max_dim: int = CAP) -> DecoratedSSet:
         """Nerve with nondegenerate cells the chains of non-identity morphisms,
         labelled ("obj", a) and ("chain", chain)."""
         n_cells = [len(self.objects)]
@@ -151,13 +149,6 @@ class FinCat:
                 cells[label] = Cell(n, k)
         del chain_cell  # it refers to itself: drop that cycle so cells is freed by refcount
 
-        marked: list = []
-        thin: list = []
-        if kind in ("MS", "MB"):
-            marked = [cells[("chain", (m,))].nd for m in self.nonidentity() if self.is_iso(m)]
-        if kind in ("MS", "MB", "SC"):
-            # in a 1-category every triangle commutes strictly: all thin
-            thin = [cells[("chain", c)].nd for c, _ in chains.get(2, [])]
         # categories with loops have nondegenerate chains in every dimension;
         # record the truncation so homology stays sound at the boundary
         truncated = any(
@@ -165,7 +156,7 @@ class FinCat:
             for chain, start in chains.get(max_dim, [])
             for m in self.morphisms
         )
-        return DecoratedSSet(kind, n_cells, faces, marked, thin, thin, labels=labels,
+        return DecoratedSSet("PLAIN", n_cells, faces, labels=labels,
                              truncated_at=max_dim if truncated else None)
 
     def to_json_dict(self) -> dict:
@@ -231,7 +222,7 @@ def comma_under(F: CatFunctor, d: str) -> FinCat:
     ident = {(k, u): (K.ident[k], u, u) for k, u in objs}
     comp = {(m2, m1): (K.comp[(m2[0], m1[0])], m1[1], m2[2])
             for m1 in mors for m2 in mors if tgt[m1] == src[m2]}
-    return FinCat(objs, mors, src, tgt, comp, ident, name=f"{d}/F")
+    return FinCat(objs, mors, src, tgt, comp, ident)
 
 
 def comma_over(F: CatFunctor, s: str) -> FinCat:
@@ -246,11 +237,11 @@ def comma_over(F: CatFunctor, s: str) -> FinCat:
 
 def terminal_cat() -> FinCat:
     return FinCat(["*"], ["id*"], {"id*": "*"}, {"id*": "*"},
-                  {("id*", "id*"): "id*"}, {"*": "id*"}, name="pt")
+                  {("id*", "id*"): "id*"}, {"*": "id*"})
 
 
 def walking_arrow() -> FinCat:
-    return poset_cat(["0", "1"], [("0", "1")], name="arrow")
+    return poset_cat(["0", "1"], [("0", "1")])
 
 
 def walking_iso() -> FinCat:
@@ -264,7 +255,7 @@ def walking_iso() -> FinCat:
         comp[(f"id{tgt[m]}", m)] = m
     comp[("v", "u")] = "id0"
     comp[("u", "v")] = "id1"
-    return FinCat(objs, mors, src, tgt, comp, {"0": "id0", "1": "id1"}, name="iso")
+    return FinCat(objs, mors, src, tgt, comp, {"0": "id0", "1": "id1"})
 
 
 def discrete_cat(n: int) -> FinCat:
@@ -272,15 +263,15 @@ def discrete_cat(n: int) -> FinCat:
     return FinCat(objs, [f"id{o}" for o in objs],
                   {f"id{o}": o for o in objs}, {f"id{o}": o for o in objs},
                   {(f"id{o}", f"id{o}"): f"id{o}" for o in objs},
-                  {o: f"id{o}" for o in objs}, name=f"discrete{n}")
+                  {o: f"id{o}" for o in objs})
 
 
 def chain_poset(n: int) -> FinCat:
     objs = [str(i) for i in range(n + 1)]
-    return poset_cat(objs, [(str(i), str(i + 1)) for i in range(n)], name=f"chain{n}")
+    return poset_cat(objs, [(str(i), str(i + 1)) for i in range(n)])
 
 
-def poset_cat(objects: list[str], covers: list[tuple[str, str]], name="poset") -> FinCat:
+def poset_cat(objects: list[str], covers: list[tuple[str, str]]) -> FinCat:
     """Finite poset category from a relation (transitively closed here)."""
     rel = {(a, a) for a in objects} | set(covers)
     changed = True
@@ -300,7 +291,7 @@ def poset_cat(objects: list[str], covers: list[tuple[str, str]], name="poset") -
             if b == c:
                 comp[(f"{c}<{d}", f"{a}<{b}")] = f"{a}<{d}"
     ident = {a: f"{a}<{a}" for a in objects}
-    return FinCat(objects, mors, src, tgt, comp, ident, name=name)
+    return FinCat(objects, mors, src, tgt, comp, ident)
 
 
 def all_functors(T: FinCat, C: FinCat) -> list[CatFunctor]:

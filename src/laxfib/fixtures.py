@@ -27,11 +27,11 @@ CORPUS_SEED = 20240813
 
 
 def empty_cat() -> FinCat:
-    return FinCat([], [], {}, {}, {}, {}, name="empty")
+    return FinCat([], [], {}, {}, {}, {})
 
 
 def vee_poset() -> FinCat:
-    return poset_cat(["a", "b", "c"], [("a", "b"), ("a", "c")], name="vee")
+    return poset_cat(["a", "b", "c"], [("a", "b"), ("a", "c")])
 
 
 def include_at(S: FinCat, obj: str) -> CatFunctor:
@@ -62,7 +62,7 @@ def random_poset(rng: random.Random, max_objects: int = 5) -> FinCat:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 covers.append((objs[i], objs[j]))
-    return poset_cat(objs, covers, name=f"poset{n}")
+    return poset_cat(objs, covers)
 
 
 def random_monotone_functor(rng: random.Random, K: FinCat, S: FinCat):

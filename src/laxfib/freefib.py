@@ -178,7 +178,7 @@ class FreeFibration:
         X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"),
                       is_degenerate=PairSimplex.is_degenerate)
         pairs = X.labels.items()
-        marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p, self.mode)}
+        marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p)}
         # a triangle is lean when its fiber part is thin, and a lean one thin when its base part is
         lean = {nd for nd, p in pairs if nd[0] == 2 and self.nc.is_thin(p.rho.assign[(2, 0)])}
         thin = {nd for nd in lean if self.nd.is_thin(X.labels[nd].base_simplex())}
@@ -198,12 +198,12 @@ class FreeFibration:
         theta = ND.filler_of(pair.phi.apply(lower))
         return a, alpha, theta
 
-    def _edge_marked(self, pair: PairSimplex, mode: str) -> bool:
+    def _edge_marked(self, pair: PairSimplex) -> bool:
         a, alpha, theta = self.edge_data(pair)
         D, C = self.f.dst, self.f.src
         if not D.is_invertible2(theta):
             return False
-        if mode == "natural":
+        if self.mode == "natural":
             return C.is_equivalence(alpha)
         return alpha in self.src_marking.marked1
 

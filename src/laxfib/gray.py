@@ -89,12 +89,7 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
     return G
 
 
-def interval(kind="SC") -> KeyedSSet:
-    return standard_simplex(1, kind=kind)
-
-
-def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
-                   truncate: bool = False) -> ProductSSet:
+def decorated_gray(X: DecoratedSSet) -> ProductSSet:
     """The interval product of a two-scaling object, as a marked-scaled object.
 
     Extends the Gray scaling of the underlying product by the two lean-driven
@@ -103,8 +98,8 @@ def decorated_gray(X: DecoratedSSet, *, cap: int = CAP,
     """
     if X.kind != "MB":
         raise ValueError("decorated interval product expects a two-scaling object")
-    I = interval()
-    P = product(I, X, cap=cap, truncate=truncate)
+    I = delta(1)
+    P = product(I, X)
     marked = set()
     thin = set()
     for cell in P.nondeg(1):
@@ -150,8 +145,8 @@ def restrict_to_end(G: ProductSSet, eps: int) -> DecoratedSSet:
 
 
 @lru_cache(maxsize=None)
-def delta(n: int, kind: str = "SC") -> KeyedSSet:
-    return standard_simplex(n, kind=kind)
+def delta(n: int) -> KeyedSSet:
+    return standard_simplex(n, kind="SC")
 
 
 @lru_cache(maxsize=None)

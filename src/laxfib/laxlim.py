@@ -17,6 +17,7 @@ from .fincat import CatFunctor, FinCat, all_functors, identity_functor, terminal
 F_LEG = "1->2"   # the leg carried by the functor F
 G_LEG = "0->2"   # the leg carried by the functor G
 ARROW_LEG = "0->1"
+CONE_BUDGET = 200000   # the most functors or cone projections the oracle enumerates for a probe
 
 
 class BudgetError(RuntimeError):
@@ -43,6 +44,10 @@ class Diagram:
 
 
 def _cospan(F: CatFunctor, G: CatFunctor) -> tuple:
+    """The vertices and legs of the cospan F: A -> C <- B : G; the two targets
+    must be one category or have equal tables."""
+    if F.dst is not G.dst and F.dst.to_json_dict() != G.dst.to_json_dict():
+        raise ValueError("legs must share a target")
     return (F.src, G.src, F.dst), ((F_LEG, F, 0, 2), (G_LEG, G, 1, 2))
 
 
@@ -50,9 +55,6 @@ class ConeDiagram(Diagram):
     """A cospan F: A -> C <- B : G with a set of marked legs."""
 
     def __init__(self, F: CatFunctor, G: CatFunctor, marking: frozenset = frozenset()):
-        if F.dst is not G.dst:
-            raise ValueError("legs must share a target")
-        self.F, self.G = F, G
         super().__init__(*_cospan(F, G), marking)
 
 
@@ -65,10 +67,9 @@ class ArrowDiagram(Diagram):
 
 @dataclass
 class Cone:
-    """A marked-lax cone with a given tip: one projection per vertex and, for
+    """A marked-lax cone: one projection per vertex out of a common tip and, for
     each leg (name, f, i, j), components ``eta[name][t] : f(p_i t) -> p_j t``."""
 
-    tip: FinCat
     projections: tuple
     eta: dict
 
@@ -79,7 +80,7 @@ class Cone:
 
     def restrict(self, h: CatFunctor) -> "Cone":
         """Restriction along a functor into the tip."""
-        return Cone(h.src, tuple([_compose_functors(p, h) for p in self.projections]),
+        return Cone(tuple([_compose_functors(p, h) for p in self.projections]),
                     {name: {t: eta[h.omap[t]] for t in h.src.objects}
                      for name, eta in self.eta.items()})
 
@@ -104,7 +105,7 @@ def _name(parts) -> str:
                     for p in parts)
 
 
-def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, list]:
+def _tuples(cats: tuple, links: list, iso=()) -> tuple[FinCat, list, list]:
     """Tuples with componentwise morphisms.
 
     An object is (x_0, .., x_k, alpha_0, ..): x_i an object of ``cats[i]``
@@ -145,34 +146,34 @@ def _tuples(cats: tuple, links: list, name: str, iso=()) -> tuple[FinCat, list, 
                 comp[(m2, m1)] = _name(parts) + f"|{src[m1]}>{tgt[m2]}"
     ident = {o: _name(c.ident[x] for c, x in zip(cats, data[o][0])) + f"|{o}>{o}"
              for o in objs}
-    P = FinCat(objs, mors, src, tgt, comp, ident, name=name)
+    P = FinCat(objs, mors, src, tgt, comp, ident)
     projections = [CatFunctor(P, c, {o: data[o][0][k] for o in objs},
                               {m: mdata[m][k] for m in mors}) for k, c in enumerate(cats)]
     alphas = [{o: data[o][1][pos] for o in objs} for pos in range(len(links))]
     return P, projections, alphas
 
 
-def lax_limit(diagram: Diagram, name: str = "laxlim") -> LimitCandidate:
+def lax_limit(diagram: Diagram) -> LimitCandidate:
     """The partially lax limit of a diagram: tuples of vertex objects and leg
     components, with invertible components on the marked legs; the cone is the
     tuple of projections."""
     links = [(f, i, identity_functor(diagram.vertices[j]), j) for _, f, i, j in diagram.legs]
     iso = [pos for pos, leg in enumerate(diagram.legs) if leg[0] in diagram.marking]
-    P, projections, alphas = _tuples(diagram.vertices, links, name, iso)
+    P, projections, alphas = _tuples(diagram.vertices, links, iso)
     eta = {leg[0]: alpha for leg, alpha in zip(diagram.legs, alphas)}
-    return LimitCandidate(P, Cone(P, tuple(projections), eta))
+    return LimitCandidate(P, Cone(tuple(projections), eta))
 
 
 def lax_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """Objects (a, b, c, alpha_a: F(a) -> c, alpha_b: G(b) -> c); morphisms are
     componentwise with both squares commuting strictly."""
-    return lax_limit(Diagram(*_cospan(F, G)), "laxpb")
+    return lax_limit(Diagram(*_cospan(F, G)))
 
 
 def pseudo_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """The full subcategory of the lax pullback on tuples with both legs
     invertible."""
-    return lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})), "laxpb")
+    return lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})))
 
 
 def directed_pullback(F: CatFunctor, G: CatFunctor,
@@ -186,18 +187,17 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
     """
     if marked_leg not in (F_LEG, G_LEG):
         raise ValueError("marked_leg must name one of the two legs")
-    out = lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})), "laxpb")
+    out = lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})))
     # the one-arrow model: objects (a, b, alpha) across the unmarked leg
     here, there = (F, G) if marked_leg == G_LEG else (G, F)
-    out.strictified = _tuples((here.src, there.src), [(here, 0, there, 1)], "dirpb")[0]
+    out.strictified = _tuples((here.src, there.src), [(here, 0, there, 1)])[0]
     return out
 
 
 def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
     """The lax limit of a single functor: tuples (a, b, beta: E(a) -> b),
     restricted to invertible beta when the leg is marked."""
-    return lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()),
-                     "arrowlim")
+    return lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,10 @@ def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_cones(diagram: Diagram, tip: FinCat,
-                    budget: int = 200000) -> list[Cone]:
+def enumerate_cones(diagram: Diagram, tip: FinCat) -> list[Cone]:
     """All marked-lax cones over the diagram with the given tip, brute force."""
     candidates = [all_functors(tip, V) for V in diagram.vertices]
-    if math.prod(len(c) for c in candidates) > budget:
+    if math.prod(len(c) for c in candidates) > CONE_BUDGET:
         raise BudgetError("cone enumeration exceeds the budget")
     names = [leg[0] for leg in diagram.legs]
     cones = []
@@ -217,7 +216,7 @@ def enumerate_cones(diagram: Diagram, tip: FinCat,
         families = [_natural_families(tip, ps, leg, leg[0] in diagram.marking)
                     for leg in diagram.legs]
         for etas in itertools.product(*families):
-            cones.append(Cone(tip, ps, dict(zip(names, etas))))
+            cones.append(Cone(ps, dict(zip(names, etas))))
     return cones
 
 
@@ -240,30 +239,19 @@ def _natural_families(tip: FinCat, ps: tuple, leg: tuple, marked: bool) -> list[
     return out
 
 
-def default_probes() -> tuple[list, list]:
-    """Probe categories and the morphisms between them."""
+def cone_oracle(diagram: Diagram, candidate: LimitCandidate) -> dict:
+    """Representability evidence: for the probes T = pt and T = arrow, functors
+    T -> P biject with marked-lax cones with tip T, naturally in the two
+    inclusions i0, i1 : pt -> arrow."""
     pt, arrow = terminal_cat(), walking_arrow()
-    probes = [("pt", pt), ("arrow", arrow)]
-    morphs = [
-        ("i0", CatFunctor(pt, arrow, {"*": "0"}, {"id*": arrow.ident["0"]}), "pt", "arrow"),
-        ("i1", CatFunctor(pt, arrow, {"*": "1"}, {"id*": arrow.ident["1"]}), "pt", "arrow"),
-    ]
-    return probes, morphs
-
-
-def cone_oracle(diagram: Diagram, candidate: LimitCandidate,
-                probes=None, budget: int = 200000) -> dict:
-    """Representability evidence: for each probe T, functors T -> P biject
-    with marked-lax cones with tip T, naturally in the stored probe maps."""
-    probe_list, probe_morphs = default_probes() if probes is None else probes
     P, cone = candidate.category, candidate.cone
-    report = {"pass": True, "probes": {}, "budget": budget}
+    report = {"pass": True, "probes": {}, "budget": CONE_BUDGET}
     homs_of: dict = {}
-    for name, T in probe_list:
+    for name, T in (("pt", pt), ("arrow", arrow)):
         homs = all_functors(T, P)
-        if len(homs) > budget:
+        if len(homs) > CONE_BUDGET:
             raise BudgetError("functor enumeration exceeds the budget")
-        cones = enumerate_cones(diagram, T, budget)
+        cones = enumerate_cones(diagram, T)
         image = {cone.restrict(h).key(): h for h in homs}
         ok = len(image) == len(homs) and set(image) == {c.key() for c in cones}
         report["probes"][name] = {
@@ -272,13 +260,12 @@ def cone_oracle(diagram: Diagram, candidate: LimitCandidate,
         homs_of[name] = homs
         if not ok:
             report["pass"] = False
-    for mname, m, src_name, dst_name in probe_morphs:
-        if src_name not in homs_of or dst_name not in homs_of:
-            continue
+    for end in ("0", "1"):
+        m = CatFunctor(pt, arrow, {"*": end}, {"id*": arrow.ident[end]})
         natural = all(cone.restrict(_compose_functors(h, m)).key()
                       == cone.restrict(h).restrict(m).key()
-                      for h in homs_of[dst_name])
-        report["probes"].setdefault("naturality", {})[mname] = natural
+                      for h in homs_of["arrow"])
+        report["probes"].setdefault("naturality", {})[f"i{end}"] = natural
         if not natural:
             report["pass"] = False
     return report

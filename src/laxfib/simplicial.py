@@ -510,12 +510,12 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None) ->
                             strict=False)
 
 
-def boundary_simplex(n: int, *, kind="PLAIN") -> KeyedSSet:
-    return _simplex_complex(n, kind, "flat", "flat", None, omit=(tuple(range(n + 1)),))
+def boundary_simplex(n: int) -> KeyedSSet:
+    return _simplex_complex(n, "PLAIN", "flat", "flat", None, omit=(tuple(range(n + 1)),))
 
 
-def empty_sset(kind="PLAIN") -> DecoratedSSet:
-    return DecoratedSSet(kind, [], {})
+def empty_sset() -> DecoratedSSet:
+    return DecoratedSSet("PLAIN", [], {})
 
 
 def vertex_cell(X: KeyedSSet, verts: tuple[int, ...]) -> Cell:

@@ -20,8 +20,7 @@ class StrictTwoCat:
     * ``hcomp2[(beta, alpha)]`` horizontal composite 2-cell beta * alpha
     """
 
-    def __init__(self, objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2,
-                 name: str = ""):
+    def __init__(self, objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2):
         self.objects = tuple(objects)
         self.onecells = dict(onecells)
         self.id1 = dict(id1)
@@ -30,7 +29,6 @@ class StrictTwoCat:
         self.vcomp = dict(vcomp)
         self.hcomp1 = dict(hcomp1)
         self.hcomp2 = dict(hcomp2)
-        self.name = name
         self._equiv_cache: dict[str, bool] = {}
         self._inv2_cache: dict[str, bool] = {}
         self._index: Optional[tuple[dict, dict, dict]] = None
@@ -78,7 +76,6 @@ class StrictTwoCat:
             tgt={t: self.twocells[t][1] for t in mors},
             comp={(u, v): w for (u, v), w in self.vcomp.items() if u in known and v in known},
             ident={f: self.id2[f] for f in objs},
-            name=f"hom({a},{b})",
         )
 
     def is_invertible2(self, t: str) -> bool:
@@ -246,7 +243,6 @@ def terminal_twocat() -> StrictTwoCat:
     return StrictTwoCat(
         ["*"], {"1*": ("*", "*")}, {"*": "1*"}, {"2*": ("1*", "1*")}, {"1*": "2*"},
         {("2*", "2*"): "2*"}, {("1*", "1*"): "1*"}, {("2*", "2*"): "2*"},
-        name="terminal",
     )
 
 
@@ -259,8 +255,7 @@ def from_fincat(C: FinCat) -> StrictTwoCat:
     vcomp = {(f"i{m}", f"i{m}"): f"i{m}" for m in C.morphisms}
     hcomp1 = {(g, f): h for (g, f), h in C.comp.items()}
     hcomp2 = {(f"i{g}", f"i{f}"): f"i{h}" for (g, f), h in C.comp.items()}
-    return StrictTwoCat(C.objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2,
-                        name=C.name)
+    return StrictTwoCat(C.objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2)
 
 
 def two_bracket(K: FinCat) -> StrictTwoCat:
@@ -289,8 +284,7 @@ def two_bracket(K: FinCat) -> StrictTwoCat:
         t = f"m:{m}"
         hcomp2[(t, "2id0")] = t
         hcomp2[("2id1", t)] = t
-    return StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2,
-                        name=f"2[{K.name}]")
+    return StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2)
 
 
 def from_cat_functor(p: CatFunctor) -> TwoFunctor:
@@ -453,8 +447,7 @@ class FrBundle:
 
     @cached_property
     def twocat(self) -> StrictTwoCat:
-        return _comma(self.f, self.f.dst.objects, *self.homs[:2], self.homs,
-                      f"Fr({self.f.src.name})")
+        return _comma(self.f, self.f.dst.objects, *self.homs[:2], self.homs)
 
     @cached_property
     def marked1(self) -> frozenset:
@@ -494,8 +487,7 @@ def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,
     return FrBundle(f, src_marking, dst_marking)
 
 
-def _comma(f: TwoFunctor, ds, homA: dict, twoA: dict, homs: tuple,
-           name: str) -> StrictTwoCat:
+def _comma(f: TwoFunctor, ds, homA: dict, twoA: dict, homs: tuple) -> StrictTwoCat:
     """The lax squares over the objects ``ds`` of the target D whose D-parts
     a and psi are drawn from ``homA`` and ``twoA``: all of Fr(C) with D's own
     hom tables, the slice over d with only id_d and its identity."""
@@ -549,7 +541,7 @@ def _comma(f: TwoFunctor, ds, homA: dict, twoA: dict, homs: tuple,
     hcomp2 = {(t2, t): ("t", hcomp1[(t2[1], t[1])], hcomp1[(t2[2], t[2])],
                         D.hcomp2[(t2[3], t[3])], C.hcomp2[(t2[4], t[4])])
               for t in twocells for t2 in over2.get(t[1][2], ())}
-    return StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2, name=name)
+    return StrictTwoCat(objects, onecells, id1, twocells, id2, vcomp, hcomp1, hcomp2)
 
 
 def _sorted_homs(T: StrictTwoCat) -> tuple[dict, dict]:
@@ -584,6 +576,5 @@ def slice_fiber(bundle: FrBundle, d: str) -> Marking2Cat:
     if d not in D.objects:
         raise KeyError(f"unknown object {d}")
     id_d = D.id1[d]
-    sub = _comma(bundle.f, [d], {(d, d): [id_d]}, {(id_d, id_d): [D.id2[id_d]]}, bundle.homs,
-                 f"Fr({bundle.f.src.name})|{d}")
+    sub = _comma(bundle.f, [d], {(d, d): [id_d]}, {(id_d, id_d): [D.id2[id_d]]}, bundle.homs)
     return Marking2Cat(sub, bundle._marked(sub.onecells))

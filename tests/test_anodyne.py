@@ -216,7 +216,7 @@ def test_certification_equals_reference_on_the_verdict_stream_maps():
 def _two_points_to_point(reverse=False):
     """Both vertices of the boundary of Delta^1 sent to the one point: the pinning
     keeps the later vertex, whichever order the inclusion lists them in."""
-    two, pt = boundary_simplex(1, kind="MB"), standard_simplex(0, kind="MB")
+    two, pt = boundary_simplex(1).with_decorations("MB"), standard_simplex(0, kind="MB")
     keys = [(0, 1), (0, 0)] if reverse else [(0, 0), (0, 1)]
     return GeneratorInstance("MB", "T", (), DecMap(two, pt, {k: Cell(0, 0) for k in keys}))
 
@@ -243,7 +243,7 @@ def test_square_failing_off_the_pinning_is_not_counted(monkeypatch):
     # point, so a bottom is pinned by the later vertex only.  Over the identity,
     # of the four tops the two constant ones give commuting squares; the other
     # two give a bottom whose square fails on the earlier vertex.
-    two = boundary_simplex(1, kind="MB")
+    two = boundary_simplex(1).with_decorations("MB")
     pt = standard_simplex(0, kind="MB")
     gen = GeneratorInstance("MB", "T", (), DecMap(two, pt, {(0, 0): Cell(0, 0),
                                                             (0, 1): Cell(0, 0)}))
@@ -266,7 +266,7 @@ def _commutes_cell_by_cell(lp):
 
 def _circle():
     """Delta^1 with its two vertices glued: one vertex and one nondegenerate loop."""
-    two = boundary_simplex(1, kind="MB")
+    two = boundary_simplex(1).with_decorations("MB")
     edge = delta_map(two, standard_simplex(1, kind="MB"), {0: 0, 1: 1})
     P, _, _ = anodyne.pushout(edge, DecMap(two, standard_simplex(0, kind="MB"),
                                            {(0, 0): Cell(0, 0), (0, 1): Cell(0, 0)}))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from laxfib import cli
+from laxfib import cli, cofinality
+from laxfib.homotopy import Verdict
 from laxfib.simplicial import boundary_simplex, standard_simplex
 
 
@@ -134,14 +135,37 @@ def test_contractible_truncated_is_unknown(tmp_path, doc):
     assert code == 3 and report["value"] == "unknown"
 
 
+def _duality(tmp_path, *options):
+    return run(tmp_path, "duality", data_path("category-point.json"),
+               data_path("category-walking-arrow.json"),
+               data_path("functor-point-into-arrow-at-0.json"), *options)
+
+
 def test_duality_subcommand_agree(tmp_path):
-    code, report = run(
-        tmp_path, "duality",
-        data_path("category-point.json"), data_path("category-walking-arrow.json"),
-        data_path("functor-point-into-arrow-at-0.json"))
+    code, report = _duality(tmp_path)
     assert code == 0
     assert report["status"] == "AGREE"
     assert report["two_categorical"] == "yes"
+
+
+def test_duality_subcommand_undecided(tmp_path):
+    code, report = _duality(tmp_path, "--collapse-budget", "0")
+    assert code == 3 and report["status"] == "UNDECIDED"
+
+
+def test_disagreement_fails_the_duality_and_the_corpus(tmp_path, monkeypatch):
+    """An oracle with the opposite decisive verdict disagrees with the criterion."""
+    joyal = cofinality.joyal_cofinal
+
+    def opposite(p, budgets=None):
+        v = joyal(p, budgets)
+        return Verdict({"yes": "no", "no": "yes"}.get(v.value, v.value), v.evidence)
+
+    monkeypatch.setattr(cofinality, "joyal_cofinal", opposite)
+    code, report = _duality(tmp_path)
+    assert code == 2 and report["status"] == "DISAGREE"
+    code, report = run(tmp_path, "corpus", "--n-max", "2")
+    assert code == 2 and report["pass"] is False
 
 
 def test_check_cofinal_exit_codes(tmp_path):
@@ -426,6 +450,12 @@ def _bad_inputs(tmp_path) -> dict:
             '"morphisms": {"id*": "1<1", "id*": "0<0"}}')),
         "s2": put("s2.json", standard_simplex(2, kind="SC").to_json()),
         "s3": put("s3.json", standard_simplex(3, kind="SC").to_json()),
+        "invalid-json": put("invalid-json.json", '{"schema": "laxfib/twocat-v1", "objects": ['),
+        "marked-point": put("marked-point.json", {"marked1": ["o:*"]}),
+        "twocell-off-hom": put("twocell-off-hom.json", {
+            "schema": "laxfib/two-functor-v1", "objects": {"0": "0", "1": "1"},
+            "onecells": {"id0": "id0", "id1": "id1", "o:*": "o:0"},
+            "twocells": {"2id0": "2id0", "2id1": "2id1", "m:id*": "m:0<1"}}),
     }
 
 
@@ -484,6 +514,17 @@ BAD_CALLS = {
     "composition-pair-listed-twice": "joyal @arrow @twice-pair @arrow-id",
     "twocat-object-listed-twice": "nerve @twice-object2",
     "json-key-given-twice": "joyal @pt @arrow @key-twice",
+    "json-invalid": "nerve @invalid-json",
+    "collapse-budget-negative": "joyal @pt @arrow @f0 --collapse-budget -1",
+    "ext-j-past-n": "ext --j 2 --n 1",
+    "ext-past-cap": "ext --j 0 --n 4",
+    "laxlim-cospan-without-c-and-g": "laxlim @pt @arrow @f0",
+    # the point's 1-cell is marked, and its image o:0 is no equivalence
+    "check-cofinal-marking-not-preserved": "check-cofinal @pt2 @arrow2 @f2 --marking-src @marked-point",
+    "freefib-marking-not-preserved": "freefib @pt2 @arrow2 @f2 --marking-src @marked-point",
+    "check-fibration-marking-not-preserved":
+        "check-fibration @pt2 @arrow2 @f2 --marking-src @marked-point",
+    "two-functor-twocell-off-hom": "check-cofinal @pt2 @arrow2 @twocell-off-hom",
 }
 
 
@@ -521,7 +562,8 @@ def test_key_given_twice_names_the_file_and_the_key(tmp_path, capsys):
     ("hcomp1-noncomposable-entry", "('hcomp1', 'composition', 'o:0', 'o:0')"),
     ("composition-noncomposable-entry", "('composition', '0<0', '1<1')"),
     ("category-identity-missing", "('identity', '1')"),
-    ("category-endpoint-unknown", "('endpoints', 'z')")])
+    ("category-endpoint-unknown", "('endpoints', 'z')"),
+    ("two-functor-twocell-off-hom", "('2-cell', 'm:id*')")])
 def test_bad_table_names_the_failed_law(tmp_path, capsys, case, witness):
     assert cli.main(_bad_call(tmp_path, case)) == 1
     err = capsys.readouterr().err

@@ -63,12 +63,6 @@ def test_nerve_of_walking_iso_has_cells_in_every_dim():
     assert N.face(tri, 1).is_degenerate()
 
 
-def test_nerve_marking_and_thinness():
-    N = walking_iso().nerve(max_dim=2, kind="MS")
-    assert len(N.marked) == 2
-    assert len(N.thin) == N.num(2)
-
-
 def test_functor_validation():
     C = walking_arrow()
     F = identity_functor(C)

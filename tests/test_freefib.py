@@ -528,8 +528,8 @@ def _flip_first_edge_marking(monkeypatch):
     """Each free fibration built afterwards has the marking of its first edge flipped."""
     edge_marked = FreeFibration._edge_marked
 
-    def flipped(self, pair, mode):
-        return edge_marked(self, pair, mode) != (self.__dict__.setdefault("_flipped", pair) is pair)
+    def flipped(self, pair):
+        return edge_marked(self, pair) != (self.__dict__.setdefault("_flipped", pair) is pair)
 
     monkeypatch.setattr(FreeFibration, "_edge_marked", flipped)
 

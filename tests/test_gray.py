@@ -11,7 +11,6 @@ from laxfib.gray import (
     e_map_respects_scaling,
     end_inclusion,
     gray,
-    interval,
     prism,
     restrict_to_end,
     restriction_to_one_is_degeneracy,

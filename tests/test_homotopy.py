@@ -160,6 +160,21 @@ def test_collapse_nerve_with_top_element():
     assert replay_collapse(P.nerve(max_dim=4), v.evidence["collapse"])
 
 
+def test_collapse_search_backtracks_from_dead_ends():
+    # two disjoint edges: each of the four collapses leaves an edge and a stray
+    # vertex, and each of their two collapses two vertices; the failed-state
+    # memo answers the second visit to each two-vertex state, so 9 states in all
+    v = collapse_search(poset_cat(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]).nerve())
+    assert v.value == "unknown" and v.evidence["reason"] == "no collapse sequence found"
+    assert v.evidence["states"] == 9
+
+
+def test_collapse_search_stops_at_the_budget_while_backtracking():
+    v = collapse_search(standard_simplex(2, kind="PLAIN"), budget=1)
+    assert v.value == "unknown" and v.evidence["reason"] == "budget exhausted"
+    assert v.evidence["states"] == 2
+
+
 def test_collapse_records_budget():
     v = collapse_search(standard_simplex(1, kind="PLAIN"), budget=5)
     assert "budget" in v.evidence

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from laxfib import laxlim
 from laxfib.fincat import (
     CatFunctor,
     FinCat,
+    chain_poset,
     identity_functor,
     poset_cat,
     terminal_cat,
@@ -143,10 +145,17 @@ def test_tuple_names_are_injective():
     assert cone_oracle(ConeDiagram(F, G), L)["pass"]
 
 
+@pytest.mark.parametrize("build", [lax_pullback, pseudo_pullback, directed_pullback, ConeDiagram])
+def test_legs_must_share_a_target(build):
+    with pytest.raises(ValueError, match="legs must share a target"):
+        build(pt_at(walking_arrow(), "0"), pt_at(chain_poset(2), "2"))
+
+
 def test_cone_oracle_passes_on_lax_pullback():
     S = walking_arrow()
-    diagram = ConeDiagram(pt_at(S, "0"), pt_at(S, "1"))
-    L = lax_pullback(diagram.F, diagram.G)
+    F, G = pt_at(S, "0"), pt_at(S, "1")
+    diagram = ConeDiagram(F, G)
+    L = lax_pullback(F, G)
     report = cone_oracle(diagram, L)
     assert report["pass"], report
 
@@ -184,8 +193,7 @@ def test_cone_oracle_detects_dropped_morphism():
                     P.ident)
     from laxfib.laxlim import LimitCandidate, Cone
     cone = L.cone
-    broken_cone = Cone(broken,
-                       tuple(CatFunctor(broken, p.dst,
+    broken_cone = Cone(tuple(CatFunctor(broken, p.dst,
                                         {o: p.omap[o] for o in broken.objects},
                                         {m: p.mmap[m] for m in keep})
                              for p in cone.projections),
@@ -207,11 +215,12 @@ def test_pseudo_vs_strict_pullback_over_groupoid():
     assert all(Ps.category.is_iso(m) for m in Ps.category.morphisms)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
     S = walking_arrow()
     diagram = ConeDiagram(pt_at(S, "0"), pt_at(S, "1"))
+    monkeypatch.setattr(laxlim, "CONE_BUDGET", 1)
     with pytest.raises(BudgetError):
-        enumerate_cones(diagram, S.product(S), budget=1)
+        enumerate_cones(diagram, S.product(S))
 
 
 def test_arrow_limit_shapes():
@@ -237,10 +246,10 @@ def test_arrow_limit_of_identity_is_the_arrow_category():
     assert cone_oracle(ArrowDiagram(identity_functor(C)), lax)["pass"]
 
 
-def test_oracle_budget_bounds_candidate_functors():
+def test_oracle_budget_bounds_candidate_functors(monkeypatch):
     # one object with an idempotent e: each limit has more objects than there
     # are cone projections from the point, so only the functor count T -> P
-    # exceeds the budget
+    # exceeds the budget at the first probe, the point
     from laxfib.laxlim import ArrowDiagram, arrow_limit
     M = FinCat(["*"], ["id", "e"], {"id": "*", "e": "*"}, {"id": "*", "e": "*"},
                {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "e"},
@@ -248,9 +257,10 @@ def test_oracle_budget_bounds_candidate_functors():
     assert M.validate() == []
     E = identity_functor(M)
     pt = terminal_cat()
+    monkeypatch.setattr(laxlim, "CONE_BUDGET", 1)
     for diagram, cand in ((ArrowDiagram(E), arrow_limit(E)),
                           (ConeDiagram(E, E), lax_pullback(E, E))):
         assert len(cand.category.objects) > 1
-        enumerate_cones(diagram, pt, budget=1)          # the projections fit
+        enumerate_cones(diagram, pt)          # the projections fit
         with pytest.raises(BudgetError):
-            cone_oracle(diagram, cand, probes=([("pt", pt)], []), budget=1)
+            cone_oracle(diagram, cand)
