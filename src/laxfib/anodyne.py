@@ -21,9 +21,9 @@ from .simplicial import (
     DecMap,
     DecoratedSSet,
     KeyedSSet,
+    _simplex_complex,
     delta_map,
     enumerate_maps,
-    horn,
     standard_simplex,
 )
 
@@ -66,7 +66,7 @@ def _deco(kind: str, marked=(), thin=(), lean=()) -> dict:
     keeps one scaling: its thin triangles are the MB lean ones."""
     if kind == "MB":
         return dict(marked=marked, thin=thin, lean=lean)
-    return dict(marked=marked, thin=lean)
+    return dict(marked=marked, thin=lean, lean=None)
 
 
 def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
@@ -75,25 +75,18 @@ def _image_roots(f: DecMap) -> list[tuple[tuple[int, int], Cell]]:
     return [(img.nd, b) for b in f.src.all_nondeg() if not (img := f.apply(b)).word]
 
 
-def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
+def _simplex(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None,
+             crush: bool = False):
     """Builder of the inclusion of Delta^n (or its horn) into Delta^n, with
-    two-scaling decorations ``dom`` and ``cod`` (default: ``dom``)."""
-    def build(kind: str) -> DecMap:
-        d = standard_simplex(n, kind=kind, **_deco(kind, **dom)) if horn_index is None \
-            else horn(n, horn_index, kind=kind, **_deco(kind, **dom))
-        return delta_map(d, standard_simplex(n, kind=kind, **_deco(kind, **(cod or dom))),
-                         {v: v for v in range(n + 1)})
-    return build
+    two-scaling decorations ``dom`` and ``cod`` (default: ``dom``); with ``crush``,
+    the edge {0,1} is crushed to a point at both ends."""
+    full = tuple(range(n + 1))
+    omit = () if horn_index is None else (full, full[:horn_index] + full[horn_index + 1:])
 
-
-def _quotient(n: int, dom: dict, cod: Optional[dict] = None, horn_index: Optional[int] = None):
-    """As :func:`_simplex`, with the edge {0,1} crushed to a point at both ends."""
     def build(kind: str) -> DecMap:
-        d, leg_d = _collapse01(kind, n, dom, horn_index)
-        c, leg_c = _collapse01(kind, n, cod or dom)
-        to_simplex = delta_map(leg_d.src, leg_c.src, {v: v for v in range(n + 1)})
-        return DecMap(d, c, {nd: leg_c.apply(to_simplex.apply(b))
-                             for nd, b in _image_roots(leg_d)})
+        d = _simplex_complex(n, kind, **_deco(kind, **dom), omit=omit, crush=crush)
+        c = _simplex_complex(n, kind, **_deco(kind, **(cod or dom)), crush=crush)
+        return DecMap(d, c, {nd: c.cell_of(w) for nd, w in d.labels.items()})
     return build
 
 
@@ -139,30 +132,6 @@ def pushout(f: DecMap, g: DecMap) -> tuple[KeyedSSet, DecMap, DecMap]:
     return P, DecMap(B, P, to_b), DecMap(C, P, to_c)
 
 
-def _collapse01(kind: str, n: int, deco: dict, horn_index: Optional[int] = None):
-    """The object Delta^n (or a horn) with the edge {0,1} crushed to a point.
-
-    Decorations are given as vertex tuples in Delta^n and transported along
-    the quotient.  Returns (object, original -> quotient map).
-    """
-    base = standard_simplex(n, kind="PLAIN") if horn_index is None \
-        else horn(n, horn_index, kind="PLAIN")
-    edge = standard_simplex(1, kind="PLAIN")
-    pt = standard_simplex(0, kind="PLAIN")
-    e01 = delta_map(edge, base, {0: 0, 1: 1})
-    collapse = DecMap(edge, pt, {(0, 0): Cell(0, 0), (0, 1): Cell(0, 0),
-                                 (1, 0): Cell(0, 0, (0,))})
-    P, leg_b, _ = pushout(e01, collapse)
-
-    def transported(group):
-        images = (leg_b.apply(base.index[v]) for v in map(tuple, group) if v in base.index)
-        return {img.nd for img in images if not img.is_degenerate()}
-
-    groups = {k: transported(v) for k, v in _deco(kind, **deco).items()}
-    quotient = P.with_decorations(kind, **groups)
-    return quotient, DecMap(base, quotient, leg_b.assign)
-
-
 def _shapes(n_max: int) -> list[tuple]:
     """The catalog as one table of shapes, in catalog order.
 
@@ -188,7 +157,8 @@ def _shapes(n_max: int) -> list[tuple]:
         T2 = T + [(0, 3, 4), (0, 1, 4)]
         rows.append(("A2", "MS2", (), _simplex(4, dict(thin=T, lean=T), dict(thin=T2, lean=T2))))
     for n in range(2, n_max + 1):
-        rows.append(("A3", "MS3", (n,), _quotient(n, dict(lean=[(0, 1, n)]), horn_index=0)))
+        rows.append(("A3", "MS3", (n,),
+                     _simplex(n, dict(lean=[(0, 1, n)]), horn_index=0, crush=True)))
     for n in range(2, n_max + 1):
         deco = dict(marked=[(n - 1, n)], lean=[(0, n - 1, n)])
         rows.append(("A4", "MS4", (n,), _simplex(n, deco, horn_index=n)))
@@ -201,7 +171,8 @@ def _shapes(n_max: int) -> list[tuple]:
         tri = [(i - 1, i, i + 1)]
         rows.append(("S3", "UI", (i,), _simplex(3, dict(thin=tri, lean=through(i)),
                                                 dict(thin=tri, lean="sharp"))))
-    rows.append(("S4", "MS7", (), _quotient(3, dict(lean=through(0)), dict(lean=all_tris))))
+    rows.append(("S4", "MS7", (), _simplex(3, dict(lean=through(0)), dict(lean=all_tris),
+                                           crush=True)))
     rows.append(("S5", "MS8", (), _simplex(3, dict(marked=[(2, 3)], lean=through(3)),
                                            dict(marked=[(2, 3)], lean="sharp"))))
     return rows

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import homotopy
-from .simplicial import CAP, Cell, DecoratedSSet, DimensionCapError
+from .simplicial import CAP, BudgetError, Cell, DecoratedSSet, DimensionCapError
 
 if TYPE_CHECKING:
     from . import freefib
@@ -522,6 +522,9 @@ def main(argv=None) -> int:
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
+    except BudgetError as e:  # a bound stopped the run before a verdict: no report
+        sys.stderr.write(f"unknown: {e}\n")
+        return EXIT_UNKNOWN
     text = json.dumps({"command": args.command, "config": cfg, **body}, indent=2,
                       sort_keys=True) + "\n"
     if args.output:

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fincat import CatFunctor, FinCat, all_functors, identity_functor, terminal_cat, walking_arrow
+from .simplicial import BudgetError
 
 F_LEG = "1->2"   # the leg carried by the functor F
 G_LEG = "0->2"   # the leg carried by the functor G
 ARROW_LEG = "0->1"
 CONE_BUDGET = 200000   # the most functors or cone projections the oracle enumerates for a probe
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -43,19 +40,14 @@ class Diagram:
             raise ValueError(f"unknown marked legs {bad}")
 
 
-def _cospan(F: CatFunctor, G: CatFunctor) -> tuple:
-    """The vertices and legs of the cospan F: A -> C <- B : G; the two targets
-    must be one category or have equal tables."""
-    if F.dst is not G.dst and F.dst.to_json_dict() != G.dst.to_json_dict():
-        raise ValueError("legs must share a target")
-    return (F.src, G.src, F.dst), ((F_LEG, F, 0, 2), (G_LEG, G, 1, 2))
-
-
 class ConeDiagram(Diagram):
-    """A cospan F: A -> C <- B : G with a set of marked legs."""
+    """A cospan F: A -> C <- B : G with a set of marked legs; the two targets
+    must be one category or have equal tables."""
 
     def __init__(self, F: CatFunctor, G: CatFunctor, marking: frozenset = frozenset()):
-        super().__init__(*_cospan(F, G), marking)
+        if F.dst is not G.dst and F.dst.to_json_dict() != G.dst.to_json_dict():
+            raise ValueError("legs must share a target")
+        super().__init__((F.src, G.src, F.dst), ((F_LEG, F, 0, 2), (G_LEG, G, 1, 2)), marking)
 
 
 class ArrowDiagram(Diagram):
@@ -167,13 +159,13 @@ def lax_limit(diagram: Diagram) -> LimitCandidate:
 def lax_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """Objects (a, b, c, alpha_a: F(a) -> c, alpha_b: G(b) -> c); morphisms are
     componentwise with both squares commuting strictly."""
-    return lax_limit(Diagram(*_cospan(F, G)))
+    return lax_limit(ConeDiagram(F, G))
 
 
 def pseudo_pullback(F: CatFunctor, G: CatFunctor) -> LimitCandidate:
     """The full subcategory of the lax pullback on tuples with both legs
     invertible."""
-    return lax_limit(Diagram(*_cospan(F, G), frozenset({F_LEG, G_LEG})))
+    return lax_limit(ConeDiagram(F, G, frozenset({F_LEG, G_LEG})))
 
 
 def directed_pullback(F: CatFunctor, G: CatFunctor,
@@ -187,7 +179,7 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
     """
     if marked_leg not in (F_LEG, G_LEG):
         raise ValueError("marked_leg must name one of the two legs")
-    out = lax_limit(Diagram(*_cospan(F, G), frozenset({marked_leg})))
+    out = lax_limit(ConeDiagram(F, G, frozenset({marked_leg})))
     # the one-arrow model: objects (a, b, alpha) across the unmarked leg
     here, there = (F, G) if marked_leg == G_LEG else (G, F)
     out.strictified = _tuples((here.src, there.src), [(here, 0, there, 1)])[0]
@@ -209,7 +201,7 @@ def enumerate_cones(diagram: Diagram, tip: FinCat) -> list[Cone]:
     """All marked-lax cones over the diagram with the given tip, brute force."""
     candidates = [all_functors(tip, V) for V in diagram.vertices]
     if math.prod(len(c) for c in candidates) > CONE_BUDGET:
-        raise BudgetError("cone enumeration exceeds the budget")
+        raise BudgetError(f"cone oracle: a probe's cones exceed the budget {CONE_BUDGET}")
     names = [leg[0] for leg in diagram.legs]
     cones = []
     for ps in itertools.product(*candidates):
@@ -250,7 +242,7 @@ def cone_oracle(diagram: Diagram, candidate: LimitCandidate) -> dict:
     for name, T in (("pt", pt), ("arrow", arrow)):
         homs = all_functors(T, P)
         if len(homs) > CONE_BUDGET:
-            raise BudgetError("functor enumeration exceeds the budget")
+            raise BudgetError(f"cone oracle: a probe's functors exceed the budget {CONE_BUDGET}")
         cones = enumerate_cones(diagram, T)
         image = {cone.restrict(h).key(): h for h in homs}
         ok = len(image) == len(homs) and set(image) == {c.key() for c in cones}

@@ -35,6 +35,10 @@ class DimensionCapError(ValueError):
     """A construction would exceed the configured dimension cap."""
 
 
+class BudgetError(RuntimeError):
+    """A search would pass its bound before reaching a verdict (the CLI exits 3)."""
+
+
 class BadDecorationError(ValueError):
     """A decoration names a simplex that is not present."""
 
@@ -455,17 +459,20 @@ class KeyedSSet(DecoratedSSet):
 # ---------------------------------------------------------------------------
 
 
-def _simplex_complex(n: int, kind, marked, thin, lean, omit=(),
-                     strict: bool = True) -> KeyedSSet:
+def _simplex_complex(n: int, kind, marked, thin, lean, omit=(), crush=False) -> KeyedSSet:
     """The vertex subsets of [n] not in ``omit``, keyed on their vertex words:
-    ``key_of`` gives a cell's vertex word and ``index`` the cell of a word.
+    ``key_of`` gives a cell's vertex word and ``index`` the cell of a word.  With
+    ``crush``, the edge {0,1} is crushed to a point: a word on 0 and 1 alone is
+    the constant word on 0, so (1,) and (0,1) are no cells.
 
     Decorations are "flat", "sharp" or explicit vertex tuples; ``lean=None``
-    means lean coincides with thin.  Without ``strict``, decorations naming
-    absent simplices are dropped.
+    means lean coincides with thin.  Decorations naming absent simplices are
+    refused when nothing is omitted, and dropped otherwise.
     """
     if n > CAP:
         raise DimensionCapError(f"n={n} exceeds cap {CAP}")
+    if crush:
+        omit = (*omit, (1,), (0, 1))
     levels = [[w for w in itertools.combinations(range(n + 1), k + 1) if w not in omit]
               for k in range(n + 1)]
     where = {w: (k, pos) for k, level in enumerate(levels) for pos, w in enumerate(level)}
@@ -479,12 +486,16 @@ def _simplex_complex(n: int, kind, marked, thin, lean, omit=(),
         for verts in named:
             if len(verts) == dim + 1 and verts in where:
                 out.append(where[verts])
-            elif strict:
+            elif not omit:
                 raise BadDecorationError(f"decoration names absent simplex {verts}")
         return out
 
+    def face(w, i):
+        w = w[:i] + w[i + 1:]
+        return (0,) * len(w) if crush and w[-1] <= 1 else w  # words are monotone
+
     t = deco(thin, 2)
-    return KeyedSSet(kind, levels, lambda w, i: w[:i] + w[i + 1:], lambda w, j: w[:j + 1] + w[j:],
+    return KeyedSSet(kind, levels, face, lambda w, j: w[:j + 1] + w[j:],
                      lambda w: len(w) - 1, marked=deco(marked, 1), thin=t,
                      lean=t if lean is None else deco(lean, 2))
 
@@ -500,14 +511,12 @@ def standard_simplex(n: int, *, kind="MB", marked="flat", thin="flat", lean=None
 def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None) -> KeyedSSet:
     """The horn missing the i-th facet and the interior.
 
-    Decorations naming cells that fall outside the horn are dropped silently
-    (the generator catalog relies on this for its low-dimensional instances).
+    Decorations naming cells that fall outside the horn are dropped silently.
     """
     if not 0 <= i <= n:
         raise ValueError("horn index out of range")
     full = tuple(range(n + 1))
-    return _simplex_complex(n, kind, marked, thin, lean, omit=(full, full[:i] + full[i + 1:]),
-                            strict=False)
+    return _simplex_complex(n, kind, marked, thin, lean, omit=(full, full[:i] + full[i + 1:]))
 
 
 def boundary_simplex(n: int) -> KeyedSSet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -29,6 +30,7 @@ from laxfib.simplicial import (
     boundary_simplex,
     delta_map,
     enumerate_maps,
+    horn,
     standard_simplex,
     vertex_cell,
 )
@@ -127,6 +129,48 @@ def test_quotient_generators_have_collapsed_edge(mb):
     assert g.dom.num(0) == 2  # vertices 0 and 1 are identified
     assert g.cod.num(0) == 2
     assert g.incl.is_mono()
+
+
+def _crushed_by_pushout(kind, n, horn_index, deco):
+    """The reference quotient: Delta^n (or its horn) pushed out along the edge
+    {0,1} -> the point, with the vertex-tuple decorations ``deco`` carried
+    through the pushout leg; those that name no cell or a crushed one drop out."""
+    base = (standard_simplex(n, kind="PLAIN") if horn_index is None
+            else horn(n, horn_index, kind="PLAIN"))
+    edge = standard_simplex(1, kind="PLAIN")
+    crush = DecMap(edge, standard_simplex(0, kind="PLAIN"),
+                   {(0, 0): Cell(0, 0), (0, 1): Cell(0, 0), (1, 0): Cell(0, 0, (0,))})
+    P, leg, _ = anodyne.pushout(delta_map(edge, base, {0: 0, 1: 1}), crush)
+
+    def pushed(words):
+        images = (leg.apply(base.index[w]) for w in words if w in base.index)
+        return {img.nd for img in images if not img.word}
+
+    return P.with_decorations(kind, **{name: pushed(ws) for name, ws in deco.items()})
+
+
+@pytest.mark.parametrize("family", ["MB", "MS"])
+@pytest.mark.parametrize("n,horn_index", [(n, i) for n in (2, 3, 4) for i in (None, *range(n + 1))
+                                          if (n, i) != (2, 2)])
+def test_crushed_simplices_equal_the_pushout_reference(family, n, horn_index):
+    # Lambda^2_2 lacks the edge {0,1}, so the pushout along it is undefined there
+    edges = list(itertools.combinations(range(n + 1), 2))
+    tris = list(itertools.combinations(range(n + 1), 3))
+    deco = dict(marked=edges[::2], thin=tris[::4], lean=tris[::2])
+    crushed = anodyne._simplex(n, deco, horn_index=horn_index, crush=True)(family).src
+    ref = dict(deco) if family == "MB" else dict(marked=deco["marked"], thin=deco["lean"])
+    assert crushed.to_json_dict() == _crushed_by_pushout(family, n, horn_index,
+                                                         ref).to_json_dict()
+
+
+def test_catalog_is_built_without_pushouts(monkeypatch):
+    def refused(f, g):
+        raise AssertionError("the catalog built a pushout")
+
+    monkeypatch.setattr(anodyne, "pushout", refused)
+    for family in ("MB", "MS"):
+        assert [g.describe() for g in generators.__wrapped__(family, 4)] == [
+            g.describe() for g in generators(family, 4)]
 
 
 def test_kan_generators_are_identity_on_cells(mb):

@@ -250,6 +250,22 @@ def test_laxlim_subcommand(tmp_path):
     assert len(rep2["category"]["objects"]) == 0
 
 
+def test_laxlim_oracle_past_its_budget_is_unknown(tmp_path, capsys):
+    # the point probe of the lax pullback of 59 discrete objects over themselves
+    # has 59^3 = 205379 cone projections, past laxlim.CONE_BUDGET = 200000
+    from laxfib.fincat import discrete_cat
+    C = discrete_cat(59)
+    cat, ident = tmp_path / "c.json", tmp_path / "id.json"
+    cat.write_text(json.dumps(C.to_json_dict()))
+    ident.write_text(json.dumps({"schema": "laxfib/cat-functor-v1",
+                                 "objects": {o: o for o in C.objects},
+                                 "morphisms": {m: m for m in C.morphisms}}))
+    code, report = run(tmp_path, "laxlim", *[str(cat)] * 3, str(ident), str(ident), "--oracle")
+    err = capsys.readouterr().err
+    assert (code, report) == (3, None)
+    assert err.startswith("unknown:") and err.count("\n") == 1 and "200000" in err, err
+
+
 def test_ext_subcommand(tmp_path):
     code, report = run(tmp_path, "ext", "--j", "0", "--n", "1")
     assert code == 0
