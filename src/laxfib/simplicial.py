@@ -22,7 +22,7 @@ import copy
 import functools
 import itertools
 import json
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Optional
 
 KINDS = ("MB", "MS", "SC", "PLAIN")
@@ -136,7 +136,9 @@ class DecoratedSSet:
         self.n_cells = list(n_cells)
         while self.n_cells and self.n_cells[-1] == 0:
             self.n_cells.pop()
-        self.faces = dict(faces)
+        # in (dim, idx) order, as extend_map walks it; a JSON table comes in string order
+        self.faces = dict(faces if all(map(lt, faces, itertools.islice(faces, 1, None)))
+                          else sorted(faces.items()))
         self.marked = frozenset(marked)
         self.thin = frozenset(thin)
         if kind == "MS":
@@ -267,12 +269,15 @@ class DecoratedSSet:
         return self._all_cells[dim]
 
     def by_faces(self, dim: int) -> dict[tuple[Cell, ...], list[Cell]]:
-        """Index of ``dim``-cells keyed by their face tuples, in :meth:`all_cells` order;
-        recorded by :func:`add_coskeletal_top`, shared by :meth:`with_decorations`."""
+        """Index of ``dim``-cells keyed by their face tuples, in :meth:`all_cells` order, each
+        face the very object of ``all_cells(dim - 1)``; recorded by :func:`add_coskeletal_top`,
+        shared by :meth:`with_decorations`."""
         if dim not in self._by_faces:
             index: dict = {}
+            canon = {c: c for c in self.all_cells(dim - 1)}
             for cell in self.all_cells(dim):
-                index.setdefault(self.faces_tuple(cell), []).append(cell)
+                fs = self.faces_tuple(cell)
+                index.setdefault(tuple(map(canon.get, fs, fs)), []).append(cell)
             self._by_faces[dim] = index
         return self._by_faces[dim]
 
@@ -774,6 +779,8 @@ def add_coskeletal_top(X: DecoratedSSet, dim: int,
     Y = X._replaced(n_cells=n_cells, faces=faces, truncated_at=None,
                     coskeletal=dim - 1 if keep is None else X.coskeletal)
     Y._by_faces[dim] = index
+    # the cells below dim are X's: share their lists, which the spheres' faces come from
+    Y._all_cells.update((d, cells) for d, cells in X._all_cells.items() if d < dim)
     return Y
 
 
@@ -783,13 +790,14 @@ def extend_map(X: DecoratedSSet, Y: DecoratedSSet, assign: dict) -> DecMap:
     :meth:`DecoratedSSet.all_nondeg` order, to the unique cell of Y whose faces are the
     images of its faces.  Raises :class:`NoFillerError` at the first cell without one."""
     out: dict = {}
-    for cell in X.all_nondeg():
-        img = assign.get(cell.nd)
+    # the roots in all_nondeg() order, keyed by the face table's own (dim, idx) tuples
+    for nd in itertools.chain([(0, k) for k in range(X.num(0))], X.faces):
+        img = assign.get(nd)
         if img is None:
-            hits = Y.by_faces(cell.dim).get(tuple(
-                DecoratedSSet._apply_word(out[f.nd], f.word) for f in X.faces[cell.nd]), ())
+            hits = Y.by_faces(nd[0]).get(tuple(
+                DecoratedSSet._apply_word(out[f.nd], f.word) for f in X.faces[nd]), ())
             if len(hits) != 1:
-                raise NoFillerError(cell)
+                raise NoFillerError(Cell(*nd))
             img = hits[0]
-        out[cell.nd] = img
+        out[nd] = img
     return DecMap(X, Y, out)

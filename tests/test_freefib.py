@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
+import operator
 from importlib import resources
 
 import pytest
@@ -12,11 +14,12 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from checkers import _maps
+from test_simplicial import _reference_extend_map
 from laxfib.anodyne import certify_fibration
 from laxfib.cli import build_two_cat
 from laxfib.fincat import chain_poset, identity_functor, terminal_cat, walking_arrow, CatFunctor
 from laxfib.fixtures import fixture_functors, include_at, random_monotone_functor, random_poset
-from laxfib import freefib, simplicial
+from laxfib import freefib, simplicial, twocat
 from laxfib.freefib import (
     FreeFibration,
     build_free_fibration,
@@ -916,6 +919,98 @@ def test_coskeletal_tops_record_their_face_index(name):
             fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(4)
             assert [(fs, list(cells)) for fs, cells in X._by_faces[4].items()] == \
                 list(fresh.items())
+
+
+@contextlib.contextmanager
+def _extend_maps_checked():
+    """Every ``extend_map`` that ``freefib`` and ``twocat`` call in the block returns the
+    assignment of ``_reference_extend_map``, key order included, or raises
+    ``NoFillerError`` on the cell the reference names.  Yields the list of the maps made."""
+    made = []
+
+    def checked(X, Y, assign):
+        try:
+            want = _reference_extend_map(X, Y, assign)
+        except simplicial.NoFillerError as err:
+            with pytest.raises(simplicial.NoFillerError) as got:
+                simplicial.extend_map(X, Y, assign)
+            assert got.value.cell == err.cell
+            raise
+        m = simplicial.extend_map(X, Y, assign)
+        assert list(m.assign.items()) == list(want.items())
+        made.append(m)
+        return m
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (freefib, twocat):
+            patch.setattr(module, "extend_map", checked)
+        yield made
+
+
+def _build_with_every_extension_checked(F, modes=("dagger", "natural")) -> list:
+    """The free fibrations of F, their comparison maps read, with every extend_map checked;
+    each one's nerve map, projection, unit, xi and psi are among the maps checked."""
+    with _extend_maps_checked() as made:
+        ffs = []
+        for mode in modes:
+            ff = build_free_fibration(F, mode=mode)
+            report = compare_tame_fr(ff)
+            assert report.ok
+            maps = (ff.fN, ff.proj, ff.gamma, report.xi, report.psi)
+            assert {id(m) for m in maps} <= {id(m) for m in made}
+            ffs.append(ff)
+    return ffs
+
+
+def test_extend_map_matches_the_reference_on_the_battery():
+    for _, F in fixture_functors():
+        _build_with_every_extension_checked(F)
+
+
+@seed(20240813)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_poset_functors_match_the_extend_map_reference(rng):
+    """The examples of ``test_random_poset_functors_pass_every_check`` (same seed, same
+    draws): every map extended in the build and the comparison is the reference's."""
+    F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
+    assume(F is not None)
+    _build_with_every_extension_checked(two_bracket_functor(F))
+
+
+@pytest.fixture(scope="module")
+def iso_checked():
+    """The free fibration on 2[walking-iso], built with every extend_map checked."""
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    return _build_with_every_extension_checked(
+        identity_two_functor(two_bracket(walking_iso())), modes=("dagger",))[0]
+
+
+def test_extend_map_matches_the_reference_on_walking_iso(iso_checked):
+    assert iso_checked.total.num(4) == 28210
+
+
+def test_face_index_keys_are_the_cells_one_dimension_down(iso_checked):
+    """Each key of ``by_faces(d)``, d >= 1, on the total space of 2[walking-iso], its
+    scaled nerves and the sharp base is made of the very cells of ``all_cells(d - 1)``,
+    degenerate faces and the recorded coskeletal top included."""
+    ff = iso_checked
+    for X in (ff.total, ff.nc, ff.nd, ff.base):
+        for d in range(1, X.top_dim + 1):
+            below = {id(c) for c in X.all_cells(d - 1)}
+            keys = X.by_faces(d)
+            assert keys and all(id(f) in below for key in keys for f in key)
+    assert sum(map(len, ff.total.by_faces(4).values())) == len(ff.total.all_cells(4))
+
+
+def test_projection_keys_are_the_face_table_keys_of_the_total(iso_checked):
+    """proj's keys run in all_nondeg() order, and in dimensions >= 1 they are the total's
+    own face-table key tuples, not copies."""
+    T, keys = iso_checked.total, list(iso_checked.proj.assign)
+    assert keys == [c.nd for c in T.all_nondeg()]
+    above = keys[T.num(0):]
+    assert len(above) == len(T.faces) == 29456 and all(map(operator.is_, above, T.faces))
 
 
 def test_labels_are_the_one_name_table(arrow_ff):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 
 import pytest
@@ -624,6 +625,40 @@ def test_extend_map_without_filler_raises():
     m = extend_map(S, S, edges)
     assert list(m.assign) == [c.nd for c in S.all_nondeg()]
     assert m == DecMap.identity(S)
+
+
+def _reference_extend_map(X: DecoratedSSet, Y: DecoratedSSet, assign: dict) -> dict:
+    """The assignment of ``extend_map(X, Y, assign)``, written plainly: one Cell and one
+    new ``(dim, idx)`` key per root of ``X.all_nondeg()``."""
+    out: dict = {}
+    for cell in X.all_nondeg():
+        img = assign.get(cell.nd)
+        if img is None:
+            hits = Y.by_faces(cell.dim).get(tuple(
+                DecoratedSSet._apply_word(out[f.nd], f.word) for f in X.faces[cell.nd]), ())
+            if len(hits) != 1:
+                raise NoFillerError(cell)
+            img = hits[0]
+        out[cell.nd] = img
+    return out
+
+
+def test_a_face_table_given_out_of_order_is_walked_in_cell_order():
+    """A JSON document lists its face table in string order ("1,10" before "1,2"), and a
+    hand-built table may come in any order; the object keeps it in (dim, idx) order, so
+    extend_map walks the roots in all_nondeg() order, keyed by the table's own tuples."""
+    doc = json.loads(prism(2).to_json())
+    given = [tuple(map(int, key.split(","))) for key in doc["faces"]]
+    assert given != sorted(given)
+    P = prism(2)
+    for X in (build_sset(doc), DecoratedSSet(P.kind, P.n_cells, dict(reversed(P.faces.items())))):
+        assert list(X.faces) == sorted(X.faces) == sorted(given)
+        vertices = {c.nd: c for c in X.nondeg(0)}
+        m = extend_map(X, X, vertices)
+        assert list(m.assign.items()) == list(_reference_extend_map(X, X, vertices).items())
+        assert m == DecMap.identity(X)
+        keys = list(m.assign)[X.num(0):]
+        assert len(keys) == len(X.faces) and all(map(operator.is_, keys, X.faces))
 
 
 def test_nerve_map_without_filler_raises():

@@ -13,6 +13,7 @@ from laxfib.cofinality import check_cofinal, eta_terminal_check
 from laxfib.fincat import (
     CatFunctor,
     FinCat,
+    all_functors,
     comma_over,
     poset_cat,
     terminal_cat,
@@ -26,6 +27,7 @@ from laxfib.twocat import (
     Marking2Cat,
     TwoFunctor,
     fr,
+    from_cat_functor,
     from_fincat,
     identity_two_functor,
     nerve_map,
@@ -482,6 +484,40 @@ def test_slices_are_built_without_the_whole_fr(F):
             _assert_tables_match(marking.base, want)
             assert marking.marked1 == Marking2Cat(marking.base, frozenset(want_marked)).marked1
         assert "twocat" not in vars(bundle)
+
+
+def _locally_discrete_functors() -> list:
+    """The functors into the walking isomorphism from the point, the walking arrow and
+    itself, and out of it into the point and the walking arrow, as strict 2-functors of
+    locally discrete 2-categories."""
+    iso = walking_iso()
+    ends = [(T, iso) for T in (terminal_cat(), walking_arrow(), iso)]
+    ends += [(iso, T) for T in (terminal_cat(), walking_arrow())]
+    return [from_cat_functor(p) for T, C in ends for p in all_functors(T, C)]
+
+
+def test_slice_equivalences_are_read_from_the_source_and_target():
+    """In every slice, a 1-cell is an equivalence exactly when its 1-cell of C is one
+    and its 2-cell of D is invertible; so the marking that slice_fiber completes is
+    complete already, and the completion adds no 1-cell.  Over the reference functors
+    and 13 locally discrete ones, under the reference markings: 831 slice 1-cells, 78
+    of them equivalences that are not identities."""
+    functors = [F for _, F in _reference_functors()] + _locally_discrete_functors()
+    cells = equivalences = 0
+    for F in functors:
+        C, D = F.src, F.dst
+        for src_marking, dst_marking in _reference_markings(F):
+            bundle = fr(F, src_marking, dst_marking)
+            for d in D.objects:
+                marking = slice_fiber(bundle, d)
+                S = marking.base
+                for m in S.onecells:
+                    equivalence = S.is_equivalence(m)
+                    assert equivalence == (C.is_equivalence(m[4]) and D.is_invertible2(m[5]))
+                    cells += 1
+                    equivalences += equivalence and m not in S.id1.values()
+                assert marking.marked1 == bundle._marked(S.onecells)
+    assert (len(functors), cells, equivalences) == (40, 831, 78)
 
 
 def test_cofinality_reads_fr_only_through_slices(monkeypatch):
