@@ -333,44 +333,3 @@ def certify_fibration(p: DecMap, family: str = "MB", n_max: int = CAP,
                     return Counterexample(gen, top, bottom)
         counts.append((gen.tag, gen.params, squares))
     return Certificate(family, n_max, counts, library)
-
-
-# ---------------------------------------------------------------------------
-# saturation: composites of pushouts of generators
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AnodyneStep:
-    gen: GeneratorInstance
-    attach: object              # DecMap gen.dom -> current, or callable(current)
-
-
-def anodyne_compose(X: DecoratedSSet, steps: list[AnodyneStep]):
-    """Compose pushouts of catalog generators starting from X.
-
-    Each step attaches a generator domain to the current object, either by an
-    explicit map or by a callable receiving the current object (intermediate
-    objects only exist once the earlier pushouts ran).  Returns the composite
-    inclusion X -> X_n and a replayable certificate.
-    """
-    current = X
-    legs: list[DecMap] = []
-    cert = []
-    for step in steps:
-        attach = step.attach(current) if callable(step.attach) else step.attach
-        if attach.src is not step.gen.dom:
-            raise ValueError("attaching map must start at the generator domain")
-        if attach.dst is not current:
-            raise ValueError("attaching map must land in the current object")
-        P, leg_b, leg_c = pushout(step.gen.incl, attach)
-        cert.append({
-            "generator": step.gen.describe(),
-            "attach": [[list(k), v.encode()] for k, v in sorted(attach.assign.items())],
-        })
-        legs.append(leg_c)
-        current = P
-    comp = DecMap.identity(X)
-    for leg in legs:
-        comp = leg.compose(comp)
-    return comp, cert

@@ -225,11 +225,6 @@ def comma_under(F: CatFunctor, d: str) -> FinCat:
     return FinCat(objs, mors, src, tgt, comp, ident)
 
 
-def comma_over(F: CatFunctor, s: str) -> FinCat:
-    """The comma category F/s: objects (k, u: F(k) -> s)."""
-    return comma_under(F.opposite(), s).opposite()
-
-
 # ---------------------------------------------------------------------------
 # small standard categories
 # ---------------------------------------------------------------------------

@@ -404,7 +404,10 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
             psi2 = ND.filler_of(pair.base_simplex())
             zeta = NC.filler_of(pair.rho.assign[(2, 0)])
             # a degenerate edge of the triangle is the identity 1-cell on its vertex
-            gm, hm, fm = (Fr.id1[objects[e.nd]] if e.word else edges[e.nd] for e in T.faces[nd])
+            gm, hm, fm = ms = [Fr.id1[objects[e.nd]] if e.word else edges.get(e.nd)
+                               for e in T.faces[nd]]
+            if None in ms:      # an edge not in Fr, listed above
+                continue
             sigma = ("t", hm, Fr.hcomp1[(gm, fm)], psi2, zeta)
             if sigma not in Fr.twocells:
                 diffs.append(("xi-filler-not-in-fr", nd, sigma))

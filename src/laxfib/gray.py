@@ -92,27 +92,23 @@ def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
 def decorated_gray(X: DecoratedSSet) -> ProductSSet:
     """The interval product of a two-scaling object, as a marked-scaled object.
 
-    Extends the Gray scaling of the underlying product by the two lean-driven
+    Extends the Gray scaling of ``gray(delta(1), X)`` by the two lean-driven
     clauses, and marks the edges lying over {1} whose second component is
     marked.
     """
     if X.kind != "MB":
         raise ValueError("decorated interval product expects a two-scaling object")
     I = delta(1)
-    P = product(I, X)
+    P = gray(I, X)
     marked = set()
-    thin = set()
+    thin = set(P.thin)          # (a) thin in the underlying Gray product
     for cell in P.nondeg(1):
         e1, ex = P.labels[cell.nd]
         if I.key_of(e1) == (1, 1) and X.is_marked(ex):
             marked.add(cell.nd)
     for cell in P.nondeg(2):
         s1, sx = P.labels[cell.nd]
-        # (a) thin in the underlying Gray product
-        if X.is_thin(sx) and (I.face(s1, 0).is_degenerate() or X.face(sx, 2).is_degenerate()):
-            thin.add(cell.nd)
-            continue
-        if not X.is_lean(sx):
+        if cell.nd in thin or not X.is_lean(sx):
             continue
         # (b) the {1,2}-edge of the interval component is constant at 1
         if I.key_of(s1)[1:] == (1, 1):

@@ -186,12 +186,6 @@ def directed_pullback(F: CatFunctor, G: CatFunctor,
     return out
 
 
-def arrow_limit(E: CatFunctor, marked: bool = False) -> LimitCandidate:
-    """The lax limit of a single functor: tuples (a, b, beta: E(a) -> b),
-    restricted to invertible beta when the leg is marked."""
-    return lax_limit(ArrowDiagram(E, frozenset({ARROW_LEG}) if marked else frozenset()))
-
-
 # ---------------------------------------------------------------------------
 # the cone oracle
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ class DecoratedSSet:
     ``faces[(n, k)]`` is the tuple (d_0 x, ..., d_n x) for the k-th
     nondegenerate n-cell.  ``labels`` maps a nondegenerate cell's ``(n, k)`` to
     its name; a cell without one, such as a coskeletal top, is named by its faces.
-    It is stored as given and never mutated, so redecorated copies share it.
+    Both are stored as given (the face table sorted first if it is out of order)
+    and never mutated, so redecorated copies share them.
     """
 
     def __init__(
@@ -137,8 +138,8 @@ class DecoratedSSet:
         while self.n_cells and self.n_cells[-1] == 0:
             self.n_cells.pop()
         # in (dim, idx) order, as extend_map walks it; a JSON table comes in string order
-        self.faces = dict(faces if all(map(lt, faces, itertools.islice(faces, 1, None)))
-                          else sorted(faces.items()))
+        self.faces = (faces if all(map(lt, faces, itertools.islice(faces, 1, None)))
+                      else dict(sorted(faces.items())))
         self.marked = frozenset(marked)
         self.thin = frozenset(thin)
         if kind == "MS":
@@ -526,10 +527,6 @@ def horn(n: int, i: int, *, kind="MB", marked="flat", thin="flat", lean=None) ->
 
 def boundary_simplex(n: int) -> KeyedSSet:
     return _simplex_complex(n, "PLAIN", "flat", "flat", None, omit=(tuple(range(n + 1)),))
-
-
-def empty_sset() -> DecoratedSSet:
-    return DecoratedSSet("PLAIN", [], {})
 
 
 def vertex_cell(X: KeyedSSet, verts: tuple[int, ...]) -> Cell:

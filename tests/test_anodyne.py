@@ -1,4 +1,4 @@
-"""Generator catalogs, lifting search, certification, and saturation steps."""
+"""Generator catalogs, lifting search, certification, and pushouts along generators."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ import pytest
 from checkers import _maps, assert_no_lift, count_squares
 from laxfib import anodyne
 from laxfib.anodyne import (
-    AnodyneStep,
     Certificate,
     Counterexample,
     GeneratorInstance,
     LiftingProblem,
-    anodyne_compose,
     certify_fibration,
     generators,
     solve,
@@ -446,43 +444,34 @@ def test_ms_certification_of_point():
     assert res.ok
 
 
-def test_anodyne_compose_empty():
-    X = standard_simplex(1, kind="MB")
-    comp, cert = anodyne_compose(X, [])
-    assert cert == []
-    assert comp.assign == DecMap.identity(X).assign
-
-
-def test_anodyne_compose_two_horns(mb):
-    # fill the same horn twice: after the first pushout the horn persists, so
-    # a second filler glues a second triangle onto it
+def test_two_horn_pushouts_compose(mb):
+    """Fill the same horn twice: after the first pushout the horn persists, so a second
+    filler glues a second triangle onto it.  A composite of pushouts along generators is
+    pushout and DecMap.compose; certification never builds one (the lifting property
+    against the generators implies it for their saturation), so it needs no function of
+    its own."""
     g = by_tag(mb, "A1", (2, 1))
     X = g.dom
-    step1 = AnodyneStep(g, DecMap.identity(X))
-
-    def attach_second(current):
-        hits = __import__("laxfib.simplicial", fromlist=["enumerate_maps"]) \
-            .enumerate_maps(X, current)
-        return hits[0]
-
-    comp2, cert2 = anodyne_compose(X, [step1, AnodyneStep(g, attach_second)])
-    assert len(cert2) == 2
-    assert comp2.src is X
-    assert comp2.dst.num(2) == 2  # two filled triangles
+    first, _, leg1 = anodyne.pushout(g.incl, DecMap.identity(X))
+    second, _, leg2 = anodyne.pushout(g.incl, enumerate_maps(X, first)[0])
+    comp = leg2.validate().compose(leg1.validate())
+    assert comp.src is X and comp.dst is second
+    assert first.num(2) == 1 and second.num(2) == 2  # two filled triangles
 
 
-def test_anodyne_compose_rejects_wrong_attach(mb):
+def test_pushout_rejects_legs_from_different_sources(mb):
     g = by_tag(mb, "A1", (2, 1))
     other = standard_simplex(1, kind="MB")
-    with pytest.raises(ValueError):
-        anodyne_compose(other, [AnodyneStep(g, DecMap.identity(other))])
+    with pytest.raises(ValueError, match="share a source"):
+        anodyne.pushout(g.incl, DecMap.identity(other))
 
 
 def test_s1_pushout_marks_an_edge(mb):
+    """The pushout of S1 along the identity of its domain marks the long edge."""
     g = by_tag(mb, "S1")
     X = g.dom
-    comp, cert = anodyne_compose(X, [AnodyneStep(g, DecMap.identity(X))])
-    Y = comp.dst
+    Y, _, leg = anodyne.pushout(g.incl, DecMap.identity(X))
+    assert leg.src is X and leg.dst is Y
     assert len(Y.marked) == 3  # the long edge becomes marked
     assert len(X.marked) == 2
 

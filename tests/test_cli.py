@@ -426,6 +426,12 @@ def _bad_inputs(tmp_path) -> dict:
             "kind": "PLAIN", "dims": [3, 3, 1], "faces": {
                 "1,0": [[0, 1, []], [0, 0, []]], "1,1": [[0, 2, []], [0, 1, []]],
                 "1,2": [[0, 2, []], [0, 0, []]], "2,0": [[1, 1, []], [0, 0, [5]], [1, 0, []]]}}),
+        # every face in range and in normal form, but d_0 of the triangle is the edge 0 -> 1
+        # where 1 -> 2 belongs: d_0 d_1 = d_0 d_0 fails
+        "broken-identity": put("broken-identity.json", {
+            "kind": "PLAIN", "dims": [3, 3, 1], "faces": {
+                "1,0": [[0, 1, []], [0, 0, []]], "1,1": [[0, 2, []], [0, 1, []]],
+                "1,2": [[0, 2, []], [0, 0, []]], "2,0": [[1, 0, []], [1, 2, []], [1, 0, []]]}}),
         "negative-dim": put("negative-dim.json", {"kind": "PLAIN", "dims": [2, -1], "faces": {}}),
         "float-face": put("float-face.json", {
             "kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1.5, []], [0, 0, []]]}}),
@@ -508,6 +514,7 @@ BAD_CALLS = {
     "sset-face-with-negative-index": "homology @negative-face",
     "sset-marked-edge-with-negative-index": "homology @negative-marked",
     "sset-face-word-out-of-range": "homology @face-word-out-of-range",
+    "sset-simplicial-identity-fails": "homology @broken-identity",
     "sset-negative-dim": "homology @negative-dim",
     "sset-face-with-float-index": "homology @float-face",
     "sset-face-with-bool-index": "homology @bool-face",
@@ -587,8 +594,10 @@ def test_bad_table_names_the_failed_law(tmp_path, capsys, case, witness):
     assert "missing field" not in err
 
 
-@pytest.mark.parametrize("name, face", [("negative-face", "/faces/1,0/1/1: expected a non-negative"),
-                                        ("face-word-out-of-range", "d_1 = [0, 0, [5]] of cell 2,0")])
+@pytest.mark.parametrize("name, face", [
+    ("negative-face", "/faces/1,0/1/1: expected a non-negative"),
+    ("face-word-out-of-range", "d_1 = [0, 0, [5]] of cell 2,0"),
+    ("broken-identity", "bad simplicial set: simplicial identities fail")])
 def test_bad_face_is_named(tmp_path, name, face):
     with pytest.raises(cli.InputError, match=re.escape(face)):
         cli.parse_sset(_bad_inputs(tmp_path)[name])

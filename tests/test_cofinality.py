@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from laxfib import homotopy
+from laxfib import cofinality, homotopy
 
 from laxfib.cofinality import (
     check_cofinal,
@@ -133,6 +133,33 @@ def test_eta_negative_control_non_terminal_object():
     non_eta = next(o for o in mapping.objects if o != eta)
     assert is_terminal_in(mapping, eta)
     assert not is_terminal_in(mapping, non_eta)
+
+
+@pytest.mark.parametrize("plant, evidence", [
+    (lambda mapping: mapping.opposite(), "non_terminal_witness"),
+    (lambda mapping: terminal_cat(), "reason"),
+])
+def test_eta_terminal_check_says_no_on_a_planted_mapping_category(monkeypatch, plant, evidence):
+    """Negative control: with the slice's mapping categories reversed, the unit is initial
+    in Map(id_0, o:1), not terminal, and the other object is the witness; with them
+    replaced by the point category, the unit is missing."""
+    T = two_bracket(walking_arrow())
+
+    def planted(bundle, d):
+        marking = slice_fiber(bundle, d)
+        sub = marking.base
+        monkeypatch.setattr(sub, "hom_cat", lambda a, b: plant(type(sub).hom_cat(sub, a, b)))
+        return marking
+
+    monkeypatch.setattr(cofinality, "slice_fiber", planted)
+    v = eta_terminal_check(T, "0", "o:1")
+    assert v.no and list(v.evidence) == [evidence]
+    if evidence == "reason":
+        assert v.evidence["reason"] == "unit morphism missing"
+    else:
+        eta = ("m", ("o", "0", "0", "id0"), ("o", "0", "1", "o:1"), "id0", "o:1", T.id2["o:1"])
+        witness, arrows = v.evidence["non_terminal_witness"]
+        assert witness != eta and witness[4] == "o:0" and arrows == 0
 
 
 def test_eta_terminal_unknown_edge():

@@ -8,7 +8,6 @@ from laxfib.fincat import (
     FinCat,
     all_functors,
     chain_poset,
-    comma_over,
     comma_under,
     discrete_cat,
     identity_functor,
@@ -89,11 +88,13 @@ def test_comma_under_empty():
 
 
 def test_comma_over_matches_dual():
+    """The comma category F/s is the dual of s/F^op, so it is built from comma_under and
+    needs no function of its own."""
     K, S = terminal_cat(), walking_arrow()
     F = CatFunctor(K, S, {"*": "0"}, {"id*": S.ident["0"]})
-    over1 = comma_over(F, "1")  # morphisms F(*) = 0 -> 1
+    over1 = comma_under(F.opposite(), "1").opposite()  # morphisms F(*) = 0 -> 1
     assert len(over1.objects) == 1 and over1.validate() == []
-    over0 = comma_over(F, "0")
+    over0 = comma_under(F.opposite(), "0").opposite()
     assert len(over0.objects) == 1
 
 

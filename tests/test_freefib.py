@@ -215,6 +215,22 @@ def test_three_coskeletal(small_ff):
     assert three_coskeletal_violations(small_ff) == []
 
 
+def test_three_coskeletal_check_sees_a_missing_and_a_doubled_filler(arrow_ff, monkeypatch):
+    """Negative control: with the last 4-cell of the total space dropped, its sphere is
+    unfilled and the count is one short; with it stored twice, only the count is off."""
+    X = arrow_ff.total
+    last = (4, X.num(4) - 1)
+    sphere = X.faces[last]
+    dropped = X._replaced(n_cells=X.n_cells[:4] + [X.num(4) - 1],
+                          faces={nd: f for nd, f in X.faces.items() if nd != last})
+    doubled = X._replaced(n_cells=X.n_cells[:4] + [X.num(4) + 1],
+                          faces={**X.faces, (4, X.num(4)): sphere})
+    monkeypatch.setattr(arrow_ff, "total", dropped)
+    assert three_coskeletal_violations(arrow_ff) == [("unfilled", sphere), ("count", 20, 19)]
+    monkeypatch.setattr(arrow_ff, "total", doubled)
+    assert three_coskeletal_violations(arrow_ff) == [("count", 20, 21)]
+
+
 def test_compare_tame_fr(small_ff):
     rep = compare_tame_fr(small_ff)
     assert rep.ok
@@ -565,6 +581,49 @@ def test_comparison_matches_the_reference_on_planted_defects(monkeypatch, plant,
         for _, F in fixture_functors():
             for diff in _assert_comparison_matches_the_reference(build_free_fibration(F, mode=mode)):
                 found[diff[0]] = found.get(diff[0], 0) + 1
+    assert found == kinds
+
+
+def _misname_fibre_edges(monkeypatch, ffs):
+    """edge_data names each edge's fibre 1-cell wrongly, so Fr has no such 1-cell."""
+    edge_data = FreeFibration.edge_data
+
+    def misnamed(self, pair):
+        a, alpha, theta = edge_data(self, pair)
+        return a, alpha + "?", theta
+
+    monkeypatch.setattr(FreeFibration, "edge_data", misnamed)
+
+
+def _misname_fibre_fillers(monkeypatch, ffs):
+    """Each fibre nerve names its triangles' fillers wrongly, so Fr has no such 2-cell."""
+    for ff in ffs:
+        monkeypatch.setattr(ff.nc, "filler_of", lambda tri, of=ff.nc.filler_of: of(tri) + "?")
+
+
+def _unindex_first_edge(monkeypatch, ffs):
+    """The total space's index forgets its first edge, so psi finds no cell for it."""
+    for ff in ffs:
+        edge = next((key for key, c in ff.total.index.items() if c.dim == 1), None)
+        if edge is not None:
+            monkeypatch.delitem(ff.total.index, edge)
+
+
+@pytest.mark.parametrize("plant, kinds", [
+    (_misname_fibre_edges, {"xi-edge-not-in-fr": 56}),
+    (_misname_fibre_fillers, {"xi-filler-not-in-fr": 78}),
+    (_unindex_first_edge, {"psi-missing": 10}),
+])
+def test_comparison_lists_the_cells_that_xi_or_psi_cannot_map(battery_ffs, monkeypatch,
+                                                                plant, kinds):
+    """Negative control for the diffs found while xi and psi are built: planted after the
+    build, over the battery in both modes, each defect makes the comparison fail with the
+    reference's diffs.  A triangle over an edge that Fr lacks is skipped, not looked up."""
+    plant(monkeypatch, battery_ffs)
+    found = {}
+    for ff in battery_ffs:
+        for diff in _assert_comparison_matches_the_reference(ff):
+            found[diff[0]] = found.get(diff[0], 0) + 1
     assert found == kinds
 
 

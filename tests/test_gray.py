@@ -112,6 +112,18 @@ def test_decorated_gray_contrary_triangles():
         assert xw[0] == xw[1]
 
 
+def test_decorated_gray_extends_the_gray_scaling():
+    """Clause (a) of the decorated product is the Gray scaling of delta(1) (x) X, read from
+    gray(); the lean-driven clauses add thin triangles only over lean triangles of X."""
+    for X in (standard_simplex(2, kind="MB"),
+              standard_simplex(2, kind="MB", marked="sharp", thin="sharp", lean="sharp"),
+              standard_simplex(3, kind="MB", marked=[(0, 1)], thin="flat", lean="sharp")):
+        G, P = decorated_gray(X), gray(delta(1), X)
+        assert G.n_cells == P.n_cells and G.labels == P.labels
+        assert P.thin <= G.thin
+        assert all(X.is_lean(G.labels[nd][1]) for nd in G.thin - P.thin)
+
+
 def test_e_map_vertex_formula():
     f = e_map(0, 1)
     src, dst = prism(2), prism(1)

@@ -25,8 +25,8 @@ from laxfib.homotopy import (
     smith_normal_form,
     weakly_contractible,
 )
-from laxfib.simplicial import Cell, boundary_simplex, empty_sset, standard_simplex
-from laxfib.twocat import Marking2Cat, from_fincat
+from laxfib.simplicial import Cell, DecoratedSSet, boundary_simplex, standard_simplex
+from laxfib.twocat import Marking2Cat, from_fincat, two_bracket
 
 
 def smith_invariants_by_minors(m: list[list[int]]) -> list[int]:
@@ -117,7 +117,9 @@ def test_cli_import_does_not_load_sympy():
 
 
 def test_homology_of_empty():
-    H = homology(empty_sset(), 3)
+    """The empty object (the constructor on no cells, which needs no helper of its own)
+    has no homology groups."""
+    H = homology(DecoratedSSet("PLAIN", [], {}), 3)
     assert H.groups == {}
 
 
@@ -185,7 +187,7 @@ def test_weakly_contractible_verdicts():
     assert weakly_contractible(chain_poset(2).nerve(max_dim=4)).yes
     v = weakly_contractible(boundary_simplex(2))
     assert v.no and v.evidence["obstruction"] == "homology"
-    assert weakly_contractible(empty_sset()).no
+    assert weakly_contractible(DecoratedSSet("PLAIN", [], {})).no   # the empty object
 
 
 def test_budget_exhaustion_is_unknown_not_yes():
@@ -220,6 +222,18 @@ def test_initial_in_localization_unreachable():
     m = Marking2Cat(C)  # nothing marked beyond identities
     v = initial_in_localization(m, "0")
     assert v.no and v.evidence["obstruction"] == "unreachable"
+
+
+def test_a_marked_edge_off_the_invertible_component_is_reported():
+    """Negative control for the 2-cell check on marked edges: in 2[arrow], o:0 => o:1 is
+    the only non-identity 2-cell and is not invertible.  With o:0 marked, 0 is initial in
+    the localization; with o:1 marked, o:1 is not connected to o:0 in Map(0, 1) through
+    invertible 2-cells, and that is the evidence of the undecided verdict at 0."""
+    T = two_bracket(walking_arrow())
+    assert initial_in_localization(Marking2Cat(T, frozenset({"o:0"})), "0").yes
+    v = initial_in_localization(Marking2Cat(T, frozenset({"o:1"})), "0")
+    assert v.value == "unknown"
+    assert v.evidence["component"]["0"].evidence["marked_edge_not_connected"] == "o:1"
 
 
 def test_initial_in_localization_marked_reversal():

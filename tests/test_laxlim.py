@@ -17,6 +17,8 @@ from laxfib.fincat import (
 )
 from laxfib.fixtures import include_at
 from laxfib.laxlim import (
+    ARROW_LEG,
+    ArrowDiagram,
     BudgetError,
     ConeDiagram,
     F_LEG,
@@ -24,6 +26,7 @@ from laxfib.laxlim import (
     cone_oracle,
     directed_pullback,
     enumerate_cones,
+    lax_limit,
     lax_pullback,
     pseudo_pullback,
 )
@@ -224,33 +227,36 @@ def test_budget_error(monkeypatch):
 
 
 def test_arrow_limit_shapes():
-    from laxfib.laxlim import ArrowDiagram, arrow_limit
+    """The lax limit of one functor E is lax_limit of its ArrowDiagram, the diagram the
+    oracle reads too, so it needs no function of its own: tuples (a, b, beta: E(a) -> b),
+    with beta invertible when the leg is marked."""
     S = walking_arrow()
     E = pt_at(S, "0")
-    lax = arrow_limit(E)
+    lax = lax_limit(ArrowDiagram(E))
     # tuples (*, b, beta: 0 -> b): one per arrow out of 0
     assert len(lax.category.objects) == 2
     assert lax.category.validate() == []
     assert cone_oracle(ArrowDiagram(E), lax)["pass"]
-    ps = arrow_limit(E, marked=True)
+    marked = ArrowDiagram(E, frozenset({ARROW_LEG}))
+    ps = lax_limit(marked)
     assert len(ps.category.objects) == 1
-    assert cone_oracle(ArrowDiagram(E, frozenset({"0->1"})), ps)["pass"]
+    assert cone_oracle(marked, ps)["pass"]
 
 
 def test_arrow_limit_of_identity_is_the_arrow_category():
-    from laxfib.laxlim import ArrowDiagram, arrow_limit
+    """Built as lax_limit(ArrowDiagram(id_C)), the lax limit of the identity has the
+    arrows of C as objects: the comma of the identity."""
     C = walking_arrow()
-    lax = arrow_limit(identity_functor(C))
-    # objects are arrows of C: the comma of the identity
+    diagram = ArrowDiagram(identity_functor(C))
+    lax = lax_limit(diagram)
     assert len(lax.category.objects) == len(C.morphisms)
-    assert cone_oracle(ArrowDiagram(identity_functor(C)), lax)["pass"]
+    assert cone_oracle(diagram, lax)["pass"]
 
 
 def test_oracle_budget_bounds_candidate_functors(monkeypatch):
     # one object with an idempotent e: each limit has more objects than there
     # are cone projections from the point, so only the functor count T -> P
     # exceeds the budget at the first probe, the point
-    from laxfib.laxlim import ArrowDiagram, arrow_limit
     M = FinCat(["*"], ["id", "e"], {"id": "*", "e": "*"}, {"id": "*", "e": "*"},
                {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "e"},
                {"*": "id"})
@@ -258,7 +264,7 @@ def test_oracle_budget_bounds_candidate_functors(monkeypatch):
     E = identity_functor(M)
     pt = terminal_cat()
     monkeypatch.setattr(laxlim, "CONE_BUDGET", 1)
-    for diagram, cand in ((ArrowDiagram(E), arrow_limit(E)),
+    for diagram, cand in ((ArrowDiagram(E), lax_limit(ArrowDiagram(E))),
                           (ConeDiagram(E, E), lax_pullback(E, E))):
         assert len(cand.category.objects) > 1
         enumerate_cones(diagram, pt)          # the projections fit

@@ -23,7 +23,6 @@ from laxfib.simplicial import (
     boundary_simplex,
     coskeletal_spheres,
     delta_map,
-    empty_sset,
     NoFillerError,
     enumerate_maps,
     extend_map,
@@ -270,9 +269,10 @@ def test_pushout_collapse_edge():
 
 
 def _pushout_monos() -> list[DecMap]:
-    """Small monomorphisms A -> B of PLAIN objects, the first legs of the spans below."""
+    """Small monomorphisms A -> B of PLAIN objects, the first legs of the spans below; the
+    empty object is the constructor on no cells."""
     pt, edge, tri = (standard_simplex(n, kind="PLAIN") for n in range(3))
-    return [DecMap(empty_sset(), edge, {}),
+    return [DecMap(DecoratedSSet("PLAIN", [], {}), edge, {}),
             delta_map(pt, edge, {0: 1}),
             delta_map(boundary_simplex(1), edge, {0: 0, 1: 1}),
             delta_map(edge, tri, {0: 0, 1: 2}),
@@ -496,7 +496,10 @@ def test_commutes_with_faces_catches_a_wrong_top_image():
 
 
 def test_empty_and_roundtrip_json():
-    for X in (empty_sset(), standard_simplex(2, kind="MB", marked="sharp", thin="flat", lean="sharp"),
+    """The empty object, built by the constructor on no cells (it needs no helper of its
+    own), and two decorated ones survive a JSON round trip."""
+    for X in (DecoratedSSet("PLAIN", [], {}),
+              standard_simplex(2, kind="MB", marked="sharp", thin="flat", lean="sharp"),
               horn(3, 1, kind="MS", thin="sharp")):
         doc = X.to_json()
         Y = build_sset(json.loads(doc))
@@ -505,7 +508,9 @@ def test_empty_and_roundtrip_json():
 
 
 def test_enumerate_maps_empty_source():
-    E = empty_sset()
+    """One map out of the empty object and none into it; the empty object is the
+    constructor on no cells, which needs no helper of its own."""
+    E = DecoratedSSet("PLAIN", [], {})
     X = standard_simplex(1, kind="PLAIN")
     assert len(enumerate_maps(E, X)) == 1
     assert len(enumerate_maps(X, E)) == 0

@@ -14,7 +14,7 @@ from laxfib.fincat import (
     CatFunctor,
     FinCat,
     all_functors,
-    comma_over,
+    comma_under,
     poset_cat,
     terminal_cat,
     walking_arrow,
@@ -245,7 +245,8 @@ def test_fr_slice_objects_are_arrows_out_of_the_base_object():
 
 
 def test_fr_slice_hom_computations():
-    # hom(s, id) is empty; hom(id, s) is the comma category K_/s
+    """hom(s, id) is empty; hom(id, s) is the comma category K_/s, the dual of s/K^op
+    (built from comma_under, so it needs no function of its own)."""
     S = poset_cat(["a", "b"], [("a", "b")])
     K = terminal_cat()
     p = CatFunctor(K, S, {"*": "b"}, {"id*": S.ident["b"]})
@@ -260,7 +261,7 @@ def test_fr_slice_hom_computations():
     for o in obj_s:
         s = o[3][2:]  # 1-cells into object 1 are named "o:<object of S>"
         mapping = sub.hom_cat(id0, o)
-        comma = comma_over(p, s)
+        comma = comma_under(p.opposite(), s).opposite()
         assert len(mapping.objects) == len(comma.objects)
         assert len(mapping.morphisms) == len(comma.morphisms)
 
