@@ -225,58 +225,32 @@ class FreeFibration:
     # -- the filtration audit ------------------------------------------------------
 
     def filtration_audit(self) -> dict:
-        """Classify every nondegenerate simplex (dims <= 3) of the total space.
+        """Classify every nondegenerate simplex (dims <= 3) of the total space: a unit
+        image, an extension of a lower simplex, a face of an extension, or unreachable.
+        Only nondegenerate images count.
 
-        Every cell must be a unit image, an extension of a lower simplex, or a
-        face of an extension; anything else is unreachable.  Only nondegenerate
-        images count: a degenerate unit image or face marks nothing.
-
-        One pass over the stored pairs keeps only the roots reached.  The
-        extension ``tau.extend(j)`` is ``(tau.phi o E_j, tau.rho o s_j)``, so it
-        reads ``tau.phi`` on the roots of E_j's images and all of ``tau.rho``.
-        Keyed on ``n``, ``j`` and those values, equal keys give equal extensions,
-        and an extension is built only when its key is new: a skip loses no cell.
-        A stored extension's faces are its row of the face table; any other
-        extension (degenerate, or of dimension 4) looks its faces up by pair.
-
-        Every stored simplex tau is ``d_{n+1} E_n tau``, a face of its own
-        extension (on ``2[walking-iso]`` this holds for all 1250), so
-        ``unreachable`` can be non-empty only where that identity fails, and
-        ``reachable == total`` says nothing more about the filtration.
-        """
+        Every n-simplex tau is d_{n+1} E_n tau, a face of its own extension, when that
+        identity holds on ``_universal_pair(n)``: both sides are tau composed with
+        ``gray`` structure maps (as in ``face_identity_violations``).  Where it fails,
+        the n-cells that are neither unit images nor extensions are unreachable."""
         T = self.total
-        reads = {(n, j): tuple(dict.fromkeys(c.nd for c in e_map(j, n).assign.values()))
-                 for n in range(TOP_DIM + 1) for j in range(n + 1)}
         units = {c.nd for c in self.gamma.assign.values() if not c.word}
-        keys, extensions, faces = set(), set(), set()
-        for nd, tau in self.pairs.items():
-            n = nd[0]
-            rho = tuple(map(tau.rho.assign.__getitem__, delta(n).labels))
-            for j in range(n + 1):
-                key = (n, j, tuple(map(tau.phi.assign.__getitem__, reads[(n, j)])), rho)
-                if key in keys:
-                    continue
-                keys.add(key)
-                ext = tau.extend(j)
-                hit = T.index.get(ext) if n < TOP_DIM else None
-                if hit is not None:
-                    extensions.add(hit.nd)
-                    faces.update(f.nd for f in T.faces[hit.nd] if not f.word)
-                else:
-                    faces.update(f.nd for f in map(T.index.get, map(ext.face, range(n + 2)))
-                                 if f is not None)
+        extensions = {hit.nd for nd, tau in self.pairs.items() if nd[0] < TOP_DIM
+                      for hit in map(T.index.get, map(tau.extend, range(nd[0] + 1)))
+                      if hit is not None}
+        own_face = {n for n in range(TOP_DIM + 1)
+                    if _universal_pair(n).extension_face(n, n + 1) == _universal_pair(n)}
         report = {"unit": [], "extension": [], "face_of_extension": [], "unreachable": []}
         for nd in self.pairs:
             if nd in units:
                 report["unit"].append(nd)
             elif nd in extensions:
                 report["extension"].append(nd)
-            elif nd in faces:
+            elif nd[0] in own_face:
                 report["face_of_extension"].append(nd)
             else:
                 report["unreachable"].append(nd)
-        report["total"] = sum(len(report[k]) for k in
-                              ("unit", "extension", "face_of_extension", "unreachable"))
+        report["total"] = len(self.pairs)
         report["reachable"] = report["total"] - len(report["unreachable"])
         return report
 

@@ -222,6 +222,20 @@ def test_freefib_subcommand_with_fiber_and_audit(tmp_path):
     assert report["audit"]["unreachable"] == []
 
 
+def test_freefib_audit_exits_2_on_unreachable_cells(tmp_path, monkeypatch):
+    """Negative control for the audit's exit code: with the extensions of triangles collapsed
+    onto {1} x Delta^2, the audit of the bundled inclusion at 0 lists seven triangles as
+    unreachable, and the run exits 2 with its report written."""
+    from laxfib import freefib
+    from test_freefib import collapsed_extensions
+    monkeypatch.setattr(freefib, "e_map", collapsed_extensions(2))
+    code, report = run(tmp_path, "freefib", data_path("twocat-2bracket-point.json"),
+                       data_path("twocat-2bracket-walking-arrow.json"),
+                       data_path("two-functor-2bracket-at-0.json"), "--audit")
+    assert code == 2
+    assert report["audit"]["unreachable"] == [[2, k] for k in (0, 1, 3, 5, 6, 7, 9)]
+
+
 def test_joyal_subcommand(tmp_path):
     code, report = run(
         tmp_path, "joyal",

@@ -19,6 +19,7 @@ from laxfib.cofinality import (
 )
 from laxfib.fincat import (
     CatFunctor,
+    all_functors,
     chain_poset,
     discrete_cat,
     identity_functor,
@@ -90,6 +91,27 @@ def test_duality_small_corpus_consistent():
     corpus = duality_corpus()[:12]
     statuses = [two_bracket_duality(p)["status"] for _, p in corpus]
     assert "DISAGREE" not in statuses
+
+
+# one poset of at most three elements per isomorphism class: (size, covers)
+SMALL_POSETS = [(1, []), (2, []), (2, [(0, 1)]), (3, []), (3, [(0, 1)]),
+                (3, [(0, 1), (1, 2)]), (3, [(0, 1), (0, 2)]), (3, [(0, 2), (1, 2)])]
+
+
+def test_duality_agrees_on_every_monotone_map_between_small_posets():
+    """The small scope of the duality: every monotone map between posets of at most three
+    elements, one per isomorphism class on each side, is decided the same way on both sides.
+    A ``DISAGREE`` fails, and so does a move of any functor to or from ``UNDECIDED``."""
+    posets = [poset_cat([f"p{i}" for i in range(n)], [(f"p{a}", f"p{b}") for a, b in covers])
+              for n, covers in SMALL_POSETS]
+    functors = [p for K in posets for S in posets for p in all_functors(K, S)]
+    counts: dict = {}
+    for p in functors:
+        r = two_bracket_duality(p)
+        key = (r["status"], r["two_categorical"], r["one_categorical"])
+        counts[key] = counts.get(key, 0) + 1
+    assert len(functors) == 476
+    assert counts == {("AGREE", "yes", "yes"): 82, ("AGREE", "no", "no"): 394}
 
 
 def test_report_stable_under_marking_completion():

@@ -57,6 +57,14 @@ def arrow_ff():
     return build_free_fibration(two_bracket_functor(include_at(S, "0")))
 
 
+@pytest.fixture(scope="module")
+def iso_ff():
+    """The free fibration on 2[walking-iso], shared by the tests that only read it."""
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    return build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
+
+
 def test_terminal_total_is_point():
     ff = build_free_fibration(identity_two_functor(terminal_twocat()))
     assert ff.total.n_cells == [1]
@@ -307,6 +315,34 @@ def test_filtration_audit_matches_the_reference_on_an_unreachable_edge(arrow_ff,
     assert audit == _reference_audit(ff)
 
 
+def _arrow_id(battery_ffs):
+    """2bracket-arrow-id's free fibration in dagger mode, from the battery."""
+    return battery_ffs[[name for name, _ in fixture_functors()].index("2bracket-arrow-id")]
+
+
+def collapsed_extensions(n: int):
+    """``e_map`` with the extensions of n-simplices collapsed onto {1} x Delta^n."""
+    collapse = [end_map(n, 1).compose(simplex_deg(n, j)).compose(prism(n + 1).proj_b())
+                for j in range(n + 1)]
+    return lambda j, m: collapse[j] if m == n else e_map(j, m)
+
+
+def test_filtration_audit_lists_the_triangles_that_are_no_face_of_their_extension(
+        battery_ffs, monkeypatch):
+    """Negative control for the audit's unreachable branch.  Each n-simplex is d_{n+1} E_n of
+    itself on the universal pair, n <= 3; with the extensions of triangles collapsed onto
+    {1} x Delta^2 that fails for n = 2 alone, and on 2bracket-arrow-id (built before the
+    plant) the audit lists 13 unreachable triangles, as the audit by whole pairs does."""
+    u = freefib._universal_pair
+    assert all(u(n).extension_face(n, n + 1) == u(n) for n in range(4))
+    monkeypatch.setattr(freefib, "e_map", collapsed_extensions(2))
+    assert [u(n).extension_face(n, n + 1) == u(n) for n in range(4)] == [True, True, False, True]
+    ff = _arrow_id(battery_ffs)
+    audit = ff.filtration_audit()
+    assert audit["unreachable"] == [(2, k) for k in (0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 14, 16, 19)]
+    assert audit == _reference_audit(ff)
+
+
 def _reference_face_identities(ff) -> list:
     """The face identities clause by clause, for every stored pair and degeneracy."""
     bad = []
@@ -370,11 +406,8 @@ def test_extension_lemmas_match_the_references_on_planted_defects(battery_ffs, m
     assert tuple(map(sum, zip(*totals))) == counts
 
 
-def test_extension_lemmas_match_the_references_on_walking_iso():
-    from laxfib.fincat import walking_iso
-    from laxfib.twocat import two_bracket
-    ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
-    assert _assert_extension_lemmas_match_the_references(ff) == (0, 0)
+def test_extension_lemmas_match_the_references_on_walking_iso(iso_ff):
+    assert _assert_extension_lemmas_match_the_references(iso_ff) == (0, 0)
 
 
 def _reference_tame_phis(ff, n: int) -> list:
@@ -419,11 +452,8 @@ def test_tame_phis_match_the_reference_on_the_battery(battery_ffs):
         _assert_tame_phis_match_the_reference(ff)
 
 
-def test_tame_phis_match_the_reference_on_walking_iso():
-    from laxfib.fincat import walking_iso
-    from laxfib.twocat import two_bracket
-    ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
-    assert _assert_tame_phis_match_the_reference(ff)[3] == 1458
+def test_tame_phis_match_the_reference_on_walking_iso(iso_ff):
+    assert _assert_tame_phis_match_the_reference(iso_ff)[3] == 1458
 
 
 @seed(20240813)
@@ -525,13 +555,10 @@ def test_xi_reads_the_faces_of_stored_pairs_from_the_face_table(battery_ffs, mon
     assert keys and sum(isinstance(k, freefib.PairSimplex) for k in keys) == 0
 
 
-def test_comparison_matches_the_reference_on_walking_iso():
+def test_comparison_matches_the_reference_on_walking_iso(iso_ff):
     """Decided in dimensions <= 3, the comparison agrees with the full one; the maps read
     afterwards are built over the 4-cells, are mutually inverse there, and are the
     reference's maps, key order included."""
-    from laxfib.fincat import walking_iso
-    from laxfib.twocat import two_bracket
-    iso_ff = build_free_fibration(identity_two_functor(two_bracket(walking_iso())))
     rep = compare_tame_fr(iso_ff)
     diffs, xi, psi = _reference_comparison(iso_ff)
     assert rep.ok and rep.diffs == diffs == []
@@ -625,6 +652,40 @@ def test_comparison_lists_the_cells_that_xi_or_psi_cannot_map(battery_ffs, monke
         for diff in _assert_comparison_matches_the_reference(ff):
             found[diff[0]] = found.get(diff[0], 0) + 1
     assert found == kinds
+
+
+def test_comparison_lists_a_tetrahedron_that_xi_cannot_fill(battery_ffs, monkeypatch):
+    """Negative control for xi's extension over the tetrahedra: with every pasting equation
+    failing after the build, nerve(Fr) has no 3-simplex, so on 2bracket-arrow-id xi finds no
+    filler for the first tetrahedron of the total space."""
+    monkeypatch.setattr(twocat, "cocycle_holds", lambda *triangles: False)
+    assert compare_tame_fr(_arrow_id(battery_ffs)).diffs == [("xi-no-unique-filler", (3, 0))]
+
+
+def test_comparison_lists_the_triangles_that_psi_cannot_fill(battery_ffs, monkeypatch):
+    """Negative control for psi's prism fillers: a copy of 2bracket-arrow-id's free fibration
+    given the 2-truncation of nd fills the prism of no triangle whose image needs a
+    3-simplex of nd (9 of them), and psi maps no labelled cell of nerve(Fr): its objects
+    and edges land in the truncated copy, not in the nd the stored pairs read."""
+    ff = copy.copy(_arrow_id(battery_ffs))
+    ff.nd = ff.nd._replaced(n_cells=ff.nd.n_cells[:3],
+                            faces={nd: f for nd, f in ff.nd.faces.items() if nd[0] <= 2})
+    unfilled, extend = [], freefib.extend_map
+
+    def recorded(X, Y, assign):
+        try:
+            return extend(X, Y, assign)
+        except simplicial.NoFillerError:
+            unfilled.append(X)
+            raise
+
+    monkeypatch.setattr(freefib, "extend_map", recorded)
+    diffs = compare_tame_fr(ff).diffs
+    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), max_dim=3).labels
+    assert [nd for _, nd, _ in diffs] == [(0, k) for k in range(4)] + \
+        [(1, k) for k in range(10)] + [(2, k) for k in range(21)]
+    assert diffs == [("psi-missing", nd, label) for nd, label in labels.items()]
+    assert len(unfilled) == 9 and all(X is prism(2) for X in unfilled)
 
 
 def test_the_comparison_walks_no_4_sphere_until_a_map_is_read(arrow_ff, monkeypatch):
@@ -1109,7 +1170,7 @@ def test_random_poset_functors_pass_every_check(rng):
     assert face_identity_violations(ff) == [] and degeneracy_lemma_violations(ff) == []
     audit = ff.filtration_audit()
     assert audit["reachable"] == audit["total"] == sum(ff.total.n_cells[:4])
-    # a functor that is not injective does not fix rho by phi over {1}: the audit's key reads both
+    # a functor that is not injective does not fix rho by phi over {1}: an extension reads both
     assert audit == _reference_audit(ff)
     assert three_coskeletal_violations(ff) == []
 
