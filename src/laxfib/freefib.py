@@ -3,7 +3,7 @@
 An n-simplex of the total space is a commuting pair
 
     phi : interval (x) Delta^n  ->  nerve(D)
-    rho : Delta^n               ->  nerve(C)      with  nerve(f) o rho = phi|_{1}
+    rho : an n-simplex of nerve(C)   with  nerve(f)(rho) = phi({1} x Delta^n)
 
 that sends every contrary triangle (0,x) -> (1,x) -> (1,y) of the prism to an
 identity triangle of nerve(D).  The object is materialized in dimensions <= 3
@@ -17,8 +17,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Optional
 
-from .gray import (composite, delta, e_map, end_map, prism, prism_deg, prism_face, simplex_deg,
-                   simplex_face)
+from .gray import composite, delta, e_map, end_map, prism, prism_deg, prism_face
 from .simplicial import (
     Cell,
     DecMap,
@@ -46,45 +45,45 @@ TOP_DIM = 3
 
 @dataclass(frozen=True)
 class PairSimplex:
-    """A simplex of the total space in its (phi, rho) presentation."""
+    """A simplex of the total space in its (phi, rho) presentation: rho is an
+    n-simplex of ``rho_in``, which is nerve(C) but for the universal pair's Delta^n."""
 
     n: int
     phi: DecMap
-    rho: DecMap
+    rho: Cell
+    rho_in: DecoratedSSet
 
-    def _pulled(self, n: int, phi_map: DecMap, rho_map: DecMap) -> "PairSimplex":
-        """The n-pair (phi o phi_map, rho o rho_map)."""
-        return PairSimplex(n, self.phi.compose(phi_map), self.rho.compose(rho_map))
+    def _pulled(self, n: int, phi_map: DecMap, rho: Cell) -> "PairSimplex":
+        """The n-pair (phi o phi_map, rho)."""
+        return PairSimplex(n, self.phi.compose(phi_map), rho, self.rho_in)
 
     def face(self, i: int) -> "PairSimplex":
-        return self._pulled(self.n - 1, prism_face(self.n, i), simplex_face(self.n, i))
+        return self._pulled(self.n - 1, prism_face(self.n, i), self.rho_in.face(self.rho, i))
 
     def degeneracy(self, j: int) -> "PairSimplex":
-        return self._pulled(self.n + 1, prism_deg(self.n, j), simplex_deg(self.n, j))
+        return self._pulled(self.n + 1, prism_deg(self.n, j), self.rho_in.deg(self.rho, j))
 
     def extend(self, j: int) -> "PairSimplex":
         """The j-th extension: an (n+1)-simplex with phi-part phi o E_j and
-        rho-part rho o s_j."""
-        if not 0 <= j <= self.n:
-            raise ValueError(f"extension index {j} out of range")
-        return self._pulled(self.n + 1, e_map(j, self.n), simplex_deg(self.n, j))
+        rho-part s_j rho."""
+        return self._pulled(self.n + 1, e_map(j, self.n), self.rho_in.deg(self.rho, j))
 
     def extension_face(self, j: int, s: int) -> "PairSimplex":
         """``self.extend(j).face(s)``, through the composite E_j o delta_s."""
-        n = self.n
+        X, n = self.rho_in, self.n
         return self._pulled(n, composite(e_map, (j, n), prism_face, (n + 1, s)),
-                            composite(simplex_deg, (n, j), simplex_face, (n + 1, s)))
+                            X.face(X.deg(self.rho, j), s))
 
     def face_extension(self, k: int, j: int) -> "PairSimplex":
         """``self.face(k).extend(j)``, through the composite delta_k o E_j."""
-        n = self.n
+        X, n = self.rho_in, self.n
         return self._pulled(n, composite(prism_face, (n, k), e_map, (j, n - 1)),
-                            composite(simplex_face, (n, k), simplex_deg, (n - 1, j)))
+                            X.deg(X.face(self.rho, k), j))
 
     def is_degenerate(self) -> bool:
         """Whether the pair is ``face(j).degeneracy(j)`` for some j."""
-        n = self.n
-        return any(self.rho.fixed_by(composite(simplex_face, (n, j), simplex_deg, (n - 1, j)))
+        X, n, rho = self.rho_in, self.n, self.rho
+        return any(X.deg(X.face(rho, j), j) == rho
                    and self.phi.fixed_by(composite(prism_face, (n, j), prism_deg, (n - 1, j)))
                    for j in range(n))
 
@@ -111,9 +110,8 @@ def classifying_map(X: DecoratedSSet, x: Cell) -> DecMap:
 def gamma_pair(fN: DecMap, rho_cell: Cell) -> PairSimplex:
     """The unit: collapse the interval and project to the base."""
     n = rho_cell.total_dim
-    rho = classifying_map(fN.src, rho_cell)
-    phi = fN.compose(rho).compose(prism(n).proj_b())
-    return PairSimplex(n, phi, rho)
+    phi = fN.compose(classifying_map(fN.src, rho_cell)).compose(prism(n).proj_b())
+    return PairSimplex(n, phi, rho_cell, fN.src)
 
 
 class FreeFibration:
@@ -157,30 +155,26 @@ class FreeFibration:
         tame = ND.with_decorations(thin={c.nd for c in ND.nondeg(2) if ND.is_identity_triangle(c)})
         return [DecMap(P, ND, m.assign) for m in enumerate_maps(P, tame)]
 
-    def _rhos_for(self, n: int, end: tuple) -> list[DecMap]:
-        """The maps rho : Delta^n -> nc with nerve(f) o rho = ``end``, the images of
-        phi on {1} x Delta^n in ``end_map(n, 1)`` order."""
-        fN, over = self.fN, dict(zip(end_map(n, 1).assign, end))
-        return enumerate_maps(delta(n), self.nc, over=(fN, over))
-
     def _build_total(self) -> KeyedSSet:
-        # enumerate_maps lists maps in lexicographic order: each level is sorted by phi, then rho.
-        # The rhos read phi only over {1}, so phis that agree there share one search.
-        rhos: dict = {}
-        levels: list = [[] for _ in range(TOP_DIM + 1)]
-        for n, level in enumerate(levels):
-            end_cells = end_map(n, 1).assign.values()
-            for phi in self._tame_phis(n):
-                key = (n, tuple(map(phi.apply, end_cells)))
-                if key not in rhos:
-                    rhos[key] = self._rhos_for(*key)
-                level.extend(PairSimplex(n, phi, rho) for rho in rhos[key])
+        # enumerate_maps lists maps in lexicographic order, and a map out of Delta^n is its top
+        # simplex: grouped by their images in nd, the n-simplices of nc over phi's top simplex
+        # on {1} keep that order, so each level is sorted by phi, then rho
+        fN, NC = self.fN, self.nc
+        levels = []
+        for n in range(TOP_DIM + 1):
+            over: dict = {}
+            for m in enumerate_maps(delta(n), NC):
+                rho = m.assign[(n, 0)]
+                over.setdefault(fN.apply(rho), []).append(rho)
+            top = end_map(n, 1).assign[(n, 0)]
+            levels.append([PairSimplex(n, phi, rho, NC) for phi in self._tame_phis(n)
+                           for rho in over.get(phi.apply(top), ())])
         X = KeyedSSet("MB", levels, PairSimplex.face, PairSimplex.degeneracy, attrgetter("n"),
                       is_degenerate=PairSimplex.is_degenerate)
         pairs = X.labels.items()
         marked = {nd for nd, p in pairs if nd[0] == 1 and self._edge_marked(p)}
         # a triangle is lean when its fiber part is thin, and a lean one thin when its base part is
-        lean = {nd for nd, p in pairs if nd[0] == 2 and self.nc.is_thin(p.rho.assign[(2, 0)])}
+        lean = {nd for nd, p in pairs if nd[0] == 2 and self.nc.is_thin(p.rho)}
         thin = {nd for nd in lean if self.nd.is_thin(X.labels[nd].base_simplex())}
         return add_coskeletal_top(X.with_decorations(marked=marked, thin=thin, lean=lean),
                                   TOP_DIM + 1)
@@ -191,7 +185,7 @@ class FreeFibration:
         """(a, alpha, theta) of an edge pair: base 1-cell, fiber 1-cell, filler."""
         ND, NC = self.nd, self.nc
         a = ND.onecell_of(pair.base_simplex())
-        alpha = NC.onecell_of(pair.rho.assign[(1, 0)])
+        alpha = NC.onecell_of(pair.rho)
         P1 = prism(1)
         lower = P1.cell_of((vertex_cell(P1.factor_a, (0, 0, 1)),
                             vertex_cell(P1.factor_b, (0, 1, 1))))
@@ -360,7 +354,7 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
         n = nd[0]
         if n == 0:
             d = ND.labels[ff.proj.assign[nd].nd][1]
-            c = NC.labels[pair.rho.assign[(0, 0)].nd][1]
+            c = NC.labels[pair.rho.nd][1]
             u = ND.onecell_of(pair.phi.assign[(1, 0)])
             o = ("o", d, c, u)
             objects[nd] = o
@@ -376,7 +370,7 @@ def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,
             assign[nd] = N.edge_of(m)
         elif n == 2:
             psi2 = ND.filler_of(pair.base_simplex())
-            zeta = NC.filler_of(pair.rho.assign[(2, 0)])
+            zeta = NC.filler_of(pair.rho)
             # a degenerate edge of the triangle is the identity 1-cell on its vertex
             gm, hm, fm = ms = [Fr.id1[objects[e.nd]] if e.word else edges.get(e.nd)
                                for e in T.faces[nd]]
@@ -407,8 +401,7 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
             (0, 1): ND.vertex_of(f.omap[c]),
             (1, 0): ND.edge_of(u),
         })
-        rho = DecMap(delta(0), NC, {(0, 0): NC.vertex_of(c)})
-        return PairSimplex(0, phi, rho)
+        return PairSimplex(0, phi, NC.vertex_of(c), NC)
 
     def edge_pair(m) -> PairSimplex:
         _, o0, o1, a, alpha, theta = m
@@ -440,8 +433,7 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
                     phi_assign[nd2] = ND.triangle_cell(u0, f.map1[alpha], g, D.id2[g])
                 else:
                     phi_assign[nd2] = ND.triangle_cell(a, u1, g, theta)
-        rho = classifying_map(NC, NC.edge_of(alpha))
-        return PairSimplex(1, DecMap(P1, ND, phi_assign), rho)
+        return PairSimplex(1, DecMap(P1, ND, phi_assign), NC.edge_of(alpha), NC)
 
     def triangle_pair(quad) -> Optional[PairSimplex]:
         fm, gm, hm, sigma = quad
@@ -510,8 +502,7 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
             phi = extend_map(P2, ND, phi_assign)
         except NoFillerError:
             return None
-        rho = classifying_map(NC, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta))
-        return PairSimplex(2, phi, rho)
+        return PairSimplex(2, phi, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta), NC)
 
     pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     # a triangle without a pair (None) is not in the index either
@@ -544,7 +535,7 @@ def expected_extension_face(ff: FreeFibration, sigma: PairSimplex, j: int, s: in
         return sigma.extension_face(j - 1, j)
     # s == j == 0: the face collapses onto the unit image of the fibre part
     # (computing the vertex maps gives gamma of ell itself, of dimension n)
-    return ff.unit_pair(sigma.rho.assign[(n, 0)])
+    return ff.unit_pair(sigma.rho)
 
 
 def face_identity_violations(ff: FreeFibration) -> list:
@@ -599,9 +590,10 @@ def degeneracy_lemma_violations(ff: FreeFibration) -> list:
 
 @lru_cache(maxsize=None)
 def _universal_pair(n: int) -> PairSimplex:
-    """(identity of the prism, identity of Delta^n): every n-pair sigma is
-    sigma composed with it, so it satisfies exactly the structure-map identities."""
-    return PairSimplex(n, DecMap.identity(prism(n)), DecMap.identity(delta(n)))
+    """(identity of the prism, top simplex of Delta^n): every n-pair sigma is
+    sigma composed with it (an operator on the top simplex is the structure map that
+    acts on sigma's rho), so it satisfies exactly the structure-map identities."""
+    return PairSimplex(n, DecMap.identity(prism(n)), Cell(n, 0), delta(n))
 
 
 def _stored_pairs(ff: FreeFibration):

@@ -236,7 +236,12 @@ class DecoratedSSet:
                 return Cell(cell.dim, cell.idx, w)
             base = self.faces[cell.nd][r]
             return self._apply_word(base, w)
-        return self.faces[cell.nd][i]
+        try:
+            return self.faces[cell.nd][i]
+        except KeyError:
+            if cell.dim:
+                raise
+            raise IndexError(f"face index {i} out of range for {cell}") from None
 
     def deg(self, cell: Cell, j: int) -> Cell:
         if not 0 <= j <= cell.total_dim:

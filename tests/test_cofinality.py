@@ -19,6 +19,7 @@ from laxfib.cofinality import (
 )
 from laxfib.fincat import (
     CatFunctor,
+    FinCat,
     all_functors,
     chain_poset,
     discrete_cat,
@@ -112,6 +113,35 @@ def test_duality_agrees_on_every_monotone_map_between_small_posets():
         counts[key] = counts.get(key, 0) + 1
     assert len(functors) == 476
     assert counts == {("AGREE", "yes", "yes"): 82, ("AGREE", "no", "no"): 394}
+
+
+def _monoid(elements: list, mul) -> FinCat:
+    """The one-object category of a monoid with unit ``elements[0]`` and product ``mul``."""
+    ends = dict.fromkeys(elements, "*")
+    comp = {(g, f): mul(g, f) for g in elements for f in elements}
+    return FinCat(["*"], elements, ends, ends, comp, {"*": elements[0]})
+
+
+def test_duality_on_every_functor_among_small_non_posets():
+    """The small scope of the duality beyond posets: every functor among the point, the
+    walking arrow, Z/2, the idempotent monoid {1, e} (e e = e) and Z/3.  None disagrees;
+    the 19 undecided, the identities of the three monoids among them, are pinned, so a
+    move to or from ``UNDECIDED`` fails until the table is re-pinned."""
+    z3 = ["id*", "r", "rr"]
+    cats = [terminal_cat(), walking_arrow(),
+            _monoid(["id*", "a"], lambda g, f: "id*" if g == f else g if f == "id*" else f),
+            _monoid(["id*", "e"], lambda g, f: "e" if "e" in (g, f) else "id*"),
+            _monoid(z3, lambda g, f: z3[(z3.index(g) + z3.index(f)) % 3])]
+    assert all(C.validate() == [] for C in cats)
+    functors = [p for K in cats for S in cats for p in all_functors(K, S)]
+    counts: dict = {}
+    for p in functors:
+        r = two_bracket_duality(p)
+        key = (r["status"], r["two_categorical"], r["one_categorical"])
+        counts[key] = counts.get(key, 0) + 1
+    assert len(functors) == 39
+    assert counts == {("AGREE", "yes", "yes"): 5, ("AGREE", "no", "no"): 15,
+                      ("UNDECIDED", "unknown", "no"): 13, ("UNDECIDED", "unknown", "unknown"): 6}
 
 
 def test_report_stable_under_marking_completion():

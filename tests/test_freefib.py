@@ -191,7 +191,7 @@ def test_pair_algebra_matches_the_two_step_definitions(name):
             ext = p.extend(j)
             for s in range(p.n + 2):
                 assert p.extension_face(j, s) == ext.face(s)
-        for k in range(p.n + 1):
+        for k in range(p.n + 1 if p.n else 0):   # a vertex has no faces
             face = p.face(k)
             for j in range(p.n):
                 assert p.face_extension(k, j) == face.extend(j)
@@ -209,8 +209,16 @@ def test_cartesian_edge_to_unit_image(small_ff):
         e = pair.extend(0)
         assert e.face(1) == pair
         target = e.face(0)
-        rho_cell = pair.rho.assign[(0, 0)]
-        assert target == gamma_pair(small_ff.fN, rho_cell)
+        assert target == gamma_pair(small_ff.fN, pair.rho)
+
+
+def test_an_extension_index_out_of_range_raises_value_error(small_ff):
+    """E_j of an n-pair exists for 0 <= j <= n; ``e_map`` refuses any other j before the
+    fibre part is read."""
+    for pair in [*small_ff.pairs.values(), *map(freefib._universal_pair, range(4))]:
+        for j in (-1, pair.n + 1):
+            with pytest.raises(ValueError, match=f"extension index {j} out of range"):
+                pair.extend(j)
 
 
 def test_unit_pair_is_gamma_pair_built_once_per_cell(small_ff):
@@ -468,14 +476,37 @@ def test_random_poset_functors_match_the_tame_reference(rng):
 
 
 def _reference_levels(ff) -> list:
-    """The pairs of each dimension, with one fibre-part search per phi that reads phi."""
+    """The pairs of each dimension, with one fibre-part search per phi that reads phi:
+    the top cells of the maps Delta^n -> nc over phi on {1} x Delta^n."""
     def rhos_for(phi, n):
         inc1 = end_map(n, 1)
-        return [DecMap(delta(n), ff.nc, m) for m in _maps(delta(n), ff.nc, keep=lambda c, y: (
+        return [m[(n, 0)] for m in _maps(delta(n), ff.nc, keep=lambda c, y: (
             ff.fN.apply(y) == phi.apply(inc1.assign[c.nd])))]
 
-    return [[freefib.PairSimplex(n, phi, rho) for phi in ff._tame_phis(n)
+    return [[freefib.PairSimplex(n, phi, rho, ff.nc) for phi in ff._tame_phis(n)
              for rho in rhos_for(phi, n)] for n in range(4)]
+
+
+def test_a_map_out_of_delta_n_is_its_top_simplex():
+    """The premise of storing a fibre part as one cell: for n <= 3 the maps Delta^n -> X list
+    every n-simplex of X, degenerate ones included, exactly once as their top cells, and each
+    map is the classifying map of its top cell.  On both scaled nerves of the battery
+    functors and of 2[walking-iso], 306 simplices."""
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import two_bracket
+    functors = [F for _, F in fixture_functors()]
+    functors.append(identity_two_functor(two_bracket(walking_iso())))
+    seen = 0
+    for F in functors:
+        bundle = fr(F)
+        for X in (scaled_nerve(F.src, bundle.src_marking), scaled_nerve(F.dst, bundle.dst_marking)):
+            for n in range(4):
+                maps = simplicial.enumerate_maps(delta(n), X)
+                tops = [m.assign[(n, 0)] for m in maps]
+                assert sorted(tops) == sorted(X.all_cells(n))
+                assert all(m == freefib.classifying_map(X, top) for m, top in zip(maps, tops))
+                seen += len(tops)
+    assert seen == 306
 
 
 @pytest.mark.parametrize("mode", ["dagger", "natural"])
@@ -775,7 +806,7 @@ def test_marked_edge_generation_replay(arrow_ff):
         lift = ext0.face(2)
         assert lift == e.face(1).extend(0)
         assert ff.total.cell_of(lift).nd in nat.total.marked  # the Cartesian lift
-        assert ext0.face(0) == gamma_pair(ff.fN, e.rho.assign[(1, 0)])
+        assert ext0.face(0) == gamma_pair(ff.fN, e.rho)
         assert e.extend(1).face(2) == e
     assert replayed + len(ff.total.marked) > 0
 

@@ -88,6 +88,20 @@ def test_degeneracy_face_identities():
             assert X.face(s, j + 1) == cell
 
 
+def test_a_face_index_out_of_range_raises_index_error():
+    """A vertex has no faces: d_0 of a nondegenerate vertex raises the IndexError that every
+    other face index out of range raises, not the face table's KeyError.  A root that the
+    table lacks still raises KeyError."""
+    X = standard_simplex(2, kind="PLAIN")
+    v = Cell(0, 1)
+    for cell, i in ((v, 0), (v, 1), (Cell(1, 0), 2), (Cell(1, 0), -1), (X.deg(v, 0), 2)):
+        with pytest.raises(IndexError, match=f"face index {i} out of range for"):
+            X.face(cell, i)
+    assert X.face(X.deg(v, 0), 0) == v
+    with pytest.raises(KeyError):
+        X.face(Cell(1, 99), 0)
+
+
 # -- standard objects --------------------------------------------------------
 
 
