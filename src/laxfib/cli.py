@@ -292,6 +292,9 @@ def _cat_functor(args) -> CatFunctor:
 def _load_freefib(args) -> freefib.FreeFibration:
     from . import freefib
     F, mc, md = _marked_functor(args)
+    fiber = getattr(args, "fiber", None)
+    if fiber is not None and fiber not in F.dst.objects:
+        raise InputError(f"--fiber {fiber}: not an object of the target")
     try:
         return freefib.build_free_fibration(F, mc, md, mode=args.mode)
     except ValueError as e:
@@ -310,8 +313,6 @@ def cmd_freefib(args, cfg) -> tuple[dict, int]:
     }
     status = EXIT_OK
     if args.fiber is not None:
-        if args.fiber not in ff.f.dst.objects:
-            raise InputError(f"--fiber {args.fiber}: not an object of the target")
         fib, _ = ff.fiber(args.fiber)
         report["fiber"] = {"object": args.fiber, **_sset_summary(fib)}
         report["tables"]["fiber"] = fib.to_json_dict()

@@ -63,11 +63,6 @@ def product(A: DecoratedSSet, B: DecoratedSSet, *, cap: int = CAP,
     return ProductSSet(A, B, min(full_dim, cap))
 
 
-def product_map(P: ProductSSet, Q: ProductSSet, f: DecMap, g: DecMap) -> DecMap:
-    """The induced map f x g : P -> Q between product objects."""
-    return DecMap(P, Q, {nd: Q.cell_of((f.apply(x), g.apply(y))) for nd, (x, y) in P.labels.items()})
-
-
 def gray(X: DecoratedSSet, Y: DecoratedSSet, *, cap: int = CAP,
          truncate: bool = False) -> ProductSSet:
     """Gray product of two scaled simplicial sets."""
@@ -152,27 +147,33 @@ def prism(n: int) -> ProductSSet:
 
 
 @lru_cache(maxsize=None)
-def simplex_face(n: int, i: int) -> DecMap:
-    """delta_i : Delta^{n-1} -> Delta^n."""
-    return delta_map(delta(n - 1), delta(n),
-                     {k: (k if k < i else k + 1) for k in range(n)})
-
-
-@lru_cache(maxsize=None)
 def simplex_deg(n: int, j: int) -> DecMap:
     """sigma_j : Delta^{n+1} -> Delta^n."""
     return delta_map(delta(n + 1), delta(n),
                      {k: (k if k <= j else k - 1) for k in range(n + 2)})
 
 
+def _prism_map(m: int, n: int, vertex) -> DecMap:
+    """The map prism(m) -> prism(n) of a monotone vertex map [1] x [m] -> [1] x [n],
+    ``vertex(e, r) -> (e', r')``: each cell goes to the cell of its image words."""
+    src, dst = prism(m), prism(n)
+    assign = {}
+    for nd, (x, y) in src.labels.items():
+        es, rs = zip(*map(vertex, src.factor_a.key_of(x), src.factor_b.key_of(y)))
+        assign[nd] = dst.cell_of((vertex_cell(dst.factor_a, es), vertex_cell(dst.factor_b, rs)))
+    return DecMap(src, dst, assign)
+
+
 @lru_cache(maxsize=None)
 def prism_face(n: int, i: int) -> DecMap:
-    return product_map(prism(n - 1), prism(n), DecMap.identity(delta(1)), simplex_face(n, i))
+    """interval x delta_i : prism(n-1) -> prism(n)."""
+    return _prism_map(n - 1, n, lambda e, r: (e, r + (r >= i)))
 
 
 @lru_cache(maxsize=None)
 def prism_deg(n: int, j: int) -> DecMap:
-    return product_map(prism(n + 1), prism(n), DecMap.identity(delta(1)), simplex_deg(n, j))
+    """interval x sigma_j : prism(n+1) -> prism(n)."""
+    return _prism_map(n + 1, n, lambda e, r: (e, r - (r > j)))
 
 
 @lru_cache(maxsize=None)
@@ -185,25 +186,12 @@ def end_map(n: int, eps: int) -> DecMap:
 def e_map(j: int, n: int) -> DecMap:
     """The extension map interval x Delta^{n+1} -> interval x Delta^n.
 
-    Vertices go by (m, r) -> (m, r) for r <= j and (m, r) -> (1, r-1) for
+    Vertices go by (e, r) -> (e, r) for r <= j and (e, r) -> (1, r-1) for
     r > j; it respects the Gray scalings and restricts over {1} to s_j.
     """
     if not 0 <= j <= n:
         raise ValueError(f"extension index {j} out of range for n={n}")
-    src, dst = prism(n + 1), prism(n)
-    I, Dn = dst.factor_a, dst.factor_b
-
-    def image_vertex(m: int, r: int) -> tuple[int, int]:
-        return (m, r) if r <= j else (1, r - 1)
-
-    assign = {}
-    for nd, (x, y) in src.labels.items():
-        pairs = [image_vertex(m, r)
-                 for m, r in zip(src.factor_a.key_of(x), src.factor_b.key_of(y))]
-        new_x = vertex_cell(I, tuple(p[0] for p in pairs))
-        new_y = vertex_cell(Dn, tuple(p[1] for p in pairs))
-        assign[nd] = dst.cell_of((new_x, new_y))
-    return DecMap(src, dst, assign)
+    return _prism_map(n + 1, n, lambda e, r: (e, r) if r <= j else (1, r - 1))
 
 
 @lru_cache(maxsize=None)

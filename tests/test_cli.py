@@ -592,6 +592,18 @@ def test_key_given_twice_names_the_file_and_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {path}: key '*' is given twice in one object\n"
 
 
+def test_unknown_fiber_is_rejected_before_the_build(tmp_path, capsys, monkeypatch):
+    """The --fiber name is checked against the parsed target, so a bad name costs no
+    free-fibration build: with the build made to raise, the call still exits 1 on the name."""
+    from laxfib import freefib
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the free fibration was built")
+    monkeypatch.setattr(freefib, "build_free_fibration", no_build)
+    assert cli.main(_bad_call(tmp_path, "freefib-unknown-fiber")) == 1
+    assert capsys.readouterr().err == "input error: --fiber nope: not an object of the target\n"
+
+
 @pytest.mark.parametrize("case, witness", [
     ("hcomp1-wrong-endpoints", "('hcomp1', 'composition', 'h', 'f')"),
     ("hcomp1-missing-composite", "('hcomp1', 'composition', 'id1', 'o:0')"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -122,16 +123,38 @@ def _monoid(elements: list, mul) -> FinCat:
     return FinCat(["*"], elements, ends, ends, comp, {"*": elements[0]})
 
 
+def _small_monoids(max_order: int) -> list[FinCat]:
+    """Every monoid of order 2 to ``max_order``, one per isomorphism class: brute force over
+    the products of the non-units of {0, ..., k-1} with unit 0, keeping the associative
+    tables that no relabelling of the non-units makes equal to one kept before."""
+    found = []
+    for k in range(2, max_order + 1):
+        rest, seen = range(1, k), set()
+        names = ["id*", *(f"m{a}" for a in rest)]
+        for values in itertools.product(range(k), repeat=(k - 1) ** 2):
+            mul = {(a, b): a + b for a in range(k) for b in range(k) if 0 in (a, b)}
+            mul.update(zip(itertools.product(rest, rest), values))
+            if any(mul[mul[a, b], c] != mul[a, mul[b, c]]
+                   for a, b, c in itertools.product(rest, repeat=3)):
+                continue
+            forms = {tuple(sorted((pi[a], pi[b], pi[mul[a, b]]) for a in rest for b in rest))
+                     for pi in ((0, *perm) for perm in itertools.permutations(rest))}
+            if seen.isdisjoint(forms):
+                seen |= forms
+                # _monoid reads the product at once, so the loop's later tables do not leak in
+                found.append(_monoid(names, lambda g, f: names[mul[names.index(g), names.index(f)]]))
+    return found
+
+
 def test_duality_on_every_functor_among_small_non_posets():
     """The small scope of the duality beyond posets: every functor among the point, the
-    walking arrow, Z/2, the idempotent monoid {1, e} (e e = e) and Z/3.  None disagrees;
-    the 19 undecided, the identities of the three monoids among them, are pinned, so a
-    move to or from ``UNDECIDED`` fails until the table is re-pinned."""
-    z3 = ["id*", "r", "rr"]
-    cats = [terminal_cat(), walking_arrow(),
-            _monoid(["id*", "a"], lambda g, f: "id*" if g == f else g if f == "id*" else f),
-            _monoid(["id*", "e"], lambda g, f: "e" if "e" in (g, f) else "id*"),
-            _monoid(z3, lambda g, f: z3[(z3.index(g) + z3.index(f)) % 3])]
+    walking arrow and the monoids of order at most 3 (Z/2, the idempotent monoid {1, e}
+    with e e = e, Z/3 and six more), one per isomorphism class.  None disagrees; the 102
+    undecided, the identities of the monoids among them, are pinned, so a move to or from
+    ``UNDECIDED`` fails until the table is re-pinned."""
+    monoids = _small_monoids(3)
+    assert [len(M.morphisms) for M in monoids] == [2, 2] + [3] * 7
+    cats = [terminal_cat(), walking_arrow(), *monoids]
     assert all(C.validate() == [] for C in cats)
     functors = [p for K in cats for S in cats for p in all_functors(K, S)]
     counts: dict = {}
@@ -139,9 +162,9 @@ def test_duality_on_every_functor_among_small_non_posets():
         r = two_bracket_duality(p)
         key = (r["status"], r["two_categorical"], r["one_categorical"])
         counts[key] = counts.get(key, 0) + 1
-    assert len(functors) == 39
-    assert counts == {("AGREE", "yes", "yes"): 5, ("AGREE", "no", "no"): 15,
-                      ("UNDECIDED", "unknown", "no"): 13, ("UNDECIDED", "unknown", "unknown"): 6}
+    assert len(functors) == 243
+    assert counts == {("AGREE", "yes", "yes"): 5, ("AGREE", "no", "no"): 136,
+                      ("UNDECIDED", "unknown", "no"): 42, ("UNDECIDED", "unknown", "unknown"): 60}
 
 
 def test_report_stable_under_marking_completion():

@@ -12,10 +12,12 @@ from laxfib.gray import (
     end_inclusion,
     gray,
     prism,
+    prism_deg,
+    prism_face,
     restrict_to_end,
     restriction_to_one_is_degeneracy,
 )
-from laxfib.simplicial import Cell, standard_simplex, vertex_cell
+from laxfib.simplicial import Cell, delta_map, standard_simplex, vertex_cell
 
 
 def test_vertex_words():
@@ -122,6 +124,32 @@ def test_decorated_gray_extends_the_gray_scaling():
         assert G.n_cells == P.n_cells and G.labels == P.labels
         assert P.thin <= G.thin
         assert all(X.is_lean(G.labels[nd][1]) for nd in G.thin - P.thin)
+
+
+def _factor_product(m: int, n: int, vertex_images: dict[int, int]) -> dict:
+    """Reference: the assignment of identity x g : prism(m) -> prism(n), with g
+    the map Delta^m -> Delta^n of ``vertex_images``, taken factor by factor."""
+    P, Q = prism(m), prism(n)
+    g = delta_map(delta(m), delta(n), vertex_images)
+    return {nd: Q.cell_of((x, g.apply(y))) for nd, (x, y) in P.labels.items()}
+
+
+def test_prism_structure_maps_match_their_factor_products():
+    """The prism's faces and degeneracies, built from their vertex maps of
+    [1] x [n], are the products of the identity with the simplex's faces and
+    degeneracies, cell for cell and in the same order; every map the vertex
+    builder makes commutes with faces."""
+    for n in range(1, 5):
+        for i in range(n + 1):
+            want = _factor_product(n - 1, n, {k: (k if k < i else k + 1) for k in range(n)})
+            assert list(prism_face(n, i).assign.items()) == list(want.items()), (n, i)
+    for n in range(4):
+        for j in range(n + 1):
+            want = _factor_product(n + 1, n, {k: (k if k <= j else k - 1) for k in range(n + 2)})
+            assert list(prism_deg(n, j).assign.items()) == list(want.items()), (n, j)
+    built = [prism_face(n, i) for n in range(1, 5) for i in range(n + 1)]
+    built += [m for n in range(4) for j in range(n + 1) for m in (prism_deg(n, j), e_map(j, n))]
+    assert all(f.commutes_with_faces() for f in built)
 
 
 def test_e_map_vertex_formula():

@@ -35,7 +35,7 @@ from laxfib.simplicial import (
 from laxfib.anodyne import pushout
 from laxfib.cli import build_sset
 from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
-from laxfib.gray import delta, prism, product, product_map
+from laxfib.gray import delta, prism, product
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
 
@@ -375,11 +375,6 @@ def test_product_map_and_projections():
     pa, pb = P.proj_a(), P.proj_b()
     pa.validate()
     pb.validate()
-    Q = product(A, A)
-    f = DecMap.identity(A)
-    g = delta_map(B, A, {0: 0, 1: 0, 2: 1})
-    pm = product_map(P, Q, f, g)
-    pm.validate()
 
 
 def test_ref_of_pair_roundtrip():
