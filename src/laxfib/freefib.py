@@ -392,121 +392,66 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
     NC, ND = ff.nc, ff.nd
     C, D = ff.f.src, ff.f.dst
     f = ff.f
+    cells = [[(nd, tuple(zip(P.factor_a.key_of(x), P.factor_b.key_of(y))))  # corners (e, r)
+              for nd, (x, y) in P.labels.items() if nd[0] <= 2] for P in map(prism, range(3))]
 
-    def object_pair(o) -> PairSimplex:
-        _, d, c, u = o
-        P0 = prism(0)
-        phi = DecMap(P0, ND, {
-            (0, 0): ND.vertex_of(d),
-            (0, 1): ND.vertex_of(f.omap[c]),
-            (1, 0): ND.edge_of(u),
-        })
-        return PairSimplex(0, phi, NC.vertex_of(c), NC)
+    def pair(kind, data) -> Optional[PairSimplex]:
+        """The pair of an Fr simplex of dimension n <= 2, with objects o_r = (d_r, c_r, u_r),
+        1-cells m_rs = (a_rs, alpha_rs, theta_rs) and, for a triangle, 2-cell (psi, zeta); a
+        repeated index reads Fr's identities.  phi is a normal lax functor [1] x [n] -> D, so
+        each cell of prism(n) goes by its corners (e, r), as in ``gray._prism_map``.  None
+        for a triangle whose prism's 3-cells have no filler."""
+        if kind == "obj":
+            obs, ms = (data,), {}
+        elif kind == "1cell":
+            obs, ms = data[1:3], {(0, 1): data}
+        else:
+            fm, gm, hm, sigma = data
+            obs, ms = (fm[1], fm[2], gm[2]), {(0, 1): fm, (1, 2): gm, (0, 2): hm}
+        for r, o in enumerate(obs):
+            ms[(r, r)] = ("m", o, o, D.id1[o[1]], C.id1[o[2]], D.id2[o[3]])
+        a, al, th = ({rs: m[k] for rs, m in ms.items()} for k in (3, 4, 5))
 
-    def edge_pair(m) -> PairSimplex:
-        _, o0, o1, a, alpha, theta = m
-        _, d0, c0, u0 = o0
-        _, d1, c1, u1 = o1
-        g = D.hcomp1[(f.map1[alpha], u0)]
-        P1 = prism(1)
-        I, D1 = P1.factor_a, P1.factor_b
-        phi_assign = {}
-        for nd2, (x, y) in P1.labels.items():
-            iw = I.key_of(x)
-            dw = D1.key_of(y)
-            if nd2[0] == 0:
-                dd = (d0, d1)[dw[0]] if iw[0] == 0 else (f.omap[c0], f.omap[c1])[dw[0]]
-                phi_assign[nd2] = ND.vertex_of(dd)
-            elif nd2[0] == 1:
-                if iw == (0, 0):
-                    phi_assign[nd2] = ND.edge_of(a)
-                elif iw == (1, 1):
-                    phi_assign[nd2] = ND.edge_of(f.map1[alpha])
-                elif dw == (0, 0):
-                    phi_assign[nd2] = ND.edge_of(u0)
-                elif dw == (1, 1):
-                    phi_assign[nd2] = ND.edge_of(u1)
-                else:
-                    phi_assign[nd2] = ND.edge_of(g)
+        def edge(v, w) -> str:
+            (e, r), (e1, s) = v, w
+            if e1 == 0:
+                return a[(r, s)]
+            fal = f.map1[al[(r, s)]]
+            return fal if e == 1 else D.hcomp1[(fal, obs[r][3])]
+
+        def image(corners) -> Cell:
+            if len(corners) == 1:
+                (e, r), = corners
+                return ND.vertex_of(f.omap[obs[r][2]] if e else obs[r][1])
+            if len(corners) == 2:
+                return ND.edge_of(edge(*corners))
+            (e0, r), (e1, s), (e2, t) = corners
+            psi2, zeta = (sigma[3], sigma[4]) if r < s < t else \
+                (D.id2[a[(r, t)]], C.id2[al[(r, t)]])
+            if e2 == 0:
+                filler = psi2
+            elif e0 == 1:
+                filler = f.map2[zeta]
             else:
-                if iw == (0, 1, 1):
-                    phi_assign[nd2] = ND.triangle_cell(u0, f.map1[alpha], g, D.id2[g])
-                else:
-                    phi_assign[nd2] = ND.triangle_cell(a, u1, g, theta)
-        return PairSimplex(1, DecMap(P1, ND, phi_assign), NC.edge_of(alpha), NC)
+                filler = D.hcomp2[(f.map2[zeta], D.id2[obs[r][3]])]
+                if e1 == 0:
+                    filler = D.vcomp[(D.hcomp2[(D.id2[f.map1[al[(s, t)]]], th[(r, s)])], filler)]
+            return ND.triangle_cell(edge(*corners[:2]), edge(*corners[1:]),
+                                    edge(corners[0], corners[2]), filler)
 
-    def triangle_pair(quad) -> Optional[PairSimplex]:
-        fm, gm, hm, sigma = quad
-        os = (fm[1], fm[2], hm[2])
-        ds = tuple(o[1] for o in os)
-        cs = tuple(o[2] for o in os)
-        us = tuple(o[3] for o in os)
-        aa = {(0, 1): fm[3], (1, 2): gm[3], (0, 2): hm[3]}
-        al = {(0, 1): fm[4], (1, 2): gm[4], (0, 2): hm[4]}
-        th = {(0, 1): fm[5], (1, 2): gm[5], (0, 2): hm[5]}
-        psi2, zeta = sigma[3], sigma[4]
-        for r in range(3):
-            aa[(r, r)] = D.id1[ds[r]]
-            al[(r, r)] = C.id1[cs[r]]
-        gg = {}
-        for r in range(3):
-            for s in range(r, 3):
-                gg[(r, s)] = D.hcomp1[(f.map1[al[(r, s)]], us[r])]
-        P2 = prism(2)
-        I, D2 = P2.factor_a, P2.factor_b
-        phi_assign: dict = {}
-        diag_filler = D.hcomp2[(f.map2[zeta], D.id2[us[0]])]
-        for nd2, (x, y) in P2.labels.items():
-            iw = I.key_of(x)
-            dw = D2.key_of(y)
-            dim = nd2[0]
-            if dim == 0:
-                dd = ds[dw[0]] if iw[0] == 0 else f.omap[cs[dw[0]]]
-                phi_assign[nd2] = ND.vertex_of(dd)
-            elif dim == 1:
-                r, s = dw
-                if iw == (0, 0):
-                    phi_assign[nd2] = ND.edge_of(aa[(r, s)])
-                elif iw == (1, 1):
-                    phi_assign[nd2] = ND.edge_of(f.map1[al[(r, s)]])
-                else:
-                    phi_assign[nd2] = ND.edge_of(gg[(r, s)])
-            elif dim == 2:
-                if iw == (0, 0, 0):
-                    phi_assign[nd2] = ND.triangle_cell(aa[(0, 1)], aa[(1, 2)], aa[(0, 2)], psi2)
-                elif iw == (1, 1, 1):
-                    phi_assign[nd2] = ND.triangle_cell(
-                        f.map1[al[(0, 1)]], f.map1[al[(1, 2)]], f.map1[al[(0, 2)]],
-                        f.map2[zeta])
-                elif iw == (0, 1, 1):
-                    if dw[0] == dw[1]:
-                        r, s = dw[0], dw[2]
-                        phi_assign[nd2] = ND.triangle_cell(
-                            us[r], f.map1[al[(r, s)]], gg[(r, s)], D.id2[gg[(r, s)]])
-                    else:
-                        phi_assign[nd2] = ND.triangle_cell(
-                            gg[(0, 1)], f.map1[al[(1, 2)]], gg[(0, 2)], diag_filler)
-                else:  # iw == (0, 0, 1)
-                    if dw[1] == dw[2]:
-                        r, s = dw[0], dw[1]
-                        phi_assign[nd2] = ND.triangle_cell(
-                            aa[(r, s)], us[s], gg[(r, s)], th[(r, s)])
-                    else:
-                        mixed = D.vcomp[(
-                            D.hcomp2[(D.id2[f.map1[al[(1, 2)]]], th[(0, 1)])],
-                            diag_filler,
-                        )]
-                        phi_assign[nd2] = ND.triangle_cell(
-                            aa[(0, 1)], gg[(1, 2)], gg[(0, 2)], mixed)
+        n = len(obs) - 1
+        assign = {nd: image(corners) for nd, corners in cells[n]}
+        rho = NC.cell_of(("obj", obs[0][2]) if n == 0 else ("1cell", al[(0, 1)]) if n == 1
+                         else ("tri", (al[(0, 1)], al[(1, 2)], al[(0, 2)], sigma[4])))
+        if n < 2:
+            return PairSimplex(n, DecMap(prism(n), ND, assign), rho, NC)
         try:  # the prism's 3-cells are determined by faces
-            phi = extend_map(P2, ND, phi_assign)
+            return PairSimplex(n, extend_map(prism(n), ND, assign), rho, NC)
         except NoFillerError:
             return None
-        return PairSimplex(2, phi, NC.triangle_cell(al[(0, 1)], al[(1, 2)], al[(0, 2)], zeta), NC)
 
-    pair_for = {"obj": object_pair, "1cell": edge_pair, "tri": triangle_pair}
     # a triangle without a pair (None) is not in the index either
-    assign = {nd: T.index.get(pair_for[kind](data)) for nd, (kind, data) in N.labels.items()}
+    assign = {nd: T.index.get(pair(kind, data)) for nd, (kind, data) in N.labels.items()}
     missing = [("psi-missing", nd, N.labels[nd]) for nd, img in assign.items() if img is None]
     diffs += missing
     try:  # tetrahedra and coskeletal cells carry no label: determined by faces

@@ -325,8 +325,8 @@ def initial_in_localization(M: Marking2Cat, obj, budgets: Optional[dict] = None)
     Yes via strict initiality or contractible mapping categories (possibly
     after moving along marked edges, which become equivalences); No via
     unreachability in the localization graph or, for objects equivalent to
-    the candidate, a decisively non-contractible mapping category when the
-    marking is trivial.  Everything else is Unknown.
+    the candidate, a decisively non-contractible mapping category when every
+    marked 1-cell is already an equivalence.  Everything else is Unknown.
     """
     budgets = {**DEFAULT_BUDGETS, **(budgets or {})}
     C = M.base
@@ -362,10 +362,10 @@ def _base_initial_verdict(M: Marking2Cat, obj, budgets: dict) -> Verdict:
     if all(len(hom) == 1 and len(C.two_between(hom[0], hom[0])) == 1 for hom in homs):
         return Verdict("yes", {"witness": "strictly-initial", "budgets": budgets})
 
-    # when only identities are marked, localizing changes nothing beyond the
-    # groupoidification of hom-categories, so a decisively non-contractible
-    # mapping category refutes initiality
-    trivial_marking = all(m == C.id1[C.one_src(m)] for m in M.marked1)
+    # when only equivalences are marked (the marking always holds every identity and
+    # equivalence), inverting them changes nothing beyond the groupoidification of
+    # hom-categories, so a decisively non-contractible mapping category refutes initiality
+    trivial_marking = all(map(C.is_equivalence, M.marked1))
 
     per_object, mappings = {}, {}
     for x in C.objects:

@@ -149,7 +149,7 @@ def _small_monoids(max_order: int) -> list[FinCat]:
 def test_duality_on_every_functor_among_small_non_posets():
     """The small scope of the duality beyond posets: every functor among the point, the
     walking arrow and the monoids of order at most 3 (Z/2, the idempotent monoid {1, e}
-    with e e = e, Z/3 and six more), one per isomorphism class.  None disagrees; the 102
+    with e e = e, Z/3 and six more), one per isomorphism class.  None disagrees; the 60
     undecided, the identities of the monoids among them, are pinned, so a move to or from
     ``UNDECIDED`` fails until the table is re-pinned."""
     monoids = _small_monoids(3)
@@ -163,8 +163,23 @@ def test_duality_on_every_functor_among_small_non_posets():
         key = (r["status"], r["two_categorical"], r["one_categorical"])
         counts[key] = counts.get(key, 0) + 1
     assert len(functors) == 243
-    assert counts == {("AGREE", "yes", "yes"): 5, ("AGREE", "no", "no"): 136,
-                      ("UNDECIDED", "unknown", "no"): 42, ("UNDECIDED", "unknown", "unknown"): 60}
+    assert counts == {("AGREE", "yes", "yes"): 5, ("AGREE", "no", "no"): 178,
+                      ("UNDECIDED", "unknown", "unknown"): 60}
+
+
+def test_duality_refutes_the_point_into_z2_by_a_mapping_category():
+    """Marking2Cat marks every equivalence, here the 1-cells of Z/2, so the marking of a
+    slice of the point into Z/2 is not made of identities; marked equivalences change no
+    localization, so a mapping category with two components still refutes initiality."""
+    [p] = all_functors(terminal_cat(), _small_monoids(3)[0])
+    r = two_bracket_duality(p)
+    assert (r["status"], r["two_categorical"], r["one_categorical"]) == ("AGREE", "no", "no")
+    ce = r["report"].counterexample
+    assert (ce["object"], ce["condition"]) == ("0", "condition_i")
+    v = ce["detail"]["candidates"][0]["in_source_slice"]
+    assert v.no and v.evidence["obstruction"] == "mapping-category"
+    assert v.evidence["detail"].evidence["obstruction"] == "components"
+    assert v.evidence["detail"].evidence["h0_rank"] == 2
 
 
 def test_report_stable_under_marking_completion():

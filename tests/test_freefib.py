@@ -589,7 +589,8 @@ def test_xi_reads_the_faces_of_stored_pairs_from_the_face_table(battery_ffs, mon
 def test_comparison_matches_the_reference_on_walking_iso(iso_ff):
     """Decided in dimensions <= 3, the comparison agrees with the full one; the maps read
     afterwards are built over the 4-cells, are mutually inverse there, and are the
-    reference's maps, key order included."""
+    reference's maps, key order included.  The reference builds psi with the same
+    ``_build_psi``, so psi's table is also pinned."""
     rep = compare_tame_fr(iso_ff)
     diffs, xi, psi = _reference_comparison(iso_ff)
     assert rep.ok and rep.diffs == diffs == []
@@ -599,6 +600,10 @@ def test_comparison_matches_the_reference_on_walking_iso(iso_ff):
     assert all(rep.xi.apply(rep.psi.apply(c)) == c for c in rep.xi.dst.nondeg(4))
     assert list(rep.xi.assign.items()) == list(xi.assign.items())
     assert list(rep.psi.assign.items()) == list(psi.assign.items())
+    table = [[list(nd), img.encode()] for nd, img in rep.psi.assign.items()]
+    assert len(table) == 29460
+    assert _digest(json.dumps(table)) == \
+        "3d586e28c4fc9d39fdda0ef738cebe59513a13878ebbe65005734eed93ab8a52"
 
 
 def _flip_first_edge_marking(monkeypatch):
