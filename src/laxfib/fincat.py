@@ -29,9 +29,6 @@ class FinCat:
     def hom(self, a: str, b: str) -> list[str]:
         return [m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b]
 
-    def compose(self, g: str, f: str) -> str:
-        return self.comp[(g, f)]
-
     def is_identity(self, m: str) -> bool:
         return m == self.ident[self.src[m]]
 

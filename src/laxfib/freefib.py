@@ -400,7 +400,8 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
         1-cells m_rs = (a_rs, alpha_rs, theta_rs) and, for a triangle, 2-cell (psi, zeta); a
         repeated index reads Fr's identities.  phi is a normal lax functor [1] x [n] -> D, so
         each cell of prism(n) goes by its corners (e, r), as in ``gray._prism_map``.  None
-        for a triangle whose prism's 3-cells have no filler."""
+        when the rule names a cell that nd or nc lacks, or for a triangle whose prism's
+        3-cells have no filler."""
         if kind == "obj":
             obs, ms = (data,), {}
         elif kind == "1cell":
@@ -440,9 +441,12 @@ def _build_psi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve
                                     edge(corners[0], corners[2]), filler)
 
         n = len(obs) - 1
-        assign = {nd: image(corners) for nd, corners in cells[n]}
-        rho = NC.cell_of(("obj", obs[0][2]) if n == 0 else ("1cell", al[(0, 1)]) if n == 1
-                         else ("tri", (al[(0, 1)], al[(1, 2)], al[(0, 2)], sigma[4])))
+        try:
+            assign = {nd: image(corners) for nd, corners in cells[n]}
+            rho = NC.cell_of(("obj", obs[0][2]) if n == 0 else ("1cell", al[(0, 1)]) if n == 1
+                             else ("tri", (al[(0, 1)], al[(1, 2)], al[(0, 2)], sigma[4])))
+        except KeyError:
+            return None
         if n < 2:
             return PairSimplex(n, DecMap(prism(n), ND, assign), rho, NC)
         try:  # the prism's 3-cells are determined by faces

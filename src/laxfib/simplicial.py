@@ -22,6 +22,8 @@ import copy
 import functools
 import itertools
 import json
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from operator import itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -116,7 +118,9 @@ class DecoratedSSet:
     nondegenerate n-cell.  ``labels`` maps a nondegenerate cell's ``(n, k)`` to
     its name; a cell without one, such as a coskeletal top, is named by its faces.
     Both are stored as given (the face table sorted first if it is out of order)
-    and never mutated, so redecorated copies share them.
+    and never mutated, so redecorated copies share them.  A level that
+    :func:`add_coskeletal_top` added keeps no index of its own cells: its
+    ``by_faces`` finds a sphere by bisection in the face table's sorted tuples.
     """
 
     def __init__(
@@ -148,7 +152,7 @@ class DecoratedSSet:
         self.labels = {} if labels is None else labels
         self.coskeletal = coskeletal
         self.truncated_at = truncated_at
-        self._by_faces: dict[int, dict] = {}
+        self._by_faces: dict[int, Mapping] = {}
         self._all_cells: dict[int, list[Cell]] = {}
         self._plan: Optional[list] = None
         self._splits: dict = {}
@@ -274,9 +278,10 @@ class DecoratedSSet:
             self._all_cells[dim] = sorted(out)
         return self._all_cells[dim]
 
-    def by_faces(self, dim: int) -> dict[tuple[Cell, ...], list[Cell]]:
+    def by_faces(self, dim: int) -> Mapping[tuple[Cell, ...], Sequence[Cell]]:
         """Index of ``dim``-cells keyed by their face tuples, in :meth:`all_cells` order, each
-        face the very object of ``all_cells(dim - 1)``; recorded by :func:`add_coskeletal_top`,
+        face the very object of ``all_cells(dim - 1)``: a dict, or the :class:`_TopIndex`
+        that :func:`add_coskeletal_top` recorded (its nondegenerate cells come as 1-tuples);
         shared by :meth:`with_decorations`."""
         if dim not in self._by_faces:
             index: dict = {}
@@ -756,31 +761,63 @@ def coskeletal_spheres(X: DecoratedSSet, dim: int) -> list[tuple[Cell, ...]]:
     return spheres
 
 
+class _TopIndex(Mapping):
+    """``by_faces(dim)`` of a level that :func:`add_coskeletal_top` added: its degenerate
+    cells' index, and the new cells' spheres in sorted order, the k-th the faces of
+    ``Cell(dim, k)``.  A sphere is looked up in the index, then by bisection; each rank's
+    ``(Cell(dim, k),)`` is made on its first lookup and kept, so every hit on a rank is
+    one object.  Iteration runs over the index, then the spheres."""
+
+    __slots__ = ("_degenerate", "_spheres", "_dim", "_hits")
+
+    def __init__(self, degenerate: dict, spheres: list, dim: int):
+        self._degenerate, self._spheres, self._dim = degenerate, spheres, dim
+        self._hits: dict[int, tuple[Cell]] = {}
+
+    def get(self, key, default=None):
+        hit = self._degenerate.get(key)
+        if hit is not None:
+            return hit
+        spheres = self._spheres
+        k = bisect_left(spheres, key)
+        if k == len(spheres) or spheres[k] != key:
+            return default
+        hit = self._hits.get(k)
+        if hit is None:
+            hit = self._hits[k] = (Cell(self._dim, k),)
+        return hit
+
+    def __getitem__(self, key):
+        hit = self.get(key)
+        if hit is None:
+            raise KeyError(key)
+        return hit
+
+    def __iter__(self):
+        return itertools.chain(self._degenerate, self._spheres)
+
+    def __len__(self):
+        return len(self._degenerate) + len(self._spheres)
+
+
 def add_coskeletal_top(X: DecoratedSSet, dim: int,
                        keep: Optional[Callable[[tuple[Cell, ...]], bool]] = None) -> DecoratedSSet:
     """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
     boundary sphere, in sorted sphere order.  ``keep`` filters the spheres; the
     result is then not (dim-1)-coskeletal and keeps X's ``coskeletal``.  The
     result has X's class, its other attributes and labels (a top is named by its
-    faces, so it has no label), and its ``by_faces(dim)`` recorded."""
+    faces, so it has no label), and its ``by_faces(dim)`` recorded as a
+    :class:`_TopIndex` over the new cells' spheres, the face table's own tuples."""
     assert X.top_dim <= dim - 1
-    index = dict(X.by_faces(dim))  # a copy: X's own cache must not list the new cells
-    n_cells = list(X.n_cells)
-    while len(n_cells) < dim:
-        n_cells.append(0)
+    degenerate = X.by_faces(dim)  # shared: no new cell is added to it
+    spheres = [sphere for sphere in coskeletal_spheres(X, dim)
+               if sphere not in degenerate and (keep is None or keep(sphere))]
     faces = dict(X.faces)
-    count = 0
-    for sphere in coskeletal_spheres(X, dim):
-        if sphere in index or (keep is not None and not keep(sphere)):
-            continue
-        nd = (dim, count)
-        faces[nd] = sphere
-        index[sphere] = (Cell(dim, count),)
-        count += 1
-    n_cells.append(count)
+    faces.update(zip(((dim, k) for k in range(len(spheres))), spheres))
+    n_cells = list(X.n_cells) + [0] * (dim - len(X.n_cells)) + [len(spheres)]
     Y = X._replaced(n_cells=n_cells, faces=faces, truncated_at=None,
                     coskeletal=dim - 1 if keep is None else X.coskeletal)
-    Y._by_faces[dim] = index
+    Y._by_faces[dim] = _TopIndex(degenerate, spheres, dim)
     # the cells below dim are X's: share their lists, which the spheres' faces come from
     Y._all_cells.update((d, cells) for d, cells in X._all_cells.items() if d < dim)
     return Y

@@ -23,3 +23,14 @@ def check_every_lift():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(anodyne, "_lift", checked)
         yield
+
+
+@pytest.fixture(scope="session")
+def iso_checked():
+    """The free fibration on 2[walking-iso], built with every extend_map checked; one build
+    for every module that reads it."""
+    from test_freefib import _build_with_every_extension_checked
+    from laxfib.fincat import walking_iso
+    from laxfib.twocat import identity_two_functor, two_bracket
+    return _build_with_every_extension_checked(
+        identity_two_functor(two_bracket(walking_iso())), modes=("dagger",))[0]

@@ -116,7 +116,7 @@ def test_product_categories():
     P = walking_arrow().product(walking_arrow())
     assert len(P.objects) == 4
     assert P.validate() == []
-    assert P.compose(("1<1", "0<1"), ("0<1", "0<0")) == ("0<1", "0<1")
+    assert P.comp[(("1<1", "0<1"), ("0<1", "0<0"))] == ("0<1", "0<1")
 
 
 def test_all_functors_counts():

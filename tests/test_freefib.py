@@ -724,6 +724,22 @@ def test_comparison_lists_the_triangles_that_psi_cannot_fill(battery_ffs, monkey
     assert len(unfilled) == 9 and all(X is prism(2) for X in unfilled)
 
 
+def test_comparison_lists_the_cells_whose_psi_rule_names_a_triangle_nd_lacks(battery_ffs,
+                                                                             monkeypatch):
+    """Negative control for psi's rule: with every triangle it names given a filler that D
+    lacks, nd has no such triangle, and on 2bracket-arrow-id the comparison lists every
+    labelled cell of nerve(Fr) whose prism has a triangle (its 1-cells and triangles) as
+    ``psi-missing``, raising nothing."""
+    ff = _arrow_id(battery_ffs)
+    named = ff.nd.triangle_cell
+    monkeypatch.setattr(ff.nd, "triangle_cell", lambda f, g, h, sigma: named(f, g, h, sigma + "?"))
+    with pytest.raises(KeyError):
+        ff.nd.triangle_cell(*ff.nd.tri_data(ff.nd.nondeg(2)[0]))
+    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), max_dim=3).labels
+    assert compare_tame_fr(ff).diffs == [("psi-missing", nd, label)
+                                         for nd, label in labels.items() if nd[0] >= 1]
+
+
 def test_the_comparison_walks_no_4_sphere_until_a_map_is_read(arrow_ff, monkeypatch):
     """On the battery's 2bracket-pt-into-arrow-at-0, deciding the comparison walks no
     4-sphere; the first read of xi walks them once, to build nerve(Fr)'s 4-cells, and psi
@@ -1132,15 +1148,6 @@ def test_random_poset_functors_match_the_extend_map_reference(rng):
     F = random_monotone_functor(rng, random_poset(rng, 3), random_poset(rng, 3))
     assume(F is not None)
     _build_with_every_extension_checked(two_bracket_functor(F))
-
-
-@pytest.fixture(scope="module")
-def iso_checked():
-    """The free fibration on 2[walking-iso], built with every extend_map checked."""
-    from laxfib.fincat import walking_iso
-    from laxfib.twocat import two_bracket
-    return _build_with_every_extension_checked(
-        identity_two_functor(two_bracket(walking_iso())), modes=("dagger",))[0]
 
 
 def test_extend_map_matches_the_reference_on_walking_iso(iso_checked):

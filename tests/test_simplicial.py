@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import operator
@@ -32,9 +33,11 @@ from laxfib.simplicial import (
     standard_simplex,
     vertex_cell,
 )
+from laxfib import simplicial
 from laxfib.anodyne import pushout
 from laxfib.cli import build_sset
 from laxfib.fincat import chain_poset, terminal_cat, walking_arrow, walking_iso
+from laxfib.fixtures import fixture_functors
 from laxfib.gray import delta, prism, product
 from laxfib.twocat import identity_two_functor, nerve_map, scaled_nerve, two_bracket
 
@@ -436,6 +439,60 @@ def _recorded_index_is_fresh(X: DecoratedSSet, dim: int) -> None:
     assert [(fs, list(cells)) for fs, cells in X._by_faces[dim].items()] == list(fresh.items())
 
 
+def _top_index_answers_like_fresh(X: DecoratedSSet) -> None:
+    """Each ``by_faces(dim)`` that ``add_coskeletal_top`` recorded on X answers every lookup
+    as the index built from the face tables alone does: each key of that index, each key
+    with one face replaced by the next cell of ``all_cells(dim - 1)``, and one key past the
+    last; and two lookups of one key give one object."""
+    recorded = {dim: index for dim, index in X._by_faces.items() if not isinstance(index, dict)}
+    assert recorded
+    for dim, index in recorded.items():
+        fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(dim)
+        lower = X.all_cells(dim - 1)
+        neighbour = dict(zip(lower, lower[1:] + lower[:1]))  # the last one's is the first
+        for key, cells in fresh.items():
+            hit = index.get(key, ())
+            assert list(hit) == cells and key in index and index.get(key) is hit
+            for i, face in enumerate(key):
+                near = key[:i] + (neighbour[face],) + key[i + 1:]
+                assert list(index.get(near, ())) == fresh.get(near, [])
+        past = max(fresh) + (lower[-1],)
+        assert index.get(past) is None and past not in index and past not in fresh
+
+
+@pytest.mark.parametrize("name", [name for name, _ in fixture_functors()])
+def test_recorded_top_indexes_answer_like_fresh_ones(name):
+    """The total space, both nerves, the sharp base and nerve(Fr) of each battery fixture,
+    in both modes: every recorded top index answers lookups as a fresh one."""
+    from laxfib.freefib import build_free_fibration, fr_nerve
+    from laxfib.twocat import fr
+    F = dict(fixture_functors())[name]
+    for mode in ("dagger", "natural"):
+        ff = build_free_fibration(F, mode=mode)
+        for X in (ff.total, ff.nc, ff.nd, ff.base,
+                  fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode)):
+            _top_index_answers_like_fresh(X)
+
+
+def test_recorded_top_index_on_walking_iso_answers_like_a_fresh_one(iso_checked):
+    for X in (iso_checked.total, iso_checked.nc, iso_checked.nd, iso_checked.base):
+        _top_index_answers_like_fresh(X)
+
+
+@pytest.mark.parametrize("plant", ["bisect_right", "rank_plus_one"])
+def test_a_top_index_one_rank_off_answers_unlike_a_fresh_one(monkeypatch, plant):
+    """Negative control: a bisection that lands one place past the sphere, or a recorded
+    index that names the k-th sphere's cell k + 1, fails the check."""
+    if plant == "bisect_right":
+        monkeypatch.setattr(simplicial, "bisect_left", bisect.bisect_right)
+    else:
+        init = simplicial._TopIndex.__init__
+        monkeypatch.setattr(simplicial._TopIndex, "__init__", lambda self, degenerate, spheres,
+                            dim: init(self, degenerate, [()] + spheres, dim))
+    with pytest.raises(AssertionError):
+        _top_index_answers_like_fresh(add_coskeletal_top(walking_iso().nerve(max_dim=3), 4))
+
+
 def test_coskeletal_top_records_its_face_index():
     X = standard_simplex(4, kind="PLAIN")
     trunc = DecoratedSSet("PLAIN", X.n_cells[:4], {nd: X.faces[nd] for nd in X.faces if nd[0] <= 3})
@@ -450,7 +507,6 @@ def test_coskeletal_top_records_its_face_index():
 
 
 def _battery_total_3_skeleton() -> DecoratedSSet:
-    from laxfib.fixtures import fixture_functors
     from laxfib.freefib import build_free_fibration
     T = build_free_fibration(dict(fixture_functors())["2bracket-arrow-id"]).total
     return T._replaced(n_cells=T.n_cells[:4],
