@@ -134,12 +134,14 @@ def build_two_functor(doc: dict, src: StrictTwoCat, dst: StrictTwoCat) -> TwoFun
 
 
 def _cell_keyed(doc: dict, field: str) -> dict:
-    """A map field with its "dim,index" keys read as (dim, index)."""
+    """A map field with its "dim,index" keys read as (dim, index); a key must be spelt
+    as ``f"{dim},{index}"`` is, so no two keys name one cell."""
     out = {}
     for key, v in doc.get(field, {}).items():
         d, _, k = key.partition(",")
-        if not (d.isdecimal() and k.isdecimal()):
-            raise InputError(f"/{field}/{key}: expected a key \"dim,index\"")
+        if not (d.isdecimal() and k.isdecimal() and key == f"{int(d)},{int(k)}"):
+            raise InputError(f"/{field}/{key}: expected a key \"dim,index\" in ASCII digits "
+                             "without leading zeros")
         out[int(d), int(k)] = v
     return out
 
@@ -179,11 +181,14 @@ def _parse(path: str, *args, build, laws=None):
     """What build makes of the JSON document at path and args, with its laws
     checked when laws names them; an input error names the file."""
     try:
-        obj = build(json.loads(Path(path).read_text(), object_pairs_hook=_json_object), *args)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
+        text = Path(path).read_text(encoding="utf-8")
+        obj = build(json.loads(text, object_pairs_hook=_json_object), *args)
+    except OSError as e:
+        raise InputError(f"{path}: cannot read: {e.strerror}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text")
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
     bad = laws and obj.validate()
@@ -520,18 +525,21 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         body, status = args.func(args, cfg)
+        text = json.dumps({"command": args.command, "config": cfg, **body}, indent=2,
+                          sort_keys=True) + "\n"
+        if args.output:
+            try:
+                Path(args.output).write_text(text)
+            except OSError as e:
+                raise InputError(f"{args.output}: cannot write: {e.strerror}")
+        else:
+            sys.stdout.write(text)
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
     except BudgetError as e:  # a bound stopped the run before a verdict: no report
         sys.stderr.write(f"unknown: {e}\n")
         return EXIT_UNKNOWN
-    text = json.dumps({"command": args.command, "config": cfg, **body}, indent=2,
-                      sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

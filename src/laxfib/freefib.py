@@ -13,7 +13,7 @@ and is 3-coskeletal above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
@@ -267,54 +267,44 @@ def build_free_fibration(f: TwoFunctor, src_marking: Optional[Marking2Cat] = Non
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ComparisonReport:
     """Diffs decided in dimensions <= 3 and, when there are none, the mutually inverse
-    maps ``xi`` (total space -> nerve(Fr)) and ``psi``.  These are extended over the
-    4-cells when first read, through one ``fr_nerve(bundle, mode)`` built then and
-    shared, so they equal the full comparison's, key order included.  Both read
-    None when ``ok`` is false."""
+    maps ``xi`` (the total space's 3-truncation -> nerve(Fr)'s) and ``psi``; both None
+    when ``ok`` is false.  Both sides are 3-coskeletal, so these maps decide the 4-cells
+    too (see :func:`compare_tame_fr`)."""
 
-    def __init__(self, diffs: list, maps: Optional[tuple] = None):
-        self.diffs = diffs
-        self._maps = maps  # (the total space, xi and psi in dimensions <= 3)
+    diffs: list
+    xi: Optional[DecMap]
+    psi: Optional[DecMap]
 
     @property
     def ok(self) -> bool:
         return not self.diffs
 
-    @cached_property
-    def _nerve(self) -> ScaledNerve:
-        return add_coskeletal_top(self._maps[1].dst, TOP_DIM + 1)
 
-    @cached_property
-    def xi(self) -> Optional[DecMap]:
-        return self._maps and extend_map(self._maps[0], self._nerve, self._maps[1].assign)
-
-    @cached_property
-    def psi(self) -> Optional[DecMap]:
-        return self._maps and extend_map(self._nerve, self._maps[0], self._maps[2].assign)
-
-
-def fr_nerve(bundle: FrBundle, mode: str = "dagger", max_dim: int = TOP_DIM + 1) -> ScaledNerve:
-    """Nerve of Fr with marked edges per mode and lean = coCartesian fillers."""
+def fr_nerve(bundle: FrBundle, mode: str = "dagger") -> ScaledNerve:
+    """Nerve of Fr in dimensions <= 3, with marked edges per mode and lean = coCartesian
+    fillers; ``add_coskeletal_top(fr_nerve(bundle, mode), 4)`` adds its 4-cells, as
+    ``scaled_nerve`` does for a whole nerve."""
     marked = bundle.marked1 if mode == "dagger" else bundle.cartesian1
     return scaled_nerve(bundle.twocat, Marking2Cat(bundle.twocat, marked),
-                        lean_flag=lambda t: t in bundle.cocartesian2, max_dim=max_dim)
+                        lean_flag=lambda t: t in bundle.cocartesian2, max_dim=TOP_DIM)
 
 
 def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
-    """Build the isomorphism between the total space and nerve(Fr), verifying on
-    the 3-truncations that it is decoration-preserving and mutually inverse.
+    """Build the isomorphism between the 3-truncations of the total space and of
+    nerve(Fr), verifying that it is decoration-preserving and mutually inverse.
 
     That decides dimension 4 too.  Both sides have exactly one 4-cell per
     nondegenerate 4-sphere: the total space from ``add_coskeletal_top`` in
     ``_build_total`` (``three_coskeletal_violations`` counts them apart), nerve(Fr)
-    from ``scaled_nerve``.  Maps that commute with faces and are mutually inverse in
-    dimensions <= 3 carry nondegenerate 4-spheres bijectively onto nondegenerate
-    4-spheres, so their unique extensions are mutually inverse; and no decoration
-    lives in dimension 4."""
+    from the same call, as ``scaled_nerve`` makes it.  Maps that commute with faces
+    and are mutually inverse in dimensions <= 3 carry nondegenerate 4-spheres
+    bijectively onto nondegenerate 4-spheres, so their unique extensions are mutually
+    inverse; and no decoration lives in dimension 4."""
     bundle = fr(ff.f, ff.src_marking, ff.dst_marking)
-    N = fr_nerve(bundle, ff.mode, max_dim=TOP_DIM)
+    N = fr_nerve(bundle, ff.mode)
     T = ff.total._replaced(n_cells=ff.total.n_cells[:TOP_DIM + 1],
                            faces={nd: f for nd, f in ff.total.faces.items() if nd[0] <= TOP_DIM})
     diffs: list = []
@@ -322,7 +312,7 @@ def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
     xi = _build_xi(ff, T, bundle, N, diffs)
     psi = _build_psi(ff, T, bundle, N, diffs)
     if diffs:
-        return ComparisonReport(diffs)
+        return ComparisonReport(diffs, None, None)
 
     if not xi.commutes_with_faces():
         diffs.append(("xi", "faces"))
@@ -339,7 +329,7 @@ def compare_tame_fr(ff: FreeFibration) -> ComparisonReport:
         image = {xi.assign[nd].nd for nd in left if not xi.assign[nd].is_degenerate()}
         if image != right:
             diffs.append(("decoration", name, sorted(image ^ right)))
-    return ComparisonReport(diffs, None if diffs else (ff.total, xi, psi))
+    return ComparisonReport(diffs, None, None) if diffs else ComparisonReport(diffs, xi, psi)
 
 
 def _build_xi(ff: FreeFibration, T: KeyedSSet, bundle: FrBundle, N: ScaledNerve,

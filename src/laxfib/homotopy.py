@@ -264,27 +264,6 @@ def collapse_search(X: DecoratedSSet, budget: Optional[int] = None) -> Verdict:
                                "budget": budget})
 
 
-def replay_collapse(X: DecoratedSSet, sequence: list) -> bool:
-    """Apply an emitted collapse sequence and confirm it leaves one vertex.
-
-    Each step (tau, sigma) must be an elementary collapse: tau is a
-    nondegenerate face of sigma exactly once, and no living cell other than
-    sigma has tau in its closure.
-    """
-    alive = {c.nd for c in X.all_nondeg()}
-    clos = _closure_roots(X)
-    for tau, sigma in sequence:
-        tau, sigma = tuple(tau), tuple(sigma)
-        if tau not in alive or sigma not in alive:
-            return False
-        if sum(f.nd == tau and not f.is_degenerate() for f in X.faces.get(sigma, ())) != 1:
-            return False
-        if any(tau in clos[o] for o in alive - {tau, sigma}):
-            return False
-        alive -= {tau, sigma}
-    return len(alive) == 1 and next(iter(alive))[0] == 0
-
-
 # ---------------------------------------------------------------------------
 # combined contractibility verdict
 # ---------------------------------------------------------------------------

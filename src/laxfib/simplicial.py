@@ -629,19 +629,6 @@ class DecMap:
                     bad.append((name, nd))
         return bad
 
-    def validate(self) -> "DecMap":
-        if set(self.assign) != {c.nd for c in self.src.all_nondeg()}:
-            raise ValueError("assignment does not cover the source")
-        for nd, img in self.assign.items():
-            if img.total_dim != nd[0]:
-                raise ValueError(f"image of {nd} has wrong dimension")
-        if not self.commutes_with_faces():
-            raise ValueError("map does not commute with faces")
-        bad = self.decoration_violations()
-        if bad:
-            raise ValueError(f"decorations not preserved: {bad[:3]}")
-        return self
-
     def is_mono(self) -> bool:
         for d in range(self.src.top_dim + 1):
             images = [self.apply(c) for c in self.src.all_cells(d)]

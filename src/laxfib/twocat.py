@@ -433,9 +433,8 @@ def nerve_map(F: TwoFunctor, NC: ScaledNerve, ND: ScaledNerve) -> DecMap:
 
 
 class FrBundle:
-    """Fr(C) for a marked 2-functor f.  The 2-category, its decorations and its
-    projection to the target are built when first read; :func:`slice_fiber`
-    builds a slice from f and the markings alone."""
+    """Fr(C) for a marked 2-functor f.  The 2-category and its decorations are built
+    when first read; :func:`slice_fiber` builds a slice from f and the markings alone."""
 
     def __init__(self, f: TwoFunctor, src_marking: Marking2Cat, dst_marking: Marking2Cat):
         self.f, self.src_marking, self.dst_marking = f, src_marking, dst_marking
@@ -464,13 +463,6 @@ class FrBundle:
     def cocartesian2(self) -> frozenset:
         """2-cells flagged coCartesian."""
         return frozenset(t for t in self.twocat.twocells if self.f.src.is_invertible2(t[4]))
-
-    @cached_property
-    def proj(self) -> TwoFunctor:
-        """The projection to the target 2-category."""
-        Fr = self.twocat
-        return TwoFunctor(Fr, self.f.dst, {o: o[1] for o in Fr.objects},
-                          {m: m[3] for m in Fr.onecells}, {t: t[3] for t in Fr.twocells})
 
 
 def fr(f: TwoFunctor, src_marking: Optional[Marking2Cat] = None,

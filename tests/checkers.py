@@ -129,30 +129,56 @@ def _faces(Y, y) -> tuple:
     return rows[y]
 
 
-def check_lift(lp, lift: DecMap) -> None:
-    """Independent of ``enumerate_maps`` and ``anodyne``: ``lift`` fills the square
-    ``lp`` of incl: A -> B, top: A -> X, bottom: B -> S and p: X -> S.  It assigns a cell
-    of X of the right dimension to every nondegenerate cell of B, commutes with faces,
-    keeps B's marked, thin and lean cells, and gives the top on every cell of A through
-    incl and the bottom on every cell of B through p.  Maps are compared on the
-    nondegenerate cells, which fix a simplicial map."""
-    incl, top, bottom, p = lp.gen.incl, lp.top, lp.bottom, lp.p
-    B, X, S = incl.dst, top.dst, p.dst
-    up = lift.assign
-    assert lift.src is B and lift.dst is X
-    assert sorted(up) == [(d, k) for d, n in enumerate(B.n_cells) for k in range(n)], \
-        "the lift does not cover the codomain"
+def check_map(m: DecMap) -> DecMap:
+    """Independent of ``DecMap``'s own checks: m assigns a cell of its target of the
+    right dimension to every nondegenerate cell of its source, commutes with faces and
+    keeps the source's marked, thin and lean cells.  Returns m."""
+    A, Y, up = m.src, m.dst, m.assign
+    assert sorted(up) == [(d, k) for d, n in enumerate(A.n_cells) for k in range(n)], \
+        "the map does not cover its source"
     for nd, y in up.items():
         assert y.dim + len(y.word) == nd[0], ("dimension", nd)
         if nd[0]:
-            assert _faces(X, y) == tuple(_image(up, X, x) for x in B.faces[nd]), ("faces", nd)
-    for name in ("marked", "thin", "lean") if B.kind == "MB" else ("marked", "thin"):
-        for nd in getattr(B, name):
-            assert up[nd].word or up[nd].nd in getattr(X, name), (name, nd)
+            assert _faces(Y, y) == tuple(_image(up, Y, x) for x in A.faces[nd]), ("faces", nd)
+    for name in ("marked", "thin", "lean") if A.kind == "MB" else ("marked", "thin"):
+        for nd in getattr(A, name):
+            assert up[nd].word or up[nd].nd in getattr(Y, name), (name, nd)
+    return m
+
+
+def check_lift(lp, lift: DecMap) -> None:
+    """Independent of ``enumerate_maps`` and ``anodyne``: ``lift`` fills the square
+    ``lp`` of incl: A -> B, top: A -> X, bottom: B -> S and p: X -> S.  It is a map
+    B -> X that :func:`check_map` accepts, and gives the top on every cell of A through
+    incl and the bottom on every cell of B through p.  Maps are compared on the
+    nondegenerate cells, which fix a simplicial map."""
+    incl, top, bottom, p = lp.gen.incl, lp.top, lp.bottom, lp.p
+    X, S = top.dst, p.dst
+    assert lift.src is incl.dst and lift.dst is X
+    up = check_map(lift).assign
     for nd, b in incl.assign.items():
         assert _image(up, X, b) == top.assign[nd], ("top", nd)
     for nd, y in up.items():
         assert _image(p.assign, S, y) == bottom.assign[nd], ("bottom", nd)
+
+
+def replay_collapse(X, sequence: list) -> bool:
+    """Independent of ``homotopy``: whether the steps (tau, sigma) of a collapse sequence,
+    made in turn, are elementary collapses that leave one vertex.  tau must be a
+    nondegenerate face of sigma whose root is the root of no other face of sigma, and
+    no living cell but sigma may have tau or sigma as the root of a face; so the living
+    cells stay closed under faces, and none of them but sigma has tau in its closure."""
+    alive = {c.nd for c in X.all_nondeg()}
+    roots = {nd: [f.nd for f in faces] for nd, faces in X.faces.items()}
+    for tau, sigma in sequence:
+        tau, sigma = tuple(tau), tuple(sigma)
+        faces = X.faces.get(sigma, ()) if {tau, sigma} <= alive else ()
+        if [f.word for f in faces if f.nd == tau] != [()]:
+            return False
+        alive -= {tau, sigma}
+        if any(tau in roots.get(o, ()) or sigma in roots.get(o, ()) for o in alive):
+            return False
+    return len(alive) == 1 and next(iter(alive))[0] == 0
 
 
 def count_squares(gens, p: DecMap) -> list[tuple]:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from checkers import assert_no_lift
+from checkers import assert_no_lift, check_map, replay_collapse
 from laxfib import cli, homotopy
 from laxfib.anodyne import certify_fibration
 from laxfib.cofinality import eta_terminal_check, is_terminal_in, two_bracket_duality
@@ -30,7 +30,7 @@ from laxfib.freefib import (
     degeneracy_lemma_violations,
     face_identity_violations,
 )
-from laxfib.homotopy import homology, replay_collapse
+from laxfib.homotopy import homology
 from laxfib.laxlim import (
     ConeDiagram,
     F_LEG,
@@ -89,8 +89,8 @@ def test_criterion_2_tame_fr_comparison(battery):
     for name, ff in battery:
         rep = compare_tame_fr(ff)
         assert rep.ok, (name, rep.diffs[:3])
-        rep.xi.validate()
-        rep.psi.validate()
+        check_map(rep.xi)
+        check_map(rep.psi)
         # decoration sets correspond bijectively
         for group in ("marked", "thin", "lean"):
             left = getattr(ff.total, group)

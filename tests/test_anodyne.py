@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from checkers import _maps, assert_no_lift, count_squares
+from checkers import _maps, assert_no_lift, check_map, count_squares
 from laxfib import anodyne
 from laxfib.anodyne import (
     Certificate,
@@ -454,7 +454,7 @@ def test_two_horn_pushouts_compose(mb):
     X = g.dom
     first, _, leg1 = anodyne.pushout(g.incl, DecMap.identity(X))
     second, _, leg2 = anodyne.pushout(g.incl, enumerate_maps(X, first)[0])
-    comp = leg2.validate().compose(leg1.validate())
+    comp = check_map(leg2).compose(check_map(leg1))
     assert comp.src is X and comp.dst is second
     assert first.num(2) == 1 and second.num(2) == 2  # two filled triangles
 

@@ -397,6 +397,8 @@ def _bad_inputs(tmp_path) -> dict:
     arrow2 = json.loads(Path(data_path("twocat-2bracket-walking-arrow.json")).read_text())
     cat = json.loads(Path(data_path("category-walking-arrow.json")).read_text())
     edge = {"kind": "PLAIN", "dims": [2, 1], "faces": {"1,0": [[0, 1, []], [0, 0, []]]}}
+    not_utf8 = tmp_path / "not-utf8.json"   # an object named in Latin-1
+    not_utf8.write_bytes(b'{"schema": "laxfib/twocat-v1", "objects": ["\xff"]}')
     return {
         "pt": data_path("category-point.json"),
         "arrow": data_path("category-walking-arrow.json"),
@@ -461,7 +463,13 @@ def _bad_inputs(tmp_path) -> dict:
         **{f"faces-key-{key}": put(f"faces-key-{key}.json", dict(
             edge, faces={**edge["faces"], key: edge["faces"]["1,0"]})) for key in ("1,7", "-3,0")},
         **{f"labels-key-{key}": put(f"labels-key-{key}.json", dict(edge, labels={key: "x"}))
-           for key in ("0,-1", "5,5")},
+           for key in ("0,-1", "5,5", "\u0661,0")},
+        # "01,0" named the edge's cell too, so the loop read last replaced the edge
+        "faces-key-01,0": put("faces-key-01,0.json", dict(
+            edge, faces={**edge["faces"], "01,0": [[0, 0, []], [0, 0, []]]})),
+        "not-utf8": str(not_utf8),
+        "dir": str(tmp_path),
+        "no-dir-out": str(tmp_path / "missing" / "dir" / "out.json"),
         "objects-string": put("objects-string.json", dict(twocat, objects="01")),
         "endpoints-string": put("endpoints-string.json", dict(
             twocat, onecells={**twocat["onecells"], "id0": "00"})),
@@ -542,6 +550,11 @@ BAD_CALLS = {
     "sset-faces-key-negative": "homology @faces-key--3,0",
     "sset-labels-key-negative": "homology @labels-key-0,-1",
     "sset-labels-key-names-no-cell": "homology @labels-key-5,5",
+    "sset-labels-key-not-ascii": "homology @labels-key-\u0661,0",
+    "sset-faces-key-leading-zero": "homology @faces-key-01,0",
+    "input-is-a-directory": "nerve @dir",
+    "input-not-utf8": "nerve @not-utf8",
+    "output-directory-missing": "ext --j 0 --n 1 -o @no-dir-out",
     "twocat-objects-is-a-string": "nerve @objects-string",
     "onecell-endpoints-is-a-string": "nerve @endpoints-string",
     "category-objects-is-a-string": "joyal @pt @cat-objects-string @f0",

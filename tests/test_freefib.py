@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from checkers import _maps
+from checkers import _maps, check_map
 from test_simplicial import _reference_extend_map
 from laxfib.anodyne import certify_fibration
 from laxfib.cli import build_two_cat
@@ -32,7 +32,7 @@ from laxfib.freefib import (
     three_coskeletal_violations,
 )
 from laxfib.gray import ProductSSet, delta, e_map, end_map, gray, prism, prism_deg, simplex_deg
-from laxfib.simplicial import Cell, DecMap, DecoratedSSet, standard_simplex
+from laxfib.simplicial import Cell, DecMap, DecoratedSSet, add_coskeletal_top, standard_simplex
 from laxfib.twocat import (
     Marking2Cat,
     ScaledNerve,
@@ -85,7 +85,7 @@ def test_redecorated_objects_keep_their_keyed_class(arrow_ff):
         assert scaled_nerve(ND.twocat, max_dim=max_dim).coskeletal == 3
     G = gray(delta(1), delta(2))
     assert isinstance(G, ProductSSet)
-    G.proj_a().validate()
+    check_map(G.proj_a())
 
 
 def test_object_count_is_arrows_into_images(small_ff):
@@ -101,11 +101,11 @@ def test_object_count_is_arrows_into_images(small_ff):
 def test_fiber_of_point_functor(small_ff):
     fib, incl = small_ff.fiber("0")
     assert fib.num(0) == 2  # the identity at 0 and the arrow 0 -> 1
-    incl.validate()
+    check_map(incl)
     assert incl.commutes_with_faces()
     fib1, incl1 = small_ff.fiber("1")
     assert fib1.num(0) == 1
-    incl1.validate()
+    check_map(incl1)
 
 
 def test_fiber_keeps_the_cells_over_the_vertex(battery_ffs):
@@ -148,7 +148,7 @@ def test_unit_sends_objects_to_identities(small_ff):
 
 
 def test_projection_is_decorated(small_ff):
-    small_ff.proj.validate()
+    check_map(small_ff.proj)
 
 
 def test_face_identities_small(small_ff):
@@ -250,8 +250,8 @@ def test_three_coskeletal_check_sees_a_missing_and_a_doubled_filler(arrow_ff, mo
 def test_compare_tame_fr(small_ff):
     rep = compare_tame_fr(small_ff)
     assert rep.ok
-    rep.xi.validate()
-    rep.psi.validate()
+    check_map(rep.xi)
+    check_map(rep.psi)
 
 
 def test_compare_commutes_with_projection(small_ff):
@@ -531,7 +531,7 @@ def _reference_comparison(ff) -> tuple:
     over the total space's 4-cells before any check.  Returns (diffs, xi, psi); the maps
     are None when they could not be built, and given alongside any other diffs."""
     bundle = fr(ff.f, ff.src_marking, ff.dst_marking)
-    N = fr_nerve(bundle, ff.mode)
+    N = add_coskeletal_top(fr_nerve(bundle, ff.mode), 4)
     diffs: list = []
 
     xi = freefib._build_xi(ff, ff.total, bundle, N, diffs)
@@ -586,21 +586,26 @@ def test_xi_reads_the_faces_of_stored_pairs_from_the_face_table(battery_ffs, mon
     assert keys and sum(isinstance(k, freefib.PairSimplex) for k in keys) == 0
 
 
+def _assert_report_maps_truncate_the_reference(rep, xi, psi) -> None:
+    """The report's maps are the reference's on dimensions <= 3, key order included."""
+    for got, full in ((rep.xi, xi), (rep.psi, psi)):
+        assert list(got.assign.items()) == [(nd, c) for nd, c in full.assign.items() if nd[0] <= 3]
+
+
 def test_comparison_matches_the_reference_on_walking_iso(iso_ff):
-    """Decided in dimensions <= 3, the comparison agrees with the full one; the maps read
-    afterwards are built over the 4-cells, are mutually inverse there, and are the
-    reference's maps, key order included.  The reference builds psi with the same
-    ``_build_psi``, so psi's table is also pinned."""
+    """Decided in dimensions <= 3, the comparison agrees with the full one, and its maps
+    are the full maps truncated.  The full maps are mutually inverse on the 28210 4-cells.
+    The reference builds psi with the same ``_build_psi``, so psi's table is also pinned."""
     rep = compare_tame_fr(iso_ff)
     diffs, xi, psi = _reference_comparison(iso_ff)
     assert rep.ok and rep.diffs == diffs == []
-    assert rep.xi.validate().dst is rep.psi.validate().src
-    assert iso_ff.total.num(4) == rep.xi.dst.num(4) == 28210
-    assert all(rep.psi.apply(rep.xi.apply(c)) == c for c in iso_ff.total.nondeg(4))
-    assert all(rep.xi.apply(rep.psi.apply(c)) == c for c in rep.xi.dst.nondeg(4))
-    assert list(rep.xi.assign.items()) == list(xi.assign.items())
-    assert list(rep.psi.assign.items()) == list(psi.assign.items())
-    table = [[list(nd), img.encode()] for nd, img in rep.psi.assign.items()]
+    assert check_map(rep.xi).dst is check_map(rep.psi).src
+    assert check_map(xi).dst is check_map(psi).src
+    assert iso_ff.total.num(4) == xi.dst.num(4) == 28210
+    assert all(psi.apply(xi.apply(c)) == c for c in iso_ff.total.nondeg(4))
+    assert all(xi.apply(psi.apply(c)) == c for c in xi.dst.nondeg(4))
+    _assert_report_maps_truncate_the_reference(rep, xi, psi)
+    table = [[list(nd), img.encode()] for nd, img in psi.assign.items()]
     assert len(table) == 29460
     assert _digest(json.dumps(table)) == \
         "3d586e28c4fc9d39fdda0ef738cebe59513a13878ebbe65005734eed93ab8a52"
@@ -717,7 +722,7 @@ def test_comparison_lists_the_triangles_that_psi_cannot_fill(battery_ffs, monkey
 
     monkeypatch.setattr(freefib, "extend_map", recorded)
     diffs = compare_tame_fr(ff).diffs
-    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), max_dim=3).labels
+    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking)).labels
     assert [nd for _, nd, _ in diffs] == [(0, k) for k in range(4)] + \
         [(1, k) for k in range(10)] + [(2, k) for k in range(21)]
     assert diffs == [("psi-missing", nd, label) for nd, label in labels.items()]
@@ -735,15 +740,13 @@ def test_comparison_lists_the_cells_whose_psi_rule_names_a_triangle_nd_lacks(bat
     monkeypatch.setattr(ff.nd, "triangle_cell", lambda f, g, h, sigma: named(f, g, h, sigma + "?"))
     with pytest.raises(KeyError):
         ff.nd.triangle_cell(*ff.nd.tri_data(ff.nd.nondeg(2)[0]))
-    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), max_dim=3).labels
+    labels = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking)).labels
     assert compare_tame_fr(ff).diffs == [("psi-missing", nd, label)
                                          for nd, label in labels.items() if nd[0] >= 1]
 
 
-def test_the_comparison_walks_no_4_sphere_until_a_map_is_read(arrow_ff, monkeypatch):
-    """On the battery's 2bracket-pt-into-arrow-at-0, deciding the comparison walks no
-    4-sphere; the first read of xi walks them once, to build nerve(Fr)'s 4-cells, and psi
-    shares them."""
+def test_the_comparison_walks_no_4_sphere(arrow_ff, monkeypatch):
+    """On the battery's 2bracket-pt-into-arrow-at-0, the comparison walks no 4-sphere."""
     dims = []
     spheres = simplicial.coskeletal_spheres
 
@@ -754,10 +757,6 @@ def test_the_comparison_walks_no_4_sphere_until_a_map_is_read(arrow_ff, monkeypa
     monkeypatch.setattr(simplicial, "coskeletal_spheres", recorded)
     rep = compare_tame_fr(arrow_ff)
     assert rep.ok and dims and 4 not in dims
-    dims.clear()
-    assert rep.xi is not None and dims == [4]
-    dims.clear()
-    assert rep.psi is not None and dims == []
 
 
 def test_structure_map_identities_hold_on_the_universal_pair(small_ff):
@@ -1085,7 +1084,7 @@ def test_coskeletal_tops_record_their_face_index(name):
     F = dict(fixture_functors())[name]
     for mode in ("dagger", "natural"):
         ff = build_free_fibration(F, mode=mode)
-        N = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode)
+        N = add_coskeletal_top(fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode), 4)
         assert ff.base._by_faces is ff.nd._by_faces
         for X in (ff.total, ff.nc, ff.nd, ff.base, N):
             fresh = DecoratedSSet(X.kind, X.n_cells, X.faces).by_faces(4)
@@ -1257,12 +1256,14 @@ def test_tables_are_pinned(name):
         bundle = fr(F)
         ffs = [build_free_fibration(F, mode=mode) for mode in ("dagger", "natural")]
         got = [_digest(ffs[0].total.to_json())] + \
-            [_digest(fr_nerve(bundle, mode).to_json()) for mode in ("dagger", "natural")]
+            [_digest(add_coskeletal_top(fr_nerve(bundle, mode), 4).to_json())
+             for mode in ("dagger", "natural")]
         for ff in ffs:
             got += [_digest(ff.fiber(d)[0].to_json()) for d in sorted(F.dst.objects)]
             got.append(_digest(json.dumps(ff.filtration_audit(), sort_keys=True)))
         for ff in ffs:
-            report = compare_tame_fr(ff)
+            _, xi, psi = _reference_comparison(ff)
+            _assert_report_maps_truncate_the_reference(compare_tame_fr(ff), xi, psi)
             got += [_digest(json.dumps([[list(nd), img.encode()] for nd, img in m.assign.items()]))
-                    for m in (ff.fN, ff.proj, ff.gamma, report.xi, report.psi)]
+                    for m in (ff.fN, ff.proj, ff.gamma, xi, psi)]
     assert got == PINNED_TABLES[name]

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from checkers import replay_collapse
+from laxfib import homotopy
 from laxfib.fincat import chain_poset, poset_cat, terminal_cat, walking_arrow
 from laxfib.homotopy import (
     Verdict,
@@ -21,7 +23,6 @@ from laxfib.homotopy import (
     collapse_search,
     homology,
     initial_in_localization,
-    replay_collapse,
     smith_normal_form,
     weakly_contractible,
 )
@@ -147,6 +148,24 @@ def test_replay_rejects_non_elementary_steps():
     assert not replay_collapse(X, edge_still_covered)
     good = collapse_search(X).evidence["collapse"]
     assert replay_collapse(X, good)
+
+
+def test_replay_rejects_a_collapse_found_through_a_planted_closure(monkeypatch):
+    """Negative control: with each closure planted to follow a cell's first face only,
+    collapse_search finds a yes on the 2-simplex whose first step takes vertex 1 and
+    edge 01 while edge 12 and the triangle still have vertex 1 as a face.  The checker
+    reads no closure and rejects it."""
+    def first_face_only(X):
+        clos: dict = {}
+        for c in X.all_nondeg():
+            clos[c.nd] = {c.nd}.union(*(clos[f.nd] for f in X.faces.get(c.nd, ())[:1]))
+        return clos
+
+    X = standard_simplex(2, kind="PLAIN")
+    monkeypatch.setattr(homotopy, "_closure_roots", first_face_only)
+    v = collapse_search(X)
+    assert v.yes and v.evidence["collapse"][0] == [[0, 1], [1, 0]]
+    assert not replay_collapse(X, v.evidence["collapse"])
 
 
 def test_collapse_circle_unknown():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from checkers import check_map
 from laxfib.simplicial import (
     CAP,
     BadDecorationError,
@@ -232,11 +233,32 @@ def test_map_validate_and_mono():
     A = standard_simplex(1, kind="PLAIN")
     B = standard_simplex(2, kind="PLAIN")
     f = delta_map(A, B, {0: 0, 1: 2})
-    f.validate()
+    check_map(f)
     assert f.is_mono()
     g = delta_map(A, B, {0: 1, 1: 1})
-    g.validate()
+    check_map(g)
     assert not g.is_mono()
+
+
+@pytest.mark.parametrize("broken, reason", [
+    pytest.param(lambda up: {nd: c for nd, c in up.items() if nd != (1, 0)}, "does not cover",
+                 id="missing-root"),
+    pytest.param(lambda up: {**up, (1, 0): Cell(0, 0)}, "dimension", id="wrong-dimension"),
+    pytest.param(lambda up: {**up, (0, 0): Cell(0, 1)}, "faces", id="face-mismatch"),
+    pytest.param(lambda up: {**up, (0, 1): Cell(0, 2), (1, 0): Cell(1, 1)}, "marked",
+                 id="dropped-decoration")])
+def test_map_checker_rejects_a_broken_map(broken, reason):
+    """Negative controls for check_map: the marked edge of Delta^1 sent to the marked
+    edge 01 of Delta^2 passes, and each broken copy fails: a root left out, an image of
+    the wrong dimension, a vertex image that is no face of the edge's image, and the
+    marked edge sent, with its end, to the unmarked edge 02."""
+    A = standard_simplex(1, kind="MS", marked="sharp")
+    B = standard_simplex(2, kind="MS", marked={(0, 1)})
+    f = delta_map(A, B, {0: 0, 1: 1})
+    assert B.labels[(1, 0)] == (0, 1) and B.labels[(1, 1)] == (0, 2) and B.labels[(0, 2)] == (2,)
+    assert check_map(f) is f
+    with pytest.raises(AssertionError, match=reason):
+        check_map(DecMap(A, B, broken(f.assign)))
 
 
 # -- pushouts ----------------------------------------------------------------
@@ -277,7 +299,7 @@ def test_pushout_collapse_edge():
     incl = delta_map(edge, tri, {0: 0, 1: 1})
     collapse = DecMap(edge, pt, {(0, 0): Cell(0, 0), (0, 1): Cell(0, 0),
                                  (1, 0): Cell(0, 0, (0,))})
-    collapse.validate()
+    check_map(collapse)
     P, leg_b, _ = pushout(incl, collapse)
     P.validate()
     assert P.n_cells == [2, 2, 1]
@@ -313,7 +335,7 @@ def test_pushout_universal_property(which, target, pick):
     g = maps_to_c[pick % len(maps_to_c)]
     P, leg_b, leg_c = pushout(f, g)
     P.validate()
-    assert leg_b.validate().compose(f) == leg_c.validate().compose(g)
+    assert check_map(leg_b).compose(f) == check_map(leg_c).compose(g)
     for Z in SPAN_TARGETS[1:]:
         outs = enumerate_maps(P, Z)
         cocones = [(u, v) for u in enumerate_maps(f.dst, Z) for v in enumerate_maps(C, Z)
@@ -376,8 +398,8 @@ def test_product_map_and_projections():
     B = standard_simplex(2, kind="PLAIN")
     P = product(A, B)
     pa, pb = P.proj_a(), P.proj_b()
-    pa.validate()
-    pb.validate()
+    check_map(pa)
+    check_map(pb)
 
 
 def test_ref_of_pair_roundtrip():
@@ -469,8 +491,8 @@ def test_recorded_top_indexes_answer_like_fresh_ones(name):
     F = dict(fixture_functors())[name]
     for mode in ("dagger", "natural"):
         ff = build_free_fibration(F, mode=mode)
-        for X in (ff.total, ff.nc, ff.nd, ff.base,
-                  fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode)):
+        N = fr_nerve(fr(ff.f, ff.src_marking, ff.dst_marking), mode)
+        for X in (ff.total, ff.nc, ff.nd, ff.base, add_coskeletal_top(N, 4)):
             _top_index_answers_like_fresh(X)
 
 

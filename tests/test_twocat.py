@@ -226,9 +226,12 @@ def test_fr_is_a_valid_twocat():
     p = CatFunctor(terminal_cat(), walking_arrow(), {"*": "1"},
                    {"id*": walking_arrow().ident["1"]})
     F = two_bracket_functor(p)
-    bundle = fr(F)
-    assert bundle.twocat.validate() == []
-    assert bundle.proj.validate() == []
+    Fr = fr(F).twocat
+    assert Fr.validate() == []
+    # the projection to the target reads the target part of each object, 1-cell and 2-cell
+    proj = TwoFunctor(Fr, F.dst, {o: o[1] for o in Fr.objects}, {m: m[3] for m in Fr.onecells},
+                      {t: t[3] for t in Fr.twocells})
+    assert proj.validate() == []
 
 
 def test_fr_slice_objects_are_arrows_out_of_the_base_object():
