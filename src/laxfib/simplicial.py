@@ -115,19 +115,21 @@ class DecoratedSSet:
     """A finite (decorated) simplicial set given by face tables.
 
     ``faces[(n, k)]`` is the tuple (d_0 x, ..., d_n x) for the k-th
-    nondegenerate n-cell.  ``labels`` maps a nondegenerate cell's ``(n, k)`` to
-    its name; a cell without one, such as a coskeletal top, is named by its faces.
-    Both are stored as given (the face table sorted first if it is out of order)
-    and never mutated, so redecorated copies share them.  A level that
-    :func:`add_coskeletal_top` added keeps no index of its own cells: its
-    ``by_faces`` finds a sphere by bisection in the face table's sorted tuples.
+    nondegenerate n-cell: ``faces`` is a dict, or, on an object that
+    :func:`add_coskeletal_top` made, a :class:`_RankTable` that keeps each level
+    it added as the list of its face tuples in rank order.  ``labels`` maps a
+    nondegenerate cell's ``(n, k)`` to its name; a cell without one, such as a
+    coskeletal top, is named by its faces.  Both are stored as given (the face
+    table sorted first if it is out of order) and never mutated, so redecorated
+    copies share them.  A level that :func:`add_coskeletal_top` added keeps no
+    index of its own cells: its ``by_faces`` finds a sphere by bisection in that list.
     """
 
     def __init__(
         self,
         kind: str,
         n_cells: list[int],
-        faces: dict[tuple[int, int], tuple[Cell, ...]],
+        faces: Mapping[tuple[int, int], tuple[Cell, ...]],
         marked: Iterable[tuple[int, int]] = (),
         thin: Iterable[tuple[int, int]] = (),
         lean: Iterable[tuple[int, int]] = (),
@@ -560,7 +562,7 @@ class DecMap:
     """A simplicial map given on nondegenerate cells of the source; it owns ``assign``."""
 
     def __init__(self, src: DecoratedSSet, dst: DecoratedSSet,
-                 assign: dict[tuple[int, int], Cell]):
+                 assign: Mapping[tuple[int, int], Cell]):
         self.src = src
         self.dst = dst
         self.assign = assign
@@ -787,22 +789,59 @@ class _TopIndex(Mapping):
         return len(self._degenerate) + len(self._spheres)
 
 
+class _RankTable(Mapping):
+    """A table keyed by ``(dim, idx)``: a dict for the levels it extends, and a list indexed
+    by ``idx`` for each level that :func:`add_coskeletal_top` added, so such a level holds no
+    key tuple.  It reads as the dict of all its entries would: iteration runs in ``(dim,
+    idx)`` order, making a listed level's keys anew, and an ``idx`` outside a list is absent
+    (a negative one does not wrap).  Item assignment takes existing keys only."""
+
+    __slots__ = ("_keyed", "_ranked")
+
+    def __init__(self, below: Mapping, top: list, dim: int):
+        if isinstance(below, _RankTable):
+            self._keyed, self._ranked = below._keyed, {**below._ranked, dim: top}
+        else:
+            self._keyed, self._ranked = below, {dim: top}
+
+    def __getitem__(self, key):
+        top = self._ranked.get(key[0])
+        if top is not None and len(key) == 2 and 0 <= key[1] < len(top):
+            return top[key[1]]
+        return self._keyed[key]  # it holds no key of a listed level: absent ones raise here
+
+    def __setitem__(self, key, value):
+        top = self._ranked.get(key[0])
+        if top is not None and len(key) == 2 and 0 <= key[1] < len(top):
+            top[key[1]] = value
+        elif key in self._keyed:
+            self._keyed[key] = value
+        else:
+            raise KeyError(key)
+
+    def __iter__(self):
+        return itertools.chain(self._keyed, *(zip(itertools.repeat(dim), range(len(top)))
+                                              for dim, top in self._ranked.items()))
+
+    def __len__(self):
+        return len(self._keyed) + sum(map(len, self._ranked.values()))
+
+
 def add_coskeletal_top(X: DecoratedSSet, dim: int,
                        keep: Optional[Callable[[tuple[Cell, ...]], bool]] = None) -> DecoratedSSet:
     """Extend a (dim-1)-truncated object by one dim-cell per nondegenerate
     boundary sphere, in sorted sphere order.  ``keep`` filters the spheres; the
     result is then not (dim-1)-coskeletal and keeps X's ``coskeletal``.  The
     result has X's class, its other attributes and labels (a top is named by its
-    faces, so it has no label), and its ``by_faces(dim)`` recorded as a
-    :class:`_TopIndex` over the new cells' spheres, the face table's own tuples."""
+    faces, so it has no label).  Its face table is a :class:`_RankTable` over X's,
+    shared, and the list of the new cells' spheres, the k-th the faces of ``Cell(dim,
+    k)``; its ``by_faces(dim)`` is recorded as a :class:`_TopIndex` over that same list."""
     assert X.top_dim <= dim - 1
     degenerate = X.by_faces(dim)  # shared: no new cell is added to it
     spheres = [sphere for sphere in coskeletal_spheres(X, dim)
                if sphere not in degenerate and (keep is None or keep(sphere))]
-    faces = dict(X.faces)
-    faces.update(zip(((dim, k) for k in range(len(spheres))), spheres))
     n_cells = list(X.n_cells) + [0] * (dim - len(X.n_cells)) + [len(spheres)]
-    Y = X._replaced(n_cells=n_cells, faces=faces, truncated_at=None,
+    Y = X._replaced(n_cells=n_cells, faces=_RankTable(X.faces, spheres, dim), truncated_at=None,
                     coskeletal=dim - 1 if keep is None else X.coskeletal)
     Y._by_faces[dim] = _TopIndex(degenerate, spheres, dim)
     # the cells below dim are X's: share their lists, which the spheres' faces come from
@@ -814,16 +853,25 @@ def extend_map(X: DecoratedSSet, Y: DecoratedSSet, assign: dict) -> DecMap:
     """The map X -> Y that agrees with ``assign``, a partial assignment covering X's
     nondegenerate cells up to some dimension, and sends each other cell, in
     :meth:`DecoratedSSet.all_nondeg` order, to the unique cell of Y whose faces are the
-    images of its faces.  Raises :class:`NoFillerError` at the first cell without one."""
-    out: dict = {}
-    # the roots in all_nondeg() order, keyed by the face table's own (dim, idx) tuples
-    for nd in itertools.chain([(0, k) for k in range(X.num(0))], X.faces):
-        img = assign.get(nd)
-        if img is None:
-            hits = Y.by_faces(nd[0]).get(tuple(
-                DecoratedSSet._apply_word(out[f.nd], f.word) for f in X.faces[nd]), ())
-            if len(hits) != 1:
-                raise NoFillerError(Cell(*nd))
-            img = hits[0]
-        out[nd] = img
-    return DecMap(X, Y, out)
+    images of its faces.  Raises :class:`NoFillerError` at the first cell without one.
+    The map is keyed as X's face table: by its own ``(dim, idx)`` tuples, and when that
+    table is a :class:`_RankTable`, a listed level's images are a list in rank order."""
+    faces = X.faces
+    keyed, ranked = (faces._keyed, faces._ranked) if isinstance(faces, _RankTable) else (faces, {})
+    out = below = {}
+
+    def filler(nd, fs) -> Cell:
+        # below holds the images of every level under nd's, where its faces' roots are
+        hits = Y.by_faces(nd[0]).get(tuple(
+            DecoratedSSet._apply_word(below[f.nd], f.word) for f in fs), ())
+        if len(hits) != 1:
+            raise NoFillerError(Cell(*nd))
+        return hits[0]
+
+    # the roots in all_nondeg() order (a Cell is never falsy)
+    for nd in itertools.chain([(0, k) for k in range(X.num(0))], keyed):
+        out[nd] = assign.get(nd) or filler(nd, keyed[nd])
+    for dim, spheres in ranked.items():
+        top = [assign.get((dim, k)) or filler((dim, k), fs) for k, fs in enumerate(spheres)]
+        below = _RankTable(below, top, dim)
+    return DecMap(X, Y, below)

@@ -1118,10 +1118,55 @@ def _extend_maps_checked():
         yield made
 
 
+def _assert_no_rank_wraps(table, X: DecoratedSSet) -> None:
+    """A face table or map of X answers ``(d, -1)`` and ``(d, X.num(d))`` as absent in each
+    dimension d of X: ``get`` gives the default and ``in`` is False (-1 checked first)."""
+    for d in range(X.top_dim + 1):
+        for key in ((d, -1), (d, X.num(d))):
+            assert table.get(key, "absent") == "absent" and key not in table
+
+
+@contextlib.contextmanager
+def _rank_tables_checked():
+    """Every coskeletal top that ``freefib`` and ``twocat`` add in the block has the face
+    table of the plain dict the engine used to build, items in order: a dict copy of the
+    extended object's table, then one ``(dim, k)`` entry per kept nondegenerate sphere in
+    sorted order.  Its table, and the map of every ``extend_map`` called in the block, has
+    no rank -1 or past the last (a map's items are ``_extend_maps_checked``'s to check, so
+    enter this block inside that one).  Yields the list of the tops made."""
+    tops = []
+
+    def topped(X, dim, keep=None):
+        Y = simplicial.add_coskeletal_top(X, dim, keep)
+        degenerate = freefib.degenerate_spheres(X, dim)
+        spheres = [s for s in simplicial.coskeletal_spheres(X, dim)
+                   if s not in degenerate and (keep is None or keep(s))]
+        want = dict(X.faces)
+        want.update(zip(((dim, k) for k in range(len(spheres))), spheres))
+        assert list(Y.faces.items()) == list(want.items())
+        _assert_no_rank_wraps(Y.faces, Y)
+        tops.append(Y)
+        return Y
+
+    def checked(extend):
+        def extended(X, Y, assign):
+            m = extend(X, Y, assign)
+            _assert_no_rank_wraps(m.assign, X)
+            return m
+        return extended
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (freefib, twocat):
+            patch.setattr(module, "add_coskeletal_top", topped)
+            patch.setattr(module, "extend_map", checked(module.extend_map))
+        yield tops
+
+
 def _build_with_every_extension_checked(F, modes=("dagger", "natural")) -> list:
-    """The free fibrations of F, their comparison maps read, with every extend_map checked;
-    each one's nerve map, projection, unit, xi and psi are among the maps checked."""
-    with _extend_maps_checked() as made:
+    """The free fibrations of F, their comparison maps read, with every extend_map and every
+    coskeletal top checked; each one's nerve map, projection, unit, xi and psi are among the
+    maps checked, and its total space and both nerves among the tops."""
+    with _extend_maps_checked() as made, _rank_tables_checked() as tops:
         ffs = []
         for mode in modes:
             ff = build_free_fibration(F, mode=mode)
@@ -1129,8 +1174,21 @@ def _build_with_every_extension_checked(F, modes=("dagger", "natural")) -> list:
             assert report.ok
             maps = (ff.fN, ff.proj, ff.gamma, report.xi, report.psi)
             assert {id(m) for m in maps} <= {id(m) for m in made}
+            assert {id(ff.total), id(ff.nc), id(ff.nd)} <= {id(Y) for Y in tops}
             ffs.append(ff)
     return ffs
+
+
+def test_a_rank_table_that_wraps_a_negative_rank_fails_the_check(monkeypatch):
+    """Negative control: with the bounds check of the rank lookup planted away, so that
+    rank -1 reads the last rank, the check fails on the first coskeletal top."""
+    def unbounded(self, key):
+        top = self._ranked.get(key[0])
+        return self._keyed[key] if top is None else top[key[1]]
+
+    monkeypatch.setattr(simplicial._RankTable, "__getitem__", unbounded)
+    with pytest.raises(AssertionError), _rank_tables_checked():
+        build_free_fibration(dict(fixture_functors())["2bracket-arrow-id"])
 
 
 def test_extend_map_matches_the_reference_on_the_battery():
@@ -1167,12 +1225,18 @@ def test_face_index_keys_are_the_cells_one_dimension_down(iso_checked):
 
 
 def test_projection_keys_are_the_face_table_keys_of_the_total(iso_checked):
-    """proj's keys run in all_nondeg() order, and in dimensions >= 1 they are the total's
-    own face-table key tuples, not copies."""
-    T, keys = iso_checked.total, list(iso_checked.proj.assign)
-    assert keys == [c.nd for c in T.all_nondeg()]
-    above = keys[T.num(0):]
-    assert len(above) == len(T.faces) == 29456 and all(map(operator.is_, above, T.faces))
+    """proj's keys run in all_nondeg() order.  Below the top, in dimensions >= 1, they are
+    the total's own face-table key tuples, not copies; the top stores no key tuple: the face
+    table keeps it as the list of its spheres, the one the top's index bisects, and proj as
+    the list of their images, both in rank order."""
+    T, proj = iso_checked.total, iso_checked.proj.assign
+    assert list(proj) == [c.nd for c in T.all_nondeg()]
+    below = list(proj._keyed)[T.num(0):]
+    assert len(below) == len(T.faces._keyed) == 1246
+    assert all(map(operator.is_, below, T.faces._keyed))
+    assert list(T.faces._ranked) == list(proj._ranked) == [4]
+    assert T.faces._ranked[4] is T.by_faces(4)._spheres
+    assert type(proj._ranked[4]) is list and len(proj._ranked[4]) == T.num(4) == 28210
 
 
 def test_labels_are_the_one_name_table(arrow_ff):

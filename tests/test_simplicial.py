@@ -761,6 +761,19 @@ def test_nerve_map_without_filler_raises():
         nerve_map(identity_two_functor(C), NC, ND)
 
 
+def test_no_filler_on_a_top_names_the_reference_cell():
+    """On the input of ``test_nerve_map_without_filler_raises``, extend_map raises
+    NoFillerError on the coskeletal 4-cell that ``_reference_extend_map`` names."""
+    C = two_bracket(walking_arrow())
+    NC, ND = scaled_nerve(C), scaled_nerve(C, max_dim=3)
+    assign = {nd: ND.cell_of(key) for nd, key in NC.labels.items()}  # the identity 2-functor
+    with pytest.raises(NoFillerError) as want:
+        _reference_extend_map(NC, ND, assign)
+    with pytest.raises(NoFillerError) as got:
+        extend_map(NC, ND, assign)
+    assert got.value.cell == want.value.cell and got.value.cell.dim == 4
+
+
 @given(st.integers(1, 2), st.integers(1, 2))
 def test_product_projections_are_jointly_monic(m, n):
     P = product(standard_simplex(m, kind="PLAIN"), standard_simplex(n, kind="PLAIN"))
